@@ -203,7 +203,7 @@ mod tests {
     fn trades_ands_for_xors_and_depth() {
         let field = Field::from_pentanomial(&TypeIiPentanomial::new(64, 23).unwrap());
         let kara = Karatsuba::default().generate(&field).stats();
-        let quad = crate::Rashidi.generate(&field).stats();
+        let quad = rgf2m_core::Rashidi.generate(&field).stats();
         assert!(kara.ands < quad.ands);
         assert!(kara.depth.xors >= quad.depth.xors);
     }

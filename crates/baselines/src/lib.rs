@@ -1,11 +1,12 @@
 //! Baseline GF(2^m) bit-parallel multiplier generators.
 //!
 //! The three published architectures the paper's Table V compares
-//! against — [`MastrovitoPaar`] (\[2\]), [`Rashidi`] (\[8\]) and
-//! [`ReyhaniHasan`] (\[3\]) — now live in [`rgf2m_core::gen`] behind the
-//! unified [`rgf2m_core::Method`] registry, so a single enum covers the
-//! whole Table V row order. This crate re-exports them under their
-//! historical paths and keeps the two *extra-paper* references:
+//! against — [`MastrovitoPaar`](rgf2m_core::MastrovitoPaar) (\[2\]),
+//! [`Rashidi`](rgf2m_core::Rashidi) (\[8\]) and
+//! [`ReyhaniHasan`](rgf2m_core::ReyhaniHasan) (\[3\]) — live in
+//! [`rgf2m_core::gen`] behind the unified [`rgf2m_core::Method`]
+//! registry, so a single enum covers the whole Table V row order. This
+//! crate keeps the two *extra-paper* references:
 //!
 //! * [`School`] — a deliberately naive two-step multiplier (chained
 //!   XOR accumulation) kept as a structural worst-case reference for
@@ -18,8 +19,7 @@
 //! ```
 //! use gf2m::Field;
 //! use gf2poly::TypeIiPentanomial;
-//! use rgf2m_baselines::ReyhaniHasan;
-//! use rgf2m_core::MultiplierGenerator;
+//! use rgf2m_core::{MultiplierGenerator, ReyhaniHasan};
 //!
 //! let field = Field::from_pentanomial(&TypeIiPentanomial::new(8, 2)?);
 //! let net = ReyhaniHasan.generate(&field);
@@ -37,8 +37,3 @@ mod school;
 
 pub use karatsuba::Karatsuba;
 pub use school::School;
-
-// Re-homed into the `rgf2m_core` registry (see `rgf2m_core::Method`);
-// re-exported here so downstream `rgf2m_baselines::*` imports keep
-// compiling during the migration.
-pub use rgf2m_core::{coefficient_support, MastrovitoPaar, Rashidi, ReyhaniHasan};

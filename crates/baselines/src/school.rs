@@ -75,7 +75,7 @@ mod tests {
     fn depth_is_much_worse_than_tree_methods() {
         let field = gf256();
         let school = School.generate(&field).depth().xors;
-        let rashidi = crate::Rashidi.generate(&field).depth().xors;
+        let rashidi = rgf2m_core::Rashidi.generate(&field).depth().xors;
         assert!(
             school >= 2 * rashidi,
             "school {school} vs rashidi {rashidi}"

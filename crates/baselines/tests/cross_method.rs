@@ -5,8 +5,8 @@ use gf2m::Field;
 use gf2poly::TypeIiPentanomial;
 use netlist::sim::{check_equivalent_exhaustive, check_equivalent_random};
 use netlist::Netlist;
-use rgf2m_baselines::{MastrovitoPaar, Rashidi, ReyhaniHasan, School};
-use rgf2m_core::{generate, Method, MultiplierGenerator};
+use rgf2m_baselines::School;
+use rgf2m_core::{generate, MastrovitoPaar, Method, MultiplierGenerator, Rashidi, ReyhaniHasan};
 
 fn all_table_v_methods(field: &Field) -> Vec<(&'static str, Netlist)> {
     vec![

@@ -29,7 +29,7 @@ fn bench_flow_stages(c: &mut Criterion) {
     group.bench_function("map", |b| {
         b.iter(|| std::hint::black_box(map_to_luts(&resynth, &MapOptions::new())))
     });
-    // The k = 8 mapper is the on-record hot spot `bench_map` tracks;
+    // The k = 8 mapper (stratix_alm, the widest cut space) is the hot spot;
     // keep it under the same save/compare baseline as the k = 6 one.
     group.bench_function("map_k8", |b| {
         b.iter(|| std::hint::black_box(map_to_luts(&resynth8, &Target::StratixAlm.map_options())))

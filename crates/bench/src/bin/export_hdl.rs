@@ -6,10 +6,10 @@
 //!
 //! Prints the chosen backend's output to stdout (pipe it to a file).
 
-use rgf2m_baselines::{Karatsuba, MastrovitoPaar, Rashidi, ReyhaniHasan, School};
+use rgf2m_baselines::{Karatsuba, School};
 use rgf2m_bench::field_for;
 use rgf2m_core::gen::MultiplierGenerator;
-use rgf2m_core::Method;
+use rgf2m_core::{MastrovitoPaar, Method, Rashidi, ReyhaniHasan};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

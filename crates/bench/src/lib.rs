@@ -34,10 +34,7 @@ pub use batch::{
     cross_target_jobs, job_seed_from, table_v_jobs, table_v_jobs_on, BatchRow, BatchRunner, Job,
 };
 pub use daemon::run_rows_via_daemon;
-pub use report::{
-    rows_to_csv, rows_to_json, validate_bench_map_json, validate_table5_json, BENCH_MAP_SCHEMA,
-    TABLE5_SCHEMA,
-};
+pub use report::{rows_to_csv, rows_to_json, validate_table5_json, TABLE5_SCHEMA};
 
 /// The six methods of the paper's Table V, in its row order:
 /// \[2\], \[8\], \[3\], \[6\], \[7\], This work.

@@ -1,23 +1,19 @@
 //! Structured report output for batch runs: hand-rolled JSON and CSV
 //! writers (this workspace builds with zero registry access, so no
-//! serde), plus schema validators for the emitted artifacts.
+//! serde), plus the schema validator for the Table V export.
 //!
-//! The JSON writer is **byte-deterministic**: for the same batch rows
-//! it produces the same bytes, run over run and machine over machine
-//! (fixed field order, fixed float precision, no timestamps).
-//!
-//! The JSON *reader* lives in the serving crate ([`rgf2m_serve::json`],
-//! the artifact store's wire substrate) and is re-exported here so
-//! existing `rgf2m_bench::report::{parse_json, JsonValue}` callers keep
-//! working.
+//! The writers are **byte-deterministic**: for the same batch rows
+//! they produce the same bytes, run over run and machine over machine
+//! (fixed field order, fixed float precision, no timestamps). Both, and
+//! the validator, walk the report columns of
+//! [`rgf2m_serve::codec::REPORT_FIELDS`].
 
 use rgf2m_core::Method;
 use rgf2m_fpga::Target;
-use rgf2m_serve::json::json_string;
+use rgf2m_serve::codec::{write_json_fields, Floats, REPORT_FIELDS};
+use rgf2m_serve::json::{json_string, parse_json, JsonValue};
 
 use crate::batch::BatchRow;
-
-pub use rgf2m_serve::json::{parse_json, JsonValue};
 
 /// Schema tag stamped into every Table V JSON export. `/5` added the
 /// per-row `and_gates` / `xor_gates` area pair (the source netlist's
@@ -29,10 +25,6 @@ pub use rgf2m_serve::json::{parse_json, JsonValue};
 /// per-row `target` field. Older documents, which lack those fields,
 /// no longer validate.
 pub const TABLE5_SCHEMA: &str = "rgf2m-table5/5";
-
-/// Schema tag stamped into every `bench_map` mapper-performance
-/// artifact and checked by [`validate_bench_map_json`].
-pub const BENCH_MAP_SCHEMA: &str = "rgf2m-bench-map/1";
 
 /// Serializes batch rows as the `rgf2m-table5/5` JSON document.
 ///
@@ -60,27 +52,10 @@ pub fn rows_to_json(rows: &[BatchRow], base_seed: u64) -> String {
             row.seed
         ));
         match &row.result {
-            Ok(r) => s.push_str(&format!(
-                ", \"ok\": true, \"luts\": {}, \"slices\": {}, \"depth\": {}, \
-                 \"time_ns\": {:.4}, \"area_time\": {:.4}, \
-                 \"dup_gates\": {}, \"dead_nodes\": {}, \
-                 \"and_depth\": {}, \"xor_depth\": {}, \
-                 \"and_gates\": {}, \"xor_gates\": {}, \"dedup_saved\": {}, \
-                 \"worst_slack_ns\": {:.4}",
-                r.luts,
-                r.slices,
-                r.depth,
-                r.time_ns,
-                r.area_time(),
-                r.dup_gates,
-                r.dead_nodes,
-                r.and_depth,
-                r.xor_depth,
-                r.and_gates,
-                r.xor_gates,
-                r.dedup_saved,
-                r.worst_slack_ns
-            )),
+            Ok(r) => {
+                s.push_str(", \"ok\": true");
+                write_json_fields(r, Floats::FourPlaces, &mut s);
+            }
             Err(e) => s.push_str(&format!(
                 ", \"ok\": false, \"error\": {}",
                 json_string(&e.to_string())
@@ -99,44 +74,34 @@ pub fn rows_to_json(rows: &[BatchRow], base_seed: u64) -> String {
 /// Serializes batch rows as CSV (header + one line per job, errors in
 /// the trailing column). Byte-identical for identical inputs.
 pub fn rows_to_csv(rows: &[BatchRow]) -> String {
-    let mut s = String::from(
-        "m,n,method,citation,target,seed,ok,luts,slices,depth,time_ns,area_time,dup_gates,dead_nodes,and_depth,xor_depth,and_gates,xor_gates,dedup_saved,worst_slack_ns,error\n",
-    );
+    let mut s = String::from("m,n,method,citation,target,seed,ok");
+    for f in &REPORT_FIELDS {
+        s.push(',');
+        s.push_str(f.name);
+    }
+    s.push_str(",error\n");
     for row in rows {
-        match &row.result {
-            Ok(r) => s.push_str(&format!(
-                "{},{},{},{},{},{},true,{},{},{},{:.4},{:.4},{},{},{},{},{},{},{},{:.4},\n",
-                row.job.m,
-                row.job.n,
-                row.job.method.name(),
-                csv_field(row.job.method.citation()),
-                row.job.target.name(),
-                row.seed,
-                r.luts,
-                r.slices,
-                r.depth,
-                r.time_ns,
-                r.area_time(),
-                r.dup_gates,
-                r.dead_nodes,
-                r.and_depth,
-                r.xor_depth,
-                r.and_gates,
-                r.xor_gates,
-                r.dedup_saved,
-                r.worst_slack_ns
-            )),
-            Err(e) => s.push_str(&format!(
-                "{},{},{},{},{},{},false,,,,,,,,,,,,,,{}\n",
-                row.job.m,
-                row.job.n,
-                row.job.method.name(),
-                csv_field(row.job.method.citation()),
-                row.job.target.name(),
-                row.seed,
-                csv_field(&e.to_string())
-            )),
+        s.push_str(&format!(
+            "{},{},{},{},{},{},{}",
+            row.job.m,
+            row.job.n,
+            row.job.method.name(),
+            csv_field(row.job.method.citation()),
+            row.job.target.name(),
+            row.seed,
+            row.result.is_ok()
+        ));
+        for f in &REPORT_FIELDS {
+            s.push(',');
+            if let Ok(r) = &row.result {
+                f.write_value(r, Floats::FourPlaces, &mut s);
+            }
         }
+        s.push(',');
+        if let Err(e) = &row.result {
+            s.push_str(&csv_field(&e.to_string()));
+        }
+        s.push('\n');
     }
     s
 }
@@ -156,17 +121,12 @@ fn csv_field(s: &str) -> String {
 
 /// Validates a `rgf2m-table5/5` JSON document: schema tag, non-empty
 /// row set, whole six-method blocks in the paper's row order, every
-/// row naming a registered target fabric and `ok` with positive LUTs /
-/// slices / depth / time, non-negative `dup_gates` / `dead_nodes`
-/// hygiene counters, a positive `and_depth` / `xor_depth` gate-depth
-/// pair (a bit-parallel multiplier always has exactly one AND level and
-/// at least one XOR level), a positive `and_gates` / `xor_gates` area
-/// pair with a non-negative `dedup_saved` strash dividend, and a
-/// `worst_slack_ns` that is not meaningfully negative (the STA's
-/// default target is the critical delay itself, so slack must be ~0 up
-/// to float noise). Within each six-method block the target must be
-/// uniform (one block = one field on one fabric). Returns a short
-/// human-readable summary on success.
+/// row naming a registered target fabric, and every row `ok` with each
+/// column of [`REPORT_FIELDS`] present and within its bound (positive
+/// areas, times and depths, non-negative counters, a worst slack that
+/// is zero up to float noise). Within each six-method block the target
+/// must be uniform (one block = one field on one fabric). Returns a
+/// short human-readable summary on success.
 pub fn validate_table5_json(text: &str) -> Result<String, String> {
     let doc = parse_json(text)?;
     let schema = doc
@@ -240,67 +200,16 @@ pub fn validate_table5_json(text: &str) -> Result<String, String> {
                 .unwrap_or("<no error recorded>");
             return Err(format!("row {i} is not ok: {err}"));
         }
-        for field in ["luts", "slices", "depth", "time_ns", "area_time"] {
+        for field in &REPORT_FIELDS {
+            let name = field.name;
             let v = row
-                .get(field)
+                .get(name)
                 .and_then(JsonValue::as_f64)
-                .ok_or_else(|| ctx(&format!("missing numeric \"{field}\"")))?;
-            if v <= 0.0 {
-                return Err(format!("row {i}: {field} = {v} is not positive"));
-            }
-        }
-        // Hygiene counters may legitimately be zero (and usually are),
-        // but must be present and non-negative.
-        for field in ["dup_gates", "dead_nodes"] {
-            let v = row
-                .get(field)
-                .and_then(JsonValue::as_f64)
-                .ok_or_else(|| ctx(&format!("missing numeric \"{field}\"")))?;
-            if v < 0.0 {
-                return Err(format!("row {i}: {field} = {v} is negative"));
-            }
-        }
-        // `/4`: the source netlist's gate-depth pair. A bit-parallel
-        // multiplier is one AND level of partial products feeding XOR
-        // trees, so both components must be positive.
-        for field in ["and_depth", "xor_depth"] {
-            let v = row
-                .get(field)
-                .and_then(JsonValue::as_f64)
-                .ok_or_else(|| ctx(&format!("missing numeric \"{field}\"")))?;
-            if v <= 0.0 {
-                return Err(format!("row {i}: {field} = {v} is not positive"));
-            }
-        }
-        // `/5`: the source netlist's gate-count pair (the Table V
-        // area claim) and the strash dividend — a multiplier always
-        // has partial-product ANDs and XOR trees, while `dedup_saved`
-        // is 0 for every hash-consed generator but stays a counter.
-        for field in ["and_gates", "xor_gates"] {
-            let v = row
-                .get(field)
-                .and_then(JsonValue::as_f64)
-                .ok_or_else(|| ctx(&format!("missing numeric \"{field}\"")))?;
-            if v <= 0.0 {
-                return Err(format!("row {i}: {field} = {v} is not positive"));
-            }
-        }
-        let saved = row
-            .get("dedup_saved")
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| ctx("missing numeric \"dedup_saved\""))?;
-        if saved < 0.0 {
-            return Err(format!("row {i}: dedup_saved = {saved} is negative"));
-        }
-        // `/4`: worst slack at the STA's default target (the critical
-        // delay itself) — anything beyond float noise below zero means
-        // the arrival and required passes disagree.
-        let slack = row
-            .get("worst_slack_ns")
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| ctx("missing numeric \"worst_slack_ns\""))?;
-        if slack < -1e-6 {
-            return Err(format!("row {i}: worst_slack_ns = {slack} is negative"));
+                .ok_or_else(|| ctx(&format!("missing numeric \"{name}\"")))?;
+            field
+                .bound
+                .check(v)
+                .map_err(|why| format!("row {i}: {name} = {v} {why}"))?;
         }
     }
     Ok(format!(
@@ -311,159 +220,89 @@ pub fn validate_table5_json(text: &str) -> Result<String, String> {
     ))
 }
 
-/// Validates a `rgf2m-bench-map/1` JSON document (as emitted by
-/// `bench_map --out PATH`): schema tag, positive field degree, and a
-/// non-empty target sweep where every entry names a distinct registered
-/// fabric, records the mapping options actually used (`k` must equal
-/// the fabric's LUT width), a positive design shape, and per-rep wall
-/// times consistent with the recorded best/mean. Returns a short
-/// human-readable summary on success.
-pub fn validate_bench_map_json(text: &str) -> Result<String, String> {
-    let doc = parse_json(text)?;
-    let schema = doc
-        .get("schema")
-        .and_then(JsonValue::as_str)
-        .ok_or("missing \"schema\"")?;
-    if schema != BENCH_MAP_SCHEMA {
-        return Err(format!("schema {schema:?}, expected {BENCH_MAP_SCHEMA:?}"));
-    }
-    let field = doc.get("field").ok_or("missing \"field\"")?;
-    for key in ["m", "n"] {
-        let v = field
-            .get(key)
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| format!("field: missing numeric \"{key}\""))?;
-        if v <= 0.0 {
-            return Err(format!("field: {key} = {v} is not positive"));
-        }
-    }
-    let targets = doc
-        .get("targets")
-        .and_then(JsonValue::as_array)
-        .ok_or("missing \"targets\" array")?;
-    if targets.is_empty() {
-        return Err("empty \"targets\"".into());
-    }
-    let mut seen: Vec<String> = Vec::new();
-    for (i, entry) in targets.iter().enumerate() {
-        let ctx = |what: &str| format!("target {i}: {what}");
-        let name = entry
-            .get("target")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| ctx("missing \"target\""))?;
-        let fabric = Target::from_name(name)
-            .ok_or_else(|| format!("target {i}: unknown target {name:?}"))?;
-        if seen.iter().any(|t| t == name) {
-            return Err(format!("target {i}: duplicate target {name:?}"));
-        }
-        seen.push(name.to_string());
-        let opts = entry
-            .get("map_options")
-            .ok_or_else(|| ctx("missing \"map_options\""))?;
-        let k = opts
-            .get("k")
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| ctx("map_options: missing numeric \"k\""))?;
-        if k != fabric.lut_inputs() as f64 {
-            return Err(format!(
-                "target {i}: k = {k} does not match {name}'s LUT width {}",
-                fabric.lut_inputs()
-            ));
-        }
-        let cuts = opts
-            .get("cuts_per_node")
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| ctx("map_options: missing numeric \"cuts_per_node\""))?;
-        if cuts < 1.0 {
-            return Err(format!(
-                "target {i}: cuts_per_node = {cuts} is not positive"
-            ));
-        }
-        let design = entry
-            .get("design")
-            .ok_or_else(|| ctx("missing \"design\""))?;
-        for key in ["resynth_gates", "luts", "depth"] {
-            let v = design
-                .get(key)
-                .and_then(JsonValue::as_f64)
-                .ok_or_else(|| ctx(&format!("design: missing numeric \"{key}\"")))?;
-            if v <= 0.0 {
-                return Err(format!("target {i}: design {key} = {v} is not positive"));
-            }
-        }
-        let reps = entry
-            .get("rep_wall_ms")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| ctx("missing \"rep_wall_ms\" array"))?;
-        if reps.is_empty() {
-            return Err(format!("target {i}: empty \"rep_wall_ms\""));
-        }
-        let mut min = f64::INFINITY;
-        for (j, r) in reps.iter().enumerate() {
-            let v = r
-                .as_f64()
-                .ok_or_else(|| ctx(&format!("rep_wall_ms[{j}] is not a number")))?;
-            if v <= 0.0 {
-                return Err(format!(
-                    "target {i}: rep_wall_ms[{j}] = {v} is not positive"
-                ));
-            }
-            min = min.min(v);
-        }
-        let best = entry
-            .get("best_wall_ms")
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| ctx("missing numeric \"best_wall_ms\""))?;
-        let mean = entry
-            .get("mean_wall_ms")
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| ctx("missing numeric \"mean_wall_ms\""))?;
-        // Reps and best/mean are printed at 0.1 ms precision; allow one
-        // rounding step of slack when cross-checking them.
-        if (best - min).abs() > 0.051 {
-            return Err(format!(
-                "target {i}: best_wall_ms = {best} is not the minimum rep ({min})"
-            ));
-        }
-        if best > mean + 0.051 {
-            return Err(format!(
-                "target {i}: best_wall_ms = {best} exceeds mean_wall_ms = {mean}"
-            ));
-        }
-        if let Some(base) = entry.get("pre_refactor_baseline") {
-            for key in ["best_wall_ms", "mean_wall_ms"] {
-                let v = base.get(key).and_then(JsonValue::as_f64).ok_or_else(|| {
-                    ctx(&format!("pre_refactor_baseline: missing numeric \"{key}\""))
-                })?;
-                if v <= 0.0 {
-                    return Err(format!(
-                        "target {i}: pre_refactor_baseline {key} = {v} is not positive"
-                    ));
-                }
-            }
-        }
-    }
-    Ok(format!(
-        "{} target(s) ({}), best/mean consistent with per-rep wall times",
-        targets.len(),
-        seen.join(", ")
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn reexported_json_reader_reads_this_modules_writer() {
-        // The reader moved to `rgf2m_serve::json`; the re-export must
-        // keep reading what `rows_to_json`'s writer idiom emits.
+        // The reader lives in `rgf2m_serve::json`; it must keep reading
+        // what `rows_to_json`'s writer idiom emits.
         let doc = format!("{{\"s\": {}}}", json_string("a \"b\"\n"));
-        let parsed = parse_json(&doc).unwrap();
+        let parsed = rgf2m_serve::json::parse_json(&doc).unwrap();
         assert_eq!(
             parsed.get("s").and_then(JsonValue::as_str),
             Some("a \"b\"\n")
         );
+    }
+
+    /// One ok row with non-round floats (including a slack that prints
+    /// as `-0.0000`) and one failed row whose message needs quoting.
+    fn golden_rows() -> Vec<BatchRow> {
+        vec![
+            BatchRow {
+                job: crate::batch::Job::on(8, 2, Method::ProposedFlat, Target::Virtex5),
+                seed: 11_657_511_268_527_099_060,
+                result: Ok(rgf2m_fpga::ImplReport {
+                    name: "gf256_proposed".into(),
+                    luts: 33,
+                    slices: 11,
+                    depth: 3,
+                    time_ns: 9.876_543_21,
+                    dup_gates: 2,
+                    dead_nodes: 1,
+                    worst_slack_ns: -0.000_012_5,
+                    and_depth: 1,
+                    xor_depth: 5,
+                    and_gates: 64,
+                    xor_gates: 84,
+                    dedup_saved: 7,
+                }),
+            },
+            BatchRow {
+                job: crate::batch::Job::new(16, 2, Method::MastrovitoPaar),
+                seed: 2018,
+                result: Err(rgf2m_fpga::FlowError::InvalidOptions(
+                    "bad \"field\", see\nline two".into(),
+                )),
+            },
+        ]
+    }
+
+    #[test]
+    fn rows_to_json_golden_bytes() {
+        let expected = concat!(
+            "{\n",
+            "  \"schema\": \"rgf2m-table5/5\",\n",
+            "  \"base_seed\": 2018,\n",
+            "  \"rows\": [\n",
+            "    {\"m\": 8, \"n\": 2, \"method\": \"proposed\", \"citation\": \"This work\", ",
+            "\"target\": \"virtex5\", \"seed\": 11657511268527099060, \"ok\": true, ",
+            "\"luts\": 33, \"slices\": 11, \"depth\": 3, \"time_ns\": 9.8765, ",
+            "\"area_time\": 325.9259, \"dup_gates\": 2, \"dead_nodes\": 1, ",
+            "\"and_depth\": 1, \"xor_depth\": 5, \"and_gates\": 64, \"xor_gates\": 84, ",
+            "\"dedup_saved\": 7, \"worst_slack_ns\": -0.0000},\n",
+            "    {\"m\": 16, \"n\": 2, \"method\": \"mastrovito\", \"citation\": \"[2]\", ",
+            "\"target\": \"artix7\", \"seed\": 2018, \"ok\": false, ",
+            "\"error\": \"invalid flow options: bad \\\"field\\\", see\\nline two\"}\n",
+            "  ]\n",
+            "}\n",
+        );
+        assert_eq!(rows_to_json(&golden_rows(), 2018), expected);
+    }
+
+    #[test]
+    fn rows_to_csv_golden_bytes() {
+        let expected = concat!(
+            "m,n,method,citation,target,seed,ok,luts,slices,depth,time_ns,area_time,",
+            "dup_gates,dead_nodes,and_depth,xor_depth,and_gates,xor_gates,dedup_saved,",
+            "worst_slack_ns,error\n",
+            "8,2,proposed,This work,virtex5,11657511268527099060,true,33,11,3,9.8765,",
+            "325.9259,2,1,1,5,64,84,7,-0.0000,\n",
+            "16,2,mastrovito,[2],artix7,2018,false,,,,,,,,,,,,,,",
+            "\"invalid flow options: bad \"\"field\"\", see\nline two\"\n",
+        );
+        assert_eq!(rows_to_csv(&golden_rows()), expected);
     }
 
     #[test]
@@ -571,60 +410,5 @@ mod tests {
         assert!(validate_table5_json(&stripped)
             .unwrap_err()
             .contains("missing \"target\""));
-    }
-
-    /// A minimal valid `bench_map` artifact with one artix7 entry.
-    fn bench_map_doc() -> String {
-        format!(
-            r#"{{
-  "schema": "{BENCH_MAP_SCHEMA}",
-  "field": {{"m": 163, "n": 68}},
-  "targets": [
-    {{
-      "target": "artix7",
-      "map_options": {{"k": 6, "cuts_per_node": 8, "mode": "free"}},
-      "design": {{"method": "ProposedFlat", "resynth_gates": 100, "luts": 10, "depth": 3}},
-      "rep_wall_ms": [2.0, 1.5],
-      "best_wall_ms": 1.5,
-      "mean_wall_ms": 1.8
-    }}
-  ]
-}}"#
-        )
-    }
-
-    #[test]
-    fn bench_map_validator_accepts_a_well_formed_artifact() {
-        let summary = validate_bench_map_json(&bench_map_doc()).unwrap();
-        assert!(summary.contains("1 target(s)"), "{summary}");
-        assert!(summary.contains("artix7"), "{summary}");
-    }
-
-    #[test]
-    fn bench_map_validator_rejects_broken_documents() {
-        let good = bench_map_doc();
-        assert!(validate_bench_map_json("{}").is_err());
-        assert!(
-            validate_bench_map_json(&good.replace("rgf2m-bench-map/1", "rgf2m-bench-map/0"))
-                .is_err()
-        );
-        // Unknown fabric, and a k that contradicts the fabric's LUT width.
-        assert!(validate_bench_map_json(&good.replace("artix7", "ise_14_7"))
-            .unwrap_err()
-            .contains("unknown target"));
-        assert!(
-            validate_bench_map_json(&good.replace("\"k\": 6", "\"k\": 4"))
-                .unwrap_err()
-                .contains("LUT width")
-        );
-        // Best must be the minimum rep, and the rep list must be non-empty.
-        assert!(validate_bench_map_json(
-            &good.replace("\"best_wall_ms\": 1.5", "\"best_wall_ms\": 2.0")
-        )
-        .unwrap_err()
-        .contains("minimum rep"));
-        assert!(validate_bench_map_json(&good.replace("[2.0, 1.5]", "[]"))
-            .unwrap_err()
-            .contains("empty"));
     }
 }

@@ -101,5 +101,4 @@ pub use place::{PlaceOptions, PlaceStats};
 pub use target::Target;
 pub use timing::{
     analyze_sta, CriticalPath, PathElement, PathSegment, SlackHistogram, StaOptions, StaReport,
-    TimingReport,
 };

@@ -14,7 +14,7 @@
 //! * **memoized** — [`Pipeline::run`] caches [`FlowArtifacts`] keyed by
 //!   a stable content hash of the input netlist plus an options
 //!   fingerprint, so re-running the same design through the same
-//!   pipeline is ~free (see [`Pipeline::cache_hits`]);
+//!   pipeline is ~free (see [`Pipeline::cache_stats`]);
 //! * **target-derived** — [`Pipeline::with_target`] picks a fabric from
 //!   the [`Target`] registry and derives the device model, the mapper's
 //!   LUT width and the slice capacity from it. `with_device` /
@@ -45,7 +45,7 @@
 //! let artifacts = pipeline.run(&net)?;
 //! assert_eq!(artifacts.report.luts, 1);
 //! let again = pipeline.run(&net)?; // memoized: no recomputation
-//! assert_eq!(pipeline.cache_hits(), 1);
+//! assert_eq!(pipeline.cache_stats().hits, 1);
 //! assert_eq!(again.report.time_ns, artifacts.report.time_ns);
 //! # Ok::<(), rgf2m_fpga::FlowError>(())
 //! ```
@@ -84,10 +84,10 @@ use crate::map::{map_to_luts_in, verify_mapping, MapMode, MapOptions, MapScratch
 use crate::pack::{pack_slices, Packing};
 use crate::place::{place, PlaceOptions, Placement};
 use crate::target::Target;
-use crate::timing::{analyze, TimingReport};
+use crate::timing::{analyze, StaReport};
 
 /// The quadruple the paper reports per design in Table V, plus context.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ImplReport {
     /// Design name.
     pub name: String,
@@ -164,7 +164,7 @@ pub struct FlowArtifacts {
     /// The placement.
     pub placement: Placement,
     /// The timing report.
-    pub timing: TimingReport,
+    pub timing: StaReport,
     /// The summary.
     pub report: ImplReport,
 }
@@ -854,12 +854,7 @@ impl Pipeline {
     }
 
     /// Stage 5: static timing analysis (infallible once placed).
-    pub fn time(
-        &self,
-        mapped: &LutNetlist,
-        packing: &Packing,
-        placement: &Placement,
-    ) -> TimingReport {
+    pub fn time(&self, mapped: &LutNetlist, packing: &Packing, placement: &Placement) -> StaReport {
         analyze(mapped, packing, placement, &self.device)
     }
 
@@ -1018,16 +1013,6 @@ impl Pipeline {
         Ok(artifacts)
     }
 
-    /// Number of memoized designs currently in the cache.
-    pub fn cache_len(&self) -> usize {
-        self.cache.lock().expect("pipeline cache poisoned").len()
-    }
-
-    /// Number of [`Pipeline::run`] calls served from the cache.
-    pub fn cache_hits(&self) -> usize {
-        self.hits.load(Ordering::Relaxed)
-    }
-
     /// A snapshot of every cache observability counter: memory hits,
     /// [`ArtifactHook`] store hits, full computations, memory fills and
     /// the current entry count ([`CacheStats`]). The serving daemon's
@@ -1039,7 +1024,7 @@ impl Pipeline {
             store_hits: self.store_hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             inserts: self.inserts.load(Ordering::Relaxed),
-            entries: self.cache_len(),
+            entries: self.cache.lock().expect("pipeline cache poisoned").len(),
         }
     }
 
@@ -1167,16 +1152,14 @@ mod tests {
         let net = xor_tree(32);
         let p = Pipeline::new();
         let first = p.run(&net).unwrap();
-        assert_eq!(p.cache_hits(), 0);
-        assert_eq!(p.cache_len(), 1);
+        assert_eq!((p.cache_stats().hits, p.cache_stats().entries), (0, 1));
         let second = p.run(&net).unwrap();
-        assert_eq!(p.cache_hits(), 1);
-        assert_eq!(p.cache_len(), 1);
+        assert_eq!((p.cache_stats().hits, p.cache_stats().entries), (1, 1));
         assert_eq!(first.report.time_ns, second.report.time_ns);
         // A structurally different design is a different key.
         let other = xor_tree(33);
         p.run(&other).unwrap();
-        assert_eq!(p.cache_len(), 2);
+        assert_eq!(p.cache_stats().entries, 2);
     }
 
     #[test]

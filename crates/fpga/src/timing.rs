@@ -196,11 +196,8 @@ impl fmt::Display for SlackHistogram {
     }
 }
 
-/// The result of static timing analysis.
-///
-/// Kept under its historical [`TimingReport`] alias everywhere the flow
-/// only needs the critical number; the slack/path machinery rides in
-/// the same struct.
+/// The result of static timing analysis: the critical number plus the
+/// slack and path machinery.
 #[derive(Debug, Clone)]
 pub struct StaReport {
     /// Critical-path delay in nanoseconds (worst endpoint arrival).
@@ -234,9 +231,6 @@ pub struct StaReport {
     /// The top-K critical paths, worst endpoint first.
     pub paths: Vec<CriticalPath>,
 }
-
-/// Historical name of [`StaReport`].
-pub type TimingReport = StaReport;
 
 /// Runs STA on a placed design under default [`StaOptions`].
 pub fn analyze(
@@ -552,7 +546,7 @@ mod tests {
     use crate::pack::pack_slices;
     use crate::place::{place, PlaceOptions};
 
-    fn timed(net: &LutNetlist) -> TimingReport {
+    fn timed(net: &LutNetlist) -> StaReport {
         let packing = pack_slices(net, 4);
         let placement = place(net, &packing, &PlaceOptions::default());
         analyze(net, &packing, &placement, &Device::artix7())

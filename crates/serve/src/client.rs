@@ -49,9 +49,10 @@ impl Client {
     }
 
     fn send(&mut self, req: &Request) -> io::Result<()> {
-        let line = encode_request(req);
+        // One write per line (see the daemon's `write_line`: a split
+        // newline stalls TCP round trips on Nagle + delayed ACK).
+        let line = encode_request(req) + "\n";
         self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
         self.writer.flush()
     }
 

@@ -2,16 +2,19 @@
 //! the string-escaping writer helper.
 //!
 //! This workspace builds with zero registry access, so no serde. The
-//! reader was born in `crates/bench/src/report.rs` to schema-check the
-//! Table V exports; it moved here once the serving daemon needed the
-//! same parser for its line protocol and the artifact store needed it
-//! for its on-disk documents. `rgf2m_bench::report` re-exports it, so
-//! existing validator callers are unaffected.
+//! reader schema-checks the Table V exports, parses the serving
+//! daemon's line protocol and loads the artifact store's documents.
+//! It refuses nesting deeper than 128 levels, so no input can exhaust
+//! the stack of the process reading it.
 //!
-//! Writers stay hand-rolled and **byte-deterministic** at each call
-//! site (fixed field order, fixed float formatting, no timestamps);
-//! this module only provides the one piece every writer shares,
-//! [`json_string`].
+//! Writers stay hand-rolled and **byte-deterministic** (fixed field
+//! order, fixed float formatting, no timestamps); this module provides
+//! the one piece every writer shares, [`json_string`], and
+//! [`crate::codec`] the report columns.
+
+/// The deepest array/object nesting [`parse_json`] accepts. Every
+/// document this workspace writes nests at most three levels.
+const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value (minimal reader; objects keep insertion order).
 #[derive(Debug, Clone, PartialEq)]
@@ -77,7 +80,7 @@ impl JsonValue {
 pub fn parse_json(text: &str) -> Result<JsonValue, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -124,8 +127,15 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+/// Parses one value whose opening bracket, if any, sits `depth` levels
+/// deep.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     skip_ws(b, pos);
+    if matches!(b.get(*pos), Some(b'{' | b'[')) && depth >= MAX_DEPTH {
+        return Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}"
+        ));
+    }
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'{') => {
@@ -141,7 +151,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
                 let key = parse_string(b, pos)?;
                 skip_ws(b, pos);
                 expect(b, pos, b':')?;
-                let val = parse_value(b, pos)?;
+                let val = parse_value(b, pos, depth + 1)?;
                 pairs.push((key, val));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -163,7 +173,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
                 return Ok(JsonValue::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -295,6 +305,21 @@ mod tests {
         ] {
             assert!(parse_json(bad).is_err(), "{bad:?} parsed");
         }
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let arrays = "[".repeat(200_000);
+        assert!(parse_json(&arrays).unwrap_err().contains("nesting deeper"));
+        let objects = "{\"a\":".repeat(200_000);
+        assert!(parse_json(&objects).unwrap_err().contains("nesting deeper"));
+        // Exactly at the cap still parses; one more level does not.
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse_json(&at_cap).is_ok());
+        let objs_at_cap = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(parse_json(&objs_at_cap).is_ok());
+        let over = format!("[{at_cap}]");
+        assert!(parse_json(&over).unwrap_err().contains("nesting deeper"));
     }
 
     #[test]

@@ -57,6 +57,7 @@
 #![warn(missing_docs)]
 
 pub mod client;
+pub mod codec;
 pub mod json;
 pub mod net;
 pub mod protocol;

@@ -32,6 +32,7 @@ use gf2poly::{Gf2Poly, TypeIiPentanomial};
 use rgf2m_core::Method;
 use rgf2m_fpga::{ImplReport, Target};
 
+use crate::codec::{read_report, write_report_members};
 use crate::json::{json_string, parse_json, JsonValue};
 
 /// The placement seed synth requests default to — the paper's year,
@@ -67,6 +68,20 @@ impl FieldSpec {
             }
             FieldSpec::Poly(exps) => Field::new(Gf2Poly::from_exponents(exps))
                 .map_err(|e| format!("poly {exps:?} is not a valid modulus: {e}")),
+        }
+    }
+
+    /// The request members naming this field, without braces.
+    fn json_members(&self) -> String {
+        match self {
+            FieldSpec::Pair { m, n } => format!("\"m\": {m}, \"n\": {n}"),
+            FieldSpec::Poly(exps) => format!(
+                "\"poly\": [{}]",
+                exps.iter()
+                    .map(|e| e.to_string())
+                    .collect::<Vec<_>>()
+                    .join(", ")
+            ),
         }
     }
 }
@@ -181,16 +196,7 @@ pub fn encode_request(req: &Request) -> String {
         Request::Stats { id } => format!("{{\"op\": \"stats\", \"id\": {id}}}"),
         Request::Shutdown { id } => format!("{{\"op\": \"shutdown\", \"id\": {id}}}"),
         Request::Synth(s) => {
-            let field = match &s.field {
-                FieldSpec::Pair { m, n } => format!("\"m\": {m}, \"n\": {n}"),
-                FieldSpec::Poly(exps) => format!(
-                    "\"poly\": [{}]",
-                    exps.iter()
-                        .map(|e| e.to_string())
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                ),
-            };
+            let field = s.field.json_members();
             format!(
                 "{{\"op\": \"synth\", \"id\": {}, {field}, \"method\": {}, \"target\": {}, \"seed\": \"{}\"}}",
                 s.id,
@@ -205,42 +211,18 @@ pub fn encode_request(req: &Request) -> String {
 /// Encodes a successful synth response (no trailing newline). Echoes
 /// the job identity; floats use shortest round-trip `Display`.
 pub fn encode_synth_ok(req: &SynthRequest, report: &ImplReport, source: &str) -> String {
-    let field = match &req.field {
-        FieldSpec::Pair { m, n } => format!("\"m\": {m}, \"n\": {n}"),
-        FieldSpec::Poly(exps) => format!(
-            "\"poly\": [{}]",
-            exps.iter()
-                .map(|e| e.to_string())
-                .collect::<Vec<_>>()
-                .join(", ")
-        ),
-    };
-    format!(
-        "{{\"id\": {}, \"ok\": true, \"source\": {}, {field}, \"method\": {}, \"target\": {}, \"seed\": \"{}\", \
-         \"name\": {}, \"luts\": {}, \"slices\": {}, \"depth\": {}, \"time_ns\": {}, \
-         \"area_time\": {}, \"dup_gates\": {}, \"dead_nodes\": {}, \"and_depth\": {}, \
-         \"xor_depth\": {}, \"and_gates\": {}, \"xor_gates\": {}, \"dedup_saved\": {}, \
-         \"worst_slack_ns\": {}}}",
+    let field = req.field.json_members();
+    let mut s = format!(
+        "{{\"id\": {}, \"ok\": true, \"source\": {}, {field}, \"method\": {}, \"target\": {}, \"seed\": \"{}\", ",
         req.id,
         json_string(source),
         json_string(req.method.name()),
         json_string(req.target.name()),
         req.seed,
-        json_string(&report.name),
-        report.luts,
-        report.slices,
-        report.depth,
-        report.time_ns,
-        report.area_time(),
-        report.dup_gates,
-        report.dead_nodes,
-        report.and_depth,
-        report.xor_depth,
-        report.and_gates,
-        report.xor_gates,
-        report.dedup_saved,
-        report.worst_slack_ns
-    )
+    );
+    write_report_members(report, &mut s);
+    s.push('}');
+    s
 }
 
 /// Encodes a failure response (no trailing newline).
@@ -286,39 +268,7 @@ impl Response {
         if !self.ok {
             return Err(self.error().unwrap_or("<no error recorded>").to_string());
         }
-        let num = |key: &str| -> Result<f64, String> {
-            self.doc
-                .get(key)
-                .and_then(JsonValue::as_f64)
-                .ok_or_else(|| format!("response: missing numeric \"{key}\""))
-        };
-        let count = |key: &str| -> Result<usize, String> {
-            let v = num(key)?;
-            if v < 0.0 || v.fract() != 0.0 {
-                return Err(format!("response: \"{key}\" = {v} is not a count"));
-            }
-            Ok(v as usize)
-        };
-        Ok(ImplReport {
-            name: self
-                .doc
-                .get("name")
-                .and_then(JsonValue::as_str)
-                .ok_or("response: missing \"name\"")?
-                .to_string(),
-            luts: count("luts")?,
-            slices: count("slices")?,
-            depth: count("depth")? as u32,
-            time_ns: num("time_ns")?,
-            dup_gates: count("dup_gates")?,
-            dead_nodes: count("dead_nodes")?,
-            worst_slack_ns: num("worst_slack_ns")?,
-            and_depth: count("and_depth")? as u32,
-            xor_depth: count("xor_depth")? as u32,
-            and_gates: count("and_gates")?,
-            xor_gates: count("xor_gates")?,
-            dedup_saved: count("dedup_saved")?,
-        })
+        read_report(&self.doc, "response")
     }
 }
 
@@ -437,22 +387,80 @@ mod tests {
         assert!(parse_request("not json").is_err());
     }
 
-    #[test]
-    fn synth_response_reconstructs_the_exact_report() {
-        let report = ImplReport {
-            name: "gf256_proposed".into(),
+    fn golden_report() -> ImplReport {
+        ImplReport {
+            name: "gf256_\"proposed\"".into(),
             luts: 33,
             slices: 11,
             depth: 3,
             time_ns: 9.876_543_210_123,
-            dup_gates: 0,
-            dead_nodes: 0,
-            worst_slack_ns: 0.0,
+            dup_gates: 2,
+            dead_nodes: 1,
+            worst_slack_ns: -1.25e-7,
             and_depth: 1,
             xor_depth: 5,
             and_gates: 64,
             xor_gates: 84,
+            dedup_saved: 7,
+        }
+    }
+
+    #[test]
+    fn encode_synth_ok_golden_bytes_for_a_pair_field() {
+        let line = encode_synth_ok(&req(), &golden_report(), "store");
+        assert_eq!(
+            line,
+            concat!(
+                "{\"id\": 7, \"ok\": true, \"source\": \"store\", \"m\": 8, \"n\": 2, ",
+                "\"method\": \"proposed\", \"target\": \"virtex5\", \"seed\": \"42\", ",
+                "\"name\": \"gf256_\\\"proposed\\\"\", \"luts\": 33, \"slices\": 11, ",
+                "\"depth\": 3, \"time_ns\": 9.876543210123, \"area_time\": 325.92592593405897, ",
+                "\"dup_gates\": 2, \"dead_nodes\": 1, \"and_depth\": 1, \"xor_depth\": 5, ",
+                "\"and_gates\": 64, \"xor_gates\": 84, \"dedup_saved\": 7, ",
+                "\"worst_slack_ns\": -0.000000125}",
+            )
+        );
+        let resp = parse_response(&line).unwrap();
+        assert_eq!((resp.id, resp.ok), (7, true));
+        assert_eq!(resp.source(), Some("store"));
+        assert_eq!(resp.report().unwrap(), golden_report());
+    }
+
+    #[test]
+    fn encode_synth_ok_golden_bytes_for_a_poly_field() {
+        let poly = SynthRequest {
+            field: FieldSpec::Poly(vec![8, 4, 3, 2, 0]),
+            method: Method::MastrovitoPaar,
+            target: Target::Artix7,
+            seed: 11_657_511_268_527_099_060,
+            ..req()
+        };
+        let line = encode_synth_ok(&poly, &golden_report(), "computed");
+        assert_eq!(
+            line,
+            concat!(
+                "{\"id\": 7, \"ok\": true, \"source\": \"computed\", \"poly\": [8, 4, 3, 2, 0], ",
+                "\"method\": \"mastrovito\", \"target\": \"artix7\", ",
+                "\"seed\": \"11657511268527099060\", ",
+                "\"name\": \"gf256_\\\"proposed\\\"\", \"luts\": 33, \"slices\": 11, ",
+                "\"depth\": 3, \"time_ns\": 9.876543210123, \"area_time\": 325.92592593405897, ",
+                "\"dup_gates\": 2, \"dead_nodes\": 1, \"and_depth\": 1, \"xor_depth\": 5, ",
+                "\"and_gates\": 64, \"xor_gates\": 84, \"dedup_saved\": 7, ",
+                "\"worst_slack_ns\": -0.000000125}",
+            )
+        );
+    }
+
+    #[test]
+    fn synth_response_reconstructs_the_exact_report() {
+        let report = ImplReport {
+            name: "gf256_proposed".into(),
+            time_ns: 9.876_543_210_123,
+            dup_gates: 0,
+            dead_nodes: 0,
+            worst_slack_ns: 0.0,
             dedup_saved: 0,
+            ..golden_report()
         };
         let line = encode_synth_ok(&req(), &report, "computed");
         let resp = parse_response(&line).unwrap();

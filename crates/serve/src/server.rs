@@ -509,9 +509,11 @@ impl Shared {
 }
 
 fn write_line(out: &Arc<Mutex<Conn>>, line: &str) {
+    // One write per line: on TCP, a second tiny write for the newline
+    // waits out Nagle plus the peer's delayed ACK (~40-90 ms a reply).
+    let framed = format!("{line}\n");
     let mut conn = out.lock().expect("connection writer poisoned");
     // A vanished client is its own problem; the daemon carries on.
-    let _ = conn.write_all(line.as_bytes());
-    let _ = conn.write_all(b"\n");
+    let _ = conn.write_all(framed.as_bytes());
     let _ = conn.flush();
 }

@@ -19,9 +19,11 @@
 //!
 //! The document layout is the byte-deterministic writer style of the
 //! Table V exports: fixed field order, u64 hashes as 16-hex-digit
-//! strings (JSON numbers are f64 and cannot carry a u64), floats in
-//! Rust's shortest round-trip `Display` so a loaded report is
-//! bit-identical to the one saved.
+//! strings (JSON numbers are f64 and cannot carry a u64). The report
+//! object is written and read by [`crate::codec`], the daemon's wire
+//! format's codec too: floats in Rust's shortest round-trip `Display`
+//! so a loaded report is bit-identical to the one saved, members read
+//! by key so their order does not matter.
 
 use std::fmt;
 use std::fs;
@@ -31,7 +33,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use rgf2m_fpga::{ArtifactHook, FlowArtifacts, ImplReport};
 
-use crate::json::{json_string, parse_json, JsonValue};
+use crate::codec::{read_report, write_report_members};
+use crate::json::{parse_json, JsonValue};
 
 /// Schema tag stamped into every artifact document. Bump the suffix on
 /// any layout change: old entries then read as misses and refill.
@@ -130,25 +133,7 @@ impl ArtifactStore {
             "  \"options_fingerprint\": \"{fingerprint:016x}\",\n"
         ));
         s.push_str("  \"report\": {");
-        s.push_str(&format!(
-            "\"name\": {}, \"luts\": {}, \"slices\": {}, \"depth\": {}, \
-             \"time_ns\": {}, \"dup_gates\": {}, \"dead_nodes\": {}, \
-             \"worst_slack_ns\": {}, \"and_depth\": {}, \"xor_depth\": {}, \
-             \"and_gates\": {}, \"xor_gates\": {}, \"dedup_saved\": {}",
-            json_string(&report.name),
-            report.luts,
-            report.slices,
-            report.depth,
-            report.time_ns,
-            report.dup_gates,
-            report.dead_nodes,
-            report.worst_slack_ns,
-            report.and_depth,
-            report.xor_depth,
-            report.and_gates,
-            report.xor_gates,
-            report.dedup_saved
-        ));
+        write_report_members(report, &mut s);
         s.push_str("}\n}\n");
         s
     }
@@ -174,39 +159,7 @@ impl ArtifactStore {
         };
         let content_hash = hex_u64("content_hash")?;
         let fingerprint = hex_u64("options_fingerprint")?;
-        let report = doc.get("report").ok_or("missing \"report\"")?;
-        let num = |key: &str| -> Result<f64, String> {
-            report
-                .get(key)
-                .and_then(JsonValue::as_f64)
-                .ok_or_else(|| format!("report: missing numeric \"{key}\""))
-        };
-        let count = |key: &str| -> Result<usize, String> {
-            let v = num(key)?;
-            if v < 0.0 || v.fract() != 0.0 {
-                return Err(format!("report: \"{key}\" = {v} is not a count"));
-            }
-            Ok(v as usize)
-        };
-        let report = ImplReport {
-            name: report
-                .get("name")
-                .and_then(JsonValue::as_str)
-                .ok_or("report: missing \"name\"")?
-                .to_string(),
-            luts: count("luts")?,
-            slices: count("slices")?,
-            depth: count("depth")? as u32,
-            time_ns: num("time_ns")?,
-            dup_gates: count("dup_gates")?,
-            dead_nodes: count("dead_nodes")?,
-            worst_slack_ns: num("worst_slack_ns")?,
-            and_depth: count("and_depth")? as u32,
-            xor_depth: count("xor_depth")? as u32,
-            and_gates: count("and_gates")?,
-            xor_gates: count("xor_gates")?,
-            dedup_saved: count("dedup_saved")?,
-        };
+        let report = read_report(doc.get("report").ok_or("missing \"report\"")?, "report")?;
         Ok((content_hash, fingerprint, report))
     }
 
@@ -282,6 +235,11 @@ impl ArtifactHook for ArtifactStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{encode_synth_ok, parse_response, FieldSpec, SynthRequest};
+    use proptest::prelude::*;
+    use proptest::{collection, sample};
+    use rgf2m_core::Method;
+    use rgf2m_fpga::Target;
 
     fn report() -> ImplReport {
         ImplReport {
@@ -301,17 +259,96 @@ mod tests {
         }
     }
 
+    /// Encodes `r` as a store document and as a
+    /// synth response line; both must give back the identical bits,
+    /// and re-encoding the decoded store document must reproduce it.
+    fn assert_roundtrips(r: &ImplReport) -> Result<(), TestCaseError> {
+        let doc = ArtifactStore::encode(0xdead_beef, u64::MAX, r);
+        let (ch, fp, back) = ArtifactStore::decode(&doc).map_err(TestCaseError::fail)?;
+        prop_assert_eq!((ch, fp), (0xdead_beef, u64::MAX));
+        prop_assert_eq!(bits(&back), bits(r));
+        prop_assert_eq!(ArtifactStore::encode(ch, fp, &back), doc);
+
+        let req = SynthRequest {
+            id: 7,
+            field: FieldSpec::Pair { m: 8, n: 2 },
+            method: Method::ProposedFlat,
+            target: Target::Virtex5,
+            seed: 42,
+        };
+        let resp =
+            parse_response(&encode_synth_ok(&req, r, "computed")).map_err(TestCaseError::fail)?;
+        let back = resp.report().map_err(TestCaseError::fail)?;
+        prop_assert_eq!(bits(&back), bits(r));
+        Ok(())
+    }
+
+    /// The report with its floats as raw bits, so `-0.0 != 0.0` and
+    /// every mantissa bit counts.
+    fn bits(r: &ImplReport) -> (ImplReport, u64, u64) {
+        (r.clone(), r.time_ns.to_bits(), r.worst_slack_ns.to_bits())
+    }
+
     #[test]
     fn encode_decode_roundtrips_bit_exactly() {
-        let r = report();
-        let doc = ArtifactStore::encode(0xdead_beef, 0x1234, &r);
-        let (ch, fp, back) = ArtifactStore::decode(&doc).unwrap();
-        assert_eq!((ch, fp), (0xdead_beef, 0x1234));
-        assert_eq!(back, r);
-        assert_eq!(back.time_ns.to_bits(), r.time_ns.to_bits());
-        // And the writer is deterministic: encoding the decoded report
-        // reproduces the document byte for byte.
-        assert_eq!(ArtifactStore::encode(ch, fp, &back), doc);
+        let wire = ImplReport {
+            time_ns: 9.876_543_210_123,
+            ..report()
+        };
+        let edges = ImplReport {
+            name: "gf(2^8) \"proposed\"\n\u{1F600}".into(),
+            luts: 1 << 53,
+            time_ns: 5e-324,
+            worst_slack_ns: -1e300,
+            depth: u32::MAX,
+            ..report()
+        };
+        for r in [report(), wire, edges] {
+            assert_roundtrips(&r).unwrap();
+        }
+    }
+
+    /// A finite `f64`: the awkward corners or any finite bit pattern.
+    fn float() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(0.0),
+            Just(-0.0),
+            Just(5e-324),
+            Just(f64::MIN_POSITIVE / 3.0),
+            Just(1e300),
+            Just(-1.25e-7),
+            any::<u64>()
+                .prop_map(f64::from_bits)
+                .prop_filter("finite", |v| v.is_finite()),
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn random_reports_roundtrip_bit_exactly(
+            // Counts travel as JSON numbers, exact up to 2^53.
+            counts in collection::vec(0usize..=(1 << 53), 7),
+            levels in collection::vec(any::<u32>(), 3),
+            floats in collection::vec(float(), 2),
+            name in sample::select(vec!["gf256_proposed", "a \"quoted\"\tname", "caf\u{e9}"]),
+        ) {
+            let r = ImplReport {
+                name: name.to_string(),
+                luts: counts[0],
+                slices: counts[1],
+                depth: levels[0],
+                time_ns: floats[0],
+                dup_gates: counts[2],
+                dead_nodes: counts[3],
+                worst_slack_ns: floats[1],
+                and_depth: levels[1],
+                xor_depth: levels[2],
+                and_gates: counts[4],
+                xor_gates: counts[5],
+                dedup_saved: counts[6],
+            };
+            assert_roundtrips(&r)?;
+        }
     }
 
     #[test]
@@ -328,6 +365,28 @@ mod tests {
         assert!(ArtifactStore::decode(&bad_count)
             .unwrap_err()
             .contains("not a count"));
+    }
+
+    #[test]
+    fn decode_accepts_a_document_in_the_original_key_order() {
+        // The `rgf2m-artifact/2` layout as first written: `worst_slack_ns`
+        // between the hygiene counters and the depth pair, no `area_time`.
+        // The reader goes by key, so stores filled then still load.
+        let doc = concat!(
+            "{\n",
+            "  \"schema\": \"rgf2m-artifact/2\",\n",
+            "  \"content_hash\": \"00000000deadbeef\",\n",
+            "  \"options_fingerprint\": \"0000000000001234\",\n",
+            "  \"report\": {\"name\": \"gf256_proposed\", \"luts\": 33, \"slices\": 11, ",
+            "\"depth\": 3, \"time_ns\": 9.6543210987, \"dup_gates\": 0, \"dead_nodes\": 0, ",
+            "\"worst_slack_ns\": 0, \"and_depth\": 1, \"xor_depth\": 5, ",
+            "\"and_gates\": 64, \"xor_gates\": 84, \"dedup_saved\": 0}\n",
+            "}\n",
+        );
+        let (ch, fp, back) = ArtifactStore::decode(doc).unwrap();
+        assert_eq!((ch, fp), (0xdead_beef, 0x1234));
+        assert_eq!(back, report());
+        assert_eq!(back.time_ns.to_bits(), report().time_ns.to_bits());
     }
 
     #[test]

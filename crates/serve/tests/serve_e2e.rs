@@ -247,3 +247,23 @@ fn shutdown_drains_pipelined_work_before_exiting() {
     // The daemon is actually gone.
     assert!(Client::connect(&endpoint).is_err());
 }
+
+/// A TCP round trip is not held back by Nagle's algorithm: each side
+/// writes a line in one piece, so 50 sequential `stats` requests take
+/// milliseconds, not the ~4.4 s that split line + newline writes cost.
+#[test]
+fn sequential_tcp_round_trips_do_not_stall() {
+    let handle = server::spawn(ServerConfig::new(Endpoint::Tcp("127.0.0.1:0".into()))).unwrap();
+    let mut client = Client::connect(handle.endpoint()).unwrap();
+    let start = std::time::Instant::now();
+    for _ in 0..50 {
+        client.stats().unwrap();
+    }
+    let elapsed = start.elapsed();
+    client.shutdown().unwrap();
+    handle.join().unwrap();
+    assert!(
+        elapsed < std::time::Duration::from_secs(1),
+        "50 stats round trips took {elapsed:?}"
+    );
+}

@@ -55,7 +55,7 @@
 //! let report = pipeline.run_report(&net)?;
 //! assert!(report.luts > 0 && report.time_ns > 0.0);
 //! let again = pipeline.run_report(&net)?; // ~free: memoized
-//! assert_eq!(pipeline.cache_hits(), 1);
+//! assert_eq!(pipeline.cache_stats().hits, 1);
 //! assert_eq!(report, again);
 //!
 //! // The fabric is a first-class registry choice too: one knob

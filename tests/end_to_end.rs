@@ -33,7 +33,7 @@ fn every_method_survives_the_full_fpga_flow_on_gf256() {
         assert!(report.luts >= 17, "{}: too few LUTs to be real", gen.name());
         assert!(report.time_ns > 4.0, "{}", gen.name());
     }
-    assert_eq!(pipeline.cache_len(), Method::ALL.len());
+    assert_eq!(pipeline.cache_stats().entries, Method::ALL.len());
 }
 
 #[test]
