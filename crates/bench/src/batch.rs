@@ -122,7 +122,7 @@ pub fn job_seed_from(base_seed: u64, index: usize) -> u64 {
 
 /// Fans jobs over `std::thread::scope` workers, one [`Pipeline`] run
 /// per job, with deterministic per-job placement seeds.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct BatchRunner {
     pipeline: Pipeline,
     threads: usize,
@@ -160,8 +160,8 @@ impl BatchRunner {
     /// model and mapper LUT width with the job target's presets), while
     /// jobs on the template's own fabric keep its device verbatim —
     /// including any same-shape delay recalibration. Target-independent
-    /// template options (annealing budget, verify rounds, mapper mode,
-    /// resynthesis) always carry through.
+    /// template options (annealing budget, mapper mode, resynthesis)
+    /// always carry through.
     pub fn with_pipeline(mut self, pipeline: Pipeline) -> Self {
         self.pipeline = pipeline;
         self
@@ -360,7 +360,7 @@ mod tests {
         let a = rows_to_json(&runner.run_rows(&jobs), runner.base_seed());
         let b = rows_to_json(&runner.run_rows(&jobs), runner.base_seed());
         let c = rows_to_json(
-            &runner.clone().with_threads(3).run_rows(&jobs),
+            &BatchRunner::new().with_threads(3).run_rows(&jobs),
             runner.base_seed(),
         );
         assert_eq!(a, b);
@@ -379,7 +379,7 @@ mod tests {
         let runner = BatchRunner::new();
         let a = rows_to_json(&runner.run_rows(&jobs), runner.base_seed());
         let b = rows_to_json(
-            &runner.clone().with_threads(4).run_rows(&jobs),
+            &BatchRunner::new().with_threads(4).run_rows(&jobs),
             runner.base_seed(),
         );
         assert_eq!(a, b);

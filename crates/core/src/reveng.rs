@@ -182,7 +182,10 @@ pub fn reverse_engineer(net: &Netlist) -> Result<RecoveredField, RevengError> {
         )));
     }
 
-    let polys = algebra::output_polys(net);
+    // A multiplier's cones are bilinear; one that outgrows the term
+    // budget cannot be one.
+    let polys =
+        algebra::output_polys(net).map_err(|e| RevengError::NotAMultiplier(e.to_string()))?;
 
     // Per output: bucket monomials by t = i + j, demand complete
     // partial-product groups, and split them into the single t < m

@@ -1,56 +1,64 @@
-//! Complete (sampling-free) verification of multiplier netlists,
-//! gate-level and mapped, against an algebraic specification.
+//! Complete (sampling-free) verification of gate-level and mapped
+//! netlists: against an algebraic multiplier specification, or a
+//! mapping against the source netlist it came from.
 //!
-//! Random-vector simulation ([`crate::Pipeline::verify`]) gives
-//! probabilistic evidence; this module gives proof. Every output cone
-//! is rewritten into its GF(2) polynomial over the primary inputs —
-//! gates via [`netlist::algebra`], LUTs by expanding their truth
-//! tables' algebraic normal form ([`crate::lut::Truth::anf`]) and
-//! substituting input polynomials — and the result is compared
-//! *syntactically* with the spec polynomial. The ANF is canonical, so
-//! syntactic equality is functional equality: a pass certifies the
-//! netlist on all 2^(2m) operand pairs, and a fail names the first
-//! differing output bit. Output bits are independent, so the check
-//! fans across threads with `std::thread::scope`, like the placer
-//! bands.
+//! Every output cone is rewritten into its GF(2) polynomial over the
+//! primary inputs — gates via [`netlist::algebra`], LUTs by expanding
+//! their truth tables' algebraic normal form
+//! ([`crate::lut::Truth::anf`]) and substituting input polynomials —
+//! and the result is compared *syntactically* with the expected
+//! polynomial. The ANF is canonical, so syntactic equality is
+//! functional equality: a pass certifies the netlist on every input
+//! assignment, and a fail names the first differing output bit. Output
+//! bits are independent, so the check fans across threads with
+//! `std::thread::scope`, like the placer bands.
 
+use std::borrow::Cow;
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use netlist::algebra::{self, MulSpec, Poly};
+use netlist::algebra::{self, MulSpec, Poly, TermBudgetExceeded};
 use netlist::Netlist;
 
 use crate::lut::{LutNetlist, Signal};
 
-/// How one output bit's extracted polynomial differs from the spec.
+/// Why a formal check failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FormalDiff {
-    /// The lowest-index output bit that differs.
-    pub output_bit: usize,
-    /// Spec monomials the netlist's polynomial lacks.
-    pub missing: usize,
-    /// Netlist monomials the spec lacks.
-    pub spurious: usize,
+pub enum FormalError {
+    /// The input or output counts differ, so no function was compared.
+    Interface,
+    /// The polynomials differ: the netlist computes another function.
+    Mismatch {
+        /// The lowest-index output bit that differs.
+        output_bit: usize,
+        /// Expected monomials the netlist's polynomial lacks.
+        missing: usize,
+        /// Netlist monomials the expected polynomial lacks.
+        spurious: usize,
+    },
+    /// Extracting a polynomial needed a product expansion over
+    /// [`algebra::MAX_PRODUCT_TERMS`]; nothing was proved either way.
+    TermBudget {
+        /// The lowest-index output bit whose extraction was refused.
+        output_bit: usize,
+        /// Terms the refused expansion would have generated.
+        terms: usize,
+    },
 }
 
-/// Formally verifies a gate-level netlist against `spec`.
-///
-/// The caller is responsible for interface checks (input/output
-/// counts); this function checks the *function*.
-///
-/// # Panics
-///
-/// Panics if the netlist's output count differs from `spec.m()`.
-pub fn verify_netlist(spec: &MulSpec, net: &Netlist) -> Result<(), FormalDiff> {
-    assert_eq!(
-        net.outputs().len(),
-        spec.m(),
-        "interface mismatch must be rejected before formal verification"
-    );
-    // Each worker extracts its own output cone — rewriting dominates
-    // the cost, so the per-bit fan parallelizes the real work, and a
-    // cone only contains the partial products its coordinate uses.
-    check_outputs(spec, |k| algebra::output_poly(net, k))
+/// Formally verifies a gate-level netlist against `spec`. Each worker
+/// extracts its own output cone, which only contains the partial
+/// products its coordinate uses.
+pub fn verify_netlist(spec: &MulSpec, net: &Netlist) -> Result<(), FormalError> {
+    check_outputs(
+        [
+            (spec.num_inputs(), spec.m()),
+            (net.num_inputs(), net.outputs().len()),
+        ],
+        |k| Ok(Cow::Borrowed(spec.output(k))),
+        |k| algebra::output_poly(net, k),
+    )
 }
 
 /// Formally verifies a mapped LUT netlist against `spec`, expanding
@@ -58,16 +66,40 @@ pub fn verify_netlist(spec: &MulSpec, net: &Netlist) -> Result<(), FormalDiff> {
 ///
 /// # Panics
 ///
-/// Panics if the output count differs from `spec.m()`, or if the LUT
-/// netlist is not topologically ordered (run
+/// Panics if the LUT netlist is not topologically ordered (run
 /// [`crate::lint::lint_mapped`] first — the pipeline wrappers do).
-pub fn verify_mapped(spec: &MulSpec, mapped: &LutNetlist) -> Result<(), FormalDiff> {
-    assert_eq!(
-        mapped.outputs().len(),
-        spec.m(),
-        "interface mismatch must be rejected before formal verification"
-    );
-    check_outputs(spec, |k| output_poly_mapped(mapped, k))
+pub fn verify_mapped(spec: &MulSpec, mapped: &LutNetlist) -> Result<(), FormalError> {
+    check_outputs(
+        [(spec.num_inputs(), spec.m()), mapped_interface(mapped)],
+        |k| Ok(Cow::Borrowed(spec.output(k))),
+        |k| output_poly_mapped(mapped, k),
+    )
+}
+
+/// Proves that `mapped` computes the same function as `reference`, the
+/// gate netlist it was mapped from: per output bit, the source cone's
+/// polynomial must equal the mapped cone's. No specification is
+/// involved, so any XOR/AND design — not only multipliers — can be
+/// checked, within the term budget.
+///
+/// # Panics
+///
+/// Panics if the LUT netlist is not topologically ordered (run
+/// [`crate::lint::lint_mapped`] first — the pipeline does).
+pub fn verify_equivalent(reference: &Netlist, mapped: &LutNetlist) -> Result<(), FormalError> {
+    check_outputs(
+        [
+            (reference.num_inputs(), reference.outputs().len()),
+            mapped_interface(mapped),
+        ],
+        |k| algebra::output_poly(reference, k).map(Cow::Owned),
+        |k| output_poly_mapped(mapped, k),
+    )
+}
+
+/// `(inputs, outputs)` of a mapped netlist.
+fn mapped_interface(mapped: &LutNetlist) -> (usize, usize) {
+    (mapped.input_names().len(), mapped.outputs().len())
 }
 
 /// The GF(2) polynomial computed by mapped output `k`.
@@ -76,31 +108,31 @@ pub fn verify_mapped(spec: &MulSpec, mapped: &LutNetlist) -> Result<(), FormalDi
 ///
 /// Panics if `k` is out of range or the netlist is not topologically
 /// ordered.
-pub fn output_poly_mapped(mapped: &LutNetlist, k: usize) -> Poly {
+pub fn output_poly_mapped(mapped: &LutNetlist, k: usize) -> Result<Poly, TermBudgetExceeded> {
     let (_, sig) = &mapped.outputs()[k];
-    match sig {
+    Ok(match sig {
         Signal::Input(i) => Poly::var(*i),
         Signal::Const(b) => Poly::constant(*b),
-        Signal::Lut(root) => lut_cone_poly(mapped, *root),
-    }
+        Signal::Lut(root) => lut_cone_poly(mapped, *root)?,
+    })
 }
 
 /// Expands the cone of LUT `root` into its polynomial: each in-cone
 /// LUT's ANF is substituted with its input polynomials, ascending by
 /// LUT id (which the topological-order invariant makes a valid
-/// evaluation order).
-fn lut_cone_poly(mapped: &LutNetlist, root: u32) -> Poly {
+/// evaluation order). Work follows the cone, not the netlist.
+fn lut_cone_poly(mapped: &LutNetlist, root: u32) -> Result<Poly, TermBudgetExceeded> {
     let luts = mapped.luts();
-    let root = root as usize;
-    let mut in_cone = vec![false; luts.len()];
+    let mut seen = HashSet::new();
+    let mut cone = Vec::new();
     let mut stack = vec![root];
     while let Some(i) = stack.pop() {
-        if std::mem::replace(&mut in_cone[i], true) {
+        if !seen.insert(i) {
             continue;
         }
-        for s in &luts[i].inputs {
-            if let Signal::Lut(j) = s {
-                let j = *j as usize;
+        cone.push(i);
+        for s in &luts[i as usize].inputs {
+            if let Signal::Lut(j) = *s {
                 assert!(
                     j < i,
                     "LUT {i} reads LUT {j}: not topologically ordered (lint first)"
@@ -109,22 +141,21 @@ fn lut_cone_poly(mapped: &LutNetlist, root: u32) -> Poly {
             }
         }
     }
-    let mut table: Vec<Option<Poly>> = vec![None; root + 1];
-    for i in 0..=root {
-        if !in_cone[i] {
-            continue;
-        }
-        let lut = &luts[i];
+    cone.sort_unstable();
+    let mut table: Vec<Poly> = Vec::with_capacity(cone.len());
+    for &i in &cone {
+        let lut = &luts[i as usize];
         let n = lut.inputs.len();
-        let input_polys: Vec<Poly> = lut
+        let input_polys: Vec<Cow<'_, Poly>> = lut
             .inputs
             .iter()
-            .map(|s| match s {
-                Signal::Input(v) => Poly::var(*v),
-                Signal::Const(b) => Poly::constant(*b),
-                Signal::Lut(j) => table[*j as usize]
-                    .clone()
-                    .expect("operand cones computed first"),
+            .map(|s| match *s {
+                Signal::Input(v) => Cow::Owned(Poly::var(v)),
+                Signal::Const(b) => Cow::Owned(Poly::constant(b)),
+                Signal::Lut(j) => {
+                    let at = cone.binary_search(&j).expect("operands are in the cone");
+                    Cow::Borrowed(&table[at])
+                }
             })
             .collect();
         let mut acc = Poly::zero();
@@ -134,73 +165,90 @@ fn lut_cone_poly(mapped: &LutNetlist, root: u32) -> Poly {
             // vanished product (a Const(false) input, say).
             let mut factors: Vec<&Poly> = (0..n)
                 .filter(|b| mask >> b & 1 == 1)
-                .map(|b| &input_polys[b])
+                .map(|b| &*input_polys[b])
                 .collect();
             factors.sort_by_key(|p| p.len());
-            let mut term = Poly::one();
-            for f in factors {
-                term = term.mul(f);
+            let Some((first, rest)) = factors.split_first() else {
+                acc = acc + Poly::one();
+                continue;
+            };
+            let mut term = Cow::Borrowed(*first);
+            for f in rest {
                 if term.is_zero() {
                     break;
                 }
+                term = Cow::Owned(term.checked_mul(f)?);
             }
-            acc = acc.add(&term);
+            acc = acc + term.into_owned();
         }
-        table[i] = Some(acc);
+        table.push(acc);
     }
-    table[root].take().expect("root is in its own cone")
+    Ok(table.pop().expect("root is in its own cone"))
 }
 
-/// Compares every output polynomial with the spec, fanned across
-/// threads; reports the lowest failing bit (deterministic regardless
-/// of thread count or scheduling).
-fn check_outputs<F>(spec: &MulSpec, extract: F) -> Result<(), FormalDiff>
+/// The fewest output bits worth fanning across threads.
+const PARALLEL_MIN_OUTPUTS: usize = 32;
+
+/// Compares the expected and extracted polynomials of every output
+/// bit, once the two `(inputs, outputs)` interfaces agree. Bits fan
+/// across threads; the lowest failing bit is reported (deterministic
+/// regardless of thread count or scheduling). The expected side may
+/// borrow (a spec) or compute (a source cone).
+fn check_outputs<'a, E, G>(
+    [want_io, got_io]: [(usize, usize); 2],
+    expected: E,
+    got: G,
+) -> Result<(), FormalError>
 where
-    F: Fn(usize) -> Poly + Sync,
+    E: Fn(usize) -> Result<Cow<'a, Poly>, TermBudgetExceeded> + Sync,
+    G: Fn(usize) -> Result<Poly, TermBudgetExceeded> + Sync,
 {
-    let n = spec.m();
-    let threads = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(n.max(1));
-    if threads <= 1 || n <= 1 {
-        for k in 0..n {
-            if let Some(d) = diff_bit(spec.output(k), &extract(k), k) {
-                return Err(d);
-            }
-        }
-        return Ok(());
+    if want_io != got_io {
+        return Err(FormalError::Interface);
     }
+    let n = want_io.1;
+    let check_bit = |k: usize| -> Result<(), FormalError> {
+        let over = |e: TermBudgetExceeded| FormalError::TermBudget {
+            output_bit: k,
+            terms: e.terms,
+        };
+        let want = expected(k).map_err(over)?;
+        diff_bit(&want, &got(k).map_err(over)?, k).map_or(Ok(()), Err)
+    };
+    // Spawning workers costs more than a small design's whole check.
+    if n < PARALLEL_MIN_OUTPUTS {
+        return (0..n).try_for_each(check_bit);
+    }
+    let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
     let next = AtomicUsize::new(0);
-    let failures: Mutex<Vec<FormalDiff>> = Mutex::new(Vec::new());
+    let failures: Mutex<Vec<(usize, FormalError)>> = Mutex::new(Vec::new());
     std::thread::scope(|s| {
-        for _ in 0..threads {
+        for _ in 0..threads.min(n) {
             s.spawn(|| loop {
                 let k = next.fetch_add(1, Ordering::Relaxed);
                 if k >= n {
                     break;
                 }
-                if let Some(d) = diff_bit(spec.output(k), &extract(k), k) {
-                    failures.lock().expect("formal failure list").push(d);
+                if let Err(e) = check_bit(k) {
+                    failures.lock().expect("formal failure list").push((k, e));
                 }
             });
         }
     });
-    let mut failures = failures.into_inner().expect("formal failure list");
-    failures.sort_by_key(|d| d.output_bit);
-    match failures.first() {
-        Some(&d) => Err(d),
-        None => Ok(()),
-    }
+    let failures = failures.into_inner().expect("formal failure list");
+    failures
+        .into_iter()
+        .min_by_key(|&(k, _)| k)
+        .map_or(Ok(()), |(_, e)| Err(e))
 }
 
 /// `None` when equal; otherwise the monomial-set difference counts,
 /// via one sorted merge (both polynomials are canonical).
-fn diff_bit(spec: &Poly, got: &Poly, output_bit: usize) -> Option<FormalDiff> {
-    if spec == got {
+fn diff_bit(want: &Poly, got: &Poly, output_bit: usize) -> Option<FormalError> {
+    if want == got {
         return None;
     }
-    let (a, b) = (spec.monomials(), got.monomials());
+    let (a, b) = (want.monomials(), got.monomials());
     let (mut i, mut j) = (0, 0);
     let (mut missing, mut spurious) = (0, 0);
     while i < a.len() && j < b.len() {
@@ -221,7 +269,7 @@ fn diff_bit(spec: &Poly, got: &Poly, output_bit: usize) -> Option<FormalDiff> {
     }
     missing += a.len() - i;
     spurious += b.len() - j;
-    Some(FormalDiff {
+    Some(FormalError::Mismatch {
         output_bit,
         missing,
         spurious,
@@ -286,7 +334,7 @@ mod tests {
         let d = verify_netlist(&gf4_spec(), &net).unwrap_err();
         assert_eq!(
             d,
-            FormalDiff {
+            FormalError::Mismatch {
                 output_bit: 1,
                 missing: 1,
                 spurious: 0
@@ -328,9 +376,22 @@ mod tests {
         let mut bad = t1;
         bad.0[0] ^= 1 << 5;
         broken.set_truth(l1, bad);
-        let d = verify_mapped(&spec, &broken).unwrap_err();
-        assert_eq!(d.output_bit, 1);
-        assert!(d.missing + d.spurious > 0);
+        let Err(FormalError::Mismatch {
+            output_bit,
+            missing,
+            spurious,
+        }) = verify_mapped(&spec, &broken)
+        else {
+            panic!("a flipped truth bit must be a mismatch");
+        };
+        assert_eq!(output_bit, 1);
+        assert!(missing + spurious > 0);
+        // The source netlist proves the same mapping without a spec.
+        assert_eq!(verify_equivalent(&gf4_netlist(), &mapped), Ok(()));
+        assert!(matches!(
+            verify_equivalent(&gf4_netlist(), &broken),
+            Err(FormalError::Mismatch { output_bit: 1, .. })
+        ));
     }
 
     #[test]
@@ -344,8 +405,14 @@ mod tests {
         assert_eq!(verify_mapped(&spec, &mapped), Ok(()));
         let wrong = MulSpec::new(2, vec![Poly::var(0), Poly::one()]);
         let d = verify_mapped(&wrong, &mapped).unwrap_err();
-        assert_eq!(d.output_bit, 1);
-        assert_eq!((d.missing, d.spurious), (1, 0));
+        assert_eq!(
+            d,
+            FormalError::Mismatch {
+                output_bit: 1,
+                missing: 1,
+                spurious: 0
+            }
+        );
     }
 
     #[test]
@@ -356,10 +423,15 @@ mod tests {
             Monomial::product(&[2, 3]),
         ]);
         let b = Poly::from_monomials(vec![Monomial::var(1), Monomial::var(4)]);
-        let d = diff_bit(&a, &b, 7).unwrap();
-        assert_eq!(d.output_bit, 7);
-        assert_eq!(d.missing, 2); // x0 and x2x3
-        assert_eq!(d.spurious, 1); // x4
+        // Missing x0 and x2x3, spurious x4.
+        assert_eq!(
+            diff_bit(&a, &b, 7),
+            Some(FormalError::Mismatch {
+                output_bit: 7,
+                missing: 2,
+                spurious: 1
+            })
+        );
         assert!(diff_bit(&a, &a, 0).is_none());
     }
 }

@@ -19,7 +19,7 @@
 //!    a conservative synthesiser and a free mode that models full
 //!    restructuring freedom;
 //! 2. [`lut`] — the mapped LUT netlist, with truth-table extraction and
-//!    bit-parallel simulation for *post-mapping re-verification*;
+//!    bit-parallel simulation;
 //! 3. [`pack`] — slice packing (capacity from the target device,
 //!    connectivity-driven);
 //! 4. [`place`] — deterministic simulated-annealing placement on a slice
@@ -35,9 +35,11 @@
 //!    one device knob), producing the LUTs / Slices / ns / A×T quadruple
 //!    of the paper's Table V;
 //! 7. [`formal`] + [`lint`] — static analysis over both netlist levels:
-//!    complete algebraic verification against a multiplier spec
-//!    ([`Pipeline::verify_formal`] / [`Pipeline::verify_formal_mapped`],
-//!    no sampling, LUT cones expanded via [`lut::Truth::anf`]), a
+//!    complete algebraic verification of every mapping against its
+//!    source netlist ([`Pipeline::verify`], run by the flow) or of
+//!    either level against a multiplier spec ([`Pipeline::verify_formal`]
+//!    / [`Pipeline::verify_formal_mapped`]) — no sampling, LUT cones
+//!    expanded via [`lut::Truth::anf`] — a
 //!    structural lint pass ([`lint::lint_mapped`]) that gates every
 //!    verify and feeds the `ImplReport` hygiene counters, and a static
 //!    depth certificate ([`Pipeline::verify_depth`]) and area
@@ -89,13 +91,12 @@ pub mod target;
 pub mod timing;
 
 pub use device::Device;
-pub use formal::FormalDiff;
+pub use formal::FormalError;
 pub use lint::lint_mapped;
 pub use lut::{LutAnalysis, LutNetlist};
 pub use map::{MapMode, MapOptions};
 pub use pipeline::{
     ArtifactHook, CacheStats, FlowArtifacts, FlowError, ImplReport, Pipeline, ReportSource,
-    DEFAULT_VERIFY_SEED,
 };
 pub use place::{PlaceOptions, PlaceStats};
 pub use target::Target;

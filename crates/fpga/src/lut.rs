@@ -284,29 +284,12 @@ impl LutNetlist {
     ///
     /// Panics if `inputs.len()` differs from the number of inputs.
     pub fn eval_words(&self, inputs: &[u64]) -> Vec<u64> {
-        let mut values = Vec::new();
-        let mut out = Vec::new();
-        self.eval_words_into(inputs, &mut values, &mut out);
-        out
-    }
-
-    /// Buffer-reusing variant of [`LutNetlist::eval_words`], mirroring
-    /// [`netlist::Netlist::eval_words_into`]: per-LUT words land in
-    /// `values` and output words in `out` (both cleared and refilled),
-    /// so repeated evaluation — the mapping-verification path —
-    /// allocates nothing after the first call.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len()` differs from the number of inputs.
-    pub fn eval_words_into(&self, inputs: &[u64], values: &mut Vec<u64>, out: &mut Vec<u64>) {
         assert_eq!(inputs.len(), self.input_names.len());
-        values.clear();
-        values.resize(self.luts.len(), 0);
+        let mut values = vec![0u64; self.luts.len()];
         let mut in_words = [0u64; MAX_LUT_INPUTS];
         for (i, lut) in self.luts.iter().enumerate() {
             for (w, s) in in_words.iter_mut().zip(&lut.inputs) {
-                *w = self.signal_word(s, inputs, values);
+                *w = self.signal_word(s, inputs, &values);
             }
             let mut word = 0u64;
             for lane in 0..64 {
@@ -322,12 +305,10 @@ impl LutNetlist {
             }
             values[i] = word;
         }
-        out.clear();
-        out.extend(
-            self.outputs
-                .iter()
-                .map(|(_, s)| self.signal_word(s, inputs, values)),
-        );
+        self.outputs
+            .iter()
+            .map(|(_, s)| self.signal_word(s, inputs, &values))
+            .collect()
     }
 
     fn signal_word(&self, s: &Signal, inputs: &[u64], values: &[u64]) -> u64 {
@@ -449,17 +430,6 @@ mod tests {
         assert_eq!(n.depth(), 2);
         // Double negation is identity.
         assert_eq!(n.eval_words(&[0xDEAD])[0], 0xDEAD);
-    }
-
-    #[test]
-    fn eval_words_into_matches_eval_words_across_reuse() {
-        let n = xor2_lut();
-        let mut values = Vec::new();
-        let mut out = Vec::new();
-        for words in [[0b0101u64, 0b0011], [u64::MAX, 0xDEAD]] {
-            n.eval_words_into(&words, &mut values, &mut out);
-            assert_eq!(out, n.eval_words(&words));
-        }
     }
 
     #[test]

@@ -429,8 +429,9 @@ impl MapScratch {
 /// Maps a gate netlist to k-input LUTs.
 ///
 /// Returns a [`LutNetlist`] with the same interface (input order and
-/// output names). Every mapping should be re-verified with
-/// [`verify_mapping`]; the flow does this automatically.
+/// output names). Every mapping should be proved equivalent with
+/// [`crate::formal::verify_equivalent`]; the flow does this
+/// automatically.
 ///
 /// Convenience wrapper over [`map_to_luts_in`] that analyzes the
 /// netlist and allocates fresh scratch; callers mapping repeatedly (the
@@ -703,31 +704,10 @@ fn cone_truth_memo(net: &Netlist, root: usize, leaves: &[u32], memo: &mut ConeMe
     eval(net, root, memo).mask(leaves.len())
 }
 
-/// Re-verifies a mapping against its source netlist on `rounds × 64`
-/// random patterns (deterministic seed). Returns `true` when equivalent.
-/// All evaluation buffers are reused across rounds.
-pub fn verify_mapping(net: &Netlist, mapped: &LutNetlist, rounds: usize, seed: u64) -> bool {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut words = Vec::with_capacity(net.num_inputs());
-    let (mut net_vals, mut net_out) = (Vec::new(), Vec::new());
-    let (mut lut_vals, mut lut_out) = (Vec::new(), Vec::new());
-    for _ in 0..rounds {
-        words.clear();
-        words.extend((0..net.num_inputs()).map(|_| rng.gen::<u64>()));
-        net.eval_words_into(&words, &mut net_vals, &mut net_out);
-        mapped.eval_words_into(&words, &mut lut_vals, &mut lut_out);
-        if net_out != lut_out {
-            return false;
-        }
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::formal::verify_equivalent;
 
     /// Truth table of a cone with a fresh memo (tests only; the mapper
     /// itself reuses one memo across all cones).
@@ -779,7 +759,7 @@ mod tests {
         let mapped = map_to_luts(&net, &MapOptions::new());
         assert_eq!(mapped.num_luts(), 1);
         assert_eq!(mapped.depth(), 1);
-        assert!(verify_mapping(&net, &mapped, 4, 1));
+        assert_eq!(verify_equivalent(&net, &mapped), Ok(()));
     }
 
     #[test]
@@ -791,7 +771,7 @@ mod tests {
         let mapped = map_to_luts(&net, &MapOptions::new());
         assert_eq!(mapped.depth(), 2, "{mapped}");
         assert_eq!(mapped.num_luts(), 7, "{mapped}");
-        assert!(verify_mapping(&net, &mapped, 8, 2));
+        assert_eq!(verify_equivalent(&net, &mapped), Ok(()));
     }
 
     #[test]
@@ -804,7 +784,7 @@ mod tests {
         let net = xor_tree(36);
         let mapped = map_to_luts(&net, &MapOptions::new());
         assert_eq!(mapped.depth(), 3, "{mapped}");
-        assert!(verify_mapping(&net, &mapped, 8, 2));
+        assert_eq!(verify_equivalent(&net, &mapped), Ok(()));
     }
 
     #[test]
@@ -826,7 +806,7 @@ mod tests {
         let free = map_to_luts(&net, &MapOptions::new().with_k(3));
         assert_eq!(free.depth(), 1);
         assert_eq!(free.num_luts(), 2);
-        assert!(verify_mapping(&net, &free, 4, 3));
+        assert_eq!(verify_equivalent(&net, &free), Ok(()));
 
         let fp = map_to_luts(
             &net,
@@ -836,7 +816,7 @@ mod tests {
         );
         assert_eq!(fp.depth(), 2);
         assert_eq!(fp.num_luts(), 3);
-        assert!(verify_mapping(&net, &fp, 4, 4));
+        assert_eq!(verify_equivalent(&net, &fp), Ok(()));
     }
 
     #[test]
@@ -852,7 +832,7 @@ mod tests {
         net.output("y", s);
         let mapped = map_to_luts(&net, &MapOptions::new());
         assert_eq!(mapped.num_luts(), 1); // 3 inputs total — one LUT6
-        assert!(verify_mapping(&net, &mapped, 8, 5));
+        assert_eq!(verify_equivalent(&net, &mapped), Ok(()));
     }
 
     #[test]
@@ -1001,7 +981,7 @@ mod tests {
         let mapped = map_to_luts(&net, &MapOptions::new().with_k(8));
         assert_eq!(mapped.num_luts(), 1, "{mapped}");
         assert_eq!(mapped.depth(), 1);
-        assert!(verify_mapping(&net, &mapped, 8, 6));
+        assert_eq!(verify_equivalent(&net, &mapped), Ok(()));
     }
 
     #[test]
@@ -1009,7 +989,7 @@ mod tests {
         let net = xor_tree(24);
         let mapped = map_to_luts(&net, &MapOptions::new().with_k(4));
         assert!(mapped.luts().iter().all(|l| l.inputs.len() <= 4));
-        assert!(verify_mapping(&net, &mapped, 8, 7));
+        assert_eq!(verify_equivalent(&net, &mapped), Ok(()));
     }
 
     #[test]

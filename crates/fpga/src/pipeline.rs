@@ -79,8 +79,9 @@ use netlist::analysis::NetAnalysis;
 use netlist::{Fnv1a, Netlist};
 
 use crate::device::Device;
+use crate::formal::FormalError;
 use crate::lut::{LutNetlist, MAX_LUT_INPUTS};
-use crate::map::{map_to_luts_in, verify_mapping, MapMode, MapOptions, MapScratch};
+use crate::map::{map_to_luts_in, MapMode, MapOptions, MapScratch};
 use crate::pack::{pack_slices, Packing};
 use crate::place::{place, PlaceOptions, Placement};
 use crate::target::Target;
@@ -173,20 +174,18 @@ pub struct FlowArtifacts {
 ///
 /// The pipeline never panics on bad input: invalid configurations are
 /// rejected up front, a mapping that changes functionality is reported
-/// as [`FlowError::VerificationMismatch`], and a design that exceeds
-/// the configured slice capacity as [`FlowError::Unplaceable`].
+/// as [`FlowError::FormalMismatch`], a design too large to verify as
+/// [`FlowError::TermBudgetExceeded`], and a design that exceeds the
+/// configured slice capacity as [`FlowError::Unplaceable`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum FlowError {
-    /// Post-mapping re-verification found the mapped netlist computing
-    /// a different function than the source design (or its interface no
-    /// longer matches). `rounds = 0` means the interface itself
-    /// mismatched before any vectors ran.
+    /// A checked netlist's interface (input or output count) does not
+    /// match its reference — the source netlist or the specification —
+    /// so no functional comparison was attempted.
     VerificationMismatch {
         /// The design name.
         design: String,
-        /// Verification rounds configured when the mismatch surfaced.
-        rounds: usize,
     },
     /// The packed design needs more slices than the pipeline's
     /// configured capacity (see [`Pipeline::with_max_slices`]).
@@ -203,20 +202,34 @@ pub enum FlowError {
     /// contradicting the chosen [`Target`], an invalid field/job
     /// description...).
     InvalidOptions(String),
-    /// Complete algebraic verification ([`Pipeline::verify_formal`] /
-    /// [`Pipeline::verify_formal_mapped`]) found an output bit whose
-    /// extracted GF(2) polynomial differs from the multiplier
-    /// specification — unlike [`FlowError::VerificationMismatch`],
-    /// this is a proof of wrongness, not sampled evidence.
+    /// Complete algebraic verification ([`Pipeline::verify`],
+    /// [`Pipeline::verify_formal`], [`Pipeline::verify_formal_mapped`])
+    /// found an output bit whose extracted GF(2) polynomial differs
+    /// from the expected one (the source netlist's, or the multiplier
+    /// specification's) — a proof of wrongness, not sampled evidence.
     FormalMismatch {
         /// The design name.
         design: String,
         /// The lowest-index output bit that differs.
         output_bit: usize,
-        /// Spec monomials the netlist's polynomial lacks.
+        /// Expected monomials (spec or source netlist) the checked
+        /// netlist's polynomial lacks.
         missing: usize,
-        /// Netlist monomials the spec lacks.
+        /// Checked-netlist monomials the expected polynomial lacks.
         spurious: usize,
+    },
+    /// Complete algebraic verification refused an output cone whose
+    /// polynomial needs a product expansion over the fixed budget
+    /// ([`netlist::algebra::MAX_PRODUCT_TERMS`]). Bilinear multipliers
+    /// stay far inside it; a wide OR-like cone does not, and fails
+    /// here fast rather than exhausting memory.
+    TermBudgetExceeded {
+        /// The design name.
+        design: String,
+        /// The output bit whose extraction was refused.
+        output_bit: usize,
+        /// Terms the refused expansion would have generated.
+        terms: usize,
     },
     /// The static depth certificate ([`Pipeline::verify_depth`]) found
     /// an output cone whose gate-level (AND, XOR) depth exceeds the
@@ -273,16 +286,8 @@ pub enum FlowError {
 impl fmt::Display for FlowError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            FlowError::VerificationMismatch { design, rounds } => {
-                if *rounds == 0 {
-                    write!(f, "synthesis flow changed the interface of {design}")
-                } else {
-                    write!(
-                        f,
-                        "synthesis flow changed the function of {design} \
-                         (caught within {rounds} x 64 random vectors)"
-                    )
-                }
+            FlowError::VerificationMismatch { design } => {
+                write!(f, "synthesis flow changed the interface of {design}")
             }
             FlowError::Unplaceable {
                 design,
@@ -302,6 +307,16 @@ impl fmt::Display for FlowError {
                 f,
                 "formal verification of {design} failed at output bit {output_bit}: \
                  {missing} spec monomial(s) missing, {spurious} spurious"
+            ),
+            FlowError::TermBudgetExceeded {
+                design,
+                output_bit,
+                terms,
+            } => write!(
+                f,
+                "formal verification of {design} gave up at output bit {output_bit}: \
+                 a product expansion needs {terms} terms, over the budget of {}",
+                netlist::algebra::MAX_PRODUCT_TERMS
             ),
             FlowError::DepthExceeded {
                 design,
@@ -401,6 +416,43 @@ pub struct CacheStats {
 
 impl std::error::Error for FlowError {}
 
+impl FlowError {
+    /// The typed flow error for a failed formal check of `design`.
+    fn formal(design: &str, e: FormalError) -> FlowError {
+        let design = design.to_string();
+        match e {
+            FormalError::Interface => FlowError::VerificationMismatch { design },
+            FormalError::Mismatch {
+                output_bit,
+                missing,
+                spurious,
+            } => FlowError::FormalMismatch {
+                design,
+                output_bit,
+                missing,
+                spurious,
+            },
+            FormalError::TermBudget { output_bit, terms } => FlowError::TermBudgetExceeded {
+                design,
+                output_bit,
+                terms,
+            },
+        }
+    }
+
+    /// `Err(LintErrors)` when `lint` holds a hard finding for `design`.
+    fn lint(design: &str, lint: &netlist::LintReport) -> Result<(), FlowError> {
+        match lint.first_error() {
+            Some(first) => Err(FlowError::LintErrors {
+                design: design.to_string(),
+                errors: lint.errors(),
+                first: first.to_string(),
+            }),
+            None => Ok(()),
+        }
+    }
+}
+
 /// The fallible, staged, memoizing implementation pipeline.
 ///
 /// The builder starts from the default [`Target::Artix7`] fabric;
@@ -413,8 +465,6 @@ pub struct Pipeline {
     device: Device,
     map_options: MapOptions,
     place_options: PlaceOptions,
-    verify_rounds: usize,
-    verify_seed: u64,
     resynthesize: bool,
     max_slices: Option<usize>,
     cache: Mutex<HashMap<CacheKey, Arc<FlowArtifacts>>>,
@@ -443,11 +493,6 @@ pub struct Pipeline {
 /// [`Pipeline::clear_cache`] between batches.
 type CacheKey = (u64, u64);
 
-/// The seed sampled verification has always used; still the default so
-/// existing artifacts and reports stay comparable
-/// ([`Pipeline::with_verify_seed`] overrides it per pipeline).
-pub const DEFAULT_VERIFY_SEED: u64 = 0xC0FFEE;
-
 impl Pipeline {
     /// A pipeline targeting the default [`Target::Artix7`] fabric with
     /// default options (resynthesis enabled — the XST-like behaviour),
@@ -458,8 +503,6 @@ impl Pipeline {
             device: Device::artix7(),
             map_options: MapOptions::new(),
             place_options: PlaceOptions::default(),
-            verify_rounds: 4,
-            verify_seed: DEFAULT_VERIFY_SEED,
             resynthesize: true,
             max_slices: None,
             cache: Mutex::new(HashMap::new()),
@@ -533,21 +576,6 @@ impl Pipeline {
         self
     }
 
-    /// Sets the number of 64-lane random verification rounds after
-    /// mapping (0 disables re-verification).
-    pub fn with_verify_rounds(mut self, rounds: usize) -> Self {
-        self.verify_rounds = rounds;
-        self
-    }
-
-    /// Sets the RNG seed for the sampled verification vectors (default
-    /// [`DEFAULT_VERIFY_SEED`]). Part of the cache fingerprint, so a
-    /// cached artifact always records which seed vouched for it.
-    pub fn with_verify_seed(mut self, seed: u64) -> Self {
-        self.verify_seed = seed;
-        self
-    }
-
     /// Caps the slice count a design may occupy; packing a design past
     /// this returns [`FlowError::Unplaceable`]. `None` (the default)
     /// models an unbounded fabric.
@@ -560,9 +588,9 @@ impl Pipeline {
     /// memory-cache miss, [`Pipeline::run_report_sourced`] (and
     /// therefore [`Pipeline::run_report`]) asks the hook before
     /// computing, and every fresh computation is persisted through it.
-    /// The hook is shared by [`Clone`] / [`Pipeline::clone_config`] and
-    /// is deliberately *not* part of the options fingerprint — it
-    /// changes where results come from, never what they are.
+    /// The hook is shared by [`Pipeline::clone_config`] and is
+    /// deliberately *not* part of the options fingerprint — it changes
+    /// where results come from, never what they are.
     pub fn with_artifact_hook(mut self, hook: Arc<dyn ArtifactHook>) -> Self {
         self.hook = Some(hook);
         self
@@ -591,16 +619,6 @@ impl Pipeline {
     /// The placement options in use.
     pub fn place_options(&self) -> &PlaceOptions {
         &self.place_options
-    }
-
-    /// The configured post-mapping verification rounds.
-    pub fn verify_rounds(&self) -> usize {
-        self.verify_rounds
-    }
-
-    /// The seed the sampled verification vectors are drawn from.
-    pub fn verify_seed(&self) -> u64 {
-        self.verify_seed
     }
 
     /// Whether the resynthesis pass is enabled.
@@ -689,29 +707,21 @@ impl Pipeline {
         }
     }
 
-    /// Stage 2: re-verifies `mapped` against the *source* netlist
-    /// `reference` on random vectors (covering resynthesis and mapping
-    /// together). A mismatch — functional or interface — is an error,
-    /// never a panic.
+    /// Stage 2: proves `mapped` equivalent to the *source* netlist
+    /// `reference` on every input (covering resynthesis and mapping
+    /// together): per output bit, the source cone's GF(2) polynomial
+    /// must equal the mapped cone's ([`crate::formal::verify_equivalent`]).
+    /// No specification is needed, so any XOR/AND design goes through.
+    ///
+    /// An interface difference is [`FlowError::VerificationMismatch`],
+    /// a functional one [`FlowError::FormalMismatch`] naming the first
+    /// wrong bit, and a cone too large to expand
+    /// [`FlowError::TermBudgetExceeded`]. `mapped` must pass
+    /// [`crate::lint::lint_mapped`] first, as [`Pipeline::run`] ensures.
     pub fn verify(&self, reference: &Netlist, mapped: &LutNetlist) -> Result<(), FlowError> {
         self.validate()?;
-        if mapped.input_names().len() != reference.num_inputs()
-            || mapped.outputs().len() != reference.outputs().len()
-        {
-            return Err(FlowError::VerificationMismatch {
-                design: reference.name().to_string(),
-                rounds: 0,
-            });
-        }
-        if self.verify_rounds > 0
-            && !verify_mapping(reference, mapped, self.verify_rounds, self.verify_seed)
-        {
-            return Err(FlowError::VerificationMismatch {
-                design: reference.name().to_string(),
-                rounds: self.verify_rounds,
-            });
-        }
-        Ok(())
+        crate::formal::verify_equivalent(reference, mapped)
+            .map_err(|e| FlowError::formal(reference.name(), e))
     }
 
     /// Complete, sampling-free verification of a gate-level netlist
@@ -727,26 +737,8 @@ impl Pipeline {
     /// [`FlowError::FormalMismatch`] naming the first wrong bit.
     pub fn verify_formal(&self, spec: &netlist::MulSpec, net: &Netlist) -> Result<(), FlowError> {
         self.validate()?;
-        let lint = netlist::lint_netlist(net);
-        if let Some(first) = lint.first_error() {
-            return Err(FlowError::LintErrors {
-                design: net.name().to_string(),
-                errors: lint.errors(),
-                first: first.to_string(),
-            });
-        }
-        if net.num_inputs() != spec.num_inputs() || net.outputs().len() != spec.m() {
-            return Err(FlowError::VerificationMismatch {
-                design: net.name().to_string(),
-                rounds: 0,
-            });
-        }
-        crate::formal::verify_netlist(spec, net).map_err(|d| FlowError::FormalMismatch {
-            design: net.name().to_string(),
-            output_bit: d.output_bit,
-            missing: d.missing,
-            spurious: d.spurious,
-        })
+        FlowError::lint(net.name(), &netlist::lint_netlist(net))?;
+        crate::formal::verify_netlist(spec, net).map_err(|e| FlowError::formal(net.name(), e))
     }
 
     /// Static depth certificate: requires every output cone of the
@@ -765,7 +757,6 @@ impl Pipeline {
         if net.outputs().len() != spec.num_outputs() {
             return Err(FlowError::VerificationMismatch {
                 design: net.name().to_string(),
-                rounds: 0,
             });
         }
         netlist::check_depths(net, spec).map_err(|e| FlowError::DepthExceeded {
@@ -809,26 +800,8 @@ impl Pipeline {
         mapped: &LutNetlist,
     ) -> Result<(), FlowError> {
         self.validate()?;
-        let lint = crate::lint::lint_mapped(mapped);
-        if let Some(first) = lint.first_error() {
-            return Err(FlowError::LintErrors {
-                design: mapped.name().to_string(),
-                errors: lint.errors(),
-                first: first.to_string(),
-            });
-        }
-        if mapped.input_names().len() != spec.num_inputs() || mapped.outputs().len() != spec.m() {
-            return Err(FlowError::VerificationMismatch {
-                design: mapped.name().to_string(),
-                rounds: 0,
-            });
-        }
-        crate::formal::verify_mapped(spec, mapped).map_err(|d| FlowError::FormalMismatch {
-            design: mapped.name().to_string(),
-            output_bit: d.output_bit,
-            missing: d.missing,
-            spurious: d.spurious,
-        })
+        FlowError::lint(mapped.name(), &crate::lint::lint_mapped(mapped))?;
+        crate::formal::verify_mapped(spec, mapped).map_err(|e| FlowError::formal(mapped.name(), e))
     }
 
     /// Stage 3: slice packing, checked against the configured capacity.
@@ -954,13 +927,7 @@ impl Pipeline {
         // the run, hygiene counts flow into the report (the lint pass
         // is the single source of truth for them).
         let lint = crate::lint::lint_mapped(&mapped);
-        if let Some(first) = lint.first_error() {
-            return Err(FlowError::LintErrors {
-                design: net.name().to_string(),
-                errors: lint.errors(),
-                first: first.to_string(),
-            });
-        }
+        FlowError::lint(net.name(), &lint)?;
         self.verify(net, &mapped)?;
         let packing = self.pack(&mapped)?;
         let placement = self.place(&mapped, &packing)?;
@@ -1033,18 +1000,15 @@ impl Pipeline {
         self.cache.lock().expect("pipeline cache poisoned").clear();
     }
 
-    /// A fresh pipeline with the same configuration but an **empty**
-    /// cache — cheaper than [`Clone`] (which deep-copies every cached
-    /// artifact), for callers that fan a template out per job with
-    /// different seeds or targets.
+    /// A fresh pipeline with the same configuration and artifact hook but
+    /// an **empty** cache, for callers that fan a template out per job
+    /// with different seeds or targets.
     pub fn clone_config(&self) -> Pipeline {
         Pipeline {
             target: self.target,
             device: self.device.clone(),
             map_options: self.map_options.clone(),
             place_options: self.place_options.clone(),
-            verify_rounds: self.verify_rounds,
-            verify_seed: self.verify_seed,
             resynthesize: self.resynthesize,
             max_slices: self.max_slices,
             cache: Mutex::new(HashMap::new()),
@@ -1086,8 +1050,6 @@ impl Pipeline {
         h.write_usize(self.place_options.moves_factor);
         h.write_usize(self.place_options.max_total_moves);
         h.write_usize(self.place_options.threads);
-        h.write_usize(self.verify_rounds);
-        h.write_u64(self.verify_seed);
         h.write_u64(u64::from(self.resynthesize));
         match self.max_slices {
             None => h.write_u64(0),
@@ -1107,31 +1069,6 @@ impl Pipeline {
 impl Default for Pipeline {
     fn default() -> Self {
         Pipeline::new()
-    }
-}
-
-impl Clone for Pipeline {
-    /// Clones configuration *and* the memoized artifacts (cheap: the
-    /// artifacts are shared by reference; the hit counter restarts at
-    /// zero).
-    fn clone(&self) -> Self {
-        Pipeline {
-            target: self.target,
-            device: self.device.clone(),
-            map_options: self.map_options.clone(),
-            place_options: self.place_options.clone(),
-            verify_rounds: self.verify_rounds,
-            verify_seed: self.verify_seed,
-            resynthesize: self.resynthesize,
-            max_slices: self.max_slices,
-            cache: Mutex::new(self.cache.lock().expect("pipeline cache poisoned").clone()),
-            hits: AtomicUsize::new(0),
-            store_hits: AtomicUsize::new(0),
-            misses: AtomicUsize::new(0),
-            inserts: AtomicUsize::new(0),
-            hook: self.hook.clone(),
-            map_scratch: Mutex::new(MapScratch::new()),
-        }
     }
 }
 
@@ -1311,14 +1248,20 @@ mod tests {
         let synth = p.resynth(&net).unwrap();
         let mut mapped = p.map(&synth).unwrap();
         p.verify(&net, &mapped).unwrap();
-        // Flip one LUT's truth table: the function must stop matching.
+        // Complement one LUT's truth table: the output polynomial gains
+        // the constant term, which the proof names exactly.
         mapped.set_truth(0, !mapped.luts()[0].truth);
         match p.verify(&net, &mapped) {
-            Err(FlowError::VerificationMismatch { design, rounds }) => {
+            Err(FlowError::FormalMismatch {
+                design,
+                output_bit,
+                missing,
+                spurious,
+            }) => {
                 assert_eq!(design, "xor24");
-                assert_eq!(rounds, 4);
+                assert_eq!((output_bit, missing, spurious), (0, 0, 1));
             }
-            other => panic!("expected VerificationMismatch, got {other:?}"),
+            other => panic!("expected FormalMismatch, got {other:?}"),
         }
     }
 
@@ -1402,21 +1345,83 @@ mod tests {
 
     #[test]
     fn verify_seed_is_configurable_and_fingerprinted() {
+        // Verification has no setting any more: only the target,
+        // device, mapping, placement, resynthesis and capacity reach
+        // the fingerprint. Rebuilding the defaults through exactly
+        // those setters lands on the default fingerprint...
+        let fp = Pipeline::new().options_fingerprint();
+        let rebuilt = Pipeline::new()
+            .with_target(Target::Artix7)
+            .with_device(Device::artix7())
+            .with_map_options(Target::Artix7.map_options())
+            .with_place_options(PlaceOptions::default())
+            .with_resynthesis(true)
+            .with_max_slices(None);
+        assert_eq!(rebuilt.options_fingerprint(), fp);
+        // ...a config clone and an attached store leave it alone...
+        assert_eq!(rebuilt.clone_config().options_fingerprint(), fp);
+        let hooked = Pipeline::new().with_artifact_hook(Arc::new(MemHook::default()));
+        assert_eq!(hooked.options_fingerprint(), fp);
+        // ...and each of the six moves it.
+        let recal = Device {
+            t_lut_ns: 0.50,
+            ..Device::artix7()
+        };
+        for changed in [
+            Pipeline::new().with_target(Target::Virtex5),
+            Pipeline::new().with_device(recal),
+            Pipeline::new()
+                .with_map_options(MapOptions::new().with_mode(MapMode::FanoutPreserving)),
+            Pipeline::new().with_place_seed(42),
+            Pipeline::new().with_resynthesis(false),
+            Pipeline::new().with_max_slices(Some(10_000)),
+        ] {
+            assert_ne!(changed.options_fingerprint(), fp);
+        }
+        // A correct mapping verifies.
         let net = xor_tree(32);
-        let a = Pipeline::new();
-        assert_eq!(a.verify_seed(), DEFAULT_VERIFY_SEED);
-        let b = Pipeline::new().with_verify_seed(42);
-        assert_eq!(b.verify_seed(), 42);
-        // The seed is part of the memoization key: an artifact records
-        // which vectors vouched for it.
-        assert_ne!(a.cache_key(&net), b.cache_key(&net));
-        // Both seeds verify a correct mapping.
-        let synth = b.resynth(&net).unwrap();
-        let mapped = b.map(&synth).unwrap();
-        b.verify(&net, &mapped).unwrap();
-        // The seed survives clone_config and Clone.
-        assert_eq!(b.clone_config().verify_seed(), 42);
-        assert_eq!(b.clone().verify_seed(), 42);
+        let mapped = rebuilt.map(&rebuilt.resynth(&net).unwrap()).unwrap();
+        rebuilt.verify(&net, &mapped).unwrap();
+    }
+
+    /// `y = x0 ∨ … ∨ x{n-1}` as a chain of `x ⊕ y ⊕ xy`, whose
+    /// polynomial has `2^n − 1` terms.
+    fn or_chain(n: usize) -> Netlist {
+        let mut net = Netlist::new(format!("or{n}"));
+        let ins: Vec<_> = (0..n).map(|i| net.input(format!("x{i}"))).collect();
+        let mut acc = ins[0];
+        for &x in &ins[1..] {
+            let both = net.and(acc, x);
+            let either = net.xor(acc, x);
+            acc = net.xor(either, both);
+        }
+        net.output("y", acc);
+        net
+    }
+
+    #[test]
+    fn oversized_cones_fail_fast_on_the_term_budget() {
+        let net = or_chain(48);
+        let p = Pipeline::new();
+        let expect_budget = |r: Result<(), FlowError>| match r {
+            Err(FlowError::TermBudgetExceeded {
+                design,
+                output_bit,
+                terms,
+            }) => {
+                assert_eq!((design.as_str(), output_bit), ("or48", 0));
+                assert!(terms > netlist::algebra::MAX_PRODUCT_TERMS, "{terms}");
+            }
+            other => panic!("expected TermBudgetExceeded, got {other:?}"),
+        };
+        let start = std::time::Instant::now();
+        expect_budget(p.run(&net).map(|_| ()));
+        let mapped = p.map(&p.resynth(&net).unwrap()).unwrap();
+        expect_budget(p.verify(&net, &mapped));
+        let elapsed = start.elapsed();
+        assert!(elapsed.as_secs_f64() < 1.0, "{elapsed:?}");
+        // A narrow OR is inside the budget and proves equivalent.
+        p.run(&or_chain(8)).unwrap();
     }
 
     #[test]
@@ -1485,21 +1490,18 @@ mod tests {
             other => panic!("expected FormalMismatch, got {other:?}"),
         }
 
-        // An interface mismatch is still VerificationMismatch(rounds=0).
+        // An interface mismatch is still VerificationMismatch.
         let wrong_m = netlist::MulSpec::new(3, vec![Poly::zero(), Poly::zero(), Poly::zero()]);
         assert!(matches!(
             p.verify_formal(&wrong_m, &net),
-            Err(FlowError::VerificationMismatch { rounds: 0, .. })
+            Err(FlowError::VerificationMismatch { .. })
         ));
     }
 
     #[test]
     fn error_messages_are_informative() {
-        let e = FlowError::VerificationMismatch {
-            design: "d".into(),
-            rounds: 4,
-        };
-        assert!(e.to_string().contains("changed the function of d"));
+        let e = FlowError::VerificationMismatch { design: "d".into() };
+        assert!(e.to_string().contains("changed the interface of d"));
         let e = FlowError::Unplaceable {
             design: "d".into(),
             slices: 9,
@@ -1517,6 +1519,14 @@ mod tests {
         let text = e.to_string();
         assert!(text.contains("output bit 7"), "{text}");
         assert!(text.contains("2 spec monomial(s) missing"), "{text}");
+        let e = FlowError::TermBudgetExceeded {
+            design: "d".into(),
+            output_bit: 3,
+            terms: 1 << 30,
+        };
+        let text = e.to_string();
+        assert!(text.contains("of d gave up at output bit 3"), "{text}");
+        assert!(text.contains("needs 1073741824 terms"), "{text}");
         let e = FlowError::LintErrors {
             design: "d".into(),
             errors: 3,
@@ -1575,7 +1585,7 @@ mod tests {
         let short = netlist::DepthSpec::new(vec![]);
         assert!(matches!(
             p.verify_depth(&short, &net),
-            Err(FlowError::VerificationMismatch { rounds: 0, .. })
+            Err(FlowError::VerificationMismatch { .. })
         ));
     }
 
@@ -1686,9 +1696,8 @@ mod tests {
             .with_artifact_hook(hook.clone());
         let (_, source) = other.run_report_sourced(&net).unwrap();
         assert_eq!(source, ReportSource::Computed);
-        // The hook survives clone_config and Clone.
+        // The hook survives clone_config.
         assert!(warm.clone_config().artifact_hook().is_some());
-        assert!(warm.clone().artifact_hook().is_some());
     }
 
     #[test]

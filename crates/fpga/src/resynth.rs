@@ -252,7 +252,8 @@ fn build_cluster(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::map::{map_to_luts, verify_mapping, MapOptions};
+    use crate::formal::verify_equivalent;
+    use crate::map::{map_to_luts, MapOptions};
     use netlist::sim::check_equivalent_exhaustive;
 
     fn xor_chain_net(leaves: usize) -> Netlist {
@@ -270,7 +271,7 @@ mod tests {
         let mapped = map_to_luts(&re, &MapOptions::new());
         assert_eq!(mapped.depth(), 2, "{mapped}");
         assert_eq!(mapped.num_luts(), 7, "{mapped}");
-        assert!(verify_mapping(&re, &mapped, 8, 1));
+        assert_eq!(verify_equivalent(&re, &mapped), Ok(()));
     }
 
     #[test]
@@ -291,7 +292,7 @@ mod tests {
         let mapped = map_to_luts(&re, &MapOptions::new());
         assert_eq!(mapped.depth(), 2, "{mapped}");
         assert_eq!(mapped.num_luts(), 4, "{mapped}");
-        assert!(verify_mapping(&re, &mapped, 8, 7));
+        assert_eq!(verify_equivalent(&re, &mapped), Ok(()));
     }
 
     #[test]

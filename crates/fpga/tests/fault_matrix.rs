@@ -7,24 +7,23 @@
 //! simulation over all 2^16 operand pairs: a fault either changes the
 //! computed function or is *masked* (the flipped minterm is
 //! unreachable from the primary inputs). The matrix then checks that
-//! [`Pipeline::verify_formal_mapped`] agrees with ground truth on
-//! every single fault — zero escapes, zero false alarms — which is
-//! exactly the completeness claim sampling cannot make.
+//! both complete verifiers agree with ground truth on every single
+//! fault — zero escapes, zero false alarms:
 //!
-//! For contrast, each function-changing fault is also run through the
-//! default sampled verify (4 rounds × 64 lanes = 256 of the 65 536
-//! operand pairs, seed [`DEFAULT_VERIFY_SEED`]). Faults near the
-//! primary outputs disturb many minterms and are easy to sample, but
-//! faults deep in shared logic can surface on only a few operand
-//! pairs: in the release run pinned here, the sampled check missed 39
-//! of 1068 function-changing faults (a measured ~3.7% escape rate),
-//! while the formal check caught all 1068 with the one masked fault
-//! correctly left alone.
+//! * [`Pipeline::verify`], the flow's own check, which proves the
+//!   mapping against the source netlist's polynomials;
+//! * [`Pipeline::verify_formal_mapped`], which proves it against the
+//!   multiplier specification.
+//!
+//! Faults deep in shared logic can surface on only a few of the
+//! 65 536 operand pairs — the 4 × 64-vector sampled check the flow
+//! used before missed 39 of 1068 function-changing faults here — so
+//! only a complete check can pass this matrix.
 
 use gf2m::Field;
 use gf2poly::TypeIiPentanomial;
 use rgf2m_core::{generate, multiplier_spec, Method};
-use rgf2m_fpga::{LutNetlist, Pipeline, Target, DEFAULT_VERIFY_SEED};
+use rgf2m_fpga::{LutNetlist, Pipeline, Target};
 
 fn gf256() -> Field {
     Field::from_pentanomial(&TypeIiPentanomial::new(8, 2).unwrap())
@@ -60,12 +59,8 @@ fn exhaustive_words(batch: usize, num_inputs: usize) -> Vec<u64> {
 fn exhaustive_outputs(mapped: &LutNetlist) -> Vec<Vec<u64>> {
     let n = mapped.input_names().len();
     assert_eq!(n, 16, "matrix is pinned to GF(2^8): 16 primary inputs");
-    let (mut vals, mut out) = (Vec::new(), Vec::new());
     (0..1usize << (n - 6))
-        .map(|batch| {
-            mapped.eval_words_into(&exhaustive_words(batch, n), &mut vals, &mut out);
-            out.clone()
-        })
+        .map(|batch| mapped.eval_words(&exhaustive_words(batch, n)))
         .collect()
 }
 
@@ -75,7 +70,8 @@ struct MatrixCell {
     masked: usize,
     formal_escapes: usize,
     formal_false_alarms: usize,
-    sampled_misses: usize,
+    verify_escapes: usize,
+    verify_false_alarms: usize,
 }
 
 /// Injects one fault per LUT of one design on one target and scores
@@ -85,7 +81,6 @@ fn run_cell(method: Method, target: Target) -> MatrixCell {
     let spec = multiplier_spec(&field);
     let net = generate(&field, method);
     let pipeline = Pipeline::new().with_target(target);
-    assert_eq!(pipeline.verify_seed(), DEFAULT_VERIFY_SEED);
     let mut artifacts = pipeline.run(&net).expect("clean flow");
     let golden = exhaustive_outputs(&artifacts.mapped);
     assert!(pipeline
@@ -98,7 +93,8 @@ fn run_cell(method: Method, target: Target) -> MatrixCell {
         masked: 0,
         formal_escapes: 0,
         formal_false_alarms: 0,
-        sampled_misses: 0,
+        verify_escapes: 0,
+        verify_false_alarms: 0,
     };
     let num_luts = artifacts.mapped.num_luts();
     for i in 0..num_luts {
@@ -116,19 +112,15 @@ fn run_cell(method: Method, target: Target) -> MatrixCell {
         let formal_rejects = pipeline
             .verify_formal_mapped(&spec, &artifacts.mapped)
             .is_err();
+        let verify_rejects = pipeline.verify(&net, &artifacts.mapped).is_err();
         if changes {
             cell.function_changing += 1;
-            if !formal_rejects {
-                cell.formal_escapes += 1;
-            }
-            if pipeline.verify(&net, &artifacts.mapped).is_ok() {
-                cell.sampled_misses += 1;
-            }
+            cell.formal_escapes += usize::from(!formal_rejects);
+            cell.verify_escapes += usize::from(!verify_rejects);
         } else {
             cell.masked += 1;
-            if formal_rejects {
-                cell.formal_false_alarms += 1;
-            }
+            cell.formal_false_alarms += usize::from(formal_rejects);
+            cell.verify_false_alarms += usize::from(verify_rejects);
         }
 
         artifacts.mapped.set_truth(i as u32, pristine);
@@ -138,7 +130,29 @@ fn run_cell(method: Method, target: Target) -> MatrixCell {
     assert!(pipeline
         .verify_formal_mapped(&spec, &artifacts.mapped)
         .is_ok());
+    assert!(pipeline.verify(&net, &artifacts.mapped).is_ok());
     cell
+}
+
+/// Both complete verifiers must agree with ground truth on every fault
+/// of the cell.
+fn assert_exact(cell: &MatrixCell, what: &str) {
+    assert_eq!(
+        cell.formal_escapes, 0,
+        "{what}: formal verify missed a fault"
+    );
+    assert_eq!(
+        cell.formal_false_alarms, 0,
+        "{what}: formal verify flagged a masked fault"
+    );
+    assert_eq!(
+        cell.verify_escapes, 0,
+        "{what}: Pipeline::verify missed a fault"
+    );
+    assert_eq!(
+        cell.verify_false_alarms, 0,
+        "{what}: Pipeline::verify flagged a masked fault"
+    );
 }
 
 /// One cell of the matrix, cheap enough for every debug test run.
@@ -147,48 +161,31 @@ fn fault_injection_proposed_on_artix7() {
     let cell = run_cell(Method::ProposedFlat, Target::Artix7);
     assert!(cell.faults > 0);
     assert!(cell.function_changing > 0, "every fault was masked?");
-    assert_eq!(cell.formal_escapes, 0, "formal verify missed a real fault");
-    assert_eq!(
-        cell.formal_false_alarms, 0,
-        "formal verify flagged a masked fault"
-    );
+    assert_exact(&cell, "ProposedFlat on Artix7");
 }
 
 /// The full 6 × 4 matrix (~1000 faults, each scored exhaustively);
-/// release-only. Also pins the headline contrast: the formal check
-/// catches 100% of function-changing faults, the default 4-round
-/// sampled check demonstrably does not.
+/// release-only. Pins the headline claim: the flow's own check and the
+/// spec check both catch 100% of function-changing faults and flag no
+/// masked one, in every cell.
 #[test]
 #[cfg_attr(debug_assertions, ignore)]
 fn fault_matrix_formal_catches_every_fault_sampling_misses_some() {
     let mut faults = 0usize;
     let mut changing = 0usize;
     let mut masked = 0usize;
-    let mut sampled_misses = 0usize;
     for method in Method::ALL {
         for target in Target::ALL {
             let cell = run_cell(method, target);
-            assert_eq!(
-                cell.formal_escapes, 0,
-                "{method:?} on {target:?}: formal verify missed a fault"
-            );
-            assert_eq!(
-                cell.formal_false_alarms, 0,
-                "{method:?} on {target:?}: formal verify flagged a masked fault"
-            );
+            assert_exact(&cell, &format!("{method:?} on {target:?}"));
             faults += cell.faults;
             changing += cell.function_changing;
             masked += cell.masked;
-            sampled_misses += cell.sampled_misses;
         }
     }
     println!(
         "fault matrix: {faults} faults, {changing} function-changing, {masked} masked; \
-         formal caught all {changing}, sampled verify missed {sampled_misses}"
+         Pipeline::verify and the spec check each caught all {changing}"
     );
     assert!(changing > 0);
-    assert!(
-        sampled_misses >= 1,
-        "sampling caught everything — the formal pass would be pointless"
-    );
 }

@@ -28,7 +28,7 @@ fn corrupt_spec(spec: &MulSpec, bit: usize) -> MulSpec {
         .map(|k| {
             let p = spec.output(k).clone();
             if k == bit {
-                p.add(&Poly::one())
+                p + Poly::one()
             } else {
                 p
             }
@@ -103,7 +103,7 @@ fn every_catalogued_field_verifies_formally_and_reveng_recovers() {
 
 /// The paper's largest field (163, 68), every method, every fabric:
 /// resynthesize, map, then demand the LUT-level algebraic certificate.
-/// This is the acceptance gate the sampled verifier could never give.
+/// Complete on every operand pair, like the flow's own `verify`.
 #[test]
 #[cfg_attr(debug_assertions, ignore)]
 fn gf2_163_maps_with_formal_certificate_on_every_target() {

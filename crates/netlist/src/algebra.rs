@@ -16,7 +16,8 @@
 //! * [`Monomial`] — a product of distinct input variables;
 //! * [`Poly`] — a GF(2) sum of distinct monomials (sparse, canonical);
 //! * [`node_poly`] / [`output_poly`] / [`output_polys`] — cone
-//!   extraction over a [`Netlist`];
+//!   extraction over a [`Netlist`], every product expansion held to
+//!   [`MAX_PRODUCT_TERMS`];
 //! * [`MulSpec`] — the per-output-bit specification of a GF(2^m)
 //!   multiplier (constructed by `rgf2m_core::multiplier_spec`, consumed
 //!   by the formal verifier without a field-arithmetic dependency).
@@ -33,15 +34,46 @@
 //! let ab = net.and(a, b);
 //! let y = net.xor(ab, a);
 //! net.output("y", y);
-//! let p = node_poly(&net, y);
+//! let p = node_poly(&net, y)?;
 //! assert_eq!(p.to_string(), "x0 + x0*x1");
-//! assert_eq!(p, Poly::var(0).add(&Poly::var(0).mul(&Poly::var(1))));
+//! assert_eq!(p, Poly::var(0) + Poly::var(0).mul(&Poly::var(1)));
+//! # Ok::<(), netlist::algebra::TermBudgetExceeded>(())
 //! ```
 
 use std::cmp::Ordering;
+use std::collections::HashSet;
 use std::fmt;
 
 use crate::{Gate, Netlist, NodeId};
+
+/// The most monomials one product expansion may generate (the product
+/// of its operands' term counts, before mod-2 cancellation).
+///
+/// A bilinear GF(2^m) multiplier stays far inside it — the largest
+/// expansion in any GF(2^571) check, six methods on four fabrics, is
+/// 7 terms — while a non-bilinear cone such as an `n`-input OR chain
+/// (`2^n − 1` terms) hits it after 17 inputs instead of exhausting
+/// memory.
+pub const MAX_PRODUCT_TERMS: usize = 1 << 16;
+
+/// A product expansion that would exceed [`MAX_PRODUCT_TERMS`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TermBudgetExceeded {
+    /// Terms the refused expansion would have generated.
+    pub terms: usize,
+}
+
+impl fmt::Display for TermBudgetExceeded {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "a product expansion needs {} terms, over the budget of {MAX_PRODUCT_TERMS}",
+            self.terms
+        )
+    }
+}
+
+impl std::error::Error for TermBudgetExceeded {}
 
 /// A product of distinct input variables over GF(2), e.g. `x0*x3`.
 ///
@@ -214,34 +246,6 @@ impl Poly {
         self.0.iter().map(Monomial::degree).max()
     }
 
-    /// GF(2) addition (XOR): the symmetric difference of the monomial
-    /// sets, via one sorted merge.
-    pub fn add(&self, other: &Poly) -> Poly {
-        let (a, b) = (&self.0, &other.0);
-        let mut out = Vec::with_capacity(a.len() + b.len());
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                Ordering::Less => {
-                    out.push(a[i].clone());
-                    i += 1;
-                }
-                Ordering::Greater => {
-                    out.push(b[j].clone());
-                    j += 1;
-                }
-                Ordering::Equal => {
-                    // 1 + 1 = 0: both copies cancel.
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        out.extend_from_slice(&a[i..]);
-        out.extend_from_slice(&b[j..]);
-        Poly(out)
-    }
-
     /// GF(2) multiplication (AND): all pairwise monomial products,
     /// canonicalized (idempotent variables, mod-2 cancellation).
     pub fn mul(&self, other: &Poly) -> Poly {
@@ -257,6 +261,17 @@ impl Poly {
         Poly::from_monomials(products)
     }
 
+    /// [`Poly::mul`] held to [`MAX_PRODUCT_TERMS`]: refuses, before
+    /// allocating anything, an expansion that would generate more
+    /// terms than the budget.
+    pub fn checked_mul(&self, other: &Poly) -> Result<Poly, TermBudgetExceeded> {
+        let terms = self.len().saturating_mul(other.len());
+        if terms > MAX_PRODUCT_TERMS {
+            return Err(TermBudgetExceeded { terms });
+        }
+        Ok(self.mul(other))
+    }
+
     /// Evaluates the polynomial under an assignment (`assignment[v]`
     /// is the value of `x_v`).
     ///
@@ -265,6 +280,35 @@ impl Poly {
     /// Panics if a variable index is out of range.
     pub fn eval(&self, assignment: &[bool]) -> bool {
         self.0.iter().fold(false, |acc, m| acc ^ m.eval(assignment))
+    }
+}
+
+impl std::ops::Add for Poly {
+    type Output = Poly;
+
+    /// GF(2) addition (XOR): the symmetric difference of the monomial
+    /// sets, via one sorted merge that moves the operands' monomials
+    /// instead of cloning them.
+    fn add(self, other: Poly) -> Poly {
+        let (mut a, mut b) = (
+            self.0.into_iter().peekable(),
+            other.0.into_iter().peekable(),
+        );
+        let mut out = Vec::with_capacity(a.len() + b.len());
+        while let (Some(x), Some(y)) = (a.peek(), b.peek()) {
+            match x.cmp(y) {
+                Ordering::Less => out.extend(a.next()),
+                Ordering::Greater => out.extend(b.next()),
+                Ordering::Equal => {
+                    // 1 + 1 = 0: both copies cancel.
+                    a.next();
+                    b.next();
+                }
+            }
+        }
+        out.extend(a);
+        out.extend(b);
+        Poly(out)
     }
 }
 
@@ -286,95 +330,92 @@ impl fmt::Display for Poly {
 /// The polynomial computed by each of the given nodes, extracted in one
 /// forward pass over the union of their cones.
 ///
-/// Intermediate polynomials are dropped as soon as their last in-cone
-/// consumer has been processed, so peak memory follows the live
-/// frontier rather than the whole cone.
-pub fn node_polys(net: &Netlist, roots: &[NodeId]) -> Vec<Poly> {
-    let mut in_cone = vec![false; net.len()];
+/// Work and memory follow the cone, not the netlist: one output cone of
+/// a wide multiplier is a small slice of it. Intermediate polynomials
+/// are dropped as soon as their last in-cone consumer has been
+/// processed, so peak memory follows the live frontier. Every AND
+/// expands through [`Poly::checked_mul`], so a cone whose polynomial
+/// outgrows the budget is an error rather than a hang.
+pub fn node_polys(net: &Netlist, roots: &[NodeId]) -> Result<Vec<Poly>, TermBudgetExceeded> {
+    // The cone ascending by node id is a valid evaluation order
+    // (operands precede users); everything below indexes into it.
+    let mut seen = HashSet::new();
+    let mut cone = Vec::new();
     let mut stack: Vec<NodeId> = roots.to_vec();
     while let Some(n) = stack.pop() {
-        if std::mem::replace(&mut in_cone[n.index()], true) {
+        if !seen.insert(n) {
             continue;
         }
+        cone.push(n);
         if let Gate::And(a, b) | Gate::Xor(a, b) = net.gate(n) {
             stack.push(a);
             stack.push(b);
         }
     }
+    cone.sort_unstable();
+    let pos = |n: NodeId| cone.binary_search(&n).expect("operands are in the cone");
     // Remaining uses of each node's polynomial: in-cone gate operands
     // plus one per root reference.
-    let mut uses = vec![0usize; net.len()];
-    for id in net.node_ids() {
-        if in_cone[id.index()] {
-            if let Gate::And(a, b) | Gate::Xor(a, b) = net.gate(id) {
-                uses[a.index()] += 1;
-                uses[b.index()] += 1;
-            }
+    let mut uses = vec![0usize; cone.len()];
+    for &id in &cone {
+        if let Gate::And(a, b) | Gate::Xor(a, b) = net.gate(id) {
+            uses[pos(a)] += 1;
+            uses[pos(b)] += 1;
         }
     }
-    for r in roots {
-        uses[r.index()] += 1;
+    for &r in roots {
+        uses[pos(r)] += 1;
     }
-    let mut table: Vec<Option<Poly>> = vec![None; net.len()];
-    let consume = |table: &mut Vec<Option<Poly>>, uses: &mut Vec<usize>, n: NodeId| {
-        let i = n.index();
-        uses[i] -= 1;
-        if uses[i] == 0 {
-            table[i] = None;
-        }
+    let mut table: Vec<Option<Poly>> = vec![None; cone.len()];
+    // Takes one use of cone node `j`: its last use moves the polynomial
+    // out, earlier ones clone it.
+    let claim = |table: &mut [Option<Poly>], uses: &mut [usize], j: usize| {
+        uses[j] -= 1;
+        let p = if uses[j] == 0 {
+            table[j].take()
+        } else {
+            table[j].clone()
+        };
+        p.expect("operands precede users, and roots are in the cone")
     };
-    for id in net.node_ids() {
-        let i = id.index();
-        if !in_cone[i] {
-            continue;
-        }
+    for (i, &id) in cone.iter().enumerate() {
         let poly = match net.gate(id) {
             Gate::Input(v) => Poly::var(v),
             Gate::Const(c) => Poly::constant(c),
             Gate::And(a, b) => {
-                let p = {
-                    let pa = table[a.index()].as_ref().expect("operands precede users");
-                    let pb = table[b.index()].as_ref().expect("operands precede users");
-                    pa.mul(pb)
+                let (ia, ib) = (pos(a), pos(b));
+                let p = match (&table[ia], &table[ib]) {
+                    (Some(pa), Some(pb)) => pa.checked_mul(pb)?,
+                    _ => unreachable!("operands precede users"),
                 };
-                consume(&mut table, &mut uses, a);
-                consume(&mut table, &mut uses, b);
+                for j in [ia, ib] {
+                    uses[j] -= 1;
+                    if uses[j] == 0 {
+                        table[j] = None;
+                    }
+                }
                 p
             }
             Gate::Xor(a, b) => {
-                let p = {
-                    let pa = table[a.index()].as_ref().expect("operands precede users");
-                    let pb = table[b.index()].as_ref().expect("operands precede users");
-                    pa.add(pb)
-                };
-                consume(&mut table, &mut uses, a);
-                consume(&mut table, &mut uses, b);
-                p
+                let pa = claim(&mut table, &mut uses, pos(a));
+                pa + claim(&mut table, &mut uses, pos(b))
             }
         };
         if uses[i] > 0 {
             table[i] = Some(poly);
         }
     }
-    roots
+    Ok(roots
         .iter()
-        .map(|r| {
-            let i = r.index();
-            uses[i] -= 1;
-            if uses[i] == 0 {
-                table[i].take().expect("root is in its own cone")
-            } else {
-                table[i].clone().expect("root is in its own cone")
-            }
-        })
-        .collect()
+        .map(|&r| claim(&mut table, &mut uses, pos(r)))
+        .collect())
 }
 
 /// The polynomial computed by one node.
-pub fn node_poly(net: &Netlist, node: NodeId) -> Poly {
-    node_polys(net, &[node])
+pub fn node_poly(net: &Netlist, node: NodeId) -> Result<Poly, TermBudgetExceeded> {
+    Ok(node_polys(net, &[node])?
         .pop()
-        .expect("one root yields one polynomial")
+        .expect("one root yields one polynomial"))
 }
 
 /// The polynomial of primary output `k` (by declaration order).
@@ -382,14 +423,14 @@ pub fn node_poly(net: &Netlist, node: NodeId) -> Poly {
 /// # Panics
 ///
 /// Panics if `k` is out of range.
-pub fn output_poly(net: &Netlist, k: usize) -> Poly {
+pub fn output_poly(net: &Netlist, k: usize) -> Result<Poly, TermBudgetExceeded> {
     let (_, node) = net.outputs()[k];
     node_poly(net, node)
 }
 
 /// The polynomials of all primary outputs, sharing one forward pass
 /// over the combined cone (shared logic is expanded once).
-pub fn output_polys(net: &Netlist) -> Vec<Poly> {
+pub fn output_polys(net: &Netlist) -> Result<Vec<Poly>, TermBudgetExceeded> {
     let roots: Vec<NodeId> = net.outputs().iter().map(|(_, n)| *n).collect();
     node_polys(net, &roots)
 }
@@ -469,12 +510,12 @@ mod tests {
 
     #[test]
     fn addition_is_mod_2() {
-        let p = Poly::var(0).add(&Poly::var(1));
-        assert!(p.add(&p).is_zero());
-        assert_eq!(p.add(&Poly::zero()), p);
-        assert_eq!(Poly::one().add(&Poly::one()), Poly::zero());
+        let p = Poly::var(0) + Poly::var(1);
+        assert!((p.clone() + p.clone()).is_zero());
+        assert_eq!(p.clone() + Poly::zero(), p);
+        assert_eq!(Poly::one() + Poly::one(), Poly::zero());
         // Disjoint sums merge sorted.
-        let q = Poly::var(2).add(&p);
+        let q = Poly::var(2) + p;
         assert_eq!(q.to_string(), "x0 + x1 + x2");
     }
 
@@ -482,7 +523,7 @@ mod tests {
     fn multiplication_is_idempotent_and_cancels() {
         let x0 = Poly::var(0);
         assert_eq!(x0.mul(&x0), x0); // x² = x
-        let p = Poly::var(0).add(&Poly::var(1));
+        let p = Poly::var(0) + Poly::var(1);
         // (x0 + x1)² = x0 + x1 over GF(2) with idempotent variables:
         // the cross terms x0*x1 appear twice and cancel.
         assert_eq!(p.mul(&p), p);
@@ -502,7 +543,7 @@ mod tests {
 
     #[test]
     fn degree_and_len() {
-        let p = Poly::one().add(&Poly::var(0).mul(&Poly::var(1)));
+        let p = Poly::one() + Poly::var(0).mul(&Poly::var(1));
         assert_eq!(p.len(), 2);
         assert_eq!(p.degree(), Some(2));
         assert_eq!(Poly::zero().degree(), None);
@@ -526,7 +567,7 @@ mod tests {
     #[test]
     fn cone_extraction_matches_hand_algebra() {
         let net = sample_net();
-        let p = output_poly(&net, 0);
+        let p = output_poly(&net, 0).unwrap();
         let expect = Poly::from_monomials(vec![
             Monomial::var(0),
             Monomial::product(&[0, 1]),
@@ -538,7 +579,7 @@ mod tests {
     #[test]
     fn extracted_polys_agree_with_simulation() {
         let net = sample_net();
-        let p = output_poly(&net, 0);
+        let p = output_poly(&net, 0).unwrap();
         for bits in 0..8u32 {
             let ins: Vec<bool> = (0..3).map(|i| (bits >> i) & 1 == 1).collect();
             assert_eq!(p.eval(&ins), net.eval_bool(&ins)[0], "input {bits:03b}");
@@ -556,9 +597,9 @@ mod tests {
         net.output("s", s);
         net.output("p", ab); // shares the AND with the first cone
         net.output("s2", s); // repeated root
-        let all = output_polys(&net);
+        let all = output_polys(&net).unwrap();
         for (k, p) in all.iter().enumerate() {
-            assert_eq!(p, &output_poly(&net, k), "output {k}");
+            assert_eq!(p, &output_poly(&net, k).unwrap(), "output {k}");
         }
         assert_eq!(all[0], all[2]);
     }
@@ -570,8 +611,8 @@ mod tests {
         let t = net.constant(true);
         let y = net.xor(a, t); // NOT a = 1 + x0
         net.output("y", y);
-        let p = output_poly(&net, 0);
-        assert_eq!(p, Poly::one().add(&Poly::var(0)));
+        let p = output_poly(&net, 0).unwrap();
+        assert_eq!(p, Poly::one() + Poly::var(0));
         assert_eq!(p.to_string(), "1 + x0");
     }
 

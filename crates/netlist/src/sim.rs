@@ -33,47 +33,27 @@ impl Netlist {
     ///
     /// Panics if `inputs.len()` ≠ [`Netlist::num_inputs`].
     pub fn eval_words(&self, inputs: &[u64]) -> Vec<u64> {
-        let mut values = Vec::new();
-        let mut out = Vec::new();
-        self.eval_words_into(inputs, &mut values, &mut out);
-        out
+        let values = self.eval_words_all(inputs);
+        self.outputs()
+            .iter()
+            .map(|(_, n)| values[n.index()])
+            .collect()
     }
 
-    /// Buffer-reusing variant of [`Netlist::eval_words`]: per-node words
-    /// land in `values` and output words in `out` (both cleared and
-    /// refilled), so repeated evaluation — the mapping-verification
-    /// path — allocates nothing after the first call.
+    /// Evaluates 64 assignments and returns the value words of *all*
+    /// nodes (not just outputs) — used by the technology mapper to
+    /// extract LUT truth tables and by debugging tools.
     ///
     /// # Panics
     ///
     /// Panics if `inputs.len()` ≠ [`Netlist::num_inputs`].
-    pub fn eval_words_into(&self, inputs: &[u64], values: &mut Vec<u64>, out: &mut Vec<u64>) {
+    pub fn eval_words_all(&self, inputs: &[u64]) -> Vec<u64> {
         assert_eq!(
             inputs.len(),
             self.num_inputs(),
             "expected {} input words",
             self.num_inputs()
         );
-        values.clear();
-        values.resize(self.len(), 0);
-        for id in self.node_ids() {
-            values[id.index()] = match self.gate(id) {
-                Gate::Input(i) => inputs[i as usize],
-                Gate::Const(false) => 0,
-                Gate::Const(true) => u64::MAX,
-                Gate::And(a, b) => values[a.index()] & values[b.index()],
-                Gate::Xor(a, b) => values[a.index()] ^ values[b.index()],
-            };
-        }
-        out.clear();
-        out.extend(self.outputs().iter().map(|(_, n)| values[n.index()]));
-    }
-
-    /// Evaluates 64 assignments and returns the value words of *all*
-    /// nodes (not just outputs) — used by the technology mapper to
-    /// extract LUT truth tables and by debugging tools.
-    pub fn eval_words_all(&self, inputs: &[u64]) -> Vec<u64> {
-        assert_eq!(inputs.len(), self.num_inputs());
         let mut values = vec![0u64; self.len()];
         for id in self.node_ids() {
             values[id.index()] = match self.gate(id) {
@@ -332,17 +312,6 @@ mod tests {
             out
         };
         assert!(!check_against_oracle_random(&net, oracle, 1, 7).is_equivalent());
-    }
-
-    #[test]
-    fn eval_words_into_matches_eval_words_across_reuse() {
-        let net = full_adder();
-        let mut values = Vec::new();
-        let mut out = Vec::new();
-        for words in [[0b10101010u64, 0b11001100, 0b11110000], [7, 1, u64::MAX]] {
-            net.eval_words_into(&words, &mut values, &mut out);
-            assert_eq!(out, net.eval_words(&words));
-        }
     }
 
     #[test]

@@ -24,7 +24,7 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -45,6 +45,12 @@ use crate::store::ArtifactStore;
 /// bench-side test pins the two together), so daemon-served reports
 /// byte-match the table binaries' in-process runs.
 pub const DEFAULT_MAX_TOTAL_MOVES: usize = 1_200_000;
+
+/// The longest request line the daemon buffers, newline included. Real
+/// requests are under 200 bytes; a longer line gets one `bad request`
+/// reply and its connection is closed, so no client can grow the
+/// daemon's memory by streaming bytes without a newline.
+pub const MAX_LINE_BYTES: usize = 64 * 1024;
 
 /// The daemon's default pipeline template: deterministic seed, exact
 /// bounded annealing budget — the same options fingerprint as the
@@ -263,13 +269,30 @@ impl Shared {
             Ok(w) => Arc::new(Mutex::new(w)),
             Err(_) => return,
         };
-        let reader = BufReader::new(conn);
-        for line in reader.lines() {
-            let Ok(line) = line else { break };
+        let mut reader = BufReader::new(conn);
+        let mut buf = Vec::new();
+        loop {
+            buf.clear();
+            let read = (&mut reader)
+                .take(MAX_LINE_BYTES as u64)
+                .read_until(b'\n', &mut buf);
+            if !read.is_ok_and(|n| n > 0) {
+                break;
+            }
+            if buf.len() == MAX_LINE_BYTES && buf.last() != Some(&b'\n') {
+                let msg = format!("bad request: line exceeds {MAX_LINE_BYTES} bytes");
+                write_line(&writer, &encode_error(0, &msg));
+                let writer = writer.lock().expect("connection writer poisoned");
+                let _ = writer.shutdown();
+                break;
+            }
+            let Ok(line) = std::str::from_utf8(&buf) else {
+                break;
+            };
             if line.trim().is_empty() {
                 continue;
             }
-            match parse_request(&line) {
+            match parse_request(line.trim_end_matches(['\n', '\r'])) {
                 Err(e) => {
                     write_line(&writer, &encode_error(0, &format!("bad request: {e}")));
                 }

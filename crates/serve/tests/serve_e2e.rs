@@ -1,10 +1,11 @@
 //! End-to-end daemon contract: warm-store replay of the full
 //! six-method × four-target GF(2^8) grid with zero recomputations,
 //! byte-identical daemon vs in-process reports, singleflight dedup of
-//! concurrent identical requests, and graceful drain on shutdown.
+//! concurrent identical requests, graceful drain on shutdown, and a
+//! bounded request line.
 
 use std::fs;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -266,4 +267,61 @@ fn sequential_tcp_round_trips_do_not_stall() {
         elapsed < std::time::Duration::from_secs(1),
         "50 stats round trips took {elapsed:?}"
     );
+}
+
+/// A client streaming bytes without a newline cannot grow the daemon's
+/// memory: past `MAX_LINE_BYTES` it gets one `bad request` reply and
+/// its connection is closed, while a well-behaved client on the same
+/// daemon is still served.
+#[test]
+fn oversized_request_line_is_refused_and_closed() {
+    let handle = server::spawn(ServerConfig::new(Endpoint::Tcp("127.0.0.1:0".into()))).unwrap();
+    let Endpoint::Tcp(addr) = handle.endpoint().clone() else {
+        unreachable!("bound over TCP")
+    };
+    let hostile = std::net::TcpStream::connect(&addr).unwrap();
+    let timeout = Some(std::time::Duration::from_secs(10));
+    hostile.set_read_timeout(timeout).unwrap();
+    hostile.set_write_timeout(timeout).unwrap();
+    // 1 MiB with no newline, from its own thread: the daemon stops
+    // reading long before the end, so the writer may block or fail.
+    let mut writer = hostile.try_clone().unwrap();
+    let flood = std::thread::spawn(move || {
+        let chunk = vec![b'x'; 64 * 1024];
+        for _ in 0..16 {
+            if writer.write_all(&chunk).is_err() {
+                break;
+            }
+        }
+    });
+    let mut reply = String::new();
+    BufReader::new(&hostile)
+        .read_to_string(&mut reply)
+        .expect("the daemon replies and closes within the timeout");
+    let lines: Vec<&str> = reply.lines().collect();
+    assert_eq!(lines.len(), 1, "{reply}");
+    let resp = parse_response(lines[0]).unwrap();
+    assert!(!resp.ok);
+    let msg = resp.error().unwrap_or_default().to_string();
+    assert!(
+        msg.contains(&format!("line exceeds {} bytes", server::MAX_LINE_BYTES)),
+        "{msg}"
+    );
+    let _ = hostile.shutdown(std::net::Shutdown::Both);
+    flood.join().unwrap();
+
+    let mut client = Client::connect(handle.endpoint()).unwrap();
+    let job = ClientJob {
+        field: FieldSpec::Pair { m: 8, n: 2 },
+        method: Method::ProposedFlat,
+        target: Target::Artix7,
+        seed: DEFAULT_SEED,
+    };
+    let (report, _) = client.synth(&job).unwrap().expect("valid job");
+    let expected = pipeline_like_daemon(Target::Artix7, DEFAULT_SEED)
+        .run_report(&Method::ProposedFlat.generator().generate(&gf256()))
+        .unwrap();
+    assert_eq!(report, expected);
+    client.shutdown().unwrap();
+    handle.join().unwrap();
 }

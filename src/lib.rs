@@ -130,7 +130,6 @@ pub mod prelude {
     pub use rgf2m_fpga::{
         lint_mapped, ArtifactHook, CacheStats, Device, FlowArtifacts, FlowError, ImplReport,
         MapMode, MapOptions, Pipeline, PlaceOptions, ReportSource, StaOptions, StaReport, Target,
-        DEFAULT_VERIFY_SEED,
     };
     pub use rgf2m_serve::{ArtifactStore, Client, ClientJob, Endpoint, FieldSpec, ServerConfig};
 }

@@ -47,11 +47,17 @@ fn corrupted_lut_netlist_fails_verification_with_an_error() {
     let truth = mapped.luts()[0].truth;
     mapped.set_truth(0, !truth);
     match pipeline.verify(&net, &mapped) {
-        Err(FlowError::VerificationMismatch { design, rounds }) => {
+        Err(FlowError::FormalMismatch {
+            design,
+            output_bit,
+            missing,
+            spurious,
+        }) => {
             assert!(design.contains("mul_proposed"), "{design}");
-            assert!(rounds > 0);
+            assert!(output_bit < 8, "{output_bit}");
+            assert!(missing + spurious > 0);
         }
-        other => panic!("expected VerificationMismatch, got {other:?}"),
+        other => panic!("expected FormalMismatch, got {other:?}"),
     }
 }
 
@@ -63,14 +69,14 @@ fn interface_corruption_is_also_a_verification_error() {
         .map(&pipeline.resynth(&net).unwrap())
         .expect("mapping succeeds");
     // Verifying against an unrelated design (different interface) must
-    // be rejected before any random vectors run.
+    // be rejected before any polynomial is extracted.
     let mut tiny = Netlist::new("tiny");
     let a = tiny.input("a");
     let b = tiny.input("b");
     let y = tiny.xor(a, b);
     tiny.output("y", y);
     match pipeline.verify(&tiny, &mapped) {
-        Err(FlowError::VerificationMismatch { rounds, .. }) => assert_eq!(rounds, 0),
+        Err(FlowError::VerificationMismatch { design }) => assert_eq!(design, "tiny"),
         other => panic!("expected VerificationMismatch, got {other:?}"),
     }
 }
