@@ -21,12 +21,11 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use rgf2m_bench::{arg_value, field_for};
+use netlist::Netlist;
+use rgf2m_bench::{arg_value, field_for, harness_pipeline};
 use rgf2m_core::{generate, Method};
-use rgf2m_fpga::map::map_to_luts;
-use rgf2m_fpga::pack::{pack_slices, Packing};
+use rgf2m_fpga::pack::Packing;
 use rgf2m_fpga::place::{place_with_stats, PlaceOptions, PlaceStats};
-use rgf2m_fpga::resynth::rebalance_xors;
 use rgf2m_fpga::{LutNetlist, Target};
 
 struct RunResult {
@@ -58,13 +57,23 @@ const SMALL_GRID_REPS: usize = 25;
 /// committed artifact.
 const PRE_PR2_SMALL_GRID_US_PROPOSALS: (f64, usize) = (3326.5, 3784);
 
+/// Builds `net` for `target` through the production flow stages
+/// (`resynth`, `map`, `pack` of the harness pipeline), so the placer
+/// sees exactly the design `Pipeline::run_report` would place.
+fn build_design(net: &Netlist, target: Target) -> (LutNetlist, Packing) {
+    let pipeline = harness_pipeline().with_target(target);
+    let synth = pipeline
+        .resynth(net)
+        .expect("harness pipeline resynthesizes");
+    let mapped = pipeline.map(&synth).expect("harness pipeline maps");
+    let packing = pipeline.pack(&mapped).expect("harness pipeline packs");
+    (mapped, packing)
+}
+
 fn measure_small_grid() -> SmallGridResult {
-    let target = Target::Artix7;
     let field = field_for(8, 2);
     let net = generate(&field, Method::ProposedFlat);
-    let resynth = rebalance_xors(&net, target.lut_inputs());
-    let mapped = map_to_luts(&resynth, &target.map_options());
-    let packing = pack_slices(&mapped, target.luts_per_slice());
+    let (mapped, packing) = build_design(&net, Target::Artix7);
     let opts = PlaceOptions {
         threads: 1,
         ..PlaceOptions::default()
@@ -147,9 +156,7 @@ fn main() {
             "[{}] resynthesizing and mapping (k = {k}) ...",
             target.name()
         );
-        let resynth = rebalance_xors(&net, k);
-        let mapped = map_to_luts(&resynth, &target.map_options());
-        let packing = pack_slices(&mapped, target.luts_per_slice());
+        let (mapped, packing) = build_design(&net, target);
         eprintln!(
             "[{}] design: {} LUTs, {} slices",
             target.name(),

@@ -17,9 +17,14 @@
 //!   to the next, so a slice is never locked into one band for the
 //!   whole anneal — moves proposed in step `i+1` can carry it across
 //!   the boundaries of step `i`.
-//! * **Incremental cost** — per-net bounding boxes are cached, so a
-//!   proposal only recomputes nets whose box can actually change (a pin
-//!   leaving the interior of its net's box cannot change its HPWL).
+//! * **Incremental cost** — per-net bounding boxes are cached together
+//!   with how many pins sit on each of their four edges, so moving one
+//!   pin updates its net's box in O(1); only a pin that was the last on
+//!   an edge it leaves inward forces a rescan of that net. A net holding
+//!   both slices of a swap is skipped, since its pin multiset (and so
+//!   its box) is unchanged. The incremental boxes equal a fresh scan bit
+//!   for bit, so the deltas, and every placement, are those of
+//!   recomputing each touched box from scratch.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -93,17 +98,8 @@ pub struct Net {
     pub pads: Vec<(f32, f32)>,
 }
 
-/// Extracts the placement netlist (one net per signal driver that has
-/// sinks) in slice coordinates.
-pub fn extract_nets(
-    lutnet: &LutNetlist,
-    packing: &Packing,
-    placement_seeding: &Placement,
-) -> Vec<Net> {
-    let _ = placement_seeding;
-    build_nets(lutnet, packing)
-}
-
+/// The placement netlist (one net per signal driver that has sinks) in
+/// slice coordinates.
 fn build_nets(lutnet: &LutNetlist, packing: &Packing) -> Vec<Net> {
     // Driver key: input index or LUT id.
     use std::collections::HashMap;
@@ -365,6 +361,7 @@ pub fn place_with_stats(
                     accepted += 1;
                 }
             }
+            debug_assert!(ann.boxes_are_fresh(), "cached net boxes drifted");
             spent += alloc;
             stats.accepted += accepted;
             stats.trajectory.push(TempStep {
@@ -411,7 +408,8 @@ pub fn place_with_stats(
             // Merge: band cells and positions first (boxes span bands,
             // so they can only be recomputed once every pin has landed),
             // then refresh exactly the nets some shard's accepted moves
-            // dirtied — every other cached box is still exact.
+            // dirtied. Every other net kept its edges and edge counts in
+            // every shard, so its cached box is still exact.
             let mut accepted = 0usize;
             for (&(r0, _), res) in bands.iter().zip(shard_out.iter()) {
                 let start_row = (r0 + offset) % h;
@@ -429,6 +427,7 @@ pub fn place_with_stats(
                     ann.boxes[ni as usize] = NetBox::compute(&ann.nets[ni as usize], &ann.pos);
                 }
             }
+            debug_assert!(ann.boxes_are_fresh(), "cached net boxes drifted");
             spent += alloc;
             stats.accepted += accepted;
             stats.trajectory.push(TempStep {
@@ -501,28 +500,116 @@ fn shard_seed(seed: u64, step: u64, shard: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Cached axis-aligned bounding box of one net's pins.
+/// One axis of a net's bounding box: the extreme pin coordinates and
+/// how many pins sit on each of the two edges. The counts are what make
+/// a one-pin move an O(1) update ([`Span::shift`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Span {
+    lo: f32,
+    hi: f32,
+    /// Pins whose coordinate equals `lo`.
+    n_lo: u32,
+    /// Pins whose coordinate equals `hi`.
+    n_hi: u32,
+}
+
+impl Span {
+    const EMPTY: Span = Span {
+        lo: f32::INFINITY,
+        hi: f32::NEG_INFINITY,
+        n_lo: 0,
+        n_hi: 0,
+    };
+
+    /// Adds one pin. Written as selects rather than branches: rescans
+    /// of small nets feed it pins in no predictable order.
+    fn add(&mut self, v: f32) {
+        self.n_lo = if v < self.lo {
+            1
+        } else {
+            self.n_lo + u32::from(v == self.lo)
+        };
+        self.lo = self.lo.min(v);
+        self.n_hi = if v > self.hi {
+            1
+        } else {
+            self.n_hi + u32::from(v == self.hi)
+        };
+        self.hi = self.hi.max(v);
+    }
+
+    /// Moves one pin of this span from `from` to `to`, keeping the
+    /// edges and their counts exact, and says what changed.
+    fn shift(&mut self, from: f32, to: f32) -> Shift {
+        let mut out = Shift::Same;
+        if to < self.lo {
+            self.lo = to;
+            self.n_lo = 1;
+            out = Shift::Changed;
+        } else if to == self.lo {
+            if from != self.lo {
+                self.n_lo += 1;
+                out = Shift::Changed;
+            }
+        } else if from == self.lo {
+            self.n_lo -= 1;
+            if self.n_lo == 0 {
+                return Shift::Rescan;
+            }
+            out = Shift::Changed;
+        }
+        if to > self.hi {
+            self.hi = to;
+            self.n_hi = 1;
+            out = Shift::Changed;
+        } else if to == self.hi {
+            if from != self.hi {
+                self.n_hi += 1;
+                out = Shift::Changed;
+            }
+        } else if from == self.hi {
+            self.n_hi -= 1;
+            if self.n_hi == 0 {
+                return Shift::Rescan;
+            }
+            out = Shift::Changed;
+        }
+        out
+    }
+}
+
+/// What a one-pin move did to a [`Span`] or [`NetBox`], in increasing
+/// order of work for the caller.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Shift {
+    /// Neither an edge nor an edge count moved.
+    Same,
+    /// The edges or edge counts moved, and are exact.
+    Changed,
+    /// The pin was the last one on an edge it left inward: the new
+    /// extreme is unknown without a rescan of the net.
+    Rescan,
+}
+
+/// Cached axis-aligned bounding box of one net's pins, with per-edge
+/// pin counts. Edges are min/max over the same `f32` points however the
+/// box was reached, so an incrementally maintained box equals
+/// [`NetBox::compute`] over the current positions bit for bit.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct NetBox {
-    min_x: f32,
-    max_x: f32,
-    min_y: f32,
-    max_y: f32,
+    x: Span,
+    y: Span,
 }
 
 impl NetBox {
     const EMPTY: NetBox = NetBox {
-        min_x: f32::INFINITY,
-        max_x: f32::NEG_INFINITY,
-        min_y: f32::INFINITY,
-        max_y: f32::NEG_INFINITY,
+        x: Span::EMPTY,
+        y: Span::EMPTY,
     };
 
     fn add(&mut self, (x, y): (f32, f32)) {
-        self.min_x = self.min_x.min(x);
-        self.max_x = self.max_x.max(x);
-        self.min_y = self.min_y.min(y);
-        self.max_y = self.max_y.max(y);
+        self.x.add(x);
+        self.y.add(y);
     }
 
     /// Box over a net's pins with slice positions taken from `pos`.
@@ -537,24 +624,11 @@ impl NetBox {
         b
     }
 
-    /// Like [`NetBox::compute`], with up to two slices' positions
-    /// overridden (the tentatively-moved slices of a swap proposal).
-    fn compute_moved(
-        net: &Net,
-        pos: &[(f32, f32)],
-        ma: (Option<u32>, (f32, f32)),
-        mb: (Option<u32>, (f32, f32)),
-    ) -> NetBox {
+    /// Like [`NetBox::compute`], with slice `moved` taken to sit at `to`.
+    fn compute_moved(net: &Net, pos: &[(f32, f32)], moved: u32, to: (f32, f32)) -> NetBox {
         let mut b = NetBox::EMPTY;
         for &s in &net.slices {
-            let p = if Some(s) == ma.0 {
-                ma.1
-            } else if Some(s) == mb.0 {
-                mb.1
-            } else {
-                pos[s as usize]
-            };
-            b.add(p);
+            b.add(if s == moved { to } else { pos[s as usize] });
         }
         for &p in &net.pads {
             b.add(p);
@@ -562,48 +636,28 @@ impl NetBox {
         b
     }
 
+    /// Moves one pin from `from` to `to` ([`Span::shift`] per axis).
+    /// On [`Shift::Rescan`] `self` is stale and must be recomputed.
+    fn shift(&mut self, from: (f32, f32), to: (f32, f32)) -> Shift {
+        self.x.shift(from.0, to.0).max(self.y.shift(from.1, to.1))
+    }
+
     /// Half-perimeter wirelength of this box (0 for empty nets).
     fn hpwl(&self) -> f64 {
-        if self.min_x > self.max_x {
+        if self.x.lo > self.x.hi {
             0.0
         } else {
-            ((self.max_x - self.min_x) + (self.max_y - self.min_y)) as f64
+            ((self.x.hi - self.x.lo) + (self.y.hi - self.y.lo)) as f64
         }
     }
-
-    /// Whether a pin at `p` touches this box's boundary (moving it away
-    /// may shrink the box).
-    fn on_boundary(&self, (x, y): (f32, f32)) -> bool {
-        x <= self.min_x || x >= self.max_x || y <= self.min_y || y >= self.max_y
-    }
-
-    /// Whether a pin arriving at `p` would extend this box.
-    fn outside(&self, (x, y): (f32, f32)) -> bool {
-        x < self.min_x || x > self.max_x || y < self.min_y || y > self.max_y
-    }
-}
-
-/// One net touched by the current proposal.
-#[derive(Debug, Clone, Copy)]
-struct Touched {
-    /// Net index.
-    ni: u32,
-    /// Which of the two tentatively-moved slices are pins of this net:
-    /// bit 0 = the slice leaving cell `ca`, bit 1 = the one leaving
-    /// `cb`. Collected from the incidence lists, so no per-net
-    /// membership search is needed on the hot path.
-    movers: u8,
-    /// The recomputed box when the proposal changes it (`None` = box
-    /// provably unchanged).
-    nb: Option<NetBox>,
 }
 
 /// The annealing work area one worker owns while proposing swaps: the
 /// shared netlist structure plus mutable positions, cell contents and
 /// cached per-net bounding boxes. All per-proposal scratch
-/// (`touched`, the `stamp`/`slot` epoch maps) lives here, allocated
-/// once per work area and reused for every proposal — the inner
-/// annealing loop never allocates.
+/// (`updates`, the `stamp` epoch map) lives here, allocated once per
+/// work area and reused for every proposal — the inner annealing loop
+/// never allocates.
 struct Annealer<'a> {
     nets: &'a [Net],
     incident: &'a [Vec<u32>],
@@ -611,18 +665,17 @@ struct Annealer<'a> {
     pos: Vec<(f32, f32)>,
     cells: Vec<Option<u32>>,
     boxes: Vec<NetBox>,
-    /// Scratch: net → epoch of the proposal that last touched it.
+    /// Scratch: net → the proposal epoch mark it last received (see
+    /// [`Annealer::propose`]); marks of earlier proposals are stale.
     stamp: Vec<u64>,
-    /// Scratch: net → its index in `touched` (valid only while
-    /// `stamp[net] == epoch`).
-    slot: Vec<u32>,
     epoch: u64,
-    /// Nets touched by the current proposal.
-    touched: Vec<Touched>,
-    /// Nets whose cached box an accepted move has rewritten since this
-    /// work area was created or last re-synced (deduplicated via
-    /// `dirty_flag`); the parallel merge reads this so it only
-    /// refreshes those boxes.
+    /// The new boxes of the nets whose edges or edge counts the current
+    /// proposal changes.
+    updates: Vec<(u32, NetBox)>,
+    /// Nets whose cached box or edge counts an accepted move has
+    /// rewritten since this work area was created or last re-synced
+    /// (deduplicated via `dirty_flag`); the parallel merge reads this
+    /// so it only refreshes those boxes.
     dirty: Vec<u32>,
     dirty_flag: Vec<bool>,
 }
@@ -644,9 +697,8 @@ impl<'a> Annealer<'a> {
             cells,
             boxes,
             stamp: vec![0; nets.len()],
-            slot: vec![0; nets.len()],
             epoch: 0,
-            touched: Vec::new(),
+            updates: Vec::new(),
             dirty: Vec::new(),
             dirty_flag: vec![false; nets.len()],
         }
@@ -666,9 +718,8 @@ impl<'a> Annealer<'a> {
             cells: self.cells.clone(),
             boxes: self.boxes.clone(),
             stamp: vec![0; self.nets.len()],
-            slot: vec![0; self.nets.len()],
             epoch: 0,
-            touched: Vec::new(),
+            updates: Vec::new(),
             dirty: Vec::new(),
             dirty_flag: vec![false; self.nets.len()],
         }
@@ -693,60 +744,58 @@ impl<'a> Annealer<'a> {
         self.boxes.iter().map(NetBox::hpwl).sum()
     }
 
+    /// Whether every cached box, edge counts included, equals a fresh
+    /// scan over the current positions.
+    fn boxes_are_fresh(&self) -> bool {
+        self.nets
+            .iter()
+            .zip(&self.boxes)
+            .all(|(net, b)| NetBox::compute(net, &self.pos) == *b)
+    }
+
     /// Evaluates the HPWL delta of swapping the contents of cells `ca`
     /// and `cb` (either may be empty). Mutates nothing but internal
     /// scratch; call [`Annealer::accept`] with the same pair to apply.
     fn propose(&mut self, ca: usize, cb: usize) -> f64 {
-        self.touched.clear();
-        self.epoch += 1;
+        self.updates.clear();
         let sa = self.cells[ca];
         let sb = self.cells[cb];
         let pa = cell_pos(ca, self.w);
         let pb = cell_pos(cb, self.w);
-        // Collect the distinct nets incident to either moving slice,
-        // remembering *which* mover each net is incident to — the
-        // incidence lists are built from `net.slices`, so this replaces
-        // a per-net membership search on the hot path.
-        for (mi, s) in [sa, sb].into_iter().enumerate() {
-            let Some(s) = s else { continue };
+        // A net holding both movers keeps its pin multiset, hence its
+        // box, so it is skipped. Mark the nets of the slice leaving `cb`
+        // first; walking the other mover's nets then relabels the shared
+        // ones, which the second walk skips in turn.
+        self.epoch += 2;
+        let (of_b, of_both) = (self.epoch, self.epoch + 1);
+        if let Some(s) = sb {
             for &ni in &self.incident[s as usize] {
-                let nu = ni as usize;
-                if self.stamp[nu] != self.epoch {
-                    self.stamp[nu] = self.epoch;
-                    self.slot[nu] = self.touched.len() as u32;
-                    self.touched.push(Touched {
-                        ni,
-                        movers: 1 << mi,
-                        nb: None,
-                    });
-                } else {
-                    self.touched[self.slot[nu] as usize].movers |= 1 << mi;
-                }
+                self.stamp[ni as usize] = of_b;
             }
         }
-        // For each touched net decide whether its box can change, and if
-        // so recompute it with the tentative positions. A mover strictly
-        // inside the box whose destination is also inside cannot change
-        // the box, so those nets are skipped entirely.
+        // Shift every other incident net's box by its one moving pin,
+        // recording the nets whose edges or edge counts change. The
+        // delta sums their HPWL changes in incidence order, the mover
+        // leaving `ca` first.
         let mut delta = 0.0;
-        for i in 0..self.touched.len() {
-            let Touched { ni, movers, .. } = self.touched[i];
-            let ni = ni as usize;
-            let net = &self.nets[ni];
-            let cached = self.boxes[ni];
-            let mut needs = false;
-            for (mi, (s, to)) in [(sa, pb), (sb, pa)].into_iter().enumerate() {
-                if movers & (1 << mi) == 0 {
+        for (s, to, shared) in [(sa, pb, of_b), (sb, pa, of_both)] {
+            let Some(s) = s else { continue };
+            let from = self.pos[s as usize];
+            for &ni in &self.incident[s as usize] {
+                let nu = ni as usize;
+                if self.stamp[nu] == shared {
+                    self.stamp[nu] = of_both;
                     continue;
                 }
-                let s = s.expect("mover bit set for an empty cell");
-                let from = self.pos[s as usize];
-                needs |= cached.on_boundary(from) || cached.outside(to);
-            }
-            if needs {
-                let nb = NetBox::compute_moved(net, &self.pos, (sa, pb), (sb, pa));
+                let cached = self.boxes[nu];
+                let mut nb = cached;
+                match nb.shift(from, to) {
+                    Shift::Same => continue,
+                    Shift::Changed => {}
+                    Shift::Rescan => nb = NetBox::compute_moved(&self.nets[nu], &self.pos, s, to),
+                }
                 delta += nb.hpwl() - cached.hpwl();
-                self.touched[i].nb = Some(nb);
+                self.updates.push((ni, nb));
             }
         }
         delta
@@ -765,14 +814,11 @@ impl<'a> Annealer<'a> {
             self.pos[s as usize] = cell_pos(ca, self.w);
         }
         self.cells.swap(ca, cb);
-        for i in 0..self.touched.len() {
-            let Touched { ni, nb, .. } = self.touched[i];
-            if let Some(nb) = nb {
-                self.boxes[ni as usize] = nb;
-                if !self.dirty_flag[ni as usize] {
-                    self.dirty_flag[ni as usize] = true;
-                    self.dirty.push(ni);
-                }
+        for &(ni, nb) in &self.updates {
+            self.boxes[ni as usize] = nb;
+            if !self.dirty_flag[ni as usize] {
+                self.dirty_flag[ni as usize] = true;
+                self.dirty.push(ni);
             }
         }
     }
@@ -1051,11 +1097,13 @@ mod tests {
 
     // ---- proposal evaluation is side-effect free ----
 
-    fn build_annealer(lutnet: &LutNetlist) -> (Vec<Net>, Vec<Vec<u32>>, usize, usize) {
-        let packing = pack_slices(lutnet, 4);
+    fn build_annealer(
+        lutnet: &LutNetlist,
+        packing: &Packing,
+    ) -> (Vec<Net>, Vec<Vec<u32>>, usize, usize) {
         let num_slices = packing.num_slices();
         let (w, h) = grid_size(num_slices);
-        let nets = build_nets(lutnet, &packing);
+        let nets = build_nets(lutnet, packing);
         let mut incident: Vec<Vec<u32>> = vec![Vec::new(); num_slices];
         for (ni, net) in nets.iter().enumerate() {
             for &s in &net.slices {
@@ -1076,11 +1124,34 @@ mod tests {
         (pos, cells)
     }
 
+    /// The delta of swapping cells `ca` and `cb` as full rescans give
+    /// it: fresh boxes of every net incident to a mover, before and
+    /// after the swap, their HPWL changes summed in incidence order,
+    /// the slice leaving `ca` first. A net on both movers is visited
+    /// twice but its box does not change, so it adds +0.0 both times.
+    fn rescanned_delta(ann: &Annealer<'_>, ca: usize, cb: usize) -> f64 {
+        let mut after = ann.pos.clone();
+        if let Some(s) = ann.cells[ca] {
+            after[s as usize] = cell_pos(cb, ann.w);
+        }
+        if let Some(s) = ann.cells[cb] {
+            after[s as usize] = cell_pos(ca, ann.w);
+        }
+        [ann.cells[ca], ann.cells[cb]]
+            .into_iter()
+            .flatten()
+            .flat_map(|s| &ann.incident[s as usize])
+            .fold(0.0, |acc, &ni| {
+                let net = &ann.nets[ni as usize];
+                acc + (NetBox::compute(net, &after).hpwl() - NetBox::compute(net, &ann.pos).hpwl())
+            })
+    }
+
     #[test]
     fn rejected_proposal_leaves_placement_bit_identical() {
         let lutnet = dense_lutnet(50);
         let packing = pack_slices(&lutnet, 4);
-        let (nets, incident, w, h) = build_annealer(&lutnet);
+        let (nets, incident, w, h) = build_annealer(&lutnet, &packing);
         let (pos, cells) = snake_state(packing.num_slices(), w, h);
         let mut ann = Annealer::new(&nets, &incident, w, pos, cells);
         let before_pos: Vec<(u32, u32)> = ann
@@ -1110,7 +1181,7 @@ mod tests {
     fn proposal_deltas_match_recomputed_hpwl() {
         let lutnet = dense_lutnet(70);
         let packing = pack_slices(&lutnet, 4);
-        let (nets, incident, w, h) = build_annealer(&lutnet);
+        let (nets, incident, w, h) = build_annealer(&lutnet, &packing);
         let (pos, cells) = snake_state(packing.num_slices(), w, h);
         let mut ann = Annealer::new(&nets, &incident, w, pos, cells);
         let mut rng = StdRng::seed_from_u64(5);
@@ -1118,8 +1189,10 @@ mod tests {
         for i in 0..500 {
             let (ca, cb) = draw_pair(&mut rng, w * h);
             let delta = ann.propose(ca, cb);
+            assert_eq!(delta.to_bits(), rescanned_delta(&ann, ca, cb).to_bits());
             if i % 3 != 0 {
                 ann.accept(ca, cb);
+                assert!(ann.boxes_are_fresh(), "stale box after move {i}");
                 total += delta;
                 // The cached running total must match a from-scratch
                 // recomputation over the moved positions.
@@ -1132,6 +1205,153 @@ mod tests {
                     "incremental total {total} diverged from fresh {fresh} at move {i}"
                 );
                 assert!((ann.total_hpwl() - fresh).abs() < 1e-6);
+            }
+        }
+    }
+
+    #[test]
+    fn swapping_two_pins_of_one_net_leaves_its_box_untouched() {
+        let lutnet = dense_lutnet(70);
+        let packing = pack_slices(&lutnet, 4);
+        let (nets, incident, w, h) = build_annealer(&lutnet, &packing);
+        let (pos, cells) = snake_state(packing.num_slices(), w, h);
+        let mut ann = Annealer::new(&nets, &incident, w, pos, cells);
+        let ni = (0..nets.len())
+            .max_by_key(|&ni| nets[ni].slices.len())
+            .unwrap();
+        let (&first, &last) = (
+            nets[ni].slices.first().unwrap(),
+            nets[ni].slices.last().unwrap(),
+        );
+        assert_ne!(first, last, "test needs a net on two slices");
+        let cell = |s: u32| ann.cells.iter().position(|&c| c == Some(s)).unwrap();
+        let (ca, cb) = (cell(first), cell(last));
+        let before = ann.boxes[ni];
+        // Either pin moving alone would change the box or its counts.
+        let (pf, pl) = (ann.pos[first as usize], ann.pos[last as usize]);
+        for (from, to) in [(pf, pl), (pl, pf)] {
+            let mut alone = before;
+            assert_ne!(alone.shift(from, to), Shift::Same);
+        }
+        ann.propose(ca, cb);
+        assert!(
+            ann.updates.iter().all(|&(n, _)| n as usize != ni),
+            "a net holding both movers was updated"
+        );
+        ann.accept(ca, cb);
+        assert_eq!(ann.boxes[ni], before);
+        assert!(ann.boxes_are_fresh());
+    }
+
+    /// A random LUT netlist over `n_in` inputs. Each `luts` entry
+    /// `(a, b, c, arity)` is one LUT reading the first `arity` of its
+    /// three picks, each resolved to an input, an earlier LUT or (now
+    /// and then) a constant; `outs` picks the outputs the same way, so
+    /// inputs can drive output pads directly.
+    fn random_lutnet(n_in: u32, luts: &[(u32, u32, u32, usize)], outs: &[u32]) -> LutNetlist {
+        let names = (0..n_in).map(|i| format!("x{i}")).collect();
+        let mut net = LutNetlist::new("r".into(), 3, names);
+        let signal = |pick: u32, avail: u32| {
+            let k = pick % (avail + 1);
+            if k == avail {
+                Signal::Const(pick.is_multiple_of(2))
+            } else if k < n_in {
+                Signal::Input(k)
+            } else {
+                Signal::Lut(k - n_in)
+            }
+        };
+        for (i, &(a, b, c, arity)) in luts.iter().enumerate() {
+            let avail = n_in + i as u32;
+            let inputs: Vec<Signal> = [a, b, c][..arity]
+                .iter()
+                .map(|&p| signal(p, avail))
+                .collect();
+            net.push_lut(Lut {
+                inputs,
+                truth: crate::lut::Truth::of(0b0110),
+            });
+        }
+        let avail = n_in + luts.len() as u32;
+        for (o, &p) in outs.iter().enumerate() {
+            net.push_output(format!("y{o}"), signal(p, avail));
+        }
+        net
+    }
+
+    /// A net's box and edge counts straight from the definition:
+    /// min/max over all pins, then a count of the pins on each edge.
+    fn box_by_definition(net: &Net, pos: &[(f32, f32)]) -> NetBox {
+        let pins: Vec<(f32, f32)> = net
+            .slices
+            .iter()
+            .map(|&s| pos[s as usize])
+            .chain(net.pads.iter().copied())
+            .collect();
+        let span = |coord: fn(&(f32, f32)) -> f32| {
+            let lo = pins.iter().map(coord).fold(f32::INFINITY, f32::min);
+            let hi = pins.iter().map(coord).fold(f32::NEG_INFINITY, f32::max);
+            let on = |edge: f32| pins.iter().filter(|p| coord(p) == edge).count() as u32;
+            Span {
+                lo,
+                hi,
+                n_lo: on(lo),
+                n_hi: on(hi),
+            }
+        };
+        NetBox {
+            x: span(|p| p.0),
+            y: span(|p| p.1),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Random netlists (pads, constants, empty cells) under random
+        /// swap sequences: every delta equals a rescan's bit for bit,
+        /// every cached box equals a fresh scan after each accepted
+        /// move, and a full anneal's cached total HPWL equals a fresh
+        /// one over the returned placement — sequentially and through
+        /// the parallel merge's box recompute.
+        #[test]
+        fn incremental_boxes_match_fresh_scans(
+            n_in in 1u32..5,
+            luts in proptest::collection::vec((0u32..1000, 0u32..1000, 0u32..1000, 1usize..4), 2..60),
+            outs in proptest::collection::vec(0u32..1000, 1..5),
+            lps in 1usize..5,
+            swaps in proptest::collection::vec((0u32..1000, 0u32..1000, 0u32..3), 1..200),
+        ) {
+            let lutnet = random_lutnet(n_in, &luts, &outs);
+            let packing = pack_slices(&lutnet, lps);
+            let (nets, incident, w, h) = build_annealer(&lutnet, &packing);
+            let n_cells = w * h;
+            let (pos, cells) = snake_state(packing.num_slices(), w, h);
+            let mut ann = Annealer::new(&nets, &incident, w, pos, cells);
+            for &(a, b, verdict) in &swaps {
+                let (ca, cb) = (a as usize % n_cells, b as usize % n_cells);
+                if ca == cb {
+                    continue;
+                }
+                let delta = ann.propose(ca, cb);
+                proptest::prop_assert_eq!(delta.to_bits(), rescanned_delta(&ann, ca, cb).to_bits());
+                if verdict != 0 {
+                    ann.accept(ca, cb);
+                }
+                proptest::prop_assert!(ann.boxes_are_fresh());
+            }
+            for (net, b) in nets.iter().zip(&ann.boxes) {
+                proptest::prop_assert_eq!(*b, box_by_definition(net, &ann.pos));
+            }
+            for threads in [1, 3] {
+                let opts = PlaceOptions {
+                    seed: u64::from(swaps[0].0),
+                    moves_factor: 4,
+                    max_total_moves: 3_000,
+                    threads,
+                };
+                let (p, stats) = place_with_stats(&lutnet, &packing, &opts);
+                proptest::prop_assert_eq!(stats.final_hpwl.to_bits(), p.total_hpwl(&nets).to_bits());
             }
         }
     }

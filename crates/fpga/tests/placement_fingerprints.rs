@@ -82,199 +82,32 @@ fn check(field: &Field, cases: &[(Method, Target)], expected: &[Fingerprint]) {
     assert!(got == expected, "placements moved; observed:\n{table}");
 }
 
+#[rustfmt::skip]
 const SMALL: [Fingerprint; 24] = [
-    (
-        "mastrovito",
-        "artix7",
-        3744,
-        755,
-        0x4062aea0e9000000,
-        0x90ed0d1ba47896e5,
-    ),
-    (
-        "mastrovito",
-        "spartan3",
-        10624,
-        1847,
-        0x40705fffff800000,
-        0x176655b9a717ee78,
-    ),
-    (
-        "mastrovito",
-        "virtex5",
-        7264,
-        1670,
-        0x40685f15f1800000,
-        0x10fd87ef059dbbe8,
-    ),
-    (
-        "mastrovito",
-        "stratix_alm",
-        2496,
-        403,
-        0x4053511112800000,
-        0x59be520d67c78fc5,
-    ),
-    (
-        "rashidi",
-        "artix7",
-        5704,
-        1107,
-        0x4067083a84c00000,
-        0xfca799a67178c725,
-    ),
-    (
-        "rashidi",
-        "spartan3",
-        17312,
-        3898,
-        0x40761ccccd000000,
-        0x68adddae2933ea05,
-    ),
-    (
-        "rashidi",
-        "virtex5",
-        10968,
-        2294,
-        0x406f3fffff800000,
-        0xe65d4a923a67be58,
-    ),
-    (
-        "rashidi",
-        "stratix_alm",
-        2624,
-        478,
-        0x4053111112000000,
-        0x4f7e613b6442ecc5,
-    ),
-    (
-        "reyhani_hasan",
-        "artix7",
-        3016,
-        539,
-        0x4060a66666000000,
-        0xef766fd0dff47cf5,
-    ),
-    (
-        "reyhani_hasan",
-        "spartan3",
-        9568,
-        1683,
-        0x406e0db6dc800000,
-        0xec1e397e891f65d5,
-    ),
-    (
-        "reyhani_hasan",
-        "virtex5",
-        5968,
-        891,
-        0x40686ccccdc00000,
-        0x007fefe2c790cb68,
-    ),
-    (
-        "reyhani_hasan",
-        "stratix_alm",
-        2496,
-        636,
-        0x4053a35a36000000,
-        0x8ce10fe375c299c5,
-    ),
-    (
-        "imana2012",
-        "artix7",
-        3088,
-        549,
-        0x4060e92492400000,
-        0x8f36ec18e4379c35,
-    ),
-    (
-        "imana2012",
-        "spartan3",
-        9568,
-        1682,
-        0x406de00000c00000,
-        0x1cca96abe178f445,
-    ),
-    (
-        "imana2012",
-        "virtex5",
-        5968,
-        962,
-        0x406932972b000000,
-        0x8c9ddd77c7d1a928,
-    ),
-    (
-        "imana2012",
-        "stratix_alm",
-        2496,
-        636,
-        0x4053a35a36000000,
-        0x8ce10fe375c299c5,
-    ),
-    (
-        "imana2016",
-        "artix7",
-        4112,
-        784,
-        0x4064e92492c00000,
-        0x54343415c0dfdad8,
-    ),
-    (
-        "imana2016",
-        "spartan3",
-        10864,
-        2006,
-        0x407063cf3d400000,
-        0xf58b98c3293f6138,
-    ),
-    (
-        "imana2016",
-        "virtex5",
-        7456,
-        1559,
-        0x406c2aaaaa800000,
-        0x5cc6c0b82a6e9d08,
-    ),
-    (
-        "imana2016",
-        "stratix_alm",
-        2944,
-        506,
-        0x4054911113000000,
-        0x2b73a913c135cf65,
-    ),
-    (
-        "proposed",
-        "artix7",
-        3848,
-        648,
-        0x406496db6d000000,
-        0x3f4383ff244c1958,
-    ),
-    (
-        "proposed",
-        "spartan3",
-        11720,
-        2532,
-        0x40714a83a8400000,
-        0x4f049502ea36e418,
-    ),
-    (
-        "proposed",
-        "virtex5",
-        7984,
-        1637,
-        0x406cde79e6c00000,
-        0x0848522f7f217715,
-    ),
-    (
-        "proposed",
-        "stratix_alm",
-        2688,
-        425,
-        0x4056111112800000,
-        0xb8fbd5bf2264cc65,
-    ),
+    ("mastrovito", "artix7", 3744, 755, 0x4062aea0e9000000, 0x90ed0d1ba47896e5),
+    ("mastrovito", "spartan3", 10624, 1847, 0x40705fffff800000, 0x176655b9a717ee78),
+    ("mastrovito", "virtex5", 7264, 1670, 0x40685f15f1800000, 0x10fd87ef059dbbe8),
+    ("mastrovito", "stratix_alm", 2496, 403, 0x4053511112800000, 0x59be520d67c78fc5),
+    ("rashidi", "artix7", 5704, 1107, 0x4067083a84c00000, 0xfca799a67178c725),
+    ("rashidi", "spartan3", 17312, 3898, 0x40761ccccd000000, 0x68adddae2933ea05),
+    ("rashidi", "virtex5", 10968, 2294, 0x406f3fffff800000, 0xe65d4a923a67be58),
+    ("rashidi", "stratix_alm", 2624, 478, 0x4053111112000000, 0x4f7e613b6442ecc5),
+    ("reyhani_hasan", "artix7", 3016, 539, 0x4060a66666000000, 0xef766fd0dff47cf5),
+    ("reyhani_hasan", "spartan3", 9568, 1683, 0x406e0db6dc800000, 0xec1e397e891f65d5),
+    ("reyhani_hasan", "virtex5", 5968, 891, 0x40686ccccdc00000, 0x007fefe2c790cb68),
+    ("reyhani_hasan", "stratix_alm", 2496, 636, 0x4053a35a36000000, 0x8ce10fe375c299c5),
+    ("imana2012", "artix7", 3088, 549, 0x4060e92492400000, 0x8f36ec18e4379c35),
+    ("imana2012", "spartan3", 9568, 1682, 0x406de00000c00000, 0x1cca96abe178f445),
+    ("imana2012", "virtex5", 5968, 962, 0x406932972b000000, 0x8c9ddd77c7d1a928),
+    ("imana2012", "stratix_alm", 2496, 636, 0x4053a35a36000000, 0x8ce10fe375c299c5),
+    ("imana2016", "artix7", 4112, 784, 0x4064e92492c00000, 0x54343415c0dfdad8),
+    ("imana2016", "spartan3", 10864, 2006, 0x407063cf3d400000, 0xf58b98c3293f6138),
+    ("imana2016", "virtex5", 7456, 1559, 0x406c2aaaaa800000, 0x5cc6c0b82a6e9d08),
+    ("imana2016", "stratix_alm", 2944, 506, 0x4054911113000000, 0x2b73a913c135cf65),
+    ("proposed", "artix7", 3848, 648, 0x406496db6d000000, 0x3f4383ff244c1958),
+    ("proposed", "spartan3", 11720, 2532, 0x40714a83a8400000, 0x4f049502ea36e418),
+    ("proposed", "virtex5", 7984, 1637, 0x406cde79e6c00000, 0x0848522f7f217715),
+    ("proposed", "stratix_alm", 2688, 425, 0x4056111112800000, 0xb8fbd5bf2264cc65),
 ];
 
 #[test]
@@ -287,47 +120,13 @@ fn gf256_placements_are_pinned() {
     check(&field, &cases, &SMALL);
 }
 
+#[rustfmt::skip]
 const LARGE: [Fingerprint; 5] = [
-    (
-        "proposed",
-        "artix7",
-        1200000,
-        307436,
-        0x40ffec482c130000,
-        0x379e3e7fd1b7e38f,
-    ),
-    (
-        "proposed",
-        "spartan3",
-        1200000,
-        840665,
-        0x412771f8f0788000,
-        0xc34f18f110f79430,
-    ),
-    (
-        "proposed",
-        "virtex5",
-        1200000,
-        653866,
-        0x41101c797618c000,
-        0x2d5de56428d2a1f6,
-    ),
-    (
-        "proposed",
-        "stratix_alm",
-        472144,
-        87423,
-        0x40ec7180c7030000,
-        0xfe68243ac79fef5b,
-    ),
-    (
-        "rashidi",
-        "artix7",
-        1200000,
-        699782,
-        0x411d5b11d9bb4000,
-        0x1b4af01e793da92a,
-    ),
+    ("proposed", "artix7", 1200000, 307436, 0x40ffec482c130000, 0x379e3e7fd1b7e38f),
+    ("proposed", "spartan3", 1200000, 840665, 0x412771f8f0788000, 0xc34f18f110f79430),
+    ("proposed", "virtex5", 1200000, 653866, 0x41101c797618c000, 0x2d5de56428d2a1f6),
+    ("proposed", "stratix_alm", 472144, 87423, 0x40ec7180c7030000, 0xfe68243ac79fef5b),
+    ("rashidi", "artix7", 1200000, 699782, 0x411d5b11d9bb4000, 0x1b4af01e793da92a),
 ];
 
 #[test]
