@@ -40,18 +40,6 @@ fn bench_flow_stages(c: &mut Criterion) {
     group.bench_function("place", |b| {
         b.iter(|| std::hint::black_box(place(&mapped, &packing, &PlaceOptions::default())))
     });
-    group.bench_function("place_threads4", |b| {
-        b.iter(|| {
-            std::hint::black_box(place(
-                &mapped,
-                &packing,
-                &PlaceOptions {
-                    threads: 4,
-                    ..PlaceOptions::default()
-                },
-            ))
-        })
-    });
     group.bench_function("full_flow", |b| {
         b.iter(|| std::hint::black_box(Pipeline::new().run_report(&net).unwrap()))
     });

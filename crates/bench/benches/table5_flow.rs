@@ -19,7 +19,6 @@ fn bench_pipeline() -> Pipeline {
         seed: 2018,
         moves_factor: 2,
         max_total_moves: 40_000,
-        threads: 1,
     })
 }
 

@@ -11,7 +11,7 @@
 //! functional equality: a pass certifies the netlist on every input
 //! assignment, and a fail names the first differing output bit. Output
 //! bits are independent, so the check fans across threads with
-//! `std::thread::scope`, like the placer bands.
+//! `std::thread::scope`.
 
 use std::borrow::Cow;
 use std::collections::HashSet;

@@ -47,10 +47,6 @@
 //!    netlist meets its claimed Table V gate-depth formula and
 //!    `#AND`/`#XOR` gate counts.
 //!
-//! The historical `FpgaFlow` facade (panicking, uncached) is gone; see
-//! the repository README's "Upgrading" section for the one-line
-//! migration to [`Pipeline`].
-//!
 //! # Examples
 //!
 //! ```

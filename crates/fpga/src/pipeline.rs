@@ -458,7 +458,7 @@ impl FlowError {
 /// The builder starts from the default [`Target::Artix7`] fabric;
 /// [`Pipeline::with_target`] re-derives every device-dependent option
 /// from another registry preset. The artifact cache is shared across
-/// `&self`, so one `Pipeline` can be driven from many threads.
+/// `&self`, so one `Pipeline` can serve many concurrent callers.
 #[derive(Debug)]
 pub struct Pipeline {
     target: Target,
@@ -560,13 +560,6 @@ impl Pipeline {
     /// Replaces the placement options.
     pub fn with_place_options(mut self, opts: PlaceOptions) -> Self {
         self.place_options = opts;
-        self
-    }
-
-    /// Sets the number of annealing worker threads for placement
-    /// (`1` = sequential; see [`PlaceOptions::threads`]).
-    pub fn with_place_threads(mut self, threads: usize) -> Self {
-        self.place_options.threads = threads;
         self
     }
 
@@ -731,8 +724,8 @@ impl Pipeline {
     /// Runs the structural lint pass first — hard findings are
     /// [`FlowError::LintErrors`], because no algebraic result over a
     /// broken netlist means anything — then rewrites every output cone
-    /// into its GF(2) polynomial (fanned per output bit across
-    /// threads) and requires syntactic equality with the spec. A pass
+    /// into its GF(2) polynomial (fanned out per output bit) and
+    /// requires syntactic equality with the spec. A pass
     /// certifies the design on *all* operand pairs; a failure is
     /// [`FlowError::FormalMismatch`] naming the first wrong bit.
     pub fn verify_formal(&self, spec: &netlist::MulSpec, net: &Netlist) -> Result<(), FlowError> {
@@ -1049,7 +1042,6 @@ impl Pipeline {
         h.write_u64(self.place_options.seed);
         h.write_usize(self.place_options.moves_factor);
         h.write_usize(self.place_options.max_total_moves);
-        h.write_usize(self.place_options.threads);
         h.write_u64(u64::from(self.resynthesize));
         match self.max_slices {
             None => h.write_u64(0),
@@ -1344,7 +1336,7 @@ mod tests {
     }
 
     #[test]
-    fn verify_seed_is_configurable_and_fingerprinted() {
+    fn options_fingerprint_covers_every_result_option() {
         // Verification has no setting any more: only the target,
         // device, mapping, placement, resynthesis and capacity reach
         // the fingerprint. Rebuilding the defaults through exactly
@@ -1362,7 +1354,7 @@ mod tests {
         assert_eq!(rebuilt.clone_config().options_fingerprint(), fp);
         let hooked = Pipeline::new().with_artifact_hook(Arc::new(MemHook::default()));
         assert_eq!(hooked.options_fingerprint(), fp);
-        // ...and each of the six moves it.
+        // ...and each of them (every placement field included) moves it.
         let recal = Device {
             t_lut_ns: 0.50,
             ..Device::artix7()
@@ -1373,6 +1365,14 @@ mod tests {
             Pipeline::new()
                 .with_map_options(MapOptions::new().with_mode(MapMode::FanoutPreserving)),
             Pipeline::new().with_place_seed(42),
+            Pipeline::new().with_place_options(PlaceOptions {
+                moves_factor: 9,
+                ..PlaceOptions::default()
+            }),
+            Pipeline::new().with_place_options(PlaceOptions {
+                max_total_moves: 1_000,
+                ..PlaceOptions::default()
+            }),
             Pipeline::new().with_resynthesis(false),
             Pipeline::new().with_max_slices(Some(10_000)),
         ] {

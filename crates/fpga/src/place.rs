@@ -8,15 +8,9 @@
 //!   cap on evaluated proposals (including the initial-temperature
 //!   probe); whenever the budget rather than the cooling floor ends the
 //!   anneal, exactly that many real proposals have been evaluated.
-//! * **Determinism** — results depend only on the netlist, the seed and
-//!   the thread count, never on scheduling. The parallel mode shards each
-//!   temperature step's move batch across disjoint horizontal bands of
-//!   the grid, each worker seeded from [`PlaceOptions::seed`], the step
-//!   index and its shard index, with a merge barrier per step. Band
-//!   boundaries *rotate* (deterministically) from one temperature step
-//!   to the next, so a slice is never locked into one band for the
-//!   whole anneal — moves proposed in step `i+1` can carry it across
-//!   the boundaries of step `i`.
+//! * **Determinism** — results depend only on the netlist and
+//!   [`PlaceOptions::seed`]: one sequential loop draws every proposal
+//!   and acceptance from a single seeded RNG.
 //! * **Incremental cost** — per-net bounding boxes are cached together
 //!   with how many pins sit on each of their four edges, so moving one
 //!   pin updates its net's box in O(1); only a pin that was the last on
@@ -192,8 +186,7 @@ fn output_pad_pos(o: usize, n: usize, (w, h): (usize, usize)) -> (f32, f32) {
 /// Options for the annealer.
 #[derive(Debug, Clone)]
 pub struct PlaceOptions {
-    /// RNG seed (placement is fully deterministic for a given seed and
-    /// thread count).
+    /// RNG seed (placement is fully deterministic for a given seed).
     pub seed: u64,
     /// Moves per temperature step ≈ `moves_factor × num_slices`.
     pub moves_factor: usize,
@@ -202,12 +195,6 @@ pub struct PlaceOptions {
     /// cooling floor) ends the anneal, exactly this many real proposals
     /// have been evaluated.
     pub max_total_moves: usize,
-    /// Annealing worker threads. `1` (and `0`) run the sequential
-    /// annealer; `n > 1` shards each temperature step across up to `n`
-    /// disjoint horizontal grid bands (with boundaries rotating per
-    /// step so slices can migrate between bands), deterministically for
-    /// a fixed seed and thread count.
-    pub threads: usize,
 }
 
 impl Default for PlaceOptions {
@@ -216,7 +203,6 @@ impl Default for PlaceOptions {
             seed: 2018,
             moves_factor: 8,
             max_total_moves: 1_200_000,
-            threads: 1,
         }
     }
 }
@@ -256,8 +242,7 @@ pub struct PlaceStats {
 /// Places the packed design: snake-order initial placement refined by
 /// simulated annealing on total HPWL.
 ///
-/// Deterministic for a fixed seed and thread count; returns the final
-/// [`Placement`].
+/// Deterministic for a fixed seed; returns the final [`Placement`].
 pub fn place(lutnet: &LutNetlist, packing: &Packing, opts: &PlaceOptions) -> Placement {
     place_with_stats(lutnet, packing, opts).0
 }
@@ -347,98 +332,27 @@ pub fn place_with_stats(
     };
 
     let moves_per_temp = (opts.moves_factor * num_slices).max(64);
-    let shards = effective_shards(opts.threads, w, h);
-    if shards <= 1 {
-        // Sequential annealer (the `threads = 1` reference path).
-        while t > T_MIN && spent < budget {
-            let alloc = moves_per_temp.min(budget - spent);
-            let mut accepted = 0usize;
-            for _ in 0..alloc {
-                let (ca, cb) = draw_pair(&mut rng, n_cells);
-                let delta = ann.propose(ca, cb);
-                if delta < 0.0 || rng.gen::<f64>() < (-delta / t).exp() {
-                    ann.accept(ca, cb);
-                    accepted += 1;
-                }
+    while t > T_MIN && spent < budget {
+        let alloc = moves_per_temp.min(budget - spent);
+        let mut accepted = 0usize;
+        for _ in 0..alloc {
+            let (ca, cb) = draw_pair(&mut rng, n_cells);
+            let delta = ann.propose(ca, cb);
+            if delta < 0.0 || rng.gen::<f64>() < (-delta / t).exp() {
+                ann.accept(ca, cb);
+                accepted += 1;
             }
-            debug_assert!(ann.boxes_are_fresh(), "cached net boxes drifted");
-            spent += alloc;
-            stats.accepted += accepted;
-            stats.trajectory.push(TempStep {
-                temperature: t,
-                hpwl: ann.total_hpwl(),
-                proposed: alloc,
-                accepted,
-            });
-            t *= COOLING;
         }
-    } else {
-        // Parallel annealer: shard each step over disjoint row bands
-        // whose boundaries rotate (deterministically) per step, so
-        // slices can migrate between bands across steps. Each shard's
-        // work area (and its result buffers) is allocated once and
-        // re-synced with the merged master state at every step barrier.
-        let bands = band_ranges(h, shards);
-        let mut workers: Vec<Annealer> = (0..shards).map(|_| ann.fork()).collect();
-        let mut shard_out: Vec<ShardResult> = (0..shards).map(|_| ShardResult::default()).collect();
-        let mut step: u64 = 0;
-        while t > T_MIN && spent < budget {
-            let alloc = moves_per_temp.min(budget - spent);
-            let offset = band_offset(opts.seed, step, h);
-            for worker in workers.iter_mut() {
-                worker.sync_from(&ann);
-            }
-            std::thread::scope(|scope| {
-                for (k, ((&(r0, r1), worker), out)) in bands
-                    .iter()
-                    .zip(workers.iter_mut())
-                    .zip(shard_out.iter_mut())
-                    .enumerate()
-                {
-                    let n_moves = alloc / shards + usize::from(k < alloc % shards);
-                    let rng = StdRng::seed_from_u64(shard_seed(opts.seed, step, k as u64));
-                    let band = Band {
-                        start_row: (r0 + offset) % h,
-                        rows: r1 - r0,
-                        h,
-                    };
-                    scope.spawn(move || anneal_shard(worker, out, band, t, rng, n_moves));
-                }
-            });
-            // Merge: band cells and positions first (boxes span bands,
-            // so they can only be recomputed once every pin has landed),
-            // then refresh exactly the nets some shard's accepted moves
-            // dirtied. Every other net kept its edges and edge counts in
-            // every shard, so its cached box is still exact.
-            let mut accepted = 0usize;
-            for (&(r0, _), res) in bands.iter().zip(shard_out.iter()) {
-                let start_row = (r0 + offset) % h;
-                for (local_row, chunk) in res.cells.chunks_exact(w).enumerate() {
-                    let row = (start_row + local_row) % h;
-                    ann.cells[row * w..row * w + w].copy_from_slice(chunk);
-                }
-                for &(s, p) in &res.moved {
-                    ann.pos[s as usize] = p;
-                }
-                accepted += res.accepted;
-            }
-            for worker in &workers {
-                for &ni in &worker.dirty {
-                    ann.boxes[ni as usize] = NetBox::compute(&ann.nets[ni as usize], &ann.pos);
-                }
-            }
-            debug_assert!(ann.boxes_are_fresh(), "cached net boxes drifted");
-            spent += alloc;
-            stats.accepted += accepted;
-            stats.trajectory.push(TempStep {
-                temperature: t,
-                hpwl: ann.total_hpwl(),
-                proposed: alloc,
-                accepted,
-            });
-            t *= COOLING;
-            step += 1;
-        }
+        debug_assert!(ann.boxes_are_fresh(), "cached net boxes drifted");
+        spent += alloc;
+        stats.accepted += accepted;
+        stats.trajectory.push(TempStep {
+            temperature: t,
+            hpwl: ann.total_hpwl(),
+            proposed: alloc,
+            accepted,
+        });
+        t *= COOLING;
     }
     stats.proposals = spent;
     stats.final_hpwl = ann.total_hpwl();
@@ -459,45 +373,6 @@ fn draw_pair(rng: &mut StdRng, n: usize) -> (usize, usize) {
 /// Grid position of cell `c` on a grid of width `w`.
 fn cell_pos(c: usize, w: usize) -> (f32, f32) {
     ((c % w) as f32, (c / w) as f32)
-}
-
-/// How many disjoint row bands `threads` workers can anneal: every band
-/// needs at least two cells so a swap pair can be drawn inside it.
-fn effective_shards(threads: usize, w: usize, h: usize) -> usize {
-    let cap = if w >= 2 { h } else { h / 2 };
-    threads.max(1).min(cap.max(1))
-}
-
-/// Splits `h` rows into `shards` contiguous, non-empty `(start, end)`
-/// bands, sizes differing by at most one row.
-fn band_ranges(h: usize, shards: usize) -> Vec<(usize, usize)> {
-    let mut out = Vec::with_capacity(shards);
-    let mut row = 0;
-    for k in 0..shards {
-        let rows = h / shards + usize::from(k < h % shards);
-        out.push((row, row + rows));
-        row += rows;
-    }
-    out
-}
-
-/// The deterministic row offset all band boundaries rotate by in one
-/// temperature step. Derived from the seed and step index alone, so a
-/// fixed (seed, thread count) still fully determines the anneal; varying
-/// per step, so band boundaries land somewhere new each step and slices
-/// near a boundary can migrate into the neighbouring band.
-fn band_offset(seed: u64, step: u64, h: usize) -> usize {
-    (shard_seed(seed, step, 0xB0B0) % h as u64) as usize
-}
-
-/// Decorrelated per-shard RNG seed (splitmix64-style finalizer over the
-/// user seed, the temperature-step index and the shard index).
-fn shard_seed(seed: u64, step: u64, shard: u64) -> u64 {
-    let mut z =
-        seed ^ step.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ shard.wrapping_mul(0xD1B5_4A32_D192_ED03);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// One axis of a net's bounding box: the extreme pin coordinates and
@@ -652,12 +527,11 @@ impl NetBox {
     }
 }
 
-/// The annealing work area one worker owns while proposing swaps: the
-/// shared netlist structure plus mutable positions, cell contents and
-/// cached per-net bounding boxes. All per-proposal scratch
-/// (`updates`, the `stamp` epoch map) lives here, allocated once per
-/// work area and reused for every proposal — the inner annealing loop
-/// never allocates.
+/// The annealing work area: the netlist structure plus mutable
+/// positions, cell contents and cached per-net bounding boxes. All
+/// per-proposal scratch (`updates`, the `stamp` epoch map) lives here,
+/// allocated once and reused for every proposal — the inner annealing
+/// loop never allocates.
 struct Annealer<'a> {
     nets: &'a [Net],
     incident: &'a [Vec<u32>],
@@ -672,12 +546,6 @@ struct Annealer<'a> {
     /// The new boxes of the nets whose edges or edge counts the current
     /// proposal changes.
     updates: Vec<(u32, NetBox)>,
-    /// Nets whose cached box or edge counts an accepted move has
-    /// rewritten since this work area was created or last re-synced
-    /// (deduplicated via `dirty_flag`); the parallel merge reads this
-    /// so it only refreshes those boxes.
-    dirty: Vec<u32>,
-    dirty_flag: Vec<bool>,
 }
 
 impl<'a> Annealer<'a> {
@@ -699,43 +567,6 @@ impl<'a> Annealer<'a> {
             stamp: vec![0; nets.len()],
             epoch: 0,
             updates: Vec::new(),
-            dirty: Vec::new(),
-            dirty_flag: vec![false; nets.len()],
-        }
-    }
-
-    /// A clone of this work area for a parallel shard (shares the
-    /// netlist structure, copies the mutable state). Created once per
-    /// shard and re-synced with [`Annealer::sync_from`] between
-    /// temperature steps, so the per-step cost is a buffer copy, not an
-    /// allocation.
-    fn fork(&self) -> Annealer<'a> {
-        Annealer {
-            nets: self.nets,
-            incident: self.incident,
-            w: self.w,
-            pos: self.pos.clone(),
-            cells: self.cells.clone(),
-            boxes: self.boxes.clone(),
-            stamp: vec![0; self.nets.len()],
-            epoch: 0,
-            updates: Vec::new(),
-            dirty: Vec::new(),
-            dirty_flag: vec![false; self.nets.len()],
-        }
-    }
-
-    /// Re-syncs this shard work area with the merged master state at a
-    /// temperature-step barrier, reusing every buffer: positions, cell
-    /// contents and boxes are copied in place, the dirty set is
-    /// drained. The epoch scratch carries over (stamps from earlier
-    /// steps are simply stale).
-    fn sync_from(&mut self, master: &Annealer<'a>) {
-        self.pos.copy_from_slice(&master.pos);
-        self.cells.copy_from_slice(&master.cells);
-        self.boxes.copy_from_slice(&master.boxes);
-        for ni in self.dirty.drain(..) {
-            self.dirty_flag[ni as usize] = false;
         }
     }
 
@@ -816,76 +647,8 @@ impl<'a> Annealer<'a> {
         self.cells.swap(ca, cb);
         for &(ni, nb) in &self.updates {
             self.boxes[ni as usize] = nb;
-            if !self.dirty_flag[ni as usize] {
-                self.dirty_flag[ni as usize] = true;
-                self.dirty.push(ni);
-            }
         }
     }
-}
-
-/// What one parallel shard hands back at the temperature-step barrier.
-/// Owned by the caller and reused across steps (the buffers are cleared
-/// and refilled, never reallocated in steady state). The shard's dirty
-/// net set stays on its [`Annealer`], where the next
-/// [`Annealer::sync_from`] drains it.
-#[derive(Default)]
-struct ShardResult {
-    /// The shard's band of the cell grid after its moves.
-    cells: Vec<Option<u32>>,
-    /// Final positions of the slices living in this band.
-    moved: Vec<(u32, (f32, f32))>,
-    /// Accepted proposals.
-    accepted: usize,
-}
-
-/// One shard's band of full grid rows for a single temperature step:
-/// `rows` rows starting at `start_row`, wrapping modulo `h` (bands
-/// rotate across steps, so a band may span the bottom and top of the
-/// grid).
-#[derive(Clone, Copy)]
-struct Band {
-    start_row: usize,
-    rows: usize,
-    h: usize,
-}
-
-/// Runs one shard's slice of a temperature step: `n_moves` proposals
-/// confined to `band`.
-fn anneal_shard(
-    ann: &mut Annealer<'_>,
-    out: &mut ShardResult,
-    band: Band,
-    t: f64,
-    mut rng: StdRng,
-    n_moves: usize,
-) {
-    let Band { start_row, rows, h } = band;
-    let w = ann.w;
-    let len = rows * w;
-    let cell_at = |local: usize| ((start_row + local / w) % h) * w + local % w;
-    let mut accepted = 0usize;
-    for _ in 0..n_moves {
-        let (a, b) = draw_pair(&mut rng, len);
-        let (ca, cb) = (cell_at(a), cell_at(b));
-        let delta = ann.propose(ca, cb);
-        if delta < 0.0 || rng.gen::<f64>() < (-delta / t).exp() {
-            ann.accept(ca, cb);
-            accepted += 1;
-        }
-    }
-    // Cells handed back in band-local row order; the merge rotates them
-    // back into grid position.
-    out.cells.clear();
-    out.cells
-        .extend((0..len).map(|local| ann.cells[cell_at(local)]));
-    out.moved.clear();
-    out.moved.extend(
-        out.cells
-            .iter()
-            .filter_map(|c| c.map(|s| (s, ann.pos[s as usize]))),
-    );
-    out.accepted = accepted;
 }
 
 #[cfg(test)]
@@ -938,13 +701,23 @@ mod tests {
 
     #[test]
     fn placement_is_deterministic() {
-        let net = sample_lutnet(40);
+        // Same seed => identical placement; a different seed draws
+        // different moves and lands elsewhere.
+        let net = dense_lutnet(90);
         let packing = pack_slices(&net, 4);
-        let p1 = place(&net, &packing, &PlaceOptions::default());
-        let p2 = place(&net, &packing, &PlaceOptions::default());
+        let opts = |seed| PlaceOptions {
+            seed,
+            ..PlaceOptions::default()
+        };
+        let a1 = place(&net, &packing, &opts(7));
+        let a2 = place(&net, &packing, &opts(7));
+        let b = place(&net, &packing, &opts(8));
+        let mut same_as_b = true;
         for s in 0..packing.num_slices() {
-            assert_eq!(p1.slice_pos(s as u32), p2.slice_pos(s as u32));
+            assert_eq!(a1.slice_pos(s as u32), a2.slice_pos(s as u32));
+            same_as_b &= a1.slice_pos(s as u32) == b.slice_pos(s as u32);
         }
+        assert!(!same_as_b, "seed change had no effect on the placement");
     }
 
     #[test]
@@ -960,7 +733,6 @@ mod tests {
                 seed: 1,
                 moves_factor: 0,
                 max_total_moves: 0,
-                threads: 1,
             },
         );
         let refined = place(&net, &packing, &PlaceOptions::default());
@@ -1008,24 +780,18 @@ mod tests {
     fn budget_is_exact_when_it_binds() {
         let net = sample_lutnet(60);
         let packing = pack_slices(&net, 4);
-        for threads in [1, 4] {
-            let (_, stats) = place_with_stats(
-                &net,
-                &packing,
-                &PlaceOptions {
-                    seed: 7,
-                    moves_factor: 1_000,
-                    max_total_moves: 500,
-                    threads,
-                },
-            );
-            assert_eq!(
-                stats.proposals, 500,
-                "threads={threads}: budget must be spent exactly"
-            );
-            let stepped: usize = stats.trajectory.iter().map(|s| s.proposed).sum();
-            assert_eq!(stepped + PROBE_PROPOSALS, 500);
-        }
+        let (_, stats) = place_with_stats(
+            &net,
+            &packing,
+            &PlaceOptions {
+                seed: 7,
+                moves_factor: 1_000,
+                max_total_moves: 500,
+            },
+        );
+        assert_eq!(stats.proposals, 500, "budget must be spent exactly");
+        let stepped: usize = stats.trajectory.iter().map(|s| s.proposed).sum();
+        assert_eq!(stepped + PROBE_PROPOSALS, 500);
     }
 
     #[test]
@@ -1039,7 +805,6 @@ mod tests {
                 seed: 7,
                 moves_factor: 8,
                 max_total_moves: 10,
-                threads: 1,
             },
         );
         assert_eq!(stats.proposals, 10);
@@ -1057,7 +822,6 @@ mod tests {
                 seed: 7,
                 moves_factor: 8,
                 max_total_moves: 0,
-                threads: 1,
             },
         );
         assert_eq!(stats.proposals, 0);
@@ -1072,26 +836,19 @@ mod tests {
         let net = dense_lutnet(80);
         let packing = pack_slices(&net, 4);
         let nets = build_nets(&net, &packing);
-        for threads in [1, 4] {
-            let opts = PlaceOptions {
-                threads,
-                ..PlaceOptions::default()
-            };
-            let (p, stats) = place_with_stats(&net, &packing, &opts);
-            // The cached boxes (incrementally updated sequentially,
-            // dirty-refreshed at parallel merges) must agree with a
-            // from-scratch HPWL over the returned placement.
-            assert!(
-                (stats.final_hpwl - p.total_hpwl(&nets)).abs() < 1e-6,
-                "threads={threads}: cached {} vs fresh {}",
-                stats.final_hpwl,
-                p.total_hpwl(&nets)
-            );
-            assert!(stats.final_hpwl <= stats.initial_hpwl * 1.001);
-            assert!(stats.accepted <= stats.proposals);
-            if let Some(last) = stats.trajectory.last() {
-                assert!((last.hpwl - stats.final_hpwl).abs() < 1e-6);
-            }
+        let (p, stats) = place_with_stats(&net, &packing, &PlaceOptions::default());
+        // The incrementally updated cached boxes must agree with a
+        // from-scratch HPWL over the returned placement.
+        assert!(
+            (stats.final_hpwl - p.total_hpwl(&nets)).abs() < 1e-6,
+            "cached {} vs fresh {}",
+            stats.final_hpwl,
+            p.total_hpwl(&nets)
+        );
+        assert!(stats.final_hpwl <= stats.initial_hpwl * 1.001);
+        assert!(stats.accepted <= stats.proposals);
+        if let Some(last) = stats.trajectory.last() {
+            assert!((last.hpwl - stats.final_hpwl).abs() < 1e-6);
         }
     }
 
@@ -1312,8 +1069,7 @@ mod tests {
         /// swap sequences: every delta equals a rescan's bit for bit,
         /// every cached box equals a fresh scan after each accepted
         /// move, and a full anneal's cached total HPWL equals a fresh
-        /// one over the returned placement — sequentially and through
-        /// the parallel merge's box recompute.
+        /// one over the returned placement.
         #[test]
         fn incremental_boxes_match_fresh_scans(
             n_in in 1u32..5,
@@ -1343,194 +1099,13 @@ mod tests {
             for (net, b) in nets.iter().zip(&ann.boxes) {
                 proptest::prop_assert_eq!(*b, box_by_definition(net, &ann.pos));
             }
-            for threads in [1, 3] {
-                let opts = PlaceOptions {
-                    seed: u64::from(swaps[0].0),
-                    moves_factor: 4,
-                    max_total_moves: 3_000,
-                    threads,
-                };
-                let (p, stats) = place_with_stats(&lutnet, &packing, &opts);
-                proptest::prop_assert_eq!(stats.final_hpwl.to_bits(), p.total_hpwl(&nets).to_bits());
-            }
+            let opts = PlaceOptions {
+                seed: u64::from(swaps[0].0),
+                moves_factor: 4,
+                max_total_moves: 3_000,
+            };
+            let (p, stats) = place_with_stats(&lutnet, &packing, &opts);
+            proptest::prop_assert_eq!(stats.final_hpwl.to_bits(), p.total_hpwl(&nets).to_bits());
         }
-    }
-
-    // ---- parallel mode ----
-
-    #[test]
-    fn parallel_placement_is_deterministic() {
-        let net = dense_lutnet(90);
-        let packing = pack_slices(&net, 4);
-        let opts = PlaceOptions {
-            threads: 4,
-            ..PlaceOptions::default()
-        };
-        let p1 = place(&net, &packing, &opts);
-        let p2 = place(&net, &packing, &opts);
-        for s in 0..packing.num_slices() {
-            assert_eq!(p1.slice_pos(s as u32), p2.slice_pos(s as u32));
-        }
-    }
-
-    #[test]
-    fn parallel_placement_beats_snake_wirelength() {
-        let net = dense_lutnet(120);
-        let packing = pack_slices(&net, 4);
-        let nets = build_nets(&net, &packing);
-        let snake = place(
-            &net,
-            &packing,
-            &PlaceOptions {
-                seed: 1,
-                moves_factor: 0,
-                max_total_moves: 0,
-                threads: 1,
-            },
-        );
-        let parallel = place(
-            &net,
-            &packing,
-            &PlaceOptions {
-                threads: 4,
-                ..PlaceOptions::default()
-            },
-        );
-        assert!(parallel.total_hpwl(&nets) <= snake.total_hpwl(&nets));
-    }
-
-    #[test]
-    fn parallel_keeps_every_slice_in_a_unique_cell() {
-        let net = dense_lutnet(75);
-        let packing = pack_slices(&net, 4);
-        let p = place(
-            &net,
-            &packing,
-            &PlaceOptions {
-                threads: 3,
-                ..PlaceOptions::default()
-            },
-        );
-        let mut seen = std::collections::HashSet::new();
-        for s in 0..packing.num_slices() {
-            let pos = p.slice_pos(s as u32);
-            assert!(seen.insert((pos.0 as i64, pos.1 as i64)));
-        }
-    }
-
-    #[test]
-    fn rotating_bands_let_slices_migrate_between_bands() {
-        // Without rotation, a slice could never leave the band it
-        // started in (ROADMAP open item from PR 2). With per-step
-        // boundary rotation, some slice must end up outside its
-        // starting band of step-0 geometry.
-        let net = dense_lutnet(90);
-        let packing = pack_slices(&net, 4);
-        let num_slices = packing.num_slices();
-        let (w, h) = grid_size(num_slices);
-        let shards = effective_shards(2, w, h);
-        assert!(shards > 1, "test needs a real multi-band grid");
-        let bands = band_ranges(h, shards);
-        let band_of = |row: usize| bands.iter().position(|&(r0, r1)| (r0..r1).contains(&row));
-        let p = place(
-            &net,
-            &packing,
-            &PlaceOptions {
-                threads: 2,
-                ..PlaceOptions::default()
-            },
-        );
-        let migrated = (0..num_slices).any(|s| {
-            let initial_row = s / w; // snake placement row
-            let final_row = p.slice_pos(s as u32).1 as usize;
-            band_of(initial_row) != band_of(final_row)
-        });
-        assert!(migrated, "no slice ever left its initial band");
-    }
-
-    #[test]
-    fn rotated_band_placement_is_deterministic_per_seed() {
-        // Same seed + thread count => identical placement; a different
-        // seed rotates differently and (with overwhelming likelihood)
-        // lands elsewhere.
-        let net = dense_lutnet(90);
-        let packing = pack_slices(&net, 4);
-        let opts = |seed| PlaceOptions {
-            seed,
-            threads: 3,
-            ..PlaceOptions::default()
-        };
-        let a1 = place(&net, &packing, &opts(7));
-        let a2 = place(&net, &packing, &opts(7));
-        let b = place(&net, &packing, &opts(8));
-        let mut same_as_b = true;
-        for s in 0..packing.num_slices() {
-            assert_eq!(a1.slice_pos(s as u32), a2.slice_pos(s as u32));
-            same_as_b &= a1.slice_pos(s as u32) == b.slice_pos(s as u32);
-        }
-        assert!(!same_as_b, "seed change had no effect on the placement");
-    }
-
-    #[test]
-    fn band_offset_is_deterministic_and_varies_with_step() {
-        for h in [2usize, 5, 31] {
-            let offsets: Vec<usize> = (0..16).map(|s| band_offset(42, s, h)).collect();
-            assert_eq!(
-                offsets,
-                (0..16).map(|s| band_offset(42, s, h)).collect::<Vec<_>>()
-            );
-            assert!(offsets.iter().all(|&o| o < h));
-            if h > 2 {
-                assert!(
-                    offsets.windows(2).any(|w| w[0] != w[1]),
-                    "offsets never changed across steps for h = {h}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn thread_counts_zero_and_one_agree() {
-        let net = sample_lutnet(40);
-        let packing = pack_slices(&net, 4);
-        let p0 = place(
-            &net,
-            &packing,
-            &PlaceOptions {
-                threads: 0,
-                ..PlaceOptions::default()
-            },
-        );
-        let p1 = place(&net, &packing, &PlaceOptions::default());
-        for s in 0..packing.num_slices() {
-            assert_eq!(p0.slice_pos(s as u32), p1.slice_pos(s as u32));
-        }
-    }
-
-    #[test]
-    fn band_ranges_partition_all_rows() {
-        for h in [1usize, 2, 5, 54, 57] {
-            for shards in [1usize, 2, 3, 4, 7] {
-                let shards = shards.min(h);
-                let bands = band_ranges(h, shards);
-                assert_eq!(bands.len(), shards);
-                assert_eq!(bands[0].0, 0);
-                assert_eq!(bands.last().unwrap().1, h);
-                for w in bands.windows(2) {
-                    assert_eq!(w[0].1, w[1].0);
-                    assert!(w[0].1 > w[0].0);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn effective_shards_guarantee_two_cells_per_band() {
-        assert_eq!(effective_shards(4, 1, 1), 1);
-        assert_eq!(effective_shards(4, 1, 8), 4);
-        assert_eq!(effective_shards(8, 1, 8), 4);
-        assert_eq!(effective_shards(4, 10, 2), 2);
-        assert_eq!(effective_shards(1, 10, 10), 1);
-        assert_eq!(effective_shards(0, 10, 10), 1);
     }
 }

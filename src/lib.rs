@@ -85,19 +85,6 @@
 //! field, NIST B-163 ECDSA field arithmetic, a pentanomial census, and a
 //! synthesis-space explorer), and the `rgf2m-bench` crate for the
 //! binaries regenerating every table of the paper.
-//!
-//! # Upgrading from `FpgaFlow`
-//!
-//! The soft-deprecated `FpgaFlow` facade (panicking, uncached) has been
-//! **removed**; [`fpga::Pipeline`] is the only flow entry point:
-//!
-//! * `FpgaFlow::new().run(&net)` → `Pipeline::new().run_report(&net)?`
-//! * `FpgaFlow::new().run_detailed(&net)` → `Pipeline::new().run(&net)?`
-//! * verification failures, capacity overflows and invalid options
-//!   arrive as [`fpga::FlowError`] values instead of panics;
-//! * the device model is now derived from a [`fpga::Target`] registry
-//!   preset (`Pipeline::with_target`); options contradicting the target
-//!   fail `Pipeline::validate()` instead of silently disagreeing.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
