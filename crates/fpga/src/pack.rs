@@ -1,5 +1,8 @@
 //! Slice packing: grouping LUTs into slices (4 LUT6 per 7-series slice).
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use crate::lut::{LutNetlist, Signal};
 
 /// A packing of LUTs into slices.
@@ -52,6 +55,15 @@ impl Packing {
 /// ```
 pub fn pack_slices(lutnet: &LutNetlist, luts_per_slice: usize) -> Packing {
     assert!(luts_per_slice >= 1);
+    let (mut slices, mut slice_of) = open_slices(lutnet, luts_per_slice);
+    consolidate(&mut slices, &mut slice_of, luts_per_slice);
+    compact(slices, slice_of)
+}
+
+/// The affinity phase: each LUT, in topological order, joins the open
+/// slice sharing the most signals with it, or opens a fresh slice.
+/// Returns the slices and each LUT's slice.
+fn open_slices(lutnet: &LutNetlist, luts_per_slice: usize) -> (Vec<Vec<u32>>, Vec<u32>) {
     let n = lutnet.num_luts();
     let mut slices: Vec<Vec<u32>> = Vec::new();
     let mut slice_of = vec![u32::MAX; n];
@@ -94,37 +106,55 @@ pub fn pack_slices(lutnet: &LutNetlist, luts_per_slice: usize) -> Packing {
         // Retire full slices from the open list.
         open.retain(|(s, _)| slices[*s].len() < luts_per_slice);
     }
-    // Consolidation pass: the affinity phase leaves many underfull
-    // slices on designs wider than the open window. Real packers fill
-    // slices under area pressure even without affinity, so merge
-    // underfull slices greedily until no two can be combined. This is
-    // what produces the LUT/slice ratios (≈ 3) of the paper's Table V.
+    (slices, slice_of)
+}
+
+/// Consolidation pass: the affinity phase leaves many underfull slices
+/// on designs wider than the open window. Real packers fill slices under
+/// area pressure even without affinity, so merge underfull slices
+/// greedily until no two can be combined. This is what produces the
+/// LUT/slice ratios (≈ 3) of the paper's Table V.
+///
+/// Slices are poured largest first (ties by higher index) into the
+/// first fill target, in the order targets were opened, that has room;
+/// a slice with no such target becomes a target itself. Targets are
+/// kept in buckets by fill level, each a min-heap of opening indices, so
+/// the first target with room is the smallest head over the buckets of
+/// low enough level: O(slices × capacity × log slices) in all.
+fn consolidate(slices: &mut [Vec<u32>], slice_of: &mut [u32], luts_per_slice: usize) {
     let mut order: Vec<usize> = (0..slices.len()).collect();
     order.sort_by_key(|&s| slices[s].len());
-    let mut merged_into: Vec<Option<usize>> = vec![None; slices.len()];
-    let mut fill_targets: Vec<usize> = Vec::new();
+    // `buckets[f]`: the targets holding `f` LUTs, as (opening index,
+    // slice). Full targets leave, so every bucket has room for one more.
+    let mut buckets = vec![BinaryHeap::<Reverse<(usize, usize)>>::new(); luts_per_slice];
+    let mut opened = 0;
     for &s in order.iter().rev() {
-        if slices[s].is_empty() {
+        let need = slices[s].len();
+        if need == 0 {
             continue;
         }
-        // Try to pour this slice into an existing target with room.
-        let need = slices[s].len();
-        if let Some(pos) = fill_targets
-            .iter()
-            .position(|&t| t != s && slices[t].len() + need <= luts_per_slice)
-        {
-            let t = fill_targets[pos];
+        let first_fit = (1..=luts_per_slice - need)
+            .filter_map(|f| buckets[f].peek().map(|&Reverse((k, t))| (k, t, f)))
+            .min();
+        if let Some((k, t, f)) = first_fit {
+            buckets[f].pop();
             let moved = std::mem::take(&mut slices[s]);
             for &l in &moved {
                 slice_of[l as usize] = t as u32;
             }
             slices[t].extend(moved);
-            merged_into[s] = Some(t);
-        } else if slices[s].len() < luts_per_slice {
-            fill_targets.push(s);
+            if f + need < luts_per_slice {
+                buckets[f + need].push(Reverse((k, t)));
+            }
+        } else if need < luts_per_slice {
+            buckets[need].push(Reverse((opened, s)));
+            opened += 1;
         }
     }
-    // Compact away emptied slices.
+}
+
+/// Drops the slices consolidation emptied and renumbers the rest.
+fn compact(slices: Vec<Vec<u32>>, mut slice_of: Vec<u32>) -> Packing {
     let mut remap = vec![u32::MAX; slices.len()];
     let mut compact: Vec<Vec<u32>> = Vec::new();
     for (s, luts) in slices.into_iter().enumerate() {
@@ -241,5 +271,68 @@ mod tests {
     fn single_lut_single_slice() {
         let net = chain(1);
         assert_eq!(pack_slices(&net, 4).num_slices(), 1);
+    }
+
+    /// The first-fit consolidation `consolidate` replaced, kept as its
+    /// oracle: a linear scan of every target ever opened, full or not.
+    fn consolidate_first_fit(slices: &mut [Vec<u32>], slice_of: &mut [u32], luts_per_slice: usize) {
+        let mut order: Vec<usize> = (0..slices.len()).collect();
+        order.sort_by_key(|&s| slices[s].len());
+        let mut fill_targets: Vec<usize> = Vec::new();
+        for &s in order.iter().rev() {
+            if slices[s].is_empty() {
+                continue;
+            }
+            let need = slices[s].len();
+            if let Some(pos) = fill_targets
+                .iter()
+                .position(|&t| t != s && slices[t].len() + need <= luts_per_slice)
+            {
+                let t = fill_targets[pos];
+                let moved = std::mem::take(&mut slices[s]);
+                for &l in &moved {
+                    slice_of[l as usize] = t as u32;
+                }
+                slices[t].extend(moved);
+            } else if slices[s].len() < luts_per_slice {
+                fill_targets.push(s);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// The bucketed consolidation makes the first-fit scan's every
+        /// choice: on random LUT netlists (each LUT reading up to three
+        /// inputs or earlier LUTs, so affinity leaves a spread of fill
+        /// levels) and every capacity from 1 to 10, both give the same
+        /// slices, in the same order, with the same contents.
+        #[test]
+        fn bucketed_consolidation_matches_first_fit(
+            n_in in 1u32..40,
+            luts in proptest::collection::vec((0u32..10_000, 0u32..10_000, 0u32..10_000, 1usize..4), 1..300),
+            luts_per_slice in 1usize..11,
+        ) {
+            let names = (0..n_in).map(|i| format!("x{i}")).collect();
+            let mut net = LutNetlist::new("r".into(), 3, names);
+            for (i, &(a, b, c, arity)) in luts.iter().enumerate() {
+                let avail = n_in + i as u32;
+                let signal = |pick: u32| match pick % avail {
+                    k if k < n_in => Signal::Input(k),
+                    k => Signal::Lut(k - n_in),
+                };
+                let inputs = [a, b, c][..arity].iter().map(|&p| signal(p)).collect();
+                net.push_lut(Lut { inputs, truth: crate::lut::Truth::of(0b0110) });
+            }
+            let got = pack_slices(&net, luts_per_slice);
+            let (mut slices, mut slice_of) = open_slices(&net, luts_per_slice);
+            consolidate_first_fit(&mut slices, &mut slice_of, luts_per_slice);
+            let want = compact(slices, slice_of);
+            proptest::prop_assert_eq!(got.slices(), want.slices());
+            for l in 0..net.num_luts() as u32 {
+                proptest::prop_assert_eq!(got.slice_of(l), want.slice_of(l));
+            }
+        }
     }
 }

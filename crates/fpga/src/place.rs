@@ -11,14 +11,24 @@
 //! * **Determinism** — results depend only on the netlist and
 //!   [`PlaceOptions::seed`]: one sequential loop draws every proposal
 //!   and acceptance from a single seeded RNG.
-//! * **Incremental cost** — per-net bounding boxes are cached together
-//!   with how many pins sit on each of their four edges, so moving one
-//!   pin updates its net's box in O(1); only a pin that was the last on
-//!   an edge it leaves inward forces a rescan of that net. A net holding
-//!   both slices of a swap is skipped, since its pin multiset (and so
-//!   its box) is unchanged. The incremental boxes equal a fresh scan bit
-//!   for bit, so the deltas, and every placement, are those of
-//!   recomputing each touched box from scratch.
+//! * **Incremental cost** — each proposal pays only for what its
+//!   nets' shapes need. A two-pin net's new box is that of its far pin
+//!   and the mover's destination: one comparison with the cached box,
+//!   never a rescan. Other nets keep cached boxes with how many pins sit
+//!   on each of their four edges, so moving one pin updates a box in
+//!   O(1); only a pin that was the last on an edge it leaves inward
+//!   forces a rescan. A net holding both slices of a swap is skipped,
+//!   since its pin multiset (and so its box) is unchanged. *Wide* nets
+//!   (more than 32 pins, `WIDE_PINS`: the 2m operand nets of a
+//!   bit-parallel multiplier) are skipped as a class when both swap
+//!   cells lie strictly inside every wide box, where no swap can change
+//!   one. One-pin nets have zero wirelength wherever their slice goes
+//!   and are dropped. The boxes equal a fresh scan bit for bit, and
+//!   every net HPWL is a multiple of 2^-23 below 2^11 (0, an integer, or
+//!   an `f32` of at least 1, since a net with a pad spans x ≥ 1), so
+//!   every term and partial sum of a delta is an exact `f64` and no
+//!   order of summation changes a bit: the deltas, and every placement,
+//!   are those of recomputing each touched box from scratch.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -32,6 +42,15 @@ const T_MIN: f64 = 0.01;
 const COOLING: f64 = 0.85;
 /// Proposals sampled (and charged) to pick the initial temperature.
 const PROBE_PROPOSALS: usize = 64;
+/// Nets with more pins than this are *wide*. In the paper's
+/// multipliers these are exactly the 2m operand nets (each bit of `a`
+/// or `b` feeds m AND gates of the product matrix) on every m = 163 and
+/// m = 571 design, and no net at m = 8. Their boxes span most of the
+/// grid, so the annealer skips them as a class whenever a swap stays
+/// strictly inside all of them ([`Annealer::propose`]). The cut only
+/// decides which nets take that test; the deltas are exact under any
+/// cut.
+const WIDE_PINS: usize = 32;
 
 /// A placed design: grid dimensions, one grid cell per slice, and fixed
 /// virtual pad positions for the primary inputs/outputs.
@@ -92,8 +111,9 @@ pub struct Net {
     pub pads: Vec<(f32, f32)>,
 }
 
-/// The placement netlist (one net per signal driver that has sinks) in
-/// slice coordinates.
+/// The placement netlist in slice coordinates: one net per signal
+/// driver that has sinks, except nets of a single slice and no pad,
+/// whose wirelength is zero wherever that slice goes.
 fn build_nets(lutnet: &LutNetlist, packing: &Packing) -> Vec<Net> {
     // Driver key: input index or LUT id.
     use std::collections::HashMap;
@@ -154,6 +174,9 @@ fn build_nets(lutnet: &LutNetlist, packing: &Packing) -> Vec<Net> {
         }
         slices.sort_unstable();
         slices.dedup();
+        if slices.len() == 1 && pads.is_empty() {
+            continue;
+        }
         nets.push(Net { slices, pads });
     }
     nets
@@ -295,21 +318,7 @@ pub fn place_with_stats(
         stats.final_hpwl = hp;
         return (placement, stats);
     }
-    // Slice → incident net indices.
-    let mut incident: Vec<Vec<u32>> = vec![Vec::new(); num_slices];
-    for (ni, net) in nets.iter().enumerate() {
-        for &s in &net.slices {
-            incident[s as usize].push(ni as u32);
-        }
-    }
-
-    let mut ann = Annealer::new(
-        &nets,
-        &incident,
-        w,
-        std::mem::take(&mut placement.pos),
-        cells,
-    );
+    let mut ann = Annealer::new(&nets, w, std::mem::take(&mut placement.pos), cells);
     stats.initial_hpwl = ann.total_hpwl();
 
     let budget = opts.max_total_moves;
@@ -344,6 +353,7 @@ pub fn place_with_stats(
             }
         }
         debug_assert!(ann.boxes_are_fresh(), "cached net boxes drifted");
+        debug_assert!(ann.interior_is_fresh(), "cached wide interior drifted");
         spent += alloc;
         stats.accepted += accepted;
         stats.trajectory.push(TempStep {
@@ -411,6 +421,17 @@ impl Span {
             self.n_hi + u32::from(v == self.hi)
         };
         self.hi = self.hi.max(v);
+    }
+
+    /// The span of exactly two pins — what [`Span::add`] builds from them.
+    fn pair(a: f32, b: f32) -> Span {
+        let n = if a == b { 2 } else { 1 };
+        Span {
+            lo: a.min(b),
+            hi: a.max(b),
+            n_lo: n,
+            n_hi: n,
+        }
     }
 
     /// Moves one pin of this span from `from` to `to`, keeping the
@@ -499,16 +520,12 @@ impl NetBox {
         b
     }
 
-    /// Like [`NetBox::compute`], with slice `moved` taken to sit at `to`.
-    fn compute_moved(net: &Net, pos: &[(f32, f32)], moved: u32, to: (f32, f32)) -> NetBox {
-        let mut b = NetBox::EMPTY;
-        for &s in &net.slices {
-            b.add(if s == moved { to } else { pos[s as usize] });
+    /// The box of a two-pin net with pins at `a` and `b`.
+    fn pair(a: (f32, f32), b: (f32, f32)) -> NetBox {
+        NetBox {
+            x: Span::pair(a.0, b.0),
+            y: Span::pair(a.1, b.1),
         }
-        for &p in &net.pads {
-            b.add(p);
-        }
-        b
     }
 
     /// Moves one pin from `from` to `to` ([`Span::shift`] per axis).
@@ -527,20 +544,177 @@ impl NetBox {
     }
 }
 
+/// The far pin of a two-pin net, seen from one of its two slices.
+#[derive(Debug, Clone, Copy)]
+enum Far {
+    /// The net's other slice, which may be moving too.
+    Slice(u32),
+    /// A fixed pad.
+    Pad((f32, f32)),
+}
+
+/// A two-pin net on one slice, with its far pin.
+#[derive(Debug, Clone, Copy)]
+struct TwoPin {
+    net: u32,
+    far: Far,
+}
+
+/// Incidence class of nets with three to [`WIDE_PINS`] pins (and of any
+/// one-pin net handed to the annealer directly).
+const OTHER: usize = 0;
+/// Incidence class of nets with more than [`WIDE_PINS`] pins.
+const WIDE: usize = 1;
+
+/// The open rectangle strictly inside every wide net's box (the
+/// intersection of the boxes, without its edges). A swap of two cells
+/// inside it moves each wide pin from a point strictly inside its box
+/// to another, which changes no edge and no edge count.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Interior {
+    x: (f32, f32),
+    y: (f32, f32),
+}
+
+impl Interior {
+    /// The interior of `boxes`; the whole plane if there are none.
+    fn of<'b>(boxes: impl Iterator<Item = &'b NetBox>) -> Interior {
+        let all = Interior {
+            x: (f32::NEG_INFINITY, f32::INFINITY),
+            y: (f32::NEG_INFINITY, f32::INFINITY),
+        };
+        boxes.fold(all, |r, b| Interior {
+            x: (r.x.0.max(b.x.lo), r.x.1.min(b.x.hi)),
+            y: (r.y.0.max(b.y.lo), r.y.1.min(b.y.hi)),
+        })
+    }
+
+    fn contains(&self, (x, y): (f32, f32)) -> bool {
+        self.x.0 < x && x < self.x.1 && self.y.0 < y && y < self.y.1
+    }
+}
+
+/// The annealer's fixed view of the netlist, in flat offset/data
+/// arrays: each net's slices, and each slice's nets split by shape.
+struct Topology {
+    /// `pins[pin_off[n]..pin_off[n + 1]]`: the slices of net `n`.
+    pin_off: Vec<u32>,
+    pins: Vec<u32>,
+    /// The box of each net's fixed pads alone, where a rescan starts.
+    pad_boxes: Vec<NetBox>,
+    /// `two[two_off[s]..two_off[s + 1]]`: the two-pin nets on slice `s`.
+    two_off: Vec<u32>,
+    two: Vec<TwoPin>,
+    /// `multi[multi_off[2s + c]..multi_off[2s + c + 1]]`: the nets of
+    /// class `c` ([`OTHER`] or [`WIDE`]) on slice `s`.
+    multi_off: Vec<u32>,
+    multi: Vec<u32>,
+    /// Every wide net on at least one slice.
+    wide: Vec<u32>,
+}
+
+/// Concatenates `lists`, returning the offset of each list's start (and
+/// of the end) alongside the data.
+fn flatten<'b, T: Copy + 'b>(lists: impl Iterator<Item = &'b [T]>) -> (Vec<u32>, Vec<T>) {
+    let mut off = vec![0];
+    let mut data = Vec::new();
+    for list in lists {
+        data.extend_from_slice(list);
+        off.push(data.len() as u32);
+    }
+    (off, data)
+}
+
+impl Topology {
+    fn new(nets: &[Net], num_slices: usize) -> Topology {
+        let mut two: Vec<Vec<TwoPin>> = vec![Vec::new(); num_slices];
+        let mut multi: Vec<Vec<u32>> = vec![Vec::new(); 2 * num_slices];
+        let mut wide = Vec::new();
+        for (n, net) in nets.iter().enumerate() {
+            let n = n as u32;
+            let pins = net.slices.len() + net.pads.len();
+            if pins > WIDE_PINS && !net.slices.is_empty() {
+                wide.push(n);
+            }
+            for (i, &s) in net.slices.iter().enumerate() {
+                let s = s as usize;
+                if pins == 2 {
+                    let far = match net.slices.get(1 - i) {
+                        Some(&o) => Far::Slice(o),
+                        None => Far::Pad(net.pads[0]),
+                    };
+                    two[s].push(TwoPin { net: n, far });
+                } else {
+                    let class = if pins > WIDE_PINS { WIDE } else { OTHER };
+                    multi[2 * s + class].push(n);
+                }
+            }
+        }
+        let (pin_off, pins) = flatten(nets.iter().map(|n| n.slices.as_slice()));
+        let (two_off, two) = flatten(two.iter().map(Vec::as_slice));
+        let (multi_off, multi) = flatten(multi.iter().map(Vec::as_slice));
+        let pad_boxes = nets
+            .iter()
+            .map(|n| {
+                let mut b = NetBox::EMPTY;
+                n.pads.iter().for_each(|&p| b.add(p));
+                b
+            })
+            .collect();
+        Topology {
+            pin_off,
+            pins,
+            pad_boxes,
+            two_off,
+            two,
+            multi_off,
+            multi,
+            wide,
+        }
+    }
+
+    /// The two-pin nets on slice `s`.
+    fn two_pin(&self, s: u32) -> &[TwoPin] {
+        let s = s as usize;
+        &self.two[self.two_off[s] as usize..self.two_off[s + 1] as usize]
+    }
+
+    /// The nets of `class` on slice `s`.
+    fn multi(&self, s: u32, class: usize) -> &[u32] {
+        let i = 2 * s as usize + class;
+        &self.multi[self.multi_off[i] as usize..self.multi_off[i + 1] as usize]
+    }
+
+    /// The box of net `n` with each slice `p` at `at(p)`.
+    fn rescan(&self, n: usize, at: impl Fn(u32) -> (f32, f32)) -> NetBox {
+        let mut b = self.pad_boxes[n];
+        for &p in &self.pins[self.pin_off[n] as usize..self.pin_off[n + 1] as usize] {
+            b.add(at(p));
+        }
+        b
+    }
+}
+
 /// The annealing work area: the netlist structure plus mutable
 /// positions, cell contents and cached per-net bounding boxes. All
 /// per-proposal scratch (`updates`, the `stamp` epoch map) lives here,
 /// allocated once and reused for every proposal — the inner annealing
 /// loop never allocates.
-struct Annealer<'a> {
-    nets: &'a [Net],
-    incident: &'a [Vec<u32>],
+struct Annealer {
+    topo: Topology,
     w: usize,
     pos: Vec<(f32, f32)>,
     cells: Vec<Option<u32>>,
     boxes: Vec<NetBox>,
-    /// Scratch: net → the proposal epoch mark it last received (see
-    /// [`Annealer::propose`]); marks of earlier proposals are stale.
+    /// The [`Interior`] of the wide nets' cached boxes, unless stale.
+    interior: Interior,
+    /// Set once an accepted move changes a wide net's box; the next
+    /// proposal recomputes `interior`.
+    interior_stale: bool,
+    /// Whether `updates` holds the box of a wide net.
+    wide_moved: bool,
+    /// Scratch: net → the epoch mark it last received (see
+    /// [`Annealer::shift_class`]); marks of earlier walks are stale.
     stamp: Vec<u64>,
     epoch: u64,
     /// The new boxes of the nets whose edges or edge counts the current
@@ -548,22 +722,21 @@ struct Annealer<'a> {
     updates: Vec<(u32, NetBox)>,
 }
 
-impl<'a> Annealer<'a> {
-    fn new(
-        nets: &'a [Net],
-        incident: &'a [Vec<u32>],
-        w: usize,
-        pos: Vec<(f32, f32)>,
-        cells: Vec<Option<u32>>,
-    ) -> Self {
-        let boxes = nets.iter().map(|n| NetBox::compute(n, &pos)).collect();
+impl Annealer {
+    fn new(nets: &[Net], w: usize, pos: Vec<(f32, f32)>, cells: Vec<Option<u32>>) -> Self {
+        let topo = Topology::new(nets, pos.len());
+        let boxes = (0..nets.len())
+            .map(|n| topo.rescan(n, |s| pos[s as usize]))
+            .collect();
         Annealer {
-            nets,
-            incident,
+            topo,
             w,
             pos,
             cells,
             boxes,
+            interior: Interior::of(std::iter::empty()),
+            interior_stale: true,
+            wide_moved: false,
             stamp: vec![0; nets.len()],
             epoch: 0,
             updates: Vec::new(),
@@ -578,42 +751,93 @@ impl<'a> Annealer<'a> {
     /// Whether every cached box, edge counts included, equals a fresh
     /// scan over the current positions.
     fn boxes_are_fresh(&self) -> bool {
-        self.nets
+        self.boxes
             .iter()
-            .zip(&self.boxes)
-            .all(|(net, b)| NetBox::compute(net, &self.pos) == *b)
+            .enumerate()
+            .all(|(n, b)| self.topo.rescan(n, |s| self.pos[s as usize]) == *b)
+    }
+
+    /// The [`Interior`] of the wide nets' cached boxes.
+    fn fresh_interior(&self) -> Interior {
+        Interior::of(self.topo.wide.iter().map(|&n| &self.boxes[n as usize]))
+    }
+
+    /// Whether the cached interior, unless marked stale, equals a fresh
+    /// intersection of the wide nets' boxes.
+    fn interior_is_fresh(&self) -> bool {
+        self.interior_stale || self.interior == self.fresh_interior()
     }
 
     /// Evaluates the HPWL delta of swapping the contents of cells `ca`
     /// and `cb` (either may be empty). Mutates nothing but internal
-    /// scratch; call [`Annealer::accept`] with the same pair to apply.
+    /// scratch and the cached interior; call [`Annealer::accept`] with
+    /// the same pair to apply. The delta sums the HPWL changes of the
+    /// changed nets, two-pin nets first, then the other and the wide
+    /// classes; each sum is exact, so the order changes no bit.
     fn propose(&mut self, ca: usize, cb: usize) -> f64 {
         self.updates.clear();
         let sa = self.cells[ca];
         let sb = self.cells[cb];
         let pa = cell_pos(ca, self.w);
         let pb = cell_pos(cb, self.w);
+        // A two-pin net's new box is that of its far pin and the mover's
+        // destination. One joining the two movers keeps its box.
+        let mut delta = 0.0;
+        for (s, to, mate) in [(sa, pb, sb), (sb, pa, sa)] {
+            let Some(s) = s else { continue };
+            for tp in self.topo.two_pin(s) {
+                let far = match tp.far {
+                    Far::Slice(o) if Some(o) == mate => continue,
+                    Far::Slice(o) => self.pos[o as usize],
+                    Far::Pad(p) => p,
+                };
+                let nb = NetBox::pair(far, to);
+                let cached = self.boxes[tp.net as usize];
+                if nb != cached {
+                    delta += nb.hpwl() - cached.hpwl();
+                    self.updates.push((tp.net, nb));
+                }
+            }
+        }
+        let movers = [(sa, pb), (sb, pa)];
+        delta += self.shift_class(OTHER, movers);
+        if self.interior_stale {
+            self.interior = self.fresh_interior();
+            self.interior_stale = false;
+        }
+        // With both cells strictly inside every wide box, each mover
+        // goes from one interior point of its wide boxes to another, so
+        // none of them changes: the whole class is skipped.
+        let before_wide = self.updates.len();
+        if !(self.interior.contains(pa) && self.interior.contains(pb)) {
+            delta += self.shift_class(WIDE, movers);
+        }
+        self.wide_moved = self.updates.len() > before_wide;
+        delta
+    }
+
+    /// Shifts the box of every `class` net on a mover by its one moving
+    /// pin, records the nets whose edges or edge counts change, and
+    /// returns the sum of their HPWL changes. `movers` holds the slice
+    /// leaving `ca` with its destination, then the one leaving `cb`.
+    fn shift_class(&mut self, class: usize, movers: [(Option<u32>, (f32, f32)); 2]) -> f64 {
         // A net holding both movers keeps its pin multiset, hence its
         // box, so it is skipped. Mark the nets of the slice leaving `cb`
         // first; walking the other mover's nets then relabels the shared
         // ones, which the second walk skips in turn.
         self.epoch += 2;
         let (of_b, of_both) = (self.epoch, self.epoch + 1);
-        if let Some(s) = sb {
-            for &ni in &self.incident[s as usize] {
-                self.stamp[ni as usize] = of_b;
+        if let Some(s) = movers[1].0 {
+            for &n in self.topo.multi(s, class) {
+                self.stamp[n as usize] = of_b;
             }
         }
-        // Shift every other incident net's box by its one moving pin,
-        // recording the nets whose edges or edge counts change. The
-        // delta sums their HPWL changes in incidence order, the mover
-        // leaving `ca` first.
         let mut delta = 0.0;
-        for (s, to, shared) in [(sa, pb, of_b), (sb, pa, of_both)] {
+        for ((s, to), shared) in movers.into_iter().zip([of_b, of_both]) {
             let Some(s) = s else { continue };
             let from = self.pos[s as usize];
-            for &ni in &self.incident[s as usize] {
-                let nu = ni as usize;
+            for &n in self.topo.multi(s, class) {
+                let nu = n as usize;
                 if self.stamp[nu] == shared {
                     self.stamp[nu] = of_both;
                     continue;
@@ -623,10 +847,15 @@ impl<'a> Annealer<'a> {
                 match nb.shift(from, to) {
                     Shift::Same => continue,
                     Shift::Changed => {}
-                    Shift::Rescan => nb = NetBox::compute_moved(&self.nets[nu], &self.pos, s, to),
+                    Shift::Rescan => {
+                        let pos = &self.pos;
+                        nb = self
+                            .topo
+                            .rescan(nu, |p| if p == s { to } else { pos[p as usize] });
+                    }
                 }
                 delta += nb.hpwl() - cached.hpwl();
-                self.updates.push((ni, nb));
+                self.updates.push((n, nb));
             }
         }
         delta
@@ -648,6 +877,7 @@ impl<'a> Annealer<'a> {
         for &(ni, nb) in &self.updates {
             self.boxes[ni as usize] = nb;
         }
+        self.interior_stale |= self.wide_moved;
     }
 }
 
@@ -854,23 +1084,10 @@ mod tests {
 
     // ---- proposal evaluation is side-effect free ----
 
-    fn build_annealer(
-        lutnet: &LutNetlist,
-        packing: &Packing,
-    ) -> (Vec<Net>, Vec<Vec<u32>>, usize, usize) {
-        let num_slices = packing.num_slices();
+    /// The annealer over `nets` at the snake placement of `num_slices`
+    /// slices, with its cell count.
+    fn snake_annealer(nets: &[Net], num_slices: usize) -> (Annealer, usize) {
         let (w, h) = grid_size(num_slices);
-        let nets = build_nets(lutnet, packing);
-        let mut incident: Vec<Vec<u32>> = vec![Vec::new(); num_slices];
-        for (ni, net) in nets.iter().enumerate() {
-            for &s in &net.slices {
-                incident[s as usize].push(ni as u32);
-            }
-        }
-        (nets, incident, w, h)
-    }
-
-    fn snake_state(num_slices: usize, w: usize, h: usize) -> (Vec<(f32, f32)>, Vec<Option<u32>>) {
         let mut cells: Vec<Option<u32>> = vec![None; w * h];
         let mut pos = vec![(0.0, 0.0); num_slices];
         for (s, p) in pos.iter_mut().enumerate() {
@@ -878,39 +1095,43 @@ mod tests {
             cells[(sp.1 as usize) * w + sp.0 as usize] = Some(s as u32);
             *p = sp;
         }
-        (pos, cells)
+        (Annealer::new(nets, w, pos, cells), w * h)
     }
 
     /// The delta of swapping cells `ca` and `cb` as full rescans give
-    /// it: fresh boxes of every net incident to a mover, before and
-    /// after the swap, their HPWL changes summed in incidence order,
-    /// the slice leaving `ca` first. A net on both movers is visited
-    /// twice but its box does not change, so it adds +0.0 both times.
-    fn rescanned_delta(ann: &Annealer<'_>, ca: usize, cb: usize) -> f64 {
+    /// it: fresh boxes of every net holding a mover, before and after
+    /// the swap, their HPWL changes summed in net order.
+    fn rescanned_delta(ann: &Annealer, nets: &[Net], ca: usize, cb: usize) -> f64 {
+        let movers = [ann.cells[ca], ann.cells[cb]];
         let mut after = ann.pos.clone();
-        if let Some(s) = ann.cells[ca] {
+        if let Some(s) = movers[0] {
             after[s as usize] = cell_pos(cb, ann.w);
         }
-        if let Some(s) = ann.cells[cb] {
+        if let Some(s) = movers[1] {
             after[s as usize] = cell_pos(ca, ann.w);
         }
-        [ann.cells[ca], ann.cells[cb]]
-            .into_iter()
-            .flatten()
-            .flat_map(|s| &ann.incident[s as usize])
-            .fold(0.0, |acc, &ni| {
-                let net = &ann.nets[ni as usize];
+        nets.iter()
+            .filter(|net| net.slices.iter().any(|&s| movers.contains(&Some(s))))
+            .fold(0.0, |acc, net| {
                 acc + (NetBox::compute(net, &after).hpwl() - NetBox::compute(net, &ann.pos).hpwl())
             })
+    }
+
+    /// The cells of the two slices of each two-pin net that has no pad.
+    fn mate_cells(ann: &Annealer, nets: &[Net]) -> Vec<(usize, usize)> {
+        let cell = |s: u32| ann.cells.iter().position(|&c| c == Some(s)).unwrap();
+        nets.iter()
+            .filter(|n| n.slices.len() == 2 && n.pads.is_empty())
+            .map(|n| (cell(n.slices[0]), cell(n.slices[1])))
+            .collect()
     }
 
     #[test]
     fn rejected_proposal_leaves_placement_bit_identical() {
         let lutnet = dense_lutnet(50);
         let packing = pack_slices(&lutnet, 4);
-        let (nets, incident, w, h) = build_annealer(&lutnet, &packing);
-        let (pos, cells) = snake_state(packing.num_slices(), w, h);
-        let mut ann = Annealer::new(&nets, &incident, w, pos, cells);
+        let nets = build_nets(&lutnet, &packing);
+        let (mut ann, n_cells) = snake_annealer(&nets, packing.num_slices());
         let before_pos: Vec<(u32, u32)> = ann
             .pos
             .iter()
@@ -920,7 +1141,7 @@ mod tests {
         let before_boxes = ann.boxes.clone();
         let mut rng = StdRng::seed_from_u64(99);
         for _ in 0..200 {
-            let (ca, cb) = draw_pair(&mut rng, w * h);
+            let (ca, cb) = draw_pair(&mut rng, n_cells);
             let _delta = ann.propose(ca, cb);
             // Never accept: evaluation alone must not move anything.
         }
@@ -934,19 +1155,69 @@ mod tests {
         assert_eq!(before_boxes, ann.boxes);
     }
 
+    /// Every net shape the annealer tells apart, on one design: wide
+    /// operand nets, two-pin nets between slices and to a pad, nets of
+    /// three or more pins, and (handed in directly, since `build_nets`
+    /// drops them) one-pin nets. Random swaps are mixed with swaps of
+    /// the two slices of a two-pin net and swaps into empty cells, and
+    /// land both inside and outside the wide nets' interior.
     #[test]
     fn proposal_deltas_match_recomputed_hpwl() {
-        let lutnet = dense_lutnet(70);
-        let packing = pack_slices(&lutnet, 4);
-        let (nets, incident, w, h) = build_annealer(&lutnet, &packing);
-        let (pos, cells) = snake_state(packing.num_slices(), w, h);
-        let mut ann = Annealer::new(&nets, &incident, w, pos, cells);
         let mut rng = StdRng::seed_from_u64(5);
+        let luts: Vec<_> = (0..40)
+            .map(|_| (rng.gen(), rng.gen(), rng.gen(), 3))
+            .collect();
+        let lutnet = random_lutnet(3, &luts, &[7, 11], 3, 40);
+        let packing = pack_slices(&lutnet, 1);
+        let mut nets = build_nets(&lutnet, &packing);
+        let pins = |n: &Net| n.slices.len() + n.pads.len();
+        assert!(nets.iter().filter(|n| pins(n) > WIDE_PINS).count() >= 3);
+        assert!(nets
+            .iter()
+            .any(|n| n.slices.len() == 1 && n.pads.len() == 1));
+        assert!(nets.iter().any(|n| (3..=WIDE_PINS).contains(&pins(n))));
+        nets.extend((0..packing.num_slices() as u32).step_by(7).map(|s| Net {
+            slices: vec![s],
+            pads: Vec::new(),
+        }));
+        let (mut ann, n_cells) = snake_annealer(&nets, packing.num_slices());
+        let empty: Vec<usize> = (0..n_cells).filter(|&c| ann.cells[c].is_none()).collect();
+        assert!(!empty.is_empty(), "test needs empty cells");
         let mut total = ann.total_hpwl();
-        for i in 0..500 {
-            let (ca, cb) = draw_pair(&mut rng, w * h);
+        let (mut inside, mut outside, mut mates, mut into_empty) = (0, 0, 0, 0);
+        for i in 0..1500 {
+            let (ca, cb) = match i % 6 {
+                0 => {
+                    let pairs = mate_cells(&ann, &nets);
+                    mates += 1;
+                    pairs[rng.gen_range(0..pairs.len())]
+                }
+                1 => {
+                    // An empty cell and any other, in either order.
+                    let e = empty[rng.gen_range(0..empty.len())];
+                    let c = (e + 1 + rng.gen_range(0..n_cells - 1)) % n_cells;
+                    into_empty += 1;
+                    if rng.gen::<bool>() {
+                        (e, c)
+                    } else {
+                        (c, e)
+                    }
+                }
+                _ => draw_pair(&mut rng, n_cells),
+            };
             let delta = ann.propose(ca, cb);
-            assert_eq!(delta.to_bits(), rescanned_delta(&ann, ca, cb).to_bits());
+            assert!(ann.interior_is_fresh());
+            let interior = ann.fresh_interior();
+            if interior.contains(cell_pos(ca, ann.w)) && interior.contains(cell_pos(cb, ann.w)) {
+                inside += 1;
+            } else {
+                outside += 1;
+            }
+            assert_eq!(
+                delta.to_bits(),
+                rescanned_delta(&ann, &nets, ca, cb).to_bits(),
+                "proposal {i}: ({ca}, {cb})"
+            );
             if i % 3 != 0 {
                 ann.accept(ca, cb);
                 assert!(ann.boxes_are_fresh(), "stale box after move {i}");
@@ -957,22 +1228,23 @@ mod tests {
                     .iter()
                     .map(|n| NetBox::compute(n, &ann.pos).hpwl())
                     .sum();
-                assert!(
-                    (total - fresh).abs() < 1e-6,
-                    "incremental total {total} diverged from fresh {fresh} at move {i}"
-                );
-                assert!((ann.total_hpwl() - fresh).abs() < 1e-6);
+                assert_eq!(total.to_bits(), fresh.to_bits(), "move {i}");
+                assert_eq!(ann.total_hpwl().to_bits(), fresh.to_bits());
             }
         }
+        assert!(
+            inside > 100 && outside > 100,
+            "{inside} inside, {outside} outside"
+        );
+        assert!(mates > 0 && into_empty > 0);
     }
 
     #[test]
     fn swapping_two_pins_of_one_net_leaves_its_box_untouched() {
         let lutnet = dense_lutnet(70);
         let packing = pack_slices(&lutnet, 4);
-        let (nets, incident, w, h) = build_annealer(&lutnet, &packing);
-        let (pos, cells) = snake_state(packing.num_slices(), w, h);
-        let mut ann = Annealer::new(&nets, &incident, w, pos, cells);
+        let nets = build_nets(&lutnet, &packing);
+        let (mut ann, _) = snake_annealer(&nets, packing.num_slices());
         let ni = (0..nets.len())
             .max_by_key(|&ni| nets[ni].slices.len())
             .unwrap();
@@ -1000,13 +1272,46 @@ mod tests {
         assert!(ann.boxes_are_fresh());
     }
 
+    #[test]
+    fn one_pin_nets_leave_the_placement_netlist() {
+        // Two slices of two chained LUTs each, on constants, with no
+        // output: every signal stays inside its slice.
+        let mut lutnet = LutNetlist::new("o".into(), 6, vec!["a".into()]);
+        for _ in 0..2 {
+            let id = lutnet.push_lut(Lut {
+                inputs: vec![Signal::Const(true)],
+                truth: crate::lut::Truth::of(0b01),
+            });
+            lutnet.push_lut(Lut {
+                inputs: vec![Signal::Lut(id)],
+                truth: crate::lut::Truth::of(0b01),
+            });
+        }
+        let packing = pack_slices(&lutnet, 2);
+        assert_eq!(packing.num_slices(), 2);
+        assert!(build_nets(&lutnet, &packing).is_empty());
+        // With no nets left, the seed placement comes back unannealed.
+        let (p, stats) = place_with_stats(&lutnet, &packing, &PlaceOptions::default());
+        assert_eq!(stats.proposals, 0);
+        for s in 0..2 {
+            assert_eq!(p.slice_pos(s as u32), snake_pos(s, p.grid_w()));
+        }
+    }
+
     /// A random LUT netlist over `n_in` inputs. Each `luts` entry
     /// `(a, b, c, arity)` is one LUT reading the first `arity` of its
     /// three picks, each resolved to an input, an earlier LUT or (now
     /// and then) a constant; `outs` picks the outputs the same way, so
-    /// inputs can drive output pads directly.
-    fn random_lutnet(n_in: u32, luts: &[(u32, u32, u32, usize)], outs: &[u32]) -> LutNetlist {
-        let names = (0..n_in).map(|i| format!("x{i}")).collect();
+    /// inputs can drive output pads directly. Then `ops` operand rows of
+    /// `fan` products each follow, as in [`push_operand_rows`].
+    fn random_lutnet(
+        n_in: u32,
+        luts: &[(u32, u32, u32, usize)],
+        outs: &[u32],
+        ops: u32,
+        fan: u32,
+    ) -> LutNetlist {
+        let names = (0..n_in + ops).map(|i| format!("x{i}")).collect();
         let mut net = LutNetlist::new("r".into(), 3, names);
         let signal = |pick: u32, avail: u32| {
             let k = pick % (avail + 1);
@@ -1033,7 +1338,41 @@ mod tests {
         for (o, &p) in outs.iter().enumerate() {
             net.push_output(format!("y{o}"), signal(p, avail));
         }
+        push_operand_rows(&mut net, n_in, ops, fan);
         net
+    }
+
+    /// Appends the shape of a product matrix over operand inputs
+    /// `first..first + ops`: row `i` has `fan` product LUTs, each reading
+    /// operand `i` and (when it differs) operand `j % ops`, chained
+    /// pairwise into one output. Each operand input feeds at least `fan`
+    /// LUTs, so it spans at least `fan / luts_per_slice` slices; the
+    /// products and chain links are two-pin nets when packed one LUT a
+    /// slice, and each chain end is a two-pin net to its pad.
+    fn push_operand_rows(net: &mut LutNetlist, first: u32, ops: u32, fan: u32) {
+        for i in 0..ops {
+            let mut acc = None;
+            for j in 0..fan {
+                let mut inputs = vec![Signal::Input(first + i)];
+                if j % ops != i {
+                    inputs.push(Signal::Input(first + j % ops));
+                }
+                let p = net.push_lut(Lut {
+                    inputs,
+                    truth: crate::lut::Truth::of(0b1000),
+                });
+                acc = Some(match acc {
+                    None => p,
+                    Some(a) => net.push_lut(Lut {
+                        inputs: vec![Signal::Lut(a), Signal::Lut(p)],
+                        truth: crate::lut::Truth::of(0b0110),
+                    }),
+                });
+            }
+            if let Some(a) = acc {
+                net.push_output(format!("c{i}"), Signal::Lut(a));
+            }
+        }
     }
 
     /// A net's box and edge counts straight from the definition:
@@ -1065,36 +1404,50 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
-        /// Random netlists (pads, constants, empty cells) under random
-        /// swap sequences: every delta equals a rescan's bit for bit,
-        /// every cached box equals a fresh scan after each accepted
-        /// move, and a full anneal's cached total HPWL equals a fresh
-        /// one over the returned placement.
+        /// Random netlists (pads, constants, empty cells, wide operand
+        /// nets, two-pin nets, and one-pin nets handed in directly)
+        /// under random swap sequences, with some swaps of the two
+        /// slices of a two-pin net: every delta equals a rescan's bit
+        /// for bit, every cached box equals a fresh scan after each
+        /// accepted move, the cached interior is never stale unmarked,
+        /// and a full anneal's cached total HPWL equals a fresh one over
+        /// the returned placement.
         #[test]
         fn incremental_boxes_match_fresh_scans(
             n_in in 1u32..5,
             luts in proptest::collection::vec((0u32..1000, 0u32..1000, 0u32..1000, 1usize..4), 2..60),
             outs in proptest::collection::vec(0u32..1000, 1..5),
-            lps in 1usize..5,
-            swaps in proptest::collection::vec((0u32..1000, 0u32..1000, 0u32..3), 1..200),
+            (lps, ops) in (1usize..5, 0u32..3),
+            one_pin in proptest::collection::vec(0u32..1000, 0..4),
+            swaps in proptest::collection::vec((0u32..1000, 0u32..1000, 0u32..3, 0u32..4), 1..200),
         ) {
-            let lutnet = random_lutnet(n_in, &luts, &outs);
+            // Enough products that every operand spans > WIDE_PINS slices.
+            let fan = (WIDE_PINS * lps) as u32 + 1;
+            let lutnet = random_lutnet(n_in, &luts, &outs, ops, fan);
             let packing = pack_slices(&lutnet, lps);
-            let (nets, incident, w, h) = build_annealer(&lutnet, &packing);
-            let n_cells = w * h;
-            let (pos, cells) = snake_state(packing.num_slices(), w, h);
-            let mut ann = Annealer::new(&nets, &incident, w, pos, cells);
-            for &(a, b, verdict) in &swaps {
-                let (ca, cb) = (a as usize % n_cells, b as usize % n_cells);
+            let num_slices = packing.num_slices() as u32;
+            let mut nets = build_nets(&lutnet, &packing);
+            let wide = nets.iter().filter(|n| n.slices.len() + n.pads.len() > WIDE_PINS).count();
+            proptest::prop_assert!(wide >= ops as usize);
+            nets.extend(one_pin.iter().map(|&s| Net { slices: vec![s % num_slices], pads: Vec::new() }));
+            let (mut ann, n_cells) = snake_annealer(&nets, num_slices as usize);
+            for &(a, b, verdict, kind) in &swaps {
+                let pairs = if kind == 0 { mate_cells(&ann, &nets) } else { Vec::new() };
+                let (ca, cb) = if !pairs.is_empty() {
+                    pairs[a as usize % pairs.len()]
+                } else {
+                    (a as usize % n_cells, b as usize % n_cells)
+                };
                 if ca == cb {
                     continue;
                 }
                 let delta = ann.propose(ca, cb);
-                proptest::prop_assert_eq!(delta.to_bits(), rescanned_delta(&ann, ca, cb).to_bits());
+                proptest::prop_assert_eq!(delta.to_bits(), rescanned_delta(&ann, &nets, ca, cb).to_bits());
                 if verdict != 0 {
                     ann.accept(ca, cb);
                 }
                 proptest::prop_assert!(ann.boxes_are_fresh());
+                proptest::prop_assert!(ann.interior_is_fresh());
             }
             for (net, b) in nets.iter().zip(&ann.boxes) {
                 proptest::prop_assert_eq!(*b, box_by_definition(net, &ann.pos));
@@ -1105,6 +1458,7 @@ mod tests {
                 max_total_moves: 3_000,
             };
             let (p, stats) = place_with_stats(&lutnet, &packing, &opts);
+            let nets = build_nets(&lutnet, &packing);
             proptest::prop_assert_eq!(stats.final_hpwl.to_bits(), p.total_hpwl(&nets).to_bits());
         }
     }

@@ -40,6 +40,13 @@ use crate::json::{json_string, parse_json, JsonValue};
 /// the two together).
 pub const DEFAULT_SEED: u64 = 2018;
 
+/// The largest field degree a synth request may name, as `m` or as a
+/// `poly` exponent: the NIST B-571 field, the largest Table V covers.
+/// [`parse_request`] refuses anything above it before a field is built,
+/// so no request can make the daemon allocate a polynomial (or generate
+/// a multiplier) of unbounded degree.
+pub const MAX_FIELD_DEGREE: usize = 571;
+
 /// The field a synth request names: a Table V `(m, n)` pair or an
 /// explicit modulus by exponents.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -147,6 +154,15 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 }
                 _ => return Err("give either \"m\" and \"n\", or \"poly\"".into()),
             };
+            let degree = match &field {
+                FieldSpec::Pair { m, .. } => *m,
+                FieldSpec::Poly(exps) => exps.iter().copied().max().unwrap_or(0),
+            };
+            if degree > MAX_FIELD_DEGREE {
+                return Err(format!(
+                    "field degree {degree} exceeds the largest supported, {MAX_FIELD_DEGREE}"
+                ));
+            }
             let method_name = doc
                 .get("method")
                 .and_then(JsonValue::as_str)
@@ -385,6 +401,30 @@ mod tests {
         assert!(parse_request(r#"{"op": "synth", "method": "proposed"}"#).is_err());
         assert!(parse_request(r#"{"op": "fly"}"#).is_err());
         assert!(parse_request("not json").is_err());
+    }
+
+    #[test]
+    fn field_degrees_above_the_cap_are_refused() {
+        let synth = |field: &str| {
+            parse_request(&format!(
+                r#"{{"op": "synth", {field}, "method": "proposed"}}"#
+            ))
+        };
+        for field in [
+            r#""poly": [1000000000000, 1, 0]"#,
+            r#""poly": [0, 572]"#,
+            r#""m": 572, "n": 2"#,
+            r#""m": 1000000000000, "n": 2"#,
+        ] {
+            let err = synth(field).unwrap_err();
+            assert!(
+                err.contains("exceeds the largest supported, 571"),
+                "{field}: {err}"
+            );
+        }
+        // The cap itself is a valid request (NIST B-571).
+        assert!(synth(r#""poly": [571, 10, 5, 2, 0]"#).is_ok());
+        assert!(synth(r#""m": 571, "n": 103"#).is_ok());
     }
 
     fn golden_report() -> ImplReport {

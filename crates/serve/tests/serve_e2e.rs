@@ -325,3 +325,57 @@ fn oversized_request_line_is_refused_and_closed() {
     client.shutdown().unwrap();
     handle.join().unwrap();
 }
+
+/// A field of absurd degree is refused before it is built. This
+/// 100-byte line once made the worker allocate a 10^12-degree
+/// polynomial and abort the daemon; now it gets one `bad request` reply
+/// naming `MAX_FIELD_DEGREE`, and the same connection's next request is
+/// still served.
+#[test]
+fn huge_field_degree_is_refused_and_the_connection_survives() {
+    let handle = server::spawn(ServerConfig::new(Endpoint::Tcp("127.0.0.1:0".into()))).unwrap();
+    let Endpoint::Tcp(addr) = handle.endpoint().clone() else {
+        unreachable!("bound over TCP")
+    };
+    let mut conn = std::net::TcpStream::connect(&addr).unwrap();
+    conn.set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
+    let mut replies = BufReader::new(conn.try_clone().unwrap());
+    let mut round_trip = |line: &str| {
+        conn.write_all(format!("{line}\n").as_bytes()).unwrap();
+        let mut reply = String::new();
+        replies.read_line(&mut reply).unwrap();
+        parse_response(reply.trim_end()).unwrap()
+    };
+
+    let hostile = r#"{"op": "synth", "id": 1, "method": "proposed", "target": "artix7", "poly": [1000000000000, 1, 0]}"#;
+    let resp = round_trip(hostile);
+    assert!(!resp.ok);
+    let msg = resp.error().unwrap_or_default().to_string();
+    assert!(msg.starts_with("bad request:"), "{msg}");
+    assert!(
+        msg.contains(&format!(
+            "exceeds the largest supported, {}",
+            rgf2m_serve::protocol::MAX_FIELD_DEGREE
+        )),
+        "{msg}"
+    );
+
+    let valid = encode_request(&Request::Synth(SynthRequest {
+        id: 2,
+        field: FieldSpec::Pair { m: 8, n: 2 },
+        method: Method::ProposedFlat,
+        target: Target::Artix7,
+        seed: DEFAULT_SEED,
+    }));
+    let resp = round_trip(&valid);
+    assert_eq!((resp.id, resp.ok), (2, true), "{:?}", resp.error());
+    let expected = pipeline_like_daemon(Target::Artix7, DEFAULT_SEED)
+        .run_report(&Method::ProposedFlat.generator().generate(&gf256()))
+        .unwrap();
+    assert_eq!(resp.report().unwrap(), expected);
+
+    let mut client = Client::connect(handle.endpoint()).unwrap();
+    client.shutdown().unwrap();
+    handle.join().unwrap();
+}
