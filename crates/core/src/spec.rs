@@ -50,17 +50,15 @@ pub fn multiplier_spec(field: &Field) -> MulSpec {
     for k in 0..m {
         // c_k = d_k + Σ_{i ∈ I_k} d_{m+i}, with I_k from the reduction
         // matrix row; expand each d_t into its a_i·b_{t−i} products.
-        let mut ts = vec![k];
-        ts.extend(red.t_terms_for_coefficient(k).into_iter().map(|i| m + i));
-        let mut monomials = Vec::new();
-        for t in ts {
-            let lo = t.saturating_sub(m - 1);
-            let hi = t.min(m - 1);
-            for i in lo..=hi {
-                monomials.push(Monomial::product(&[i as u32, (m + t - i) as u32]));
-            }
-        }
-        outputs.push(Poly::from_monomials(monomials));
+        // Each a_i·b_j is an inline degree-2 monomial: no allocation
+        // per product.
+        let ts =
+            std::iter::once(k).chain(red.t_terms_for_coefficient(k).into_iter().map(|i| m + i));
+        let products = ts.flat_map(|t| {
+            (t.saturating_sub(m - 1)..=t.min(m - 1))
+                .map(move |i| Monomial::product(&[i as u32, (m + t - i) as u32]))
+        });
+        outputs.push(Poly::from_monomials(products));
     }
     MulSpec::new(m, outputs)
 }

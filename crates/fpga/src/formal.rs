@@ -11,17 +11,17 @@
 //! functional equality: a pass certifies the netlist on every input
 //! assignment, and a fail names the first differing output bit. Output
 //! bits are independent, so the check fans across threads with
-//! `std::thread::scope`.
+//! `std::thread::scope`; each worker keeps one scratch (dense cone
+//! index, recycled polynomial buffers) across the bits it checks.
 
 use std::borrow::Cow;
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use netlist::algebra::{self, MulSpec, Poly, TermBudgetExceeded};
+use netlist::algebra::{ConeIndex, ConeScratch, MulSpec, Poly, TermBudgetExceeded};
 use netlist::Netlist;
 
-use crate::lut::{LutNetlist, Signal};
+use crate::lut::{LutNetlist, Signal, MAX_LUT_INPUTS};
 
 /// Why a formal check failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,7 +38,8 @@ pub enum FormalError {
         spurious: usize,
     },
     /// Extracting a polynomial needed a product expansion over
-    /// [`algebra::MAX_PRODUCT_TERMS`]; nothing was proved either way.
+    /// [`netlist::algebra::MAX_PRODUCT_TERMS`]; nothing was proved
+    /// either way.
     TermBudget {
         /// The lowest-index output bit whose extraction was refused.
         output_bit: usize,
@@ -56,8 +57,13 @@ pub fn verify_netlist(spec: &MulSpec, net: &Netlist) -> Result<(), FormalError> 
             (spec.num_inputs(), spec.m()),
             (net.num_inputs(), net.outputs().len()),
         ],
-        |k| Ok(Cow::Borrowed(spec.output(k))),
-        |k| algebra::output_poly(net, k),
+        ConeScratch::new,
+        |gates, k| {
+            let got = gates.output_poly(net, k).map_err(over(k))?;
+            let verdict = diff_bit(spec.output(k), &got, k);
+            gates.recycle(got);
+            verdict
+        },
     )
 }
 
@@ -67,12 +73,16 @@ pub fn verify_netlist(spec: &MulSpec, net: &Netlist) -> Result<(), FormalError> 
 /// # Panics
 ///
 /// Panics if the LUT netlist is not topologically ordered (run
-/// [`crate::lint::lint_mapped`] first — the pipeline wrappers do).
+/// [`crate::lint::lint_mapped_errors`] first — the pipeline wrappers
+/// do).
 pub fn verify_mapped(spec: &MulSpec, mapped: &LutNetlist) -> Result<(), FormalError> {
     check_outputs(
         [(spec.num_inputs(), spec.m()), mapped_interface(mapped)],
-        |k| Ok(Cow::Borrowed(spec.output(k))),
-        |k| output_poly_mapped(mapped, k),
+        || LutScratch::new(mapped),
+        |luts, k| {
+            let got = luts.output_poly(mapped, k).map_err(over(k))?;
+            diff_bit(spec.output(k), got, k)
+        },
     )
 }
 
@@ -85,21 +95,37 @@ pub fn verify_mapped(spec: &MulSpec, mapped: &LutNetlist) -> Result<(), FormalEr
 /// # Panics
 ///
 /// Panics if the LUT netlist is not topologically ordered (run
-/// [`crate::lint::lint_mapped`] first — the pipeline does).
+/// [`crate::lint::lint_mapped_errors`] first — the pipeline does).
 pub fn verify_equivalent(reference: &Netlist, mapped: &LutNetlist) -> Result<(), FormalError> {
     check_outputs(
         [
             (reference.num_inputs(), reference.outputs().len()),
             mapped_interface(mapped),
         ],
-        |k| algebra::output_poly(reference, k).map(Cow::Owned),
-        |k| output_poly_mapped(mapped, k),
+        || (ConeScratch::new(), LutScratch::new(mapped)),
+        |(gates, luts), k| {
+            let want = gates.output_poly(reference, k).map_err(over(k))?;
+            let verdict = luts
+                .output_poly(mapped, k)
+                .map_err(over(k))
+                .and_then(|got| diff_bit(&want, got, k));
+            gates.recycle(want);
+            verdict
+        },
     )
 }
 
 /// `(inputs, outputs)` of a mapped netlist.
 fn mapped_interface(mapped: &LutNetlist) -> (usize, usize) {
     (mapped.input_names().len(), mapped.outputs().len())
+}
+
+/// The typed error for a refused extraction at output bit `k`.
+fn over(k: usize) -> impl Fn(TermBudgetExceeded) -> FormalError {
+    move |e| FormalError::TermBudget {
+        output_bit: k,
+        terms: e.terms,
+    }
 }
 
 /// The GF(2) polynomial computed by mapped output `k`.
@@ -109,128 +135,184 @@ fn mapped_interface(mapped: &LutNetlist) -> (usize, usize) {
 /// Panics if `k` is out of range or the netlist is not topologically
 /// ordered.
 pub fn output_poly_mapped(mapped: &LutNetlist, k: usize) -> Result<Poly, TermBudgetExceeded> {
-    let (_, sig) = &mapped.outputs()[k];
-    Ok(match sig {
-        Signal::Input(i) => Poly::var(*i),
-        Signal::Const(b) => Poly::constant(*b),
-        Signal::Lut(root) => lut_cone_poly(mapped, *root)?,
-    })
+    LutScratch::new(mapped).output_poly(mapped, k).cloned()
 }
 
-/// Expands the cone of LUT `root` into its polynomial: each in-cone
-/// LUT's ANF is substituted with its input polynomials, ascending by
-/// LUT id (which the topological-order invariant makes a valid
-/// evaluation order). Work follows the cone, not the netlist.
-fn lut_cone_poly(mapped: &LutNetlist, root: u32) -> Result<Poly, TermBudgetExceeded> {
-    let luts = mapped.luts();
-    let mut seen = HashSet::new();
-    let mut cone = Vec::new();
-    let mut stack = vec![root];
-    while let Some(i) = stack.pop() {
-        if !seen.insert(i) {
-            continue;
+/// Working memory for expanding LUT cones, reused from one output bit
+/// to the next: the dense cone index, one polynomial buffer per cone
+/// position, and the leaf polynomials LUT inputs read.
+struct LutScratch {
+    index: ConeIndex,
+    /// The polynomial of each cone LUT, by cone position.
+    table: Vec<Poly>,
+    /// `x_v` for each declared primary input `v`.
+    inputs: Vec<Poly>,
+    /// The constants `0` and `1`.
+    constants: [Poly; 2],
+    /// A running product and its next value.
+    term: Poly,
+    next: Poly,
+}
+
+impl LutScratch {
+    fn new(mapped: &LutNetlist) -> LutScratch {
+        let n = mapped.input_names().len();
+        LutScratch {
+            index: ConeIndex::default(),
+            table: Vec::new(),
+            inputs: (0..n as u32).map(Poly::var).collect(),
+            constants: [Poly::zero(), Poly::one()],
+            term: Poly::zero(),
+            next: Poly::zero(),
         }
-        cone.push(i);
-        for s in &luts[i as usize].inputs {
-            if let Signal::Lut(j) = *s {
-                assert!(
-                    j < i,
-                    "LUT {i} reads LUT {j}: not topologically ordered (lint first)"
-                );
-                stack.push(j);
+    }
+
+    /// The polynomial of mapped output `k`, held in the scratch.
+    fn output_poly(&mut self, mapped: &LutNetlist, k: usize) -> Result<&Poly, TermBudgetExceeded> {
+        match mapped.outputs()[k].1 {
+            Signal::Lut(root) => self.lut_cone_poly(mapped, root),
+            s => {
+                self.term = leaf(&self.inputs, &self.constants, s).into_owned();
+                Ok(&self.term)
             }
         }
     }
-    cone.sort_unstable();
-    let mut table: Vec<Poly> = Vec::with_capacity(cone.len());
-    for &i in &cone {
-        let lut = &luts[i as usize];
-        let n = lut.inputs.len();
-        let input_polys: Vec<Cow<'_, Poly>> = lut
-            .inputs
-            .iter()
-            .map(|s| match *s {
-                Signal::Input(v) => Cow::Owned(Poly::var(v)),
-                Signal::Const(b) => Cow::Owned(Poly::constant(b)),
-                Signal::Lut(j) => {
-                    let at = cone.binary_search(&j).expect("operands are in the cone");
-                    Cow::Borrowed(&table[at])
+
+    /// Expands the cone of LUT `root` into its polynomial: each in-cone
+    /// LUT's ANF is substituted with its input polynomials, ascending
+    /// by LUT id (which the topological-order invariant makes a valid
+    /// evaluation order). Work follows the cone, not the netlist.
+    fn lut_cone_poly(
+        &mut self,
+        mapped: &LutNetlist,
+        root: u32,
+    ) -> Result<&Poly, TermBudgetExceeded> {
+        let LutScratch {
+            index,
+            table,
+            inputs,
+            constants,
+            term,
+            next,
+        } = self;
+        let luts = mapped.luts();
+        index.collect(luts.len(), [root], |i, stack| {
+            for s in &luts[i as usize].inputs {
+                if let Signal::Lut(j) = *s {
+                    assert!(
+                        j < i,
+                        "LUT {i} reads LUT {j}: not topologically ordered (lint first)"
+                    );
+                    stack.push(j);
                 }
-            })
-            .collect();
-        let mut acc = Poly::zero();
-        for mask in lut.truth.anf(n) {
-            // Π of the selected input polynomials; multiply small
-            // factors first to keep intermediates tight, and stop on a
-            // vanished product (a Const(false) input, say).
-            let mut factors: Vec<&Poly> = (0..n)
-                .filter(|b| mask >> b & 1 == 1)
-                .map(|b| &*input_polys[b])
+            }
+        });
+        let cone = index.cone();
+        if table.len() < cone.len() {
+            table.resize_with(cone.len(), Poly::zero);
+        }
+        for (at, &i) in cone.iter().enumerate() {
+            let lut = &luts[i as usize];
+            let (done, rest) = table.split_at_mut(at);
+            let acc = &mut rest[0];
+            acc.clear();
+            let input_polys: Vec<Cow<'_, Poly>> = lut
+                .inputs
+                .iter()
+                .map(|&s| match s {
+                    Signal::Lut(j) => Cow::Borrowed(&done[index.slot(j)]),
+                    s => leaf(inputs, constants, s),
+                })
                 .collect();
-            factors.sort_by_key(|p| p.len());
-            let Some((first, rest)) = factors.split_first() else {
-                acc = acc + Poly::one();
-                continue;
-            };
-            let mut term = Cow::Borrowed(*first);
-            for f in rest {
-                if term.is_zero() {
-                    break;
+            for mask in lut.truth.anf(lut.inputs.len()) {
+                // Π of the selected input polynomials; multiply small
+                // factors first to keep intermediates tight, and stop on
+                // a vanished product (a Const(false) input, say).
+                let mut factors = [&constants[0]; MAX_LUT_INPUTS];
+                let mut count = 0;
+                for (b, p) in input_polys.iter().enumerate() {
+                    if mask >> b & 1 == 1 {
+                        factors[count] = p;
+                        count += 1;
+                    }
                 }
-                term = Cow::Owned(term.checked_mul(f)?);
+                let factors = &mut factors[..count];
+                factors.sort_by_key(|p| p.len());
+                let Some((first, rest)) = factors.split_first() else {
+                    *acc += &constants[1];
+                    continue;
+                };
+                let Some((second, rest)) = rest.split_first() else {
+                    *acc += *first;
+                    continue;
+                };
+                if first.is_zero() {
+                    continue;
+                }
+                first.checked_mul_into(second, term)?;
+                for f in rest {
+                    if term.is_zero() {
+                        break;
+                    }
+                    term.checked_mul_into(f, next)?;
+                    std::mem::swap(term, next);
+                }
+                *acc += &*term;
             }
-            acc = acc + term.into_owned();
         }
-        table.push(acc);
+        Ok(&table[cone.len() - 1])
     }
-    Ok(table.pop().expect("root is in its own cone"))
+}
+
+/// The leaf polynomial of a primary input or constant signal (an
+/// undeclared input still reads as its variable).
+fn leaf<'a>(inputs: &'a [Poly], constants: &'a [Poly; 2], s: Signal) -> Cow<'a, Poly> {
+    match s {
+        Signal::Input(v) => inputs
+            .get(v as usize)
+            .map_or_else(|| Cow::Owned(Poly::var(v)), Cow::Borrowed),
+        Signal::Const(b) => Cow::Borrowed(&constants[usize::from(b)]),
+        Signal::Lut(_) => unreachable!("a LUT signal is not a leaf"),
+    }
 }
 
 /// The fewest output bits worth fanning across threads.
 const PARALLEL_MIN_OUTPUTS: usize = 32;
 
-/// Compares the expected and extracted polynomials of every output
-/// bit, once the two `(inputs, outputs)` interfaces agree. Bits fan
-/// across threads; the lowest failing bit is reported (deterministic
-/// regardless of thread count or scheduling). The expected side may
-/// borrow (a spec) or compute (a source cone).
-fn check_outputs<'a, E, G>(
+/// Checks every output bit with `check_bit`, once the two
+/// `(inputs, outputs)` interfaces agree. Bits fan across threads, each
+/// worker with its own working memory from `worker`; the lowest
+/// failing bit is reported (deterministic regardless of thread count
+/// or scheduling).
+fn check_outputs<W>(
     [want_io, got_io]: [(usize, usize); 2],
-    expected: E,
-    got: G,
-) -> Result<(), FormalError>
-where
-    E: Fn(usize) -> Result<Cow<'a, Poly>, TermBudgetExceeded> + Sync,
-    G: Fn(usize) -> Result<Poly, TermBudgetExceeded> + Sync,
-{
+    worker: impl Fn() -> W + Sync,
+    check_bit: impl Fn(&mut W, usize) -> Result<(), FormalError> + Sync,
+) -> Result<(), FormalError> {
     if want_io != got_io {
         return Err(FormalError::Interface);
     }
     let n = want_io.1;
-    let check_bit = |k: usize| -> Result<(), FormalError> {
-        let over = |e: TermBudgetExceeded| FormalError::TermBudget {
-            output_bit: k,
-            terms: e.terms,
-        };
-        let want = expected(k).map_err(over)?;
-        diff_bit(&want, &got(k).map_err(over)?, k).map_or(Ok(()), Err)
-    };
     // Spawning workers costs more than a small design's whole check.
     if n < PARALLEL_MIN_OUTPUTS {
-        return (0..n).try_for_each(check_bit);
+        let mut w = worker();
+        return (0..n).try_for_each(|k| check_bit(&mut w, k));
     }
     let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
     let next = AtomicUsize::new(0);
     let failures: Mutex<Vec<(usize, FormalError)>> = Mutex::new(Vec::new());
     std::thread::scope(|s| {
         for _ in 0..threads.min(n) {
-            s.spawn(|| loop {
-                let k = next.fetch_add(1, Ordering::Relaxed);
-                if k >= n {
-                    break;
-                }
-                if let Err(e) = check_bit(k) {
-                    failures.lock().expect("formal failure list").push((k, e));
+            s.spawn(|| {
+                let mut w = worker();
+                loop {
+                    let k = next.fetch_add(1, Ordering::Relaxed);
+                    if k >= n {
+                        break;
+                    }
+                    if let Err(e) = check_bit(&mut w, k) {
+                        failures.lock().expect("formal failure list").push((k, e));
+                    }
                 }
             });
         }
@@ -242,37 +324,34 @@ where
         .map_or(Ok(()), |(_, e)| Err(e))
 }
 
-/// `None` when equal; otherwise the monomial-set difference counts,
-/// via one sorted merge (both polynomials are canonical).
-fn diff_bit(want: &Poly, got: &Poly, output_bit: usize) -> Option<FormalError> {
+/// `Ok` when equal; otherwise the monomial-set difference counts, via
+/// one sorted merge (both polynomials are canonical).
+fn diff_bit(want: &Poly, got: &Poly, output_bit: usize) -> Result<(), FormalError> {
     if want == got {
-        return None;
+        return Ok(());
     }
-    let (a, b) = (want.monomials(), got.monomials());
-    let (mut i, mut j) = (0, 0);
+    let (mut a, mut b) = (want.monomials().peekable(), got.monomials().peekable());
     let (mut missing, mut spurious) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
+    while let (Some(x), Some(y)) = (a.peek(), b.peek()) {
+        match x.cmp(y) {
             std::cmp::Ordering::Less => {
                 missing += 1;
-                i += 1;
+                a.next();
             }
             std::cmp::Ordering::Greater => {
                 spurious += 1;
-                j += 1;
+                b.next();
             }
             std::cmp::Ordering::Equal => {
-                i += 1;
-                j += 1;
+                a.next();
+                b.next();
             }
         }
     }
-    missing += a.len() - i;
-    spurious += b.len() - j;
-    Some(FormalError::Mismatch {
+    Err(FormalError::Mismatch {
         output_bit,
-        missing,
-        spurious,
+        missing: missing + a.count(),
+        spurious: spurious + b.count(),
     })
 }
 
@@ -426,12 +505,12 @@ mod tests {
         // Missing x0 and x2x3, spurious x4.
         assert_eq!(
             diff_bit(&a, &b, 7),
-            Some(FormalError::Mismatch {
+            Err(FormalError::Mismatch {
                 output_bit: 7,
                 missing: 2,
                 spurious: 1
             })
         );
-        assert!(diff_bit(&a, &a, 0).is_none());
+        assert_eq!(diff_bit(&a, &a, 0), Ok(()));
     }
 }

@@ -40,8 +40,9 @@
 //!    either level against a multiplier spec ([`Pipeline::verify_formal`]
 //!    / [`Pipeline::verify_formal_mapped`]) — no sampling, LUT cones
 //!    expanded via [`lut::Truth::anf`] — a
-//!    structural lint pass ([`lint::lint_mapped`]) that gates every
-//!    verify and feeds the `ImplReport` hygiene counters, and a static
+//!    structural lint pass ([`lint::lint_mapped`]) whose hard findings
+//!    ([`lint::lint_mapped_errors`]) gate every verify and whose
+//!    warnings feed the `ImplReport` hygiene counters, and a static
 //!    depth certificate ([`Pipeline::verify_depth`]) and area
 //!    certificate ([`Pipeline::verify_area`]) that prove a generated
 //!    netlist meets its claimed Table V gate-depth formula and

@@ -9,29 +9,72 @@
 //! produce (dead LUTs, duplicate LUTs, truth tables that ignore a
 //! connected input). The pipeline runs this pass after every mapping —
 //! before any verification — and surfaces the duplicate/dead counts in
-//! `ImplReport`.
+//! `ImplReport`. The error passes run first and are also exposed alone
+//! as [`lint_mapped_errors`], the precondition of the formal checks
+//! (only a hard finding can fail them).
 
+use std::cell::OnceCell;
 use std::collections::HashMap;
 
 use netlist::lint::{LintKind, LintReport};
 
 use crate::lut::{LutAnalysis, LutNetlist, Signal, Truth};
 
-/// Lints a mapped LUT netlist.
+/// Lints a mapped LUT netlist: the hard findings of
+/// [`lint_mapped_errors`], then the warning passes (dead LUTs,
+/// duplicate LUTs, ignored inputs) appended in that order.
 ///
 /// Every LUT-anchored finding carries the name of the output cone the
 /// LUT belongs to (the first declared output whose transitive fanin
 /// contains it), so a `LUT 17` message can be traced back to a
 /// coefficient bit without replaying the mapper.
 pub fn lint_mapped(mapped: &LutNetlist) -> LintReport {
-    let mut report = LintReport::new();
-    let luts = mapped.luts();
-    let n_inputs = mapped.input_names().len();
+    let cones = ConeNames::new(mapped);
+    let mut report = errors(mapped, &cones);
+    push_warnings(mapped, &cones, &mut report);
+    report
+}
 
-    // Owning cone per LUT: the first declared output that reaches it.
-    // The walk is defensive — out-of-range and forward references (the
-    // very defects linted below) are skipped, and the visited check
-    // terminates even on reference cycles.
+/// The error half of [`lint_mapped`]: signal validity, topological
+/// order and outputs depending on invalid signals — exactly the full
+/// lint's error-severity findings, in its order and with the same
+/// "(cone of cK)" attribution. The formal checks run this half alone
+/// as their precondition; warnings come from the full lint.
+pub fn lint_mapped_errors(mapped: &LutNetlist) -> LintReport {
+    errors(mapped, &ConeNames::new(mapped))
+}
+
+/// The output cone each LUT belongs to, walked on first use (a clean
+/// netlist's error half never needs it).
+struct ConeNames<'a> {
+    mapped: &'a LutNetlist,
+    owner: OnceCell<Vec<Option<usize>>>,
+}
+
+impl<'a> ConeNames<'a> {
+    fn new(mapped: &'a LutNetlist) -> ConeNames<'a> {
+        ConeNames {
+            mapped,
+            owner: OnceCell::new(),
+        }
+    }
+
+    /// `" (cone of <output>)"` for LUT `i`, or nothing for a LUT no
+    /// output reaches.
+    fn label(&self, i: usize) -> String {
+        match self.owner.get_or_init(|| owners(self.mapped))[i] {
+            Some(k) => format!(" (cone of {})", self.mapped.outputs()[k].0),
+            None => String::new(),
+        }
+    }
+}
+
+/// Owning cone per LUT: the first declared output that reaches it.
+/// The walk is defensive — out-of-range and forward references (the
+/// very defects linted below) are skipped, and the visited check
+/// terminates even on reference cycles.
+fn owners(mapped: &LutNetlist) -> Vec<Option<usize>> {
+    let luts = mapped.luts();
     let mut cone: Vec<Option<usize>> = vec![None; luts.len()];
     for (k, (_, s)) in mapped.outputs().iter().enumerate() {
         let mut stack = match *s {
@@ -52,12 +95,15 @@ pub fn lint_mapped(mapped: &LutNetlist) -> LintReport {
             }
         }
     }
-    let cone_of = |i: usize| -> String {
-        match cone[i] {
-            Some(k) => format!(" (cone of {})", mapped.outputs()[k].0),
-            None => String::new(),
-        }
-    };
+    cone
+}
+
+/// The error passes of [`lint_mapped`].
+fn errors(mapped: &LutNetlist, cones: &ConeNames<'_>) -> LintReport {
+    let mut report = LintReport::new();
+    let luts = mapped.luts();
+    let n_inputs = mapped.input_names().len();
+    let cone_of = |i: usize| cones.label(i);
 
     // Signal validity + topological order, per LUT input.
     let mut invalid = vec![false; luts.len()];
@@ -174,6 +220,14 @@ pub fn lint_mapped(mapped: &LutNetlist) -> LintReport {
         }
     }
 
+    report
+}
+
+/// The warning passes of [`lint_mapped`], appended to `report`.
+fn push_warnings(mapped: &LutNetlist, cones: &ConeNames<'_>, report: &mut LintReport) {
+    let luts = mapped.luts();
+    let cone_of = |i: usize| cones.label(i);
+
     // Dead LUTs: drive neither a LUT input nor a primary output.
     // `LutAnalysis` skips the invalid references this pass just
     // reported, so it is safe to share with timing analysis here.
@@ -230,8 +284,6 @@ pub fn lint_mapped(mapped: &LutNetlist) -> LintReport {
             }
         }
     }
-
-    report
 }
 
 #[cfg(test)]
@@ -377,6 +429,94 @@ mod tests {
             .find(|f| f.kind == LintKind::DeadNode)
             .unwrap();
         assert!(!dead.message.contains("cone of"), "{}", dead.message);
+    }
+
+    /// The error-severity findings of the full lint, in order.
+    fn full_errors(n: &LutNetlist) -> Vec<netlist::lint::LintFinding> {
+        lint_mapped(n)
+            .findings()
+            .iter()
+            .filter(|f| f.severity() == Severity::Error)
+            .cloned()
+            .collect()
+    }
+
+    #[test]
+    fn error_half_is_the_full_lints_error_subset() {
+        // Each hard defect on its own, inside a netlist that also has
+        // warnings: a forward reference, a reference to a missing LUT,
+        // an undeclared primary input, an output reading a missing LUT.
+        let defects: [(Signal, Signal); 4] = [
+            (Signal::Lut(3), Signal::Lut(1)),
+            (Signal::Lut(40), Signal::Lut(1)),
+            (Signal::Input(9), Signal::Lut(1)),
+            (Signal::Input(0), Signal::Lut(77)),
+        ];
+        for (bad_input, bad_output) in defects {
+            let mut n = fresh(4, 2);
+            let l0 = n.push_lut(Lut {
+                inputs: vec![Signal::Input(0), bad_input],
+                truth: Truth::of(0b0110),
+            });
+            n.push_lut(Lut {
+                inputs: vec![Signal::Lut(l0), Signal::Input(1)],
+                truth: Truth::of(0b1000),
+            });
+            n.push_lut(Lut {
+                inputs: vec![Signal::Input(1)],
+                truth: Truth::of(0b10),
+            }); // dead
+            n.push_output("c0".into(), bad_output);
+            n.push_output("c1".into(), Signal::Lut(l0));
+            let errors = lint_mapped_errors(&n);
+            assert!(errors.has_errors(), "{bad_input:?} {bad_output:?}");
+            assert_eq!(errors.findings(), full_errors(&n).as_slice());
+            assert_eq!(errors.warnings(), 0);
+            assert!(lint_mapped(&n).warnings() > 0);
+        }
+    }
+
+    #[test]
+    fn error_half_matches_on_random_defective_netlists() {
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move |bound: u32| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % u64::from(bound)) as u32
+        };
+        // Mostly valid signals; sometimes an undeclared input, a
+        // forward or self reference, or a missing LUT.
+        let signal =
+            |next: &mut dyn FnMut(u32) -> u32, n_inputs: u32, luts: u32, i: u32| match next(12) {
+                0 => Signal::Input(n_inputs + next(3)),
+                1 => Signal::Lut(i + next(3)),
+                2 => Signal::Lut(luts + next(3)),
+                3 => Signal::Const(next(2) == 1),
+                4..=7 if i > 0 => Signal::Lut(next(i)),
+                _ => Signal::Input(next(n_inputs)),
+            };
+        for _ in 0..300 {
+            let n_inputs = 1 + next(4);
+            let mut n = fresh(4, n_inputs as usize);
+            let luts = 1 + next(8);
+            for i in 0..luts {
+                let k = 1 + next(4);
+                let inputs = (0..k)
+                    .map(|_| signal(&mut next, n_inputs, luts, i))
+                    .collect();
+                let truth = Truth::of(u64::from(next(u32::MAX)));
+                n.push_lut(Lut { inputs, truth });
+            }
+            for k in 0..1 + next(3) {
+                let s = signal(&mut next, n_inputs, luts, luts);
+                n.push_output(format!("c{k}"), s);
+            }
+            assert_eq!(
+                lint_mapped_errors(&n).findings(),
+                full_errors(&n).as_slice()
+            );
+        }
     }
 
     #[test]

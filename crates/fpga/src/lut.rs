@@ -87,20 +87,39 @@ impl Truth {
             vars <= MAX_LUT_INPUTS,
             "ANF over at most {MAX_LUT_INPUTS} variables"
         );
-        let n = 1usize << vars;
-        let mut a: Vec<bool> = (0..n).map(|idx| self.bit(idx)).collect();
-        for v in 0..vars {
-            let step = 1usize << v;
-            for mask in 0..n {
-                if mask & step != 0 {
-                    a[mask] ^= a[mask ^ step];
-                }
+        // The butterfly runs on whole words: within a word, variable
+        // `v < 6` pairs entries `2^v` apart; variables 6 and 7 pair
+        // whole words.
+        const LOW_HALVES: [u64; 6] = [
+            0x5555_5555_5555_5555,
+            0x3333_3333_3333_3333,
+            0x0f0f_0f0f_0f0f_0f0f,
+            0x00ff_00ff_00ff_00ff,
+            0x0000_ffff_0000_ffff,
+            0x0000_0000_ffff_ffff,
+        ];
+        let mut w = self.mask(vars).0;
+        for (v, low) in LOW_HALVES.iter().enumerate().take(vars) {
+            for word in &mut w {
+                *word ^= (*word & low) << (1 << v);
             }
         }
-        (0..n)
-            .filter(|&mask| a[mask])
-            .map(|mask| mask as u32)
-            .collect()
+        if vars > 6 {
+            w[1] ^= w[0];
+            w[3] ^= w[2];
+        }
+        if vars > 7 {
+            w[2] ^= w[0];
+            w[3] ^= w[1];
+        }
+        let mut masks = Vec::new();
+        for (i, mut word) in w.into_iter().enumerate() {
+            while word != 0 {
+                masks.push(i as u32 * 64 + word.trailing_zeros());
+                word &= word - 1;
+            }
+        }
+        masks
     }
 
     /// Keeps only the entries a `vars`-variable function uses (the low
@@ -507,6 +526,38 @@ mod tests {
         assert_eq!(Truth::of(0b1110).anf(2), vec![0b01, 0b10, 0b11]);
         // High entries beyond 2^vars are ignored.
         assert_eq!(Truth::ONES.anf(1), vec![0]);
+    }
+
+    #[test]
+    fn word_butterfly_matches_the_entrywise_transform() {
+        // The entry-by-entry Möbius transform, as a reference.
+        fn reference(t: Truth, vars: usize) -> Vec<u32> {
+            let n = 1usize << vars;
+            let mut a: Vec<bool> = (0..n).map(|idx| t.bit(idx)).collect();
+            for v in 0..vars {
+                let step = 1usize << v;
+                for mask in 0..n {
+                    if mask & step != 0 {
+                        a[mask] ^= a[mask ^ step];
+                    }
+                }
+            }
+            (0..n).filter(|&m| a[m]).map(|m| m as u32).collect()
+        }
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..40 {
+            let mut words = [0u64; 4];
+            for w in &mut words {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                *w = x;
+            }
+            for vars in 0..=MAX_LUT_INPUTS {
+                let t = Truth(words);
+                assert_eq!(t.anf(vars), reference(t, vars), "{words:x?} over {vars}");
+            }
+        }
     }
 
     #[test]

@@ -721,16 +721,18 @@ impl Pipeline {
     /// against a multiplier specification (`rgf2m_core`'s
     /// `multiplier_spec` builds one from a field).
     ///
-    /// Runs the structural lint pass first — hard findings are
+    /// Runs the structural lint's error half first
+    /// ([`netlist::lint_netlist_errors`]) — hard findings are
     /// [`FlowError::LintErrors`], because no algebraic result over a
-    /// broken netlist means anything — then rewrites every output cone
+    /// broken netlist means anything; warnings come from the full
+    /// [`netlist::lint_netlist`] — then rewrites every output cone
     /// into its GF(2) polynomial (fanned out per output bit) and
     /// requires syntactic equality with the spec. A pass
     /// certifies the design on *all* operand pairs; a failure is
     /// [`FlowError::FormalMismatch`] naming the first wrong bit.
     pub fn verify_formal(&self, spec: &netlist::MulSpec, net: &Netlist) -> Result<(), FlowError> {
         self.validate()?;
-        FlowError::lint(net.name(), &netlist::lint_netlist(net))?;
+        FlowError::lint(net.name(), &netlist::lint_netlist_errors(net))?;
         crate::formal::verify_netlist(spec, net).map_err(|e| FlowError::formal(net.name(), e))
     }
 
@@ -786,14 +788,15 @@ impl Pipeline {
     /// [`Pipeline::verify_formal`] for a mapped netlist: LUT cones are
     /// expanded through the algebraic normal form of their truth
     /// tables ([`crate::lut::Truth::anf`]), so the certificate covers
-    /// resynthesis *and* mapping in one step.
+    /// resynthesis *and* mapping in one step. The precondition is the
+    /// mapped lint's error half ([`crate::lint::lint_mapped_errors`]).
     pub fn verify_formal_mapped(
         &self,
         spec: &netlist::MulSpec,
         mapped: &LutNetlist,
     ) -> Result<(), FlowError> {
         self.validate()?;
-        FlowError::lint(mapped.name(), &crate::lint::lint_mapped(mapped))?;
+        FlowError::lint(mapped.name(), &crate::lint::lint_mapped_errors(mapped))?;
         crate::formal::verify_mapped(spec, mapped).map_err(|e| FlowError::formal(mapped.name(), e))
     }
 
@@ -1496,6 +1499,76 @@ mod tests {
             p.verify_formal(&wrong_m, &net),
             Err(FlowError::VerificationMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn formal_lint_preconditions_fail_as_the_full_lint_did() {
+        use crate::lut::{Lut, Signal, Truth};
+        use netlist::{Gate, MulSpec, Poly};
+        let p = Pipeline::new();
+        let spec = MulSpec::new(1, vec![Poly::var(0)]);
+
+        // Gate level: outputs reading an undeclared primary input.
+        let mut net = Netlist::new("ghost");
+        let a = net.input("a0");
+        let b = net.input("b0");
+        let ghost = net.push_raw(Gate::Input(7));
+        let y = net.xor(a, ghost);
+        net.and(a, b); // dead: a warning the precondition skips
+        net.output("c0", y);
+        let full = FlowError::lint(net.name(), &netlist::lint_netlist(&net)).unwrap_err();
+        let got = p.verify_formal(&spec, &net).unwrap_err();
+        assert_eq!(got, full);
+        assert_eq!(
+            got.to_string(),
+            "ghost failed structural lint with 2 error(s); first: error[undriven-input]: \
+             node 2 reads primary input 7, but only 2 are declared"
+        );
+
+        // Mapped: a forward reference, a missing LUT, an undeclared
+        // input, an output reading a missing LUT.
+        let defects: [(Signal, Signal); 4] = [
+            (Signal::Lut(2), Signal::Lut(1)),
+            (Signal::Lut(40), Signal::Lut(1)),
+            (Signal::Input(9), Signal::Lut(1)),
+            (Signal::Input(0), Signal::Lut(77)),
+        ];
+        let mut messages = Vec::new();
+        for (bad_input, bad_output) in defects {
+            let names = vec!["a0".to_string(), "b0".to_string()];
+            let mut mapped = LutNetlist::new("broken".into(), 4, names);
+            let l0 = mapped.push_lut(Lut {
+                inputs: vec![Signal::Input(0), bad_input],
+                truth: Truth::of(0b0110),
+            });
+            mapped.push_lut(Lut {
+                inputs: vec![Signal::Lut(l0), Signal::Input(1)],
+                truth: Truth::of(0b1000),
+            });
+            mapped.push_lut(Lut {
+                inputs: vec![Signal::Input(1)],
+                truth: Truth::of(0b01),
+            }); // dead
+            mapped.push_output("c0".into(), bad_output);
+            let full =
+                FlowError::lint(mapped.name(), &crate::lint::lint_mapped(&mapped)).unwrap_err();
+            let got = p.verify_formal_mapped(&spec, &mapped).unwrap_err();
+            assert_eq!(got, full);
+            messages.push(got.to_string());
+        }
+        assert_eq!(
+            messages,
+            [
+                "broken failed structural lint with 2 error(s); first: error[combinational-cycle]: \
+                 LUT 0 input 1 reads LUT 2, which does not precede it (cone of c0)",
+                "broken failed structural lint with 2 error(s); first: error[undriven-input]: \
+                 LUT 0 input 1 reads LUT 40, which does not exist (cone of c0)",
+                "broken failed structural lint with 2 error(s); first: error[undriven-input]: \
+                 LUT 0 input 1 reads primary input 9, but only 2 are declared (cone of c0)",
+                "broken failed structural lint with 1 error(s); first: error[undriven-input]: \
+                 output 0 (c0) reads LUT 77, which does not exist",
+            ]
+        );
     }
 
     #[test]

@@ -100,7 +100,8 @@ impl TypeIiPentanomial {
     /// Returns [`PentanomialError::ShapeOutOfRange`] if `n < 2` or
     /// `n > ⌊m/2⌋ − 1`.
     pub fn new_unchecked_shape(m: usize, n: usize) -> Result<Self, PentanomialError> {
-        if m < 6 || n < 2 || n + 1 > m / 2 {
+        // `n ≥ ⌊m/2⌋` is `n + 1 > ⌊m/2⌋` without overflow at `usize::MAX`.
+        if m < 6 || n < 2 || n >= m / 2 {
             return Err(PentanomialError::ShapeOutOfRange { m, n });
         }
         Ok(TypeIiPentanomial { m, n })
@@ -201,6 +202,8 @@ mod tests {
         assert!(TypeIiPentanomial::new_unchecked_shape(20, 10).is_err());
         // Tiny m admits no type II pentanomial at all.
         assert!(TypeIiPentanomial::new_unchecked_shape(5, 2).is_err());
+        // An offset at the top of the range is refused, not overflowed.
+        assert!(TypeIiPentanomial::new(163, usize::MAX).is_err());
     }
 
     #[test]

@@ -64,4 +64,4 @@ pub use census::{
 };
 pub use depth::{check_depths, output_depths, DepthExcess, DepthSpec};
 pub use ir::{Fnv1a, Gate, Netlist, NodeId};
-pub use lint::{lint_netlist, LintReport};
+pub use lint::{lint_netlist, lint_netlist_errors, LintReport};

@@ -13,7 +13,10 @@
 //! (LUT-level) counterpart lives in `rgf2m_fpga::lint::lint_mapped` and
 //! reuses the same [`LintReport`] type, which is also the single source
 //! of truth for the hygiene counters (`dup_gates`, `dead_nodes`)
-//! surfaced in implementation reports.
+//! surfaced in implementation reports. Both run their error passes
+//! first, and expose them alone as [`lint_netlist_errors`] and
+//! `lint_mapped_errors`: the precondition of the formal checks, which
+//! only hard findings can fail.
 //!
 //! # Examples
 //!
@@ -258,7 +261,10 @@ impl fmt::Display for LintReport {
     }
 }
 
-/// Lints a gate-level netlist.
+/// Lints a gate-level netlist: the hard findings of
+/// [`lint_netlist_errors`], then the warning passes (dead nodes,
+/// duplicate gates, unbalanced XOR trees, redundant cones, missed
+/// sharing) appended in that order.
 ///
 /// The hash-consing [`Netlist`] builder makes some of these defects
 /// impossible to construct through its public API (duplicate gates fold
@@ -267,6 +273,18 @@ impl fmt::Display for LintReport {
 /// future builders, and so a report is a positive certificate rather
 /// than an assumption.
 pub fn lint_netlist(net: &Netlist) -> LintReport {
+    let mut report = lint_netlist_errors(net);
+    push_warnings(net, &mut report);
+    report
+}
+
+/// The error half of [`lint_netlist`]: combinational cycles, undriven
+/// inputs and outputs depending on them — exactly the full lint's
+/// error-severity findings, in its order, from a few linear passes.
+/// A verdict that only needs to know whether the netlist is a valid
+/// combinational design (the formal checks' precondition) runs this
+/// half alone; warnings come from the full lint.
+pub fn lint_netlist_errors(net: &Netlist) -> LintReport {
     let mut report = LintReport::new();
 
     // Topological order / combinational cycles: every operand must
@@ -334,6 +352,11 @@ pub fn lint_netlist(net: &Netlist) -> LintReport {
         }
     }
 
+    report
+}
+
+/// The warning passes of [`lint_netlist`], appended to `report`.
+fn push_warnings(net: &Netlist, report: &mut LintReport) {
     // Dead nodes: gates and constants nothing reads. Primary inputs
     // are exempt — an unused input is part of the declared interface,
     // not a hygiene defect.
@@ -558,8 +581,6 @@ pub fn lint_netlist(net: &Netlist) -> LintReport {
             }
         }
     }
-
-    report
 }
 
 /// `⌈log2(n)⌉` with `ceil_log2(0) = ceil_log2(1) = 0`.
@@ -776,6 +797,49 @@ mod tests {
         net.output("pair", left);
         net.output("y", root);
         assert!(lint_netlist(&net).is_clean());
+    }
+
+    /// The error-severity findings of the full lint, in order.
+    fn full_errors(net: &Netlist) -> Vec<LintFinding> {
+        lint_netlist(net)
+            .findings()
+            .iter()
+            .filter(|f| f.severity() == Severity::Error)
+            .cloned()
+            .collect()
+    }
+
+    #[test]
+    fn error_half_is_the_full_lints_error_subset() {
+        // Undriven inputs (one feeding an output, one dead) next to
+        // warnings the error half must leave out.
+        let mut net = Netlist::new("undriven");
+        let a = net.input("a");
+        let b = net.input("b");
+        let ghost = net.push_raw(Gate::Input(7));
+        let stray = net.push_raw(Gate::Input(9));
+        let y = net.xor(a, ghost);
+        let z = net.xor_chain(&[a, b, ghost, stray]);
+        net.and(a, b); // dead
+        net.output("y", y);
+        net.output("z", z);
+        net.output("w", b);
+        let errors = lint_netlist_errors(&net);
+        assert_eq!(errors.findings(), full_errors(&net).as_slice());
+        assert_eq!(errors.count(LintKind::UndrivenInput), 2);
+        assert_eq!(errors.count(LintKind::UndrivenOutput), 2);
+        assert!(lint_netlist(&net).warnings() > 0);
+        assert_eq!(errors.warnings(), 0);
+
+        // A clean netlist has a clean error half; a merely wasteful
+        // one too.
+        assert!(lint_netlist_errors(&clean_net()).is_clean());
+        let mut net = Netlist::new("chain");
+        let xs: Vec<_> = (0..5).map(|i| net.input(format!("x{i}"))).collect();
+        let root = net.xor_chain(&xs);
+        net.output("y", root);
+        assert!(lint_netlist_errors(&net).is_clean());
+        assert!(!lint_netlist(&net).is_clean());
     }
 
     #[test]
