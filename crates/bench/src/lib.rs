@@ -1,5 +1,4 @@
-//! Benchmark harness shared by the table-regeneration binaries and the
-//! Criterion benches.
+//! The library behind the table-regeneration and audit binaries.
 //!
 //! The Table V method set comes from the unified registry
 //! ([`rgf2m_core::Method::ALL`], paper row order) and the fabric set
@@ -140,7 +139,8 @@ pub fn format_field_block(m: usize, n: usize, rows: &[MeasuredRow]) -> String {
 }
 
 /// Looks up the value following `key` in a CLI argument list (shared by
-/// the `table5` / `bench_place` binaries).
+/// the `table5`, `crosstarget`, `audit`, `sta`, `reveng` and
+/// `lint_netlist` binaries).
 pub fn arg_value(args: &[String], key: &str) -> Option<String> {
     args.iter()
         .position(|a| a == key)

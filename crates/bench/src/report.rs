@@ -363,6 +363,12 @@ mod tests {
             "\"worst_slack_ns\": -0.0000001",
         );
         assert!(validate_table5_json(&noise_slack).is_ok());
+        // A time past `f64::MAX` would pass `Positive` as infinity.
+        let overflow =
+            block_doc(|_| "artix7").replacen("\"time_ns\": 9.7", "\"time_ns\": 1e999", 1);
+        assert!(validate_table5_json(&overflow)
+            .unwrap_err()
+            .contains("out of range"));
     }
 
     /// A minimal valid six-row block with a per-row target override.

@@ -208,9 +208,13 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
         *pos += 1;
     }
     let text = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
-    text.parse::<f64>()
-        .map(JsonValue::Num)
-        .map_err(|e| format!("bad number {text:?} at byte {start}: {e}"))
+    match text.parse::<f64>() {
+        // `f64::from_str` rounds a literal past `f64::MAX` to ±∞, which
+        // no JSON writer means and every bound check would wave through.
+        Ok(v) if !v.is_finite() => Err(format!("number out of range {text:?} at byte {start}")),
+        Ok(v) => Ok(JsonValue::Num(v)),
+        Err(e) => Err(format!("bad number {text:?} at byte {start}: {e}")),
+    }
 }
 
 /// Reads the four hex digits of a `\uXXXX` escape starting at `at`.
@@ -302,6 +306,8 @@ mod tests {
             r#""\ud83d alone""#, // high surrogate without its pair
             r#""\ud83dA""#,      // high surrogate + non-surrogate
             r#""\udE00""#,       // bare low surrogate
+            "1e999",             // past f64::MAX: no JSON writer means ±∞
+            "[0, -1e400]",
         ] {
             assert!(parse_json(bad).is_err(), "{bad:?} parsed");
         }
@@ -351,6 +357,7 @@ mod tests {
             1.0 / 3.0,
             8.654_321_012_345,
             f64::MIN_POSITIVE,
+            f64::MAX,
             123_456_789.987_654_32,
             -0.000_001_234_567_890_1,
         ] {

@@ -365,6 +365,12 @@ mod tests {
         assert!(ArtifactStore::decode(&bad_count)
             .unwrap_err()
             .contains("not a count"));
+        // A time past `f64::MAX` is refused, not read as infinity.
+        let overflow = doc.replace("\"time_ns\": 9.6543210987", "\"time_ns\": 1e999");
+        assert_ne!(overflow, doc);
+        assert!(ArtifactStore::decode(&overflow)
+            .unwrap_err()
+            .contains("out of range"));
     }
 
     #[test]

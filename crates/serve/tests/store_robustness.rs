@@ -2,13 +2,17 @@
 //! truncated document, wrong schema tag, unwritable root — must fall
 //! back to recompute (never panic, never serve garbage), and a healthy
 //! round trip must serve reports identical to the fresh computation.
+//! The reader itself never panics on any bytes, and whatever it accepts
+//! it can write back unchanged.
 
 use std::fs;
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use netlist::Netlist;
-use rgf2m_fpga::{Pipeline, ReportSource};
+use proptest::prelude::*;
+use rgf2m_fpga::{ImplReport, Pipeline, ReportSource};
+use rgf2m_serve::codec::{FieldKind, REPORT_FIELDS};
 use rgf2m_serve::store::{ArtifactStore, ARTIFACT_SCHEMA};
 
 /// A per-test scratch directory (cleared at entry, so reruns are
@@ -134,4 +138,173 @@ fn distinct_options_fingerprints_do_not_cross_contaminate() {
     assert_eq!(source, ReportSource::Computed);
     assert_eq!(store.stats().writes, 2);
     assert_eq!(fs::read_dir(store.root()).unwrap().count(), 2);
+}
+
+/// What a hostile or bit-rotted document might hold where a report
+/// column's number belongs.
+const HOSTILE_VALUES: [&str; 12] = [
+    "-1",
+    "0.5",
+    "1e999",
+    "-1e999",
+    "18446744073709551616",
+    "4294967296",
+    "-0",
+    "null",
+    "\"7\"",
+    "true",
+    "[]",
+    "{}",
+];
+
+/// Key strings that are not 16 hex digits of a `u64`.
+const BAD_KEYS: [&str; 9] = [
+    "",
+    "g",
+    "-1",
+    "+ff",
+    "0x1f",
+    " 1f",
+    "10000000000000000",
+    "ffffffffffffffffffffffffffffffff",
+    "caf\\u00e9",
+];
+
+/// The two key members of an artifact document.
+const KEY_MEMBERS: [&str; 2] = ["content_hash", "options_fingerprint"];
+
+/// Decodes `text`; an accepted document must carry finite times and
+/// re-encode to one that decodes to the same key and the same report,
+/// bit for bit.
+fn decodes_soundly(text: &str) -> Result<(), TestCaseError> {
+    let Ok((ch, fp, report)) = ArtifactStore::decode(text) else {
+        return Ok(());
+    };
+    let ns = |r: &ImplReport| -> Vec<u64> {
+        REPORT_FIELDS
+            .iter()
+            .filter_map(|f| match f.kind {
+                FieldKind::Ns(get, _) => Some(get(r).to_bits()),
+                _ => None,
+            })
+            .collect()
+    };
+    prop_assert!(
+        ns(&report)
+            .into_iter()
+            .map(f64::from_bits)
+            .all(f64::is_finite),
+        "non-finite time in {report:?} decoded from {text:?}"
+    );
+    let again = ArtifactStore::encode(ch, fp, &report);
+    let (ch2, fp2, back) = ArtifactStore::decode(&again).map_err(TestCaseError::fail)?;
+    prop_assert_eq!((ch2, fp2), (ch, fp));
+    prop_assert_eq!(&back, &report);
+    prop_assert_eq!(ns(&back), ns(&report));
+    Ok(())
+}
+
+/// `doc` with the value of its member `key` (a number, or a quoted
+/// hex string) replaced by the raw JSON `value`.
+fn with_member(doc: &str, key: &str, value: &str) -> String {
+    let tag = format!("\"{key}\": ");
+    let start = doc.find(&tag).expect("member present") + tag.len();
+    let end = start
+        + doc[start..]
+            .find([',', '}', '\n'])
+            .expect("member is followed by a delimiter");
+    format!("{}{value}{}", &doc[..start], &doc[end..])
+}
+
+/// A finite `f64`: a corner case or any finite bit pattern.
+fn finite() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        Just(0.0),
+        Just(-0.0),
+        Just(5e-324),
+        Just(f64::MAX),
+        any::<u64>()
+            .prop_map(f64::from_bits)
+            .prop_filter("finite", |v| v.is_finite()),
+    ]
+}
+
+/// A valid artifact document over a random key and report.
+fn arb_document() -> impl Strategy<Value = String> {
+    (
+        any::<u64>(),
+        any::<u64>(),
+        proptest::collection::vec(0usize..=(1 << 53), 7),
+        proptest::collection::vec(any::<u32>(), 3),
+        proptest::collection::vec(finite(), 2),
+    )
+        .prop_map(|(ch, fp, counts, levels, floats)| {
+            let report = ImplReport {
+                name: "gf256_proposed".into(),
+                luts: counts[0],
+                slices: counts[1],
+                depth: levels[0],
+                time_ns: floats[0],
+                dup_gates: counts[2],
+                dead_nodes: counts[3],
+                worst_slack_ns: floats[1],
+                and_depth: levels[1],
+                xor_depth: levels[2],
+                and_gates: counts[4],
+                xor_gates: counts[5],
+                dedup_saved: counts[6],
+            };
+            ArtifactStore::encode(ch, fp, &report)
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn decode_never_panics_on_random_bytes(bytes in proptest::collection::vec(any::<u8>(), 0..600)) {
+        decodes_soundly(&String::from_utf8_lossy(&bytes))?;
+    }
+
+    #[test]
+    fn decode_never_panics_on_any_prefix(doc in arb_document()) {
+        prop_assert!(ArtifactStore::decode(&doc).is_ok(), "{doc}");
+        decodes_soundly(&doc)?;
+        for end in (0..doc.len()).filter(|&end| doc.is_char_boundary(end)) {
+            decodes_soundly(&doc[..end])?;
+        }
+    }
+
+    #[test]
+    fn decode_never_panics_on_a_flipped_byte(
+        doc in arb_document(),
+        at in any::<usize>(),
+        mask in 1u8..=255,
+    ) {
+        let mut bytes = doc.into_bytes();
+        let at = at % bytes.len();
+        bytes[at] ^= mask;
+        decodes_soundly(&String::from_utf8_lossy(&bytes))?;
+    }
+
+    #[test]
+    fn decode_never_panics_on_a_hostile_column(doc in arb_document()) {
+        for key in REPORT_FIELDS.iter().map(|f| f.name).chain(["name"]) {
+            for value in HOSTILE_VALUES {
+                decodes_soundly(&with_member(&doc, key, value))?;
+            }
+        }
+    }
+
+    #[test]
+    fn decode_never_panics_on_a_bad_key(doc in arb_document()) {
+        for key in KEY_MEMBERS {
+            for bad in BAD_KEYS {
+                decodes_soundly(&with_member(&doc, key, &format!("\"{bad}\"")))?;
+            }
+            for value in HOSTILE_VALUES {
+                decodes_soundly(&with_member(&doc, key, value))?;
+            }
+        }
+    }
 }
