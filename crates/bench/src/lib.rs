@@ -35,15 +35,6 @@ pub use batch::{
 pub use daemon::run_rows_via_daemon;
 pub use report::{rows_to_csv, rows_to_json, validate_table5_json, TABLE5_SCHEMA};
 
-/// The six methods of the paper's Table V, in its row order:
-/// \[2\], \[8\], \[3\], \[6\], \[7\], This work.
-///
-/// Thin wrapper over the unified registry — [`Method::ALL`] is the
-/// source of truth; prefer iterating that directly in new code.
-pub fn table_v_generators() -> Vec<Box<dyn MultiplierGenerator>> {
-    Method::ALL.iter().map(|m| m.generator()).collect()
-}
-
 /// One measured row of our Table V reproduction.
 #[derive(Debug, Clone)]
 pub struct MeasuredRow {
@@ -178,17 +169,6 @@ pub fn harness_pipeline() -> Pipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn six_generators_in_paper_order() {
-        let gens = table_v_generators();
-        let tags: Vec<&str> = gens.iter().map(|g| g.citation()).collect();
-        assert_eq!(tags, ["[2]", "[8]", "[3]", "[6]", "[7]", "This work"]);
-        // The thin wrapper must agree with the registry item by item.
-        for (g, m) in gens.iter().zip(Method::ALL) {
-            assert_eq!(g.name(), m.name());
-        }
-    }
 
     #[test]
     fn run_table_v_smallest_field() {

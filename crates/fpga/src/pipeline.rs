@@ -355,14 +355,14 @@ impl fmt::Display for FlowError {
 /// artifact store (e.g. `rgf2m_serve::ArtifactStore`) implements so one
 /// [`Pipeline`] can serve repeat traffic across processes and restarts.
 ///
-/// [`Pipeline::run_report_sourced`] consults the hook on a memory-cache
-/// miss and feeds it on every memory fill. Implementations must be
-/// **key-faithful**: [`ArtifactHook::load`] may only return a report
-/// previously stored for exactly that `(content_hash, fingerprint)`
-/// pair and design name — anything it cannot vouch for (missing,
-/// truncated, wrong schema, mismatched key) must be a `None` miss so
-/// the pipeline recomputes. A hook must never panic: persistence
-/// failures degrade to recomputation, not errors.
+/// [`Pipeline::run_report_sourced`] and [`Pipeline::lookup`] consult
+/// the hook on a memory-cache miss; every memory fill feeds it.
+/// Implementations must be **key-faithful**: [`ArtifactHook::load`]
+/// may only return a report previously stored for exactly that
+/// `(content_hash, fingerprint)` pair and design name — anything it
+/// cannot vouch for (missing, truncated, wrong schema, mismatched key)
+/// must be a `None` miss so the pipeline recomputes. A hook must never
+/// panic: persistence failures degrade to recomputation, not errors.
 pub trait ArtifactHook: Send + Sync + fmt::Debug {
     /// Looks up the report persisted for this exact cache key, or
     /// `None` (a miss — the pipeline recomputes).
@@ -851,28 +851,48 @@ impl Pipeline {
     /// computation. The serving daemon uses this to label responses and
     /// meter traffic.
     ///
-    /// Tier order on each call: memory cache → artifact hook → full
-    /// pipeline run (which then fills the memory cache *and* the hook).
-    /// A hook hit cannot fill the memory cache — the store persists
-    /// reports, not full artifact sets — so repeat hook hits stay hook
-    /// hits until something computes the design in-process.
+    /// Tier order on each call: [`Pipeline::lookup`] (memory cache →
+    /// artifact hook), else a full pipeline run (which then fills the
+    /// memory cache *and* the hook). A hook hit cannot fill the memory
+    /// cache — the store persists reports, not full artifact sets — so
+    /// repeat hook hits stay hook hits until something computes the
+    /// design in-process.
     pub fn run_report_sourced(
         &self,
         net: &Netlist,
     ) -> Result<(ImplReport, ReportSource), FlowError> {
         self.validate()?;
         let key = self.cache_key(net);
-        if let Some(hit) = self.probe_memory(&key, net.name()) {
-            return Ok((hit.report.clone(), ReportSource::Memory));
-        }
-        if let Some(hook) = &self.hook {
-            if let Some(report) = hook.load(net.name(), key.0, key.1) {
-                self.store_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok((report, ReportSource::Store));
-            }
+        if let Some(hit) = self.probe_tiers(&key, net.name()) {
+            return Ok(hit);
         }
         self.compute_and_fill(net, key)
             .map(|a| (a.report.clone(), ReportSource::Computed))
+    }
+
+    /// The cache tiers of [`Pipeline::run_report_sourced`] alone, for a
+    /// design known by its name and [`Netlist::content_hash`]: the
+    /// memory cache, then the attached [`ArtifactHook`]. `Ok(None)` is
+    /// a miss in both; nothing is computed. A caller that already knows
+    /// which netlist a request produces can skip generating it on a
+    /// hit. The hit counters are the ones `run_report_sourced` bumps.
+    pub fn lookup(
+        &self,
+        name: &str,
+        content_hash: u64,
+    ) -> Result<Option<(ImplReport, ReportSource)>, FlowError> {
+        self.validate()?;
+        Ok(self.probe_tiers(&(content_hash, self.options_fingerprint()), name))
+    }
+
+    /// Memory cache, then the artifact hook; counts the hit.
+    fn probe_tiers(&self, key: &CacheKey, name: &str) -> Option<(ImplReport, ReportSource)> {
+        if let Some(hit) = self.probe_memory(key, name) {
+            return Some((hit.report.clone(), ReportSource::Memory));
+        }
+        let report = self.hook.as_ref()?.load(name, key.0, key.1)?;
+        self.store_hits.fetch_add(1, Ordering::Relaxed);
+        Some((report, ReportSource::Store))
     }
 
     /// The memoized core of [`Pipeline::run`]: returns a shared handle
@@ -1771,6 +1791,40 @@ mod tests {
         assert_eq!(source, ReportSource::Computed);
         // The hook survives clone_config.
         assert!(warm.clone_config().artifact_hook().is_some());
+    }
+
+    #[test]
+    fn lookup_probes_the_tiers_without_computing() {
+        let net = xor_tree(32);
+        let (name, hash) = (net.name(), net.content_hash());
+        let hook = Arc::new(MemHook::default());
+        let p = Pipeline::new().with_artifact_hook(hook.clone());
+        assert_eq!(p.lookup(name, hash).unwrap(), None);
+        assert_eq!(p.cache_stats(), CacheStats::default());
+        let report = p.run_report(&net).unwrap();
+        assert_eq!(
+            p.lookup(name, hash).unwrap(),
+            Some((report.clone(), ReportSource::Memory))
+        );
+        // A fresh pipeline over the same hook: a store hit, counted.
+        let warm = Pipeline::new().with_artifact_hook(hook.clone());
+        assert_eq!(
+            warm.lookup(name, hash).unwrap(),
+            Some((report, ReportSource::Store))
+        );
+        assert_eq!(
+            (warm.cache_stats().store_hits, warm.cache_stats().misses),
+            (1, 0)
+        );
+        // A name that does not match the key is a collision: a miss.
+        assert_eq!(p.lookup("other", hash).unwrap(), None);
+        assert_eq!(warm.lookup("other", hash).unwrap(), None);
+        // Invalid options fail as they would for a run.
+        let bad = Pipeline::new().with_map_options(MapOptions::new().with_k(3));
+        assert!(matches!(
+            bad.lookup(name, hash),
+            Err(FlowError::InvalidOptions(_))
+        ));
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! ```text
 //! serve_ctl ENDPOINT synth M N METHOD [TARGET] [--seed S]
 //! serve_ctl ENDPOINT stats [--min-jobs N] [--min-store-hits N]
-//!                          [--max-computed N] [--min-dedup-waits N]
+//!                          [--max-computed N] [--max-generated N]
+//!                          [--min-dedup-waits N]
 //! serve_ctl ENDPOINT shutdown
 //! ```
 //!
@@ -87,10 +88,16 @@ fn main() {
                 fn(f64, f64) -> bool,
                 &'static str,
             );
-            let checks: [Check; 4] = [
+            let checks: [Check; 5] = [
                 ("--min-jobs", &["jobs_ok"], |v, n| v >= n, ">="),
                 ("--min-store-hits", &["store", "hits"], |v, n| v >= n, ">="),
                 ("--max-computed", &["computed"], |v, n| v <= n, "<="),
+                (
+                    "--max-generated",
+                    &["timings", "generate", "count"],
+                    |v, n| v <= n,
+                    "<=",
+                ),
                 ("--min-dedup-waits", &["dedup_waits"], |v, n| v >= n, ">="),
             ];
             for (flag, path, check, op) in checks {

@@ -24,6 +24,10 @@ const NAME: &str = "name";
 /// zero up to float noise.
 const SLACK_TOLERANCE: f64 = 1e-6;
 
+/// The largest count a reader accepts, 2^53 − 1: every integer up to
+/// it has its own `f64`, so a JSON number there reads back exactly.
+const MAX_EXACT_COUNT: f64 = ((1u64 << 53) - 1) as f64;
+
 /// How a column is typed, read and written.
 #[derive(Debug, Clone, Copy)]
 pub enum FieldKind {
@@ -153,7 +157,8 @@ impl ReportField {
             }
         };
         match self.kind {
-            FieldKind::Count(_, set) => set(r, count(usize::MAX as f64)? as usize),
+            // Past 2^53 − 1 a JSON number no longer names one integer.
+            FieldKind::Count(_, set) => set(r, count(MAX_EXACT_COUNT)? as usize),
             FieldKind::U32(_, set) => set(r, count(u32::MAX as f64)? as u32),
             FieldKind::Ns(_, set) => set(r, v),
             FieldKind::Derived(_) => {}
@@ -222,5 +227,15 @@ mod tests {
         assert!(read_report(&parse_json(&wide).unwrap(), "t")
             .unwrap_err()
             .contains("\"depth\" = 4294967296 is not a count"));
+        // A count column refuses what an f64 cannot hold exactly.
+        let exact = s.replace("\"luts\": 0", "\"luts\": 9007199254740991");
+        assert_eq!(
+            read_report(&parse_json(&exact).unwrap(), "t").unwrap().luts,
+            (1 << 53) - 1
+        );
+        let inexact = s.replace("\"luts\": 0", "\"luts\": 9007199254740992");
+        assert!(read_report(&parse_json(&inexact).unwrap(), "t")
+            .unwrap_err()
+            .contains("is not a count"));
     }
 }

@@ -202,10 +202,39 @@ fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: JsonValue) -> Result<JsonV
     }
 }
 
+/// Reads a number in the RFC 8259 grammar,
+/// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`: no leading
+/// `+`, no leading zeros, digits on both sides of a `.` and after an
+/// exponent mark.
 fn parse_number(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     let start = *pos;
-    while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
+    let digits = |pos: &mut usize| {
+        let from = *pos;
+        while b.get(*pos).is_some_and(u8::is_ascii_digit) {
+            *pos += 1;
+        }
+        *pos > from
+    };
+    if b.get(*pos) == Some(&b'-') {
         *pos += 1;
+    }
+    let int_start = *pos;
+    let mut ok = digits(pos) && (b[int_start] != b'0' || *pos == int_start + 1);
+    if ok && b.get(*pos) == Some(&b'.') {
+        *pos += 1;
+        ok = digits(pos);
+    }
+    if ok && matches!(b.get(*pos), Some(b'e' | b'E')) {
+        *pos += 1;
+        if matches!(b.get(*pos), Some(b'+' | b'-')) {
+            *pos += 1;
+        }
+        ok = digits(pos);
+    }
+    if !ok {
+        // Name the scanned prefix plus the byte that broke the grammar.
+        let seen = String::from_utf8_lossy(&b[start..(*pos + 1).min(b.len())]);
+        return Err(format!("bad number {seen:?} at byte {start}"));
     }
     let text = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
     match text.parse::<f64>() {
@@ -217,11 +246,18 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     }
 }
 
-/// Reads the four hex digits of a `\uXXXX` escape starting at `at`.
+/// Reads the four hex digits of a `\uXXXX` escape starting at `at`:
+/// exactly four, so no sign or short form slips through.
 fn parse_hex4(b: &[u8], at: usize) -> Result<u32, String> {
     let hex = b
         .get(at..at + 4)
         .ok_or("truncated \\u escape".to_string())?;
+    if !hex.iter().all(u8::is_ascii_hexdigit) {
+        return Err(format!(
+            "\\u escape {:?} is not four hex digits",
+            String::from_utf8_lossy(hex)
+        ));
+    }
     u32::from_str_radix(std::str::from_utf8(hex).map_err(|e| e.to_string())?, 16)
         .map_err(|e| e.to_string())
 }
@@ -308,9 +344,52 @@ mod tests {
             r#""\udE00""#,       // bare low surrogate
             "1e999",             // past f64::MAX: no JSON writer means ±∞
             "[0, -1e400]",
+            // RFC 8259 number grammar.
+            "+1",
+            "01",
+            "-01",
+            "1.",
+            ".5",
+            "-.5",
+            "1.e3",
+            "1e",
+            "1e+",
+            "-",
+            "--1",
+            "0x10",
+            "[1.5.2]",
+            // Exactly four hex digits per escape.
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u 041""#,
+            r#""\u041""#,
+            r#""\ud83d\u+e00""#,
         ] {
             assert!(parse_json(bad).is_err(), "{bad:?} parsed");
         }
+    }
+
+    #[test]
+    fn json_accepts_the_rfc_8259_number_forms() {
+        for (text, v) in [
+            ("0", 0.0_f64),
+            ("-0", -0.0),
+            ("7", 7.0),
+            ("-12", -12.0),
+            ("0.25", 0.25),
+            ("10.5", 10.5),
+            ("1e3", 1e3),
+            ("1E+3", 1e3),
+            ("25e-1", 2.5),
+            ("-0.5E-2", -0.005),
+        ] {
+            let parsed = parse_json(text).unwrap().as_f64().unwrap();
+            assert_eq!(parsed.to_bits(), v.to_bits(), "{text}");
+        }
+        assert_eq!(
+            parse_json(r#""\u0041\u00E9""#).unwrap().as_str(),
+            Some("Aé")
+        );
     }
 
     #[test]

@@ -18,6 +18,12 @@
 //!   [`Pipeline`] per `(target, seed)`, so a given key always anneals
 //!   with its requested seed and repeat traffic hits that pipeline's
 //!   memory cache;
+//! * the generators are deterministic, so the daemon remembers which
+//!   netlist (name and content hash) each `(field, method)` produced
+//!   and a warm request goes straight to the memory and store tiers
+//!   ([`Pipeline::lookup`]): only a request no tier can answer builds
+//!   the field and generates its netlist, so the `generate` stage
+//!   timing counts the netlists actually generated;
 //! * graceful shutdown (the `shutdown` op) stops accepting, lets the
 //!   workers drain every queued and in-flight job, answers every
 //!   waiter, then closes the remaining connections and returns.
@@ -28,10 +34,10 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use rgf2m_core::Method;
-use rgf2m_fpga::{CacheStats, Pipeline, PlaceOptions, ReportSource, Target};
+use rgf2m_fpga::{CacheStats, ImplReport, Pipeline, PlaceOptions, ReportSource, Target};
 
 use crate::net::{AnyListener, Conn, Endpoint};
 use crate::protocol::{
@@ -159,6 +165,7 @@ pub fn serve(
         endpoint: resolved.clone(),
         store,
         pipelines: Mutex::new(HashMap::new()),
+        designs: Mutex::new(HashMap::new()),
         board: Mutex::new(Board::default()),
         work_cv: Condvar::new(),
         drain_cv: Condvar::new(),
@@ -203,6 +210,14 @@ pub fn serve(
 
 /// One singleflight job identity: everything that changes the answer.
 type JobKey = (FieldSpec, Method, Target, u64);
+
+/// One design: what fixes the netlist a job generates.
+type Design = (FieldSpec, Method);
+
+/// The most designs the identity memo holds. Clients choose the field,
+/// so the memo is bounded; when full it starts over, which costs only
+/// a regeneration per design still in use.
+const MAX_DESIGNS: usize = 1024;
 
 /// A response destination: the request to echo plus the connection's
 /// shared write half.
@@ -252,6 +267,9 @@ struct Shared {
     /// One pipeline per `(target, seed)`: determinism per key, and a
     /// memory cache that repeat traffic actually hits.
     pipelines: Mutex<HashMap<(Target, u64), Arc<Pipeline>>>,
+    /// Each generated design's netlist name and content hash, so a
+    /// warm request skips generation.
+    designs: Mutex<HashMap<Design, (String, u64)>>,
     board: Mutex<Board>,
     work_cv: Condvar,
     drain_cv: Condvar,
@@ -391,16 +409,49 @@ impl Shared {
         }
     }
 
-    fn execute(&self, key: &JobKey) -> Result<(rgf2m_fpga::ImplReport, ReportSource), String> {
+    fn execute(&self, key: &JobKey) -> Result<(ImplReport, ReportSource), String> {
         let (field_spec, method, target, seed) = key;
-        let field = field_spec.build_field()?;
-        let t0 = Instant::now();
-        let net = method.generator().generate(&field);
-        self.record_stage(STAGE_GENERATE, t0);
-        let pipeline = self.pipeline_for(*target, *seed);
-        let t1 = Instant::now();
-        let outcome = pipeline.run_report_sourced(&net).map_err(|e| e.to_string());
-        self.record_stage(STAGE_SYNTH, t1);
+        let design = design_of(field_spec, *method);
+        let known = self
+            .designs
+            .lock()
+            .expect("designs poisoned")
+            .get(&design)
+            .cloned();
+        let mut synth = Duration::ZERO;
+        let hit = match known {
+            Some((name, content_hash)) => {
+                let pipeline = self.pipeline_for(*target, *seed);
+                let t = Instant::now();
+                let hit = pipeline.lookup(&name, content_hash);
+                synth += t.elapsed();
+                hit.map_err(|e| e.to_string())?
+            }
+            None => None,
+        };
+        let outcome = match hit {
+            Some(hit) => Ok(hit),
+            None => {
+                // A spec that cannot build a field is never remembered,
+                // so it keeps getting its typed error.
+                let field = field_spec.build_field()?;
+                let t = Instant::now();
+                let net = method.generator().generate(&field);
+                self.record_stage(STAGE_GENERATE, t.elapsed());
+                let identity = (net.name().to_string(), net.content_hash());
+                remember_bounded(
+                    &mut self.designs.lock().expect("designs poisoned"),
+                    design,
+                    identity,
+                );
+                let pipeline = self.pipeline_for(*target, *seed);
+                let t = Instant::now();
+                let outcome = pipeline.run_report_sourced(&net).map_err(|e| e.to_string());
+                synth += t.elapsed();
+                outcome
+            }
+        };
+        self.record_stage(STAGE_SYNTH, synth);
         if let Ok((_, source)) = &outcome {
             let counter = match source {
                 ReportSource::Memory => &self.counters.from_memory,
@@ -432,8 +483,8 @@ impl Shared {
             .clone()
     }
 
-    fn record_stage(&self, stage: usize, since: Instant) {
-        let us = since.elapsed().as_micros();
+    fn record_stage(&self, stage: usize, took: Duration) {
+        let us = took.as_micros();
         let mut timings = self.timings.lock().expect("timings poisoned");
         let t = &mut timings[stage];
         t.count += 1;
@@ -531,6 +582,44 @@ impl Shared {
     }
 }
 
+/// The memo key of a job's design. A `poly` field is keyed by the set
+/// of terms its exponents leave (a repeated exponent toggles its term
+/// back out), so every spelling of one modulus shares an entry and no
+/// key holds more than [`crate::protocol::MAX_FIELD_DEGREE`]` + 1`
+/// exponents, however long the request's list.
+fn design_of(field: &FieldSpec, method: Method) -> Design {
+    let field = match field {
+        FieldSpec::Pair { .. } => field.clone(),
+        FieldSpec::Poly(exps) => {
+            let mut sorted = exps.clone();
+            sorted.sort_unstable();
+            let mut terms: Vec<usize> = Vec::new();
+            for e in sorted {
+                if terms.last() == Some(&e) {
+                    terms.pop();
+                } else {
+                    terms.push(e);
+                }
+            }
+            FieldSpec::Poly(terms)
+        }
+    };
+    (field, method)
+}
+
+/// Records a design's identity in a memo of at most [`MAX_DESIGNS`]
+/// entries, emptying it first when a new design would pass the cap.
+fn remember_bounded(
+    designs: &mut HashMap<Design, (String, u64)>,
+    design: Design,
+    identity: (String, u64),
+) {
+    if designs.len() >= MAX_DESIGNS && !designs.contains_key(&design) {
+        designs.clear();
+    }
+    designs.insert(design, identity);
+}
+
 fn write_line(out: &Arc<Mutex<Conn>>, line: &str) {
     // One write per line: on TCP, a second tiny write for the newline
     // waits out Nagle plus the peer's delayed ACK (~40-90 ms a reply).
@@ -539,4 +628,43 @@ fn write_line(out: &Arc<Mutex<Conn>>, line: &str) {
     // A vanished client is its own problem; the daemon carries on.
     let _ = conn.write_all(framed.as_bytes());
     let _ = conn.flush();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn poly_designs_are_keyed_by_their_terms() {
+        let poly =
+            |exps: &[usize]| design_of(&FieldSpec::Poly(exps.to_vec()), Method::ProposedFlat).0;
+        let canonical = FieldSpec::Poly(vec![0, 2, 3, 4, 8]);
+        assert_eq!(poly(&[8, 4, 3, 2, 0]), canonical);
+        assert_eq!(poly(&[0, 8, 1, 4, 1, 3, 2, 5, 5, 5, 5]), canonical);
+        assert_eq!(
+            poly(&[8, 4, 3, 2, 0, 7, 7, 7]),
+            FieldSpec::Poly(vec![0, 2, 3, 4, 7, 8])
+        );
+        let padded: Vec<usize> = [8, 4, 3, 2, 0].into_iter().chain([1; 20_000]).collect();
+        assert_eq!(poly(&padded), canonical);
+    }
+
+    #[test]
+    fn design_memo_stays_bounded() {
+        let mut designs = HashMap::new();
+        let design = |m| (FieldSpec::Pair { m, n: 2 }, Method::ProposedFlat);
+        for m in 0..MAX_DESIGNS {
+            remember_bounded(&mut designs, design(m), (String::new(), 0));
+        }
+        assert_eq!(designs.len(), MAX_DESIGNS);
+        // Re-recording a known design at the cap keeps every entry.
+        remember_bounded(&mut designs, design(0), (String::new(), 1));
+        assert_eq!(designs.len(), MAX_DESIGNS);
+        // A new one past the cap starts over.
+        for m in MAX_DESIGNS..3 * MAX_DESIGNS + 7 {
+            remember_bounded(&mut designs, design(m), (String::new(), 0));
+            assert!(designs.len() <= MAX_DESIGNS);
+        }
+        assert!(designs.contains_key(&design(3 * MAX_DESIGNS + 6)));
+    }
 }

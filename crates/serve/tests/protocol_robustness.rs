@@ -7,6 +7,7 @@
 use proptest::prelude::*;
 use rgf2m_core::Method;
 use rgf2m_fpga::Target;
+use rgf2m_serve::json::parse_json;
 use rgf2m_serve::protocol::{encode_request, parse_request};
 use rgf2m_serve::{FieldSpec, Request, SynthRequest};
 
@@ -156,5 +157,31 @@ fn out_of_range_pentanomial_offsets_are_errors() {
             Ok(Request::Synth(req)) => assert!(req.field.build_field().is_err(), "{line}"),
             other => assert!(other.is_err(), "{line}: {other:?}"),
         }
+    }
+}
+
+#[test]
+fn numbers_and_escapes_outside_rfc_8259_are_refused() {
+    // The reader once passed these to `f64::from_str` and
+    // `u32::from_str_radix`, which accept a sign, bare dots and short
+    // forms that no JSON writer emits.
+    assert_eq!(parse_json("+1").ok(), None);
+    assert_eq!(parse_json(r#""\u+041""#).ok(), None);
+    let valid = r#"{"op": "synth", "id": 1, "m": 8, "n": 2, "method": "\u0070roposed"}"#;
+    assert!(matches!(parse_request(valid), Ok(Request::Synth(_))));
+    for (member, bad) in [
+        ("\"id\": 1", "\"id\": +1"),
+        ("\"m\": 8", "\"m\": 08"),
+        ("\"m\": 8", "\"m\": 8."),
+        ("\"m\": 8", "\"m\": 8e"),
+        ("\"n\": 2", "\"n\": .2e1"),
+        ("\"n\": 2", "\"n\": 2.e0"),
+        ("\\u0070", "\\u+070"),
+        ("\\u0070", "\\u070"),
+        ("\\u0070", "\\u 070"),
+    ] {
+        let line = valid.replace(member, bad);
+        assert_ne!(line, valid);
+        assert!(parse_request(&line).is_err(), "{line} parsed");
     }
 }

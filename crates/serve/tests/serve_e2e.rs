@@ -1,8 +1,8 @@
 //! End-to-end daemon contract: warm-store replay of the full
 //! six-method × four-target GF(2^8) grid with zero recomputations,
-//! byte-identical daemon vs in-process reports, singleflight dedup of
-//! concurrent identical requests, graceful drain on shutdown, and a
-//! bounded request line.
+//! byte-identical daemon vs in-process reports, warm hits that generate
+//! no netlist, singleflight dedup of concurrent identical requests,
+//! graceful drain on shutdown, and a bounded request line.
 
 use std::fs;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -39,6 +39,188 @@ fn pipeline_like_daemon(target: Target, seed: u64) -> Pipeline {
         p = p.with_target(target);
     }
     p.with_place_seed(seed)
+}
+
+/// Reads one number from a `stats` document by its path.
+fn stat(stats: &JsonValue, path: &[&str]) -> f64 {
+    let mut v = stats;
+    for key in path {
+        v = v.get(key).unwrap_or_else(|| panic!("stats lacks {path:?}"));
+    }
+    v.as_f64()
+        .unwrap_or_else(|| panic!("{path:?} not a number"))
+}
+
+/// How many netlists the daemon has generated.
+fn generated(client: &mut Client) -> f64 {
+    stat(&client.stats().unwrap(), &["timings", "generate", "count"])
+}
+
+/// Sends each request line and reads its reply, one round trip at a
+/// time, returning the raw reply lines.
+fn round_trips(endpoint: &Endpoint, lines: &[String]) -> Vec<String> {
+    let mut conn = endpoint.connect().unwrap();
+    let mut replies = BufReader::new(conn.try_clone().unwrap());
+    lines
+        .iter()
+        .map(|line| {
+            conn.write_all(format!("{line}\n").as_bytes()).unwrap();
+            let mut reply = String::new();
+            replies.read_line(&mut reply).unwrap();
+            reply.trim_end().to_string()
+        })
+        .collect()
+}
+
+/// `replies` with the tier tag `computed` swapped for `tier`.
+fn retagged(replies: &[String], tier: &str) -> Vec<String> {
+    replies
+        .iter()
+        .map(|r| {
+            r.replace(
+                "\"source\": \"computed\"",
+                &format!("\"source\": \"{tier}\""),
+            )
+        })
+        .collect()
+}
+
+/// A warm request generates no netlist: replaying a batch from daemon
+/// memory, and from the store in a fresh daemon, leaves the `generate`
+/// stage count where the first pass put it, while every reply stays
+/// byte-identical to the cold one apart from its tier tag.
+#[test]
+fn warm_replays_generate_nothing_and_reply_byte_identically() {
+    let sock = scratch("memo.sockdir").join("d.sock");
+    fs::create_dir_all(sock.parent().unwrap()).unwrap();
+    let store_root = scratch("memo-store");
+    let lines: Vec<String> = Method::ALL
+        .iter()
+        .enumerate()
+        .map(|(i, &method)| {
+            encode_request(&Request::Synth(SynthRequest {
+                id: 1 + i as u64,
+                field: FieldSpec::Pair { m: 8, n: 2 },
+                method,
+                target: Target::Artix7,
+                seed: DEFAULT_SEED,
+            }))
+        })
+        .collect();
+    let designs = Method::ALL.len() as f64;
+
+    let spawn = || {
+        server::spawn(ServerConfig::new(Endpoint::Unix(sock.clone())).with_store_root(&store_root))
+            .unwrap()
+    };
+    let handle = spawn();
+    let mut client = Client::connect(handle.endpoint()).unwrap();
+    let cold = round_trips(handle.endpoint(), &lines);
+    assert!(
+        cold.iter().all(|r| r.contains("\"source\": \"computed\"")),
+        "{cold:?}"
+    );
+    assert_eq!(generated(&mut client), designs);
+    assert_eq!(
+        round_trips(handle.endpoint(), &lines),
+        retagged(&cold, "memory")
+    );
+    assert_eq!(generated(&mut client), designs, "a memory hit generated");
+    client.shutdown().unwrap();
+    handle.join().unwrap();
+
+    // A fresh daemon over the warm store generates each design once,
+    // to learn its identity, and then never again.
+    let handle = spawn();
+    let mut client = Client::connect(handle.endpoint()).unwrap();
+    let from_store = retagged(&cold, "store");
+    assert_eq!(round_trips(handle.endpoint(), &lines), from_store);
+    assert_eq!(generated(&mut client), designs);
+    assert_eq!(round_trips(handle.endpoint(), &lines), from_store);
+    let stats = client.stats().unwrap();
+    assert_eq!(
+        stat(&stats, &["timings", "generate", "count"]),
+        designs,
+        "a store hit generated"
+    );
+    assert_eq!(stat(&stats, &["computed"]), 0.0);
+    assert_eq!(stat(&stats, &["from_store"]), 2.0 * designs);
+    client.shutdown().unwrap();
+    handle.join().unwrap();
+}
+
+/// A new seed for a design the daemon already knows misses every tier,
+/// so it still generates and computes, and its report equals an
+/// in-process run's.
+#[test]
+fn a_fresh_seed_for_a_known_design_is_computed() {
+    let handle = server::spawn(ServerConfig::new(Endpoint::Tcp("127.0.0.1:0".into()))).unwrap();
+    let mut client = Client::connect(handle.endpoint()).unwrap();
+    let job = ClientJob {
+        field: FieldSpec::Pair { m: 8, n: 2 },
+        method: Method::ProposedFlat,
+        target: Target::Artix7,
+        seed: DEFAULT_SEED,
+    };
+    assert_eq!(client.synth(&job).unwrap().unwrap().1, "computed");
+    assert_eq!(client.synth(&job).unwrap().unwrap().1, "memory");
+    assert_eq!(generated(&mut client), 1.0);
+    let fresh = ClientJob { seed: 77, ..job };
+    let (report, source) = client.synth(&fresh).unwrap().expect("valid job");
+    assert_eq!(source, "computed");
+    let expected = pipeline_like_daemon(Target::Artix7, 77)
+        .run_report(&Method::ProposedFlat.generator().generate(&gf256()))
+        .unwrap();
+    assert_eq!(report, expected);
+    assert_eq!(report.time_ns.to_bits(), expected.time_ns.to_bits());
+    assert_eq!(generated(&mut client), 2.0);
+    client.shutdown().unwrap();
+    handle.join().unwrap();
+}
+
+/// A field that does not build is never remembered: after a valid job,
+/// invalid fields keep getting their typed error, while another
+/// spelling of a known modulus is served without generating.
+#[test]
+fn invalid_fields_keep_their_typed_error_after_valid_jobs() {
+    let handle = server::spawn(ServerConfig::new(Endpoint::Tcp("127.0.0.1:0".into()))).unwrap();
+    let mut client = Client::connect(handle.endpoint()).unwrap();
+    let valid = ClientJob {
+        field: FieldSpec::Poly(vec![8, 4, 3, 2, 0]),
+        method: Method::ProposedFlat,
+        target: Target::Artix7,
+        seed: DEFAULT_SEED,
+    };
+    assert_eq!(client.synth(&valid).unwrap().unwrap().1, "computed");
+    let respelled = ClientJob {
+        field: FieldSpec::Poly(vec![0, 1, 2, 3, 4, 8, 1]),
+        ..valid.clone()
+    };
+    assert_eq!(client.synth(&respelled).unwrap().unwrap().1, "memory");
+    assert_eq!(generated(&mut client), 1.0);
+    for _ in 0..2 {
+        let pair = ClientJob {
+            field: FieldSpec::Pair { m: 16, n: 2 },
+            ..valid.clone()
+        };
+        let err = client.synth(&pair).unwrap().unwrap_err();
+        assert!(
+            err.contains("(16, 2) is not a valid type II pentanomial"),
+            "{err}"
+        );
+        let reducible = ClientJob {
+            field: FieldSpec::Poly(vec![8, 4, 3, 2]),
+            ..valid.clone()
+        };
+        let err = client.synth(&reducible).unwrap().unwrap_err();
+        assert!(
+            err.contains("poly [8, 4, 3, 2] is not a valid modulus"),
+            "{err}"
+        );
+    }
+    assert_eq!(generated(&mut client), 1.0);
+    client.shutdown().unwrap();
+    handle.join().unwrap();
 }
 
 /// Acceptance criterion: a warm-store replay of the six-method ×
@@ -139,14 +321,7 @@ fn daemon_reports_match_in_process_runs_and_survive_restart() {
         assert_eq!(outcome.expect("valid job").1, "store");
     }
     let stats = client.stats().unwrap();
-    let num = |path: &[&str]| {
-        let mut v = &stats;
-        for key in path {
-            v = v.get(key).unwrap_or_else(|| panic!("stats lacks {path:?}"));
-        }
-        v.as_f64()
-            .unwrap_or_else(|| panic!("{path:?} not a number"))
-    };
+    let num = |path: &[&str]| stat(&stats, path);
     assert_eq!(num(&["computed"]), 0.0);
     assert_eq!(num(&["from_store"]), Method::ALL.len() as f64);
     assert_eq!(num(&["store", "hits"]), Method::ALL.len() as f64);

@@ -157,14 +157,18 @@ const HOSTILE_VALUES: [&str; 12] = [
     "{}",
 ];
 
-/// Key strings that are not 16 hex digits of a `u64`.
-const BAD_KEYS: [&str; 9] = [
+/// Key strings that are not the 16 lowercase hex digits a writer emits.
+const BAD_KEYS: [&str; 13] = [
     "",
     "g",
     "-1",
     "+ff",
+    "+1",
+    "1",
     "0x1f",
     " 1f",
+    "+00000000000001f",
+    "00000000DEADBEEF",
     "10000000000000000",
     "ffffffffffffffffffffffffffffffff",
     "caf\\u00e9",
@@ -234,7 +238,7 @@ fn arb_document() -> impl Strategy<Value = String> {
     (
         any::<u64>(),
         any::<u64>(),
-        proptest::collection::vec(0usize..=(1 << 53), 7),
+        proptest::collection::vec(0usize..1 << 53, 7),
         proptest::collection::vec(any::<u32>(), 3),
         proptest::collection::vec(finite(), 2),
     )
@@ -256,6 +260,58 @@ fn arb_document() -> impl Strategy<Value = String> {
             };
             ArtifactStore::encode(ch, fp, &report)
         })
+}
+
+/// A fixed valid document to corrupt one member at a time.
+fn sample_document() -> String {
+    let report = ImplReport {
+        name: "gf256_proposed".into(),
+        luts: 33,
+        slices: 11,
+        depth: 3,
+        time_ns: 9.5,
+        and_depth: 1,
+        xor_depth: 5,
+        and_gates: 64,
+        xor_gates: 84,
+        ..ImplReport::default()
+    };
+    ArtifactStore::encode(0xdead_beef, 0x1234, &report)
+}
+
+#[test]
+fn keys_other_than_sixteen_lowercase_hex_digits_are_refused() {
+    let doc = sample_document();
+    assert_eq!(
+        ArtifactStore::decode(&doc).map(|(ch, fp, _)| (ch, fp)),
+        Ok((0xdead_beef, 0x1234))
+    );
+    for key in KEY_MEMBERS {
+        for bad in BAD_KEYS {
+            let text = with_member(&doc, key, &format!("\"{bad}\""));
+            assert!(
+                ArtifactStore::decode(&text).is_err(),
+                "{key} = {bad:?} decoded"
+            );
+        }
+    }
+}
+
+#[test]
+fn counts_a_json_number_cannot_hold_exactly_are_refused() {
+    let doc = sample_document();
+    let luts = |value: &str| ArtifactStore::decode(&with_member(&doc, "luts", value));
+    assert_eq!(luts("9007199254740991").unwrap().2.luts, (1 << 53) - 1);
+    // 2^53 + 1 reads as the f64 2^53, and 2^64 once saturated to
+    // `usize::MAX`: neither is the count the document spells.
+    for value in [
+        "9007199254740992",
+        "9007199254740993",
+        "18446744073709551616",
+    ] {
+        let err = luts(value).unwrap_err();
+        assert!(err.contains("is not a count"), "{value}: {err}");
+    }
 }
 
 proptest! {

@@ -150,8 +150,10 @@ fn equation_1_is_correct_for_all_m_up_to_96() {
 }
 
 /// §III/§IV: the central architectural claim — removing the
-/// parenthesised restriction must never hurt the mapped LUT depth
-/// (the synthesis tool can only gain freedom).
+/// parenthesised restriction gives the synthesis tool freedom, so the
+/// flat design's mapped LUT depth stays within one level of the
+/// parenthesised design's: `flat.depth <= paren.depth + 1`. The name
+/// states the paper's claim; the bound checked is the one-level slack.
 #[test]
 fn flat_never_maps_deeper_than_parenthesised() {
     for (m, n) in [(8usize, 2usize), (16, 3), (64, 23)] {
