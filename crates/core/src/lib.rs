@@ -47,7 +47,6 @@
 pub mod area;
 pub mod coeffs;
 pub mod gen;
-pub mod linear;
 pub mod reveng;
 pub mod sit;
 pub mod spec;

@@ -4,7 +4,6 @@
 use gf2m::Field;
 use gf2poly::TypeIiPentanomial;
 use proptest::prelude::*;
-use rgf2m_core::linear::{Gf2Matrix, LinearStrategy};
 use rgf2m_core::terms::{d_terms, num_products};
 use rgf2m_core::{AtomKind, CoefficientTable, SiTi, SplitAtom};
 
@@ -87,51 +86,5 @@ proptest! {
                 prop_assert!(last <= m - 2);
             }
         }
-    }
-
-    #[test]
-    fn linear_matrices_are_linear(
-        a_bits in any::<u64>(),
-        b_bits in any::<u64>(),
-        c_bits in 1u64..=255,
-    ) {
-        let field = Field::from_pentanomial(&TypeIiPentanomial::new(8, 2).unwrap());
-        let sq = Gf2Matrix::squaring(&field);
-        let cm = Gf2Matrix::constant_mul(&field, &field.element_from_bits(c_bits));
-        let a = field.element_from_bits(a_bits);
-        let b = field.element_from_bits(b_bits);
-        let sum = field.add(&a, &b);
-        // M(a + b) = M(a) + M(b) for both matrices.
-        prop_assert_eq!(sq.apply(&sum), field.add(&sq.apply(&a), &sq.apply(&b)));
-        prop_assert_eq!(cm.apply(&sum), field.add(&cm.apply(&a), &cm.apply(&b)));
-    }
-
-    #[test]
-    fn paar_cse_preserves_semantics_on_random_matrices(
-        rows in proptest::collection::vec(any::<u16>(), 4..12),
-        a_bits in any::<u16>(),
-    ) {
-        use netlist::Netlist;
-        let width = 16usize;
-        let matrix = Gf2Matrix::new(
-            rows.iter()
-                .map(|&r| gf2poly::Gf2Poly::from_limbs(vec![r as u64]))
-                .collect(),
-            width,
-        );
-        let build = |strategy| {
-            let mut net = Netlist::new("m");
-            let ins: Vec<_> = (0..width).map(|i| net.input(format!("x{i}"))).collect();
-            let outs = rgf2m_core::linear::synthesize_linear(&mut net, &ins, &matrix, strategy);
-            for (k, o) in outs.into_iter().enumerate() {
-                net.output(format!("y{k}"), o);
-            }
-            net
-        };
-        let naive = build(LinearStrategy::Naive);
-        let cse = build(LinearStrategy::PaarCse);
-        let ins: Vec<bool> = (0..width).map(|i| (a_bits >> i) & 1 == 1).collect();
-        prop_assert_eq!(naive.eval_bool(&ins), cse.eval_bool(&ins));
-        prop_assert!(cse.stats().xors <= naive.stats().xors);
     }
 }

@@ -885,6 +885,17 @@ impl Pipeline {
         Ok(self.probe_tiers(&(content_hash, self.options_fingerprint()), name))
     }
 
+    /// The compute step of [`Pipeline::run_report_sourced`] alone: runs
+    /// every stage for `net` without probing either tier, then fills
+    /// the memory cache and the [`ArtifactHook`]. For a caller whose
+    /// [`Pipeline::lookup`] of this design has just missed, so that a
+    /// miss is not probed (and counted) twice.
+    pub fn compute_report(&self, net: &Netlist) -> Result<ImplReport, FlowError> {
+        self.validate()?;
+        self.compute_and_fill(net, self.cache_key(net))
+            .map(|a| a.report.clone())
+    }
+
     /// Memory cache, then the artifact hook; counts the hit.
     fn probe_tiers(&self, key: &CacheKey, name: &str) -> Option<(ImplReport, ReportSource)> {
         if let Some(hit) = self.probe_memory(key, name) {
@@ -1825,6 +1836,21 @@ mod tests {
             bad.lookup(name, hash),
             Err(FlowError::InvalidOptions(_))
         ));
+    }
+
+    #[test]
+    fn compute_report_probes_no_tier_and_fills_both() {
+        let net = xor_tree(32);
+        let hook = Arc::new(MemHook::default());
+        let p = Pipeline::new().with_artifact_hook(hook.clone());
+        let report = p.compute_report(&net).unwrap();
+        assert_eq!(hook.loads.load(Ordering::Relaxed), 0);
+        assert_eq!(hook.stores.load(Ordering::Relaxed), 1);
+        assert_eq!(
+            p.run_report_sourced(&net).unwrap(),
+            (report, ReportSource::Memory)
+        );
+        assert_eq!((p.cache_stats().hits, p.cache_stats().misses), (1, 1));
     }
 
     #[test]

@@ -44,8 +44,10 @@ impl std::error::Error for FieldError {}
 /// use gf2poly::Gf2Poly;
 ///
 /// let field = Field::new(Gf2Poly::from_exponents(&[8, 4, 3, 2, 0]))?;
-/// let x = field.element_from_bits(0b10);            // the generator x
-/// assert_eq!(field.pow(&x, 255), Gf2Poly::one());   // x^(2^8 - 1) = 1
+/// let (a, b) = (field.element_from_bits(0x57), field.element_from_bits(0x83));
+/// // The two multiplication routes agree: 0x57 · 0x83 = 0x31 here.
+/// assert_eq!(field.mul(&a, &b), field.mul_via_reduction_matrix(&a, &b));
+/// assert_eq!(field.mul(&a, &b), field.element_from_bits(0x31));
 /// # Ok::<(), gf2m::FieldError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -175,162 +177,6 @@ impl Field {
         a.square().rem_by(&self.modulus)
     }
 
-    /// Exponentiation `a^e` by square-and-multiply.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// # use gf2m::Field;
-    /// # use gf2poly::Gf2Poly;
-    /// let f = Field::new(Gf2Poly::from_exponents(&[8, 4, 3, 2, 0])).unwrap();
-    /// let a = f.element_from_bits(0x53);
-    /// assert_eq!(f.pow(&a, 0), Gf2Poly::one());
-    /// assert_eq!(f.pow(&a, 3), f.mul(&f.square(&a), &a));
-    /// ```
-    pub fn pow(&self, a: &Gf2Poly, e: u128) -> Gf2Poly {
-        let mut result = Gf2Poly::one();
-        let mut base = a.rem_by(&self.modulus);
-        let mut e = e;
-        while e > 0 {
-            if e & 1 == 1 {
-                result = self.mul(&result, &base);
-            }
-            base = self.square(&base);
-            e >>= 1;
-        }
-        result
-    }
-
-    /// Multiplicative inverse by the extended Euclidean algorithm, or
-    /// `None` for the zero element.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// # use gf2m::Field;
-    /// # use gf2poly::Gf2Poly;
-    /// let f = Field::new(Gf2Poly::from_exponents(&[8, 4, 3, 2, 0])).unwrap();
-    /// assert!(f.inverse(&Gf2Poly::zero()).is_none());
-    /// let a = f.element_from_bits(0xb7);
-    /// let inv = f.inverse(&a).unwrap();
-    /// assert_eq!(f.mul(&a, &inv), Gf2Poly::one());
-    /// ```
-    pub fn inverse(&self, a: &Gf2Poly) -> Option<Gf2Poly> {
-        let a = a.rem_by(&self.modulus);
-        if a.is_zero() {
-            return None;
-        }
-        // Extended Euclid: maintain u·a ≡ r (mod f).
-        let (mut r0, mut r1) = (a, self.modulus.clone());
-        let (mut u0, mut u1) = (Gf2Poly::one(), Gf2Poly::zero());
-        while !r1.is_zero() {
-            let (q, r) = r0.div_rem(&r1);
-            let u = u0 + q.mul_poly(&u1);
-            r0 = std::mem::replace(&mut r1, r);
-            u0 = std::mem::replace(&mut u1, u);
-        }
-        debug_assert!(r0.is_one(), "gcd(a, f) must be 1 in a field");
-        Some(u0.rem_by(&self.modulus))
-    }
-
-    /// Multiplicative inverse via Fermat's little theorem,
-    /// `a^(2^m − 2) = Π_{i=1}^{m−1} a^(2^i)` — an independent route used
-    /// to cross-check [`Field::inverse`].
-    pub fn inverse_fermat(&self, a: &Gf2Poly) -> Option<Gf2Poly> {
-        let a = a.rem_by(&self.modulus);
-        if a.is_zero() {
-            return None;
-        }
-        let mut s = a;
-        let mut out = Gf2Poly::one();
-        for _ in 1..self.m {
-            s = self.square(&s);
-            out = self.mul(&out, &s);
-        }
-        Some(out)
-    }
-
-    /// Multiplicative inverse via Itoh-Tsujii's addition-chain form of
-    /// Fermat: `a^(2^m−2) = (a^(2^(m−1)−1))²` with
-    /// `a^(2^(2k)−1) = (a^(2^k−1))^(2^k) · a^(2^k−1)` — only
-    /// `O(log m)` multiplications plus squarings, the structure used by
-    /// hardware inverters built from the paper's multipliers and the
-    /// squarers in `rgf2m_core::linear`.
-    ///
-    /// A third independent inversion route for cross-checking
-    /// [`Field::inverse`] and [`Field::inverse_fermat`].
-    pub fn inverse_itoh_tsujii(&self, a: &Gf2Poly) -> Option<Gf2Poly> {
-        let a = a.rem_by(&self.modulus);
-        if a.is_zero() {
-            return None;
-        }
-        // beta_k = a^(2^k − 1); build beta_{m−1} along the binary
-        // expansion of m−1, then square once.
-        let e = self.m - 1;
-        let bits = usize::BITS - e.leading_zeros();
-        let mut beta = a.clone(); // beta_1
-        let mut k = 1usize;
-        for i in (0..bits - 1).rev() {
-            // beta_{2k} = beta_k^(2^k) · beta_k
-            let mut t = beta.clone();
-            for _ in 0..k {
-                t = self.square(&t);
-            }
-            beta = self.mul(&t, &beta);
-            k *= 2;
-            if (e >> i) & 1 == 1 {
-                // beta_{k+1} = beta_k^2 · a
-                beta = self.mul(&self.square(&beta), &a);
-                k += 1;
-            }
-        }
-        debug_assert_eq!(k, e);
-        Some(self.square(&beta))
-    }
-
-    /// The absolute trace `Tr(a) = Σ_{i=0}^{m−1} a^(2^i) ∈ GF(2)`.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// # use gf2m::Field;
-    /// # use gf2poly::Gf2Poly;
-    /// let f = Field::new(Gf2Poly::from_exponents(&[8, 4, 3, 2, 0])).unwrap();
-    /// // Trace is GF(2)-linear: Tr(a+b) = Tr(a)+Tr(b).
-    /// let (a, b) = (f.element_from_bits(0x3c), f.element_from_bits(0xa5));
-    /// assert_eq!(f.trace(&f.add(&a, &b)), f.trace(&a) ^ f.trace(&b));
-    /// ```
-    pub fn trace(&self, a: &Gf2Poly) -> bool {
-        let mut acc = Gf2Poly::zero();
-        let mut s = a.rem_by(&self.modulus);
-        for _ in 0..self.m {
-            acc += s.clone();
-            s = self.square(&s);
-        }
-        debug_assert!(acc.is_zero() || acc.is_one(), "trace must land in GF(2)");
-        acc.is_one()
-    }
-
-    /// The half-trace `H(a) = Σ_{i=0}^{(m−1)/2} a^(2^(2i))`, defined for
-    /// odd `m`. If `Tr(a) = 0`, `z = H(a)` solves `z^2 + z = a` — the key
-    /// step of point decompression on binary elliptic curves.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m` is even.
-    pub fn half_trace(&self, a: &Gf2Poly) -> Gf2Poly {
-        assert!(self.m % 2 == 1, "half-trace requires odd m");
-        let mut acc = Gf2Poly::zero();
-        let mut s = a.rem_by(&self.modulus);
-        for i in 0..=(self.m - 1) / 2 {
-            if i > 0 {
-                s = self.square(&self.square(&s));
-            }
-            acc += s.clone();
-        }
-        acc
-    }
-
     /// Bit-sliced multiplication oracle for gate-level verification.
     ///
     /// `words` holds `2m` lanes-packed words: bit `l` of `words[i]` is
@@ -370,80 +216,6 @@ impl Field {
         }
         out
     }
-
-    /// Solves `z^2 + z = a` for `z`, or returns `None` when no solution
-    /// exists (iff `Tr(a) = 1`). The two solutions are `z` and `z + 1`.
-    pub fn solve_quadratic(&self, a: &Gf2Poly) -> Option<Gf2Poly> {
-        if self.trace(a) {
-            return None;
-        }
-        if self.m % 2 == 1 {
-            return Some(self.half_trace(a));
-        }
-        // Even m: directly search the GF(2)-linear system z^2 + z = a by
-        // Gaussian elimination over the basis images.
-        let mut basis_images = Vec::with_capacity(self.m);
-        for i in 0..self.m {
-            let e = Gf2Poly::monomial(i);
-            basis_images.push(self.add(&self.square(&e), &e));
-        }
-        solve_gf2_linear(&basis_images, a, self.m)
-    }
-}
-
-/// Solves `Σ z_i · images[i] = target` for `z` over GF(2) by Gaussian
-/// elimination; returns the solution as a polynomial with coordinates
-/// `z_i`, or `None` if the system is inconsistent.
-fn solve_gf2_linear(images: &[Gf2Poly], target: &Gf2Poly, m: usize) -> Option<Gf2Poly> {
-    // Rows: one per output coordinate; columns: one per unknown + RHS.
-    let cols = images.len();
-    let mut rows: Vec<(Vec<bool>, bool)> = (0..m)
-        .map(|k| {
-            (
-                images.iter().map(|img| img.coeff(k)).collect(),
-                target.coeff(k),
-            )
-        })
-        .collect();
-    let mut pivot_of_col = vec![None; cols];
-    let mut r = 0;
-    for (c, pivot) in pivot_of_col.iter_mut().enumerate() {
-        if let Some(p) = (r..m).find(|&i| rows[i].0[c]) {
-            rows.swap(r, p);
-            for i in 0..m {
-                if i != r && rows[i].0[c] {
-                    let (head, tail) = if i < r {
-                        let (a, b) = rows.split_at_mut(r);
-                        (&mut a[i], &b[0])
-                    } else {
-                        let (a, b) = rows.split_at_mut(i);
-                        (&mut b[0], &a[r])
-                    };
-                    for cc in 0..cols {
-                        head.0[cc] ^= tail.0[cc];
-                    }
-                    head.1 ^= tail.1;
-                }
-            }
-            *pivot = Some(r);
-            r += 1;
-        }
-    }
-    // Inconsistent if a zero row has RHS 1.
-    for row in &rows[r..] {
-        if row.1 {
-            return None;
-        }
-    }
-    let mut z = Gf2Poly::zero();
-    for (c, pivot) in pivot_of_col.iter().enumerate() {
-        if let Some(p) = *pivot {
-            if rows[p].1 {
-                z.set_coeff(c, true);
-            }
-        }
-    }
-    Some(z)
 }
 
 #[cfg(test)]
@@ -484,14 +256,17 @@ mod tests {
 
     #[test]
     fn multiplicative_group_order_255() {
+        // The first power of x that returns to 1 is x^255: x generates
+        // the whole multiplicative group.
         let f = gf256();
         let x = f.element_from_bits(2);
-        assert_eq!(f.pow(&x, 255), Gf2Poly::one());
-        // x generates a group whose order divides 255 but is not 1, 3, 5,
-        // 15, 17, 51 or 85 — i.e. x is a generator iff ord(x) = 255.
-        for d in [1u128, 3, 5, 15, 17, 51, 85] {
-            assert_ne!(f.pow(&x, d), Gf2Poly::one(), "x^{d} = 1 unexpectedly");
+        let mut power = x.clone();
+        let mut order = 1;
+        while !power.is_one() {
+            power = f.mul(&power, &x);
+            order += 1;
         }
+        assert_eq!(order, 255);
     }
 
     #[test]
@@ -521,62 +296,6 @@ mod tests {
     }
 
     #[test]
-    fn inverse_routes_agree_exhaustively_on_gf256() {
-        let f = gf256();
-        assert_eq!(f.inverse(&Gf2Poly::zero()), None);
-        assert_eq!(f.inverse_fermat(&Gf2Poly::zero()), None);
-        for a in 1..=255u64 {
-            let ea = f.element_from_bits(a);
-            let inv = f.inverse(&ea).unwrap();
-            assert_eq!(f.mul(&ea, &inv), Gf2Poly::one(), "a = {a:#x}");
-            assert_eq!(inv, f.inverse_fermat(&ea).unwrap(), "a = {a:#x}");
-        }
-    }
-
-    #[test]
-    fn inverse_works_for_large_field() {
-        let f = Field::new(Gf2Poly::from_exponents(&[163, 68 + 2, 68 + 1, 68, 0])).unwrap();
-        let a = f.element_from_limbs(vec![0xdead_beef_0123_4567, 0x89ab_cdef, 0x42]);
-        let inv = f.inverse(&a).unwrap();
-        assert_eq!(f.mul(&a, &inv), Gf2Poly::one());
-        assert_eq!(inv, f.inverse_fermat(&a).unwrap());
-        assert_eq!(inv, f.inverse_itoh_tsujii(&a).unwrap());
-    }
-
-    #[test]
-    fn all_three_inversion_routes_agree_exhaustively_on_gf256() {
-        let f = gf256();
-        assert_eq!(f.inverse_itoh_tsujii(&Gf2Poly::zero()), None);
-        for a in 1..=255u64 {
-            let ea = f.element_from_bits(a);
-            let eea = f.inverse(&ea).unwrap();
-            assert_eq!(eea, f.inverse_itoh_tsujii(&ea).unwrap(), "a = {a:#x}");
-        }
-    }
-
-    #[test]
-    fn itoh_tsujii_handles_various_degrees() {
-        // Exercise both parities and power-of-two adjacent m.
-        for exps in [
-            &[7usize, 4, 3, 2, 0][..],
-            &[13, 7, 6, 5, 0],
-            &[16, 5, 4, 3, 0],
-            &[17, 5, 4, 3, 0],
-            &[64, 25, 24, 23, 0],
-        ] {
-            let Ok(f) = Field::new(Gf2Poly::from_exponents(exps)) else {
-                continue; // skip any reducible pick
-            };
-            let a = f.element_from_limbs(vec![0x1357_9bdf_2468_ace0]);
-            if a.is_zero() {
-                continue;
-            }
-            let inv = f.inverse_itoh_tsujii(&a).unwrap();
-            assert_eq!(f.mul(&a, &inv), Gf2Poly::one(), "m = {}", f.m());
-        }
-    }
-
-    #[test]
     fn square_matches_self_multiplication() {
         let f = gf256();
         for a in 0..=255u64 {
@@ -595,69 +314,6 @@ mod tests {
                 f.add(&f.square(&ea), &f.square(&eb))
             );
         }
-    }
-
-    #[test]
-    fn trace_is_balanced_on_gf256() {
-        // Exactly half the field elements have trace 1.
-        let f = gf256();
-        let ones = (0..=255u64)
-            .filter(|&a| f.trace(&f.element_from_bits(a)))
-            .count();
-        assert_eq!(ones, 128);
-    }
-
-    #[test]
-    fn trace_of_frobenius_is_invariant() {
-        let f = gf256();
-        for a in [0x01u64, 0x47, 0x80, 0xfe] {
-            let ea = f.element_from_bits(a);
-            assert_eq!(f.trace(&ea), f.trace(&f.square(&ea)));
-        }
-    }
-
-    #[test]
-    fn solve_quadratic_even_m() {
-        let f = gf256();
-        let mut solvable = 0;
-        for a in 0..=255u64 {
-            let ea = f.element_from_bits(a);
-            match f.solve_quadratic(&ea) {
-                Some(z) => {
-                    assert_eq!(f.add(&f.square(&z), &z), ea, "a = {a:#x}");
-                    solvable += 1;
-                }
-                None => assert!(f.trace(&ea), "unsolvable must have trace 1"),
-            }
-        }
-        assert_eq!(solvable, 128);
-    }
-
-    #[test]
-    fn solve_quadratic_odd_m_via_half_trace() {
-        let f = Field::new(Gf2Poly::from_exponents(&[113, 9, 0])).unwrap();
-        let a = f.element_from_limbs(vec![0x1234_5678, 0xabcd]);
-        if let Some(z) = f.solve_quadratic(&a) {
-            assert_eq!(f.add(&f.square(&z), &z), a);
-        } else {
-            assert!(f.trace(&a));
-        }
-        // An element with trace 0 must be solvable: z^2+z always has
-        // trace 0, so construct one.
-        let z0 = f.element_from_limbs(vec![0xfeed_f00d, 0x77]);
-        let a0 = f.add(&f.square(&z0), &z0);
-        let z = f.solve_quadratic(&a0).expect("trace-0 element solvable");
-        assert_eq!(f.add(&f.square(&z), &z), a0);
-    }
-
-    #[test]
-    fn pow_edge_cases() {
-        let f = gf256();
-        let a = f.element_from_bits(0x2a);
-        assert_eq!(f.pow(&a, 0), Gf2Poly::one());
-        assert_eq!(f.pow(&a, 1), a);
-        assert_eq!(f.pow(&Gf2Poly::zero(), 5), Gf2Poly::zero());
-        assert_eq!(f.pow(&Gf2Poly::zero(), 0), Gf2Poly::one());
     }
 
     #[test]

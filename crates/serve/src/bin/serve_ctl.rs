@@ -13,7 +13,10 @@
 //!
 //! `ENDPOINT` is `unix:PATH` or `HOST:PORT`. `stats` prints the raw
 //! stats JSON line; each assertion flag checks one counter and exits 1
-//! with a message when violated — the CI smoke job's teeth.
+//! with a message when violated — the CI smoke job's teeth. Each
+//! subcommand accepts only its own flags, each with a non-negative
+//! integer value: anything else exits 1 with the usage before the
+//! daemon is contacted, so a misspelled assertion cannot pass silently.
 
 use rgf2m_core::Method;
 use rgf2m_fpga::Target;
@@ -22,66 +25,53 @@ use rgf2m_serve::json::JsonValue;
 use rgf2m_serve::net::Endpoint;
 use rgf2m_serve::protocol::{FieldSpec, DEFAULT_SEED};
 
+const USAGE: &str = "usage: serve_ctl ENDPOINT synth|stats|shutdown ...";
+const SYNTH_USAGE: &str = "usage: serve_ctl ENDPOINT synth M N METHOD [TARGET] [--seed S]";
+const STATS_USAGE: &str = "usage: serve_ctl ENDPOINT stats [--min-jobs N] [--min-store-hits N] \
+                           [--max-computed N] [--max-generated N] [--min-dedup-waits N]";
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (endpoint, cmd) = match args.as_slice() {
-        [endpoint, cmd, ..] => (endpoint.clone(), cmd.clone()),
-        _ => die("usage: serve_ctl ENDPOINT synth|stats|shutdown ..."),
+    let [endpoint, cmd, rest @ ..] = args.as_slice() else {
+        die(USAGE)
     };
-    let endpoint = Endpoint::parse(&endpoint).unwrap_or_else(|e| die(&e));
-    let mut client =
-        Client::connect(&endpoint).unwrap_or_else(|e| die(&format!("cannot connect: {e}")));
-    let rest = &args[2..];
-    let arg_value = |key: &str| {
-        rest.iter()
-            .position(|a| a == key)
-            .and_then(|i| rest.get(i + 1).cloned())
-    };
+    let endpoint = Endpoint::parse(endpoint).unwrap_or_else(|e| die(&e));
+    // Each subcommand checks its whole command line before connecting.
+    let connect =
+        || Client::connect(&endpoint).unwrap_or_else(|e| die(&format!("cannot connect: {e}")));
     match cmd.as_str() {
         "synth" => {
-            let [m, n, method, ..] = rest else {
-                die("usage: serve_ctl ENDPOINT synth M N METHOD [TARGET] [--seed S]")
+            let (positional, flags) = split_flags(rest, &["--seed"], SYNTH_USAGE);
+            let (m, n, method, target) = match positional.as_slice() {
+                [m, n, method] => (m, n, method, None),
+                [m, n, method, target] => (m, n, method, Some(target)),
+                _ => die(SYNTH_USAGE),
             };
             let m: usize = m.parse().unwrap_or_else(|_| die("M wants an integer"));
             let n: usize = n.parse().unwrap_or_else(|_| die("N wants an integer"));
             let method = Method::from_name(method)
                 .unwrap_or_else(|| die(&format!("unknown method {method:?}")));
-            let target = match rest.get(3).filter(|t| !t.starts_with("--")) {
+            let target = match target {
                 None => Target::Artix7,
                 Some(t) => {
                     Target::from_name(t).unwrap_or_else(|| die(&format!("unknown target {t:?}")))
                 }
             };
-            let seed = match arg_value("--seed") {
-                None => DEFAULT_SEED,
-                Some(s) => s.parse().unwrap_or_else(|_| die("--seed wants an integer")),
-            };
             let job = ClientJob {
                 field: FieldSpec::Pair { m, n },
                 method,
                 target,
-                seed,
+                seed: flags.last().map_or(DEFAULT_SEED, |&(_, seed)| seed),
             };
-            match client.synth(&job).unwrap_or_else(|e| die(&format!("{e}"))) {
+            match connect()
+                .synth(&job)
+                .unwrap_or_else(|e| die(&format!("{e}")))
+            {
                 Ok((report, source)) => println!("[{source}] {report}"),
                 Err(message) => die(&message),
             }
         }
         "stats" => {
-            let doc = client
-                .stats()
-                .unwrap_or_else(|e| die(&format!("stats failed: {e}")));
-            println!("{}", render(&doc));
-            let counter = |path: &[&str]| -> f64 {
-                let mut v = &doc;
-                for key in path {
-                    v = v.get(key).unwrap_or_else(|| {
-                        die(&format!("stats response lacks \"{}\"", path.join(".")))
-                    });
-                }
-                v.as_f64()
-                    .unwrap_or_else(|| die(&format!("\"{}\" is not a number", path.join("."))))
-            };
             type Check = (
                 &'static str,
                 &'static [&'static str],
@@ -100,29 +90,74 @@ fn main() {
                 ),
                 ("--min-dedup-waits", &["dedup_waits"], |v, n| v >= n, ">="),
             ];
-            for (flag, path, check, op) in checks {
-                if let Some(bound) = arg_value(flag) {
-                    let bound: f64 = bound
-                        .parse()
-                        .unwrap_or_else(|_| die(&format!("{flag} wants a number")));
-                    let v = counter(path);
-                    if !check(v, bound) {
-                        die(&format!(
-                            "assertion failed: {} = {v} is not {op} {bound}",
-                            path.join(".")
-                        ));
-                    }
+            let (positional, flags) =
+                split_flags(rest, &checks.map(|(flag, ..)| flag), STATS_USAGE);
+            if !positional.is_empty() {
+                die(STATS_USAGE);
+            }
+            let doc = connect()
+                .stats()
+                .unwrap_or_else(|e| die(&format!("stats failed: {e}")));
+            println!("{}", render(&doc));
+            let counter = |path: &[&str]| -> f64 {
+                let mut v = &doc;
+                for key in path {
+                    v = v.get(key).unwrap_or_else(|| {
+                        die(&format!("stats response lacks \"{}\"", path.join(".")))
+                    });
+                }
+                v.as_f64()
+                    .unwrap_or_else(|| die(&format!("\"{}\" is not a number", path.join("."))))
+            };
+            for (i, bound) in flags {
+                let (_, path, check, op) = checks[i];
+                let v = counter(path);
+                if !check(v, bound as f64) {
+                    die(&format!(
+                        "assertion failed: {} = {v} is not {op} {bound}",
+                        path.join(".")
+                    ));
                 }
             }
         }
         "shutdown" => {
-            client
+            if !rest.is_empty() {
+                die("usage: serve_ctl ENDPOINT shutdown");
+            }
+            connect()
                 .shutdown()
                 .unwrap_or_else(|e| die(&format!("shutdown failed: {e}")));
             println!("shutdown acknowledged");
         }
-        other => die(&format!("unknown command {other:?}")),
+        other => die(&format!("unknown command {other:?}\n{USAGE}")),
     }
+}
+
+/// Splits `args` into positionals and `--flag N` pairs, each flag given
+/// by its index in `allowed`. Any other flag, or a value that is missing
+/// or not a non-negative integer, exits 1 with `usage`.
+fn split_flags<'a>(
+    args: &'a [String],
+    allowed: &[&str],
+    usage: &str,
+) -> (Vec<&'a str>, Vec<(usize, u64)>) {
+    let mut positional = Vec::new();
+    let mut flags = Vec::new();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        if !arg.starts_with("--") {
+            positional.push(arg.as_str());
+            continue;
+        }
+        let Some(i) = allowed.iter().position(|f| f == arg) else {
+            die(&format!("unknown flag {arg:?}\n{usage}"))
+        };
+        let Some(value) = args.next().and_then(|v| v.parse().ok()) else {
+            die(&format!("{arg} wants a non-negative integer\n{usage}"))
+        };
+        flags.push((i, value));
+    }
+    (positional, flags)
 }
 
 /// Re-renders a parsed JSON value compactly (stats echo).

@@ -419,11 +419,11 @@ impl Shared {
             .get(&design)
             .cloned();
         let mut synth = Duration::ZERO;
-        let hit = match known {
+        let hit = match &known {
             Some((name, content_hash)) => {
                 let pipeline = self.pipeline_for(*target, *seed);
                 let t = Instant::now();
-                let hit = pipeline.lookup(&name, content_hash);
+                let hit = pipeline.lookup(name, *content_hash);
                 synth += t.elapsed();
                 hit.map_err(|e| e.to_string())?
             }
@@ -438,17 +438,25 @@ impl Shared {
                 let t = Instant::now();
                 let net = method.generator().generate(&field);
                 self.record_stage(STAGE_GENERATE, t.elapsed());
-                let identity = (net.name().to_string(), net.content_hash());
-                remember_bounded(
-                    &mut self.designs.lock().expect("designs poisoned"),
-                    design,
-                    identity,
-                );
                 let pipeline = self.pipeline_for(*target, *seed);
                 let t = Instant::now();
-                let outcome = pipeline.run_report_sourced(&net).map_err(|e| e.to_string());
+                // A known design's tiers were probed above and missed:
+                // compute without probing them a second time.
+                let outcome = if known.is_some() {
+                    pipeline
+                        .compute_report(&net)
+                        .map(|report| (report, ReportSource::Computed))
+                } else {
+                    let identity = (net.name().to_string(), net.content_hash());
+                    remember_bounded(
+                        &mut self.designs.lock().expect("designs poisoned"),
+                        design,
+                        identity,
+                    );
+                    pipeline.run_report_sourced(&net)
+                };
                 synth += t.elapsed();
-                outcome
+                outcome.map_err(|e| e.to_string())
             }
         };
         self.record_stage(STAGE_SYNTH, synth);

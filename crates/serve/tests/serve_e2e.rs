@@ -178,6 +178,32 @@ fn a_fresh_seed_for_a_known_design_is_computed() {
     handle.join().unwrap();
 }
 
+/// A known design whose tiers all miss is probed once, not twice: two
+/// fresh seeds on a store-backed daemon are two computations and two
+/// store misses.
+#[test]
+fn a_tier_miss_for_a_known_design_probes_the_store_once() {
+    let config = ServerConfig::new(Endpoint::Tcp("127.0.0.1:0".into()))
+        .with_store_root(scratch("probe-once"));
+    let handle = server::spawn(config).unwrap();
+    let mut client = Client::connect(handle.endpoint()).unwrap();
+    for seed in [1, 2] {
+        let job = ClientJob {
+            field: FieldSpec::Pair { m: 8, n: 2 },
+            method: Method::ProposedFlat,
+            target: Target::Artix7,
+            seed,
+        };
+        assert_eq!(client.synth(&job).unwrap().unwrap().1, "computed");
+    }
+    let stats = client.stats().unwrap();
+    assert_eq!(stat(&stats, &["computed"]), 2.0);
+    assert_eq!(stat(&stats, &["store", "misses"]), 2.0);
+    assert_eq!(stat(&stats, &["cache", "misses"]), 2.0);
+    client.shutdown().unwrap();
+    handle.join().unwrap();
+}
+
 /// A field that does not build is never remembered: after a valid job,
 /// invalid fields keep getting their typed error, while another
 /// spelling of a known modulus is served without generating.

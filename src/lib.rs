@@ -81,15 +81,13 @@
 //! store plus a concurrent JSON-over-socket server, byte-identical to
 //! the in-process runs — see README "Serving".
 //!
-//! See `examples/` for complete scenarios (Reed-Solomon over the CCSDS
-//! field, NIST B-163 ECDSA field arithmetic, a pentanomial census, and a
-//! synthesis-space explorer), and the `rgf2m-bench` crate for the
-//! binaries regenerating every table of the paper.
+//! See `examples/` for complete scenarios (a pentanomial census, a
+//! synthesis-space explorer and a sweep over the four fabrics), and the
+//! `rgf2m-bench` crate for the binaries regenerating every table of the
+//! paper.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod apps;
 
 pub use gf2m;
 pub use gf2poly;

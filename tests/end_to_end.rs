@@ -1,5 +1,5 @@
 //! Workspace-level integration tests: algebra → generators → netlists →
-//! FPGA flow → applications, crossing every crate boundary.
+//! FPGA flow, crossing every crate boundary.
 
 use rgf2m::prelude::*;
 
@@ -78,31 +78,6 @@ fn hdl_exports_are_syntactically_plausible_for_all_methods() {
         assert!(blif.contains(".model"), "{}", gen.name());
         assert!(blif.contains(".end"), "{}", gen.name());
     }
-}
-
-#[test]
-fn reed_solomon_runs_on_top_of_the_same_field_layer() {
-    use rgf2m::apps::reed_solomon::ReedSolomon;
-    let rs = ReedSolomon::ccsds();
-    // The codec field is literally the paper's multiplier field.
-    assert_eq!(
-        rs.field().modulus(),
-        &gf2poly::Gf2Poly::from_exponents(&[8, 4, 3, 2, 0])
-    );
-    let data: Vec<u8> = (0..223).map(|i| (i ^ 0x5a) as u8).collect();
-    let mut cw = rs.encode(&data);
-    cw[5] ^= 1;
-    cw[250] ^= 0x80;
-    assert_eq!(&rs.decode(&cw).unwrap()[..223], &data[..]);
-}
-
-#[test]
-fn binary_curve_runs_on_top_of_the_same_field_layer() {
-    use rgf2m::apps::binary_ec::BinaryCurve;
-    let curve = BinaryCurve::nist_b163();
-    let g = curve.base_point();
-    let p = curve.scalar_mul_u64(12345, &g);
-    assert!(curve.is_on_curve(&p));
 }
 
 #[test]

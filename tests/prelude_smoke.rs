@@ -16,7 +16,6 @@ use rgf2m::prelude::{
 /// The facade's module aliases must also stay stable.
 #[allow(unused_imports)]
 mod facade_aliases {
-    pub use rgf2m::apps;
     pub use rgf2m::baselines;
     pub use rgf2m::core;
     pub use rgf2m::fpga;
