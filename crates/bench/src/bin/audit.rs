@@ -4,59 +4,43 @@
 //! check) over a Method × Target grid and exits nonzero on any
 //! violation.
 //!
-//! Usage:
-//!   audit                      # (8,2), all six methods, artix7
-//!   audit --only M,N           # another Table V field
-//!   audit --method NAME        # a single method (e.g. proposed)
-//!   audit --target NAME        # another fabric (e.g. spartan3)
-//!   audit --targets A,B        # an explicit fabric list
-//!   audit --all-targets        # every registered fabric
-//!   audit --json PATH          # also write the rgf2m-audit/1 document
-//!   audit --inject FAULT       # break the gate on purpose
-//!                              # (redundant-gate | truth-fault) —
-//!                              # the run MUST then exit nonzero, which
-//!                              # is how CI proves the gate has teeth
+//! Run `audit --help` for its flags (declared in
+//! `rgf2m_bench::cli`); an unknown or malformed flag exits 1 before
+//! any work.
 //!
 //! This single invocation is the CI static-analysis step: it subsumes
 //! the old separate lint and depth-certificate smoke runs.
 
-use rgf2m_bench::{arg_value, audit_to_json, run_audit, AuditOptions, Fault};
+use rgf2m_bench::{audit_to_json, cli, run_audit, AuditOptions, Fault};
 use rgf2m_core::Method;
 use rgf2m_fpga::Target;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (m, n) = arg_value(&args, "--only")
-        .map(|v| {
-            let parts: Vec<usize> = v
-                .split(',')
-                .map(|t| t.trim().parse().expect("--only wants M,N"))
-                .collect();
-            assert_eq!(parts.len(), 2, "--only wants M,N");
-            (parts[0], parts[1])
-        })
-        .unwrap_or((8, 2));
-    let methods: Vec<Method> = match arg_value(&args, "--method") {
-        Some(name) => vec![Method::from_name(&name)
-            .unwrap_or_else(|| panic!("unknown method {name:?} (see Method::name)"))],
+    let args = cli::AUDIT.parse();
+    let (m, n) = args.pair("--only").unwrap_or((8, 2));
+    let methods: Vec<Method> = match args.value("--method") {
+        Some(name) => vec![Method::from_name(name)
+            .unwrap_or_else(|| args.fail(&format!("unknown method {name:?} (see Method::name)")))],
         None => Method::ALL.to_vec(),
     };
     let parse_target = |name: &str| {
-        Target::from_name(name)
-            .unwrap_or_else(|| panic!("unknown target {name:?} (see Target::from_name)"))
+        Target::from_name(name).unwrap_or_else(|| {
+            args.fail(&format!("unknown target {name:?} (see Target::from_name)"))
+        })
     };
-    let targets: Vec<Target> = if args.iter().any(|a| a == "--all-targets") {
+    let targets: Vec<Target> = if args.has("--all-targets") {
         Target::ALL.to_vec()
-    } else if let Some(list) = arg_value(&args, "--targets") {
+    } else if let Some(list) = args.value("--targets") {
         list.split(',').map(|t| parse_target(t.trim())).collect()
     } else {
-        vec![parse_target(
-            &arg_value(&args, "--target").unwrap_or_else(|| "artix7".into()),
-        )]
+        vec![parse_target(args.value("--target").unwrap_or("artix7"))]
     };
-    let fault = arg_value(&args, "--inject").map(|name| {
-        Fault::from_name(&name)
-            .unwrap_or_else(|| panic!("unknown fault {name:?} (redundant-gate | truth-fault)"))
+    let fault = args.value("--inject").map(|name| {
+        Fault::from_name(name).unwrap_or_else(|| {
+            args.fail(&format!(
+                "unknown fault {name:?} (redundant-gate | truth-fault)"
+            ))
+        })
     });
 
     let report = run_audit(&AuditOptions {
@@ -68,9 +52,9 @@ fn main() {
     });
     print!("{report}");
 
-    if let Some(path) = arg_value(&args, "--json") {
+    if let Some(path) = args.value("--json") {
         let doc = audit_to_json(&report);
-        std::fs::write(&path, &doc).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+        std::fs::write(path, &doc).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
         println!("wrote {path} ({} bytes)", doc.len());
     }
 

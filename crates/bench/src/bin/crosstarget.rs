@@ -3,13 +3,9 @@
 //! — the "how does each construction fare as k changes" scenario the
 //! paper's LUT-decomposition section invites.
 //!
-//! Usage:
-//!   crosstarget                # (8,2) and (64,23) on every target
-//!   crosstarget --full         # all nine Table V fields (minutes)
-//!   crosstarget --only M,N     # a single field, e.g. --only 8,2
-//!   crosstarget --threads N    # batch worker threads (0 = all CPUs)
-//!   crosstarget --json PATH    # machine-readable report (table5/2 schema)
-//!   crosstarget --csv PATH     # machine-readable report (CSV)
+//! Run `crosstarget --help` for its flags (declared in
+//! `rgf2m_bench::cli`); an unknown or malformed flag exits 1 before
+//! any work.
 //!
 //! Jobs run target-major over the parallel `BatchRunner` with
 //! deterministic per-job seeds, so exports are byte-identical run over
@@ -18,24 +14,15 @@
 //! winner.
 
 use rgf2m_bench::paper_data::PAPER_TABLE_V;
-use rgf2m_bench::{arg_value, cross_target_jobs, rows_to_csv, rows_to_json, BatchRow, BatchRunner};
+use rgf2m_bench::{cli, cross_target_jobs, rows_to_csv, rows_to_json, BatchRow, BatchRunner};
 use rgf2m_core::Method;
 use rgf2m_fpga::Target;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let full = args.iter().any(|a| a == "--full");
-    let only: Option<(usize, usize)> = arg_value(&args, "--only").map(|v| {
-        let parts: Vec<usize> = v
-            .split(',')
-            .map(|t| t.trim().parse().expect("--only wants M,N"))
-            .collect();
-        assert_eq!(parts.len(), 2, "--only wants M,N");
-        (parts[0], parts[1])
-    });
-    let threads: usize = arg_value(&args, "--threads")
-        .map(|v| v.parse().expect("--threads wants an integer"))
-        .unwrap_or(1);
+    let args = cli::CROSSTARGET.parse();
+    let full = args.has("--full");
+    let only = args.pair("--only");
+    let threads: usize = args.parsed("--threads").unwrap_or(1);
 
     let fields: Vec<(usize, usize)> = PAPER_TABLE_V
         .iter()
@@ -118,13 +105,13 @@ fn main() {
     }
     report_failures(&rows);
 
-    if let Some(path) = arg_value(&args, "--json") {
-        std::fs::write(&path, rows_to_json(&rows, runner.base_seed()))
+    if let Some(path) = args.value("--json") {
+        std::fs::write(path, rows_to_json(&rows, runner.base_seed()))
             .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
         println!("wrote JSON report to {path}");
     }
-    if let Some(path) = arg_value(&args, "--csv") {
-        std::fs::write(&path, rows_to_csv(&rows))
+    if let Some(path) = args.value("--csv") {
+        std::fs::write(path, rows_to_csv(&rows))
             .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
         println!("wrote CSV report to {path}");
     }

@@ -3,16 +3,9 @@
 //! gate-level design straight out of the generator and the mapped
 //! LUT netlist the pipeline produces for a target fabric.
 //!
-//! Usage:
-//!   lint_netlist                    # (8,2), all six methods, artix7
-//!   lint_netlist --only M,N         # another Table V field
-//!   lint_netlist --method NAME      # a single method (e.g. proposed)
-//!   lint_netlist --target NAME      # another fabric (e.g. spartan3)
-//!   lint_netlist --all-targets      # every registered fabric
-//!   lint_netlist --formal           # also run verify_formal{,_mapped}
-//!   lint_netlist --json PATH        # machine-readable findings
-//!                                   # (rgf2m-lint/1)
-//!   lint_netlist --deny-warnings    # treat warnings as failures too
+//! Run `lint_netlist --help` for its flags (declared in
+//! `rgf2m_bench::cli`); an unknown or malformed flag exits 1 before
+//! any work.
 //!
 //! Exits nonzero if any design has lint *errors* (warnings are
 //! printed but tolerated unless `--deny-warnings` is given) or, with
@@ -20,7 +13,7 @@
 //! gate for netlist hygiene.
 
 use netlist::LintReport;
-use rgf2m_bench::{arg_value, field_for, harness_pipeline};
+use rgf2m_bench::{cli, field_for, harness_pipeline};
 use rgf2m_core::{gen::generate, multiplier_spec, Method};
 use rgf2m_fpga::{lint_mapped, Target};
 use rgf2m_serve::json::json_string;
@@ -56,32 +49,24 @@ fn json_record(design: &str, level: &str, lint: &LintReport) -> String {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (m, n) = arg_value(&args, "--only")
-        .map(|v| {
-            let parts: Vec<usize> = v
-                .split(',')
-                .map(|t| t.trim().parse().expect("--only wants M,N"))
-                .collect();
-            assert_eq!(parts.len(), 2, "--only wants M,N");
-            (parts[0], parts[1])
-        })
-        .unwrap_or((8, 2));
-    let methods: Vec<Method> = match arg_value(&args, "--method") {
-        Some(name) => vec![Method::from_name(&name)
-            .unwrap_or_else(|| panic!("unknown method {name:?} (see Method::name)"))],
+    let args = cli::LINT_NETLIST.parse();
+    let (m, n) = args.pair("--only").unwrap_or((8, 2));
+    let methods: Vec<Method> = match args.value("--method") {
+        Some(name) => vec![Method::from_name(name)
+            .unwrap_or_else(|| args.fail(&format!("unknown method {name:?} (see Method::name)")))],
         None => Method::ALL.to_vec(),
     };
-    let targets: Vec<Target> = if args.iter().any(|a| a == "--all-targets") {
+    let targets: Vec<Target> = if args.has("--all-targets") {
         Target::ALL.to_vec()
     } else {
-        let name = arg_value(&args, "--target").unwrap_or_else(|| "artix7".into());
-        vec![Target::from_name(&name)
-            .unwrap_or_else(|| panic!("unknown target {name:?} (see Target::from_name)"))]
+        let name = args.value("--target").unwrap_or("artix7");
+        vec![Target::from_name(name).unwrap_or_else(|| {
+            args.fail(&format!("unknown target {name:?} (see Target::from_name)"))
+        })]
     };
-    let formal = args.iter().any(|a| a == "--formal");
-    let deny_warnings = args.iter().any(|a| a == "--deny-warnings");
-    let json_path = arg_value(&args, "--json");
+    let formal = args.has("--formal");
+    let deny_warnings = args.has("--deny-warnings");
+    let json_path = args.value("--json");
 
     let field = field_for(m, n);
     let spec = multiplier_spec(&field);
@@ -177,7 +162,7 @@ fn main() {
             "{{\n  \"schema\": \"rgf2m-lint/1\",\n  \"m\": {m}, \"n\": {n},\n  \"records\": [\n{}\n  ]\n}}\n",
             records.join(",\n")
         );
-        std::fs::write(&path, &doc).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+        std::fs::write(path, &doc).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
         println!("wrote {path} ({} bytes)", doc.len());
     }
 

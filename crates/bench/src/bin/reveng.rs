@@ -4,10 +4,9 @@
 //! structure, and checks the recovery against the field the netlist
 //! was actually generated for.
 //!
-//! Usage:
-//!   reveng                 # all nine Table V fields, proposed method
-//!   reveng --only M,N      # a single field, e.g. --only 8,2
-//!   reveng --all-methods   # all six methods per field (slower)
+//! Run `reveng --help` for its flags (declared in
+//! `rgf2m_bench::cli`); an unknown or malformed flag exits 1 before
+//! any work.
 //!
 //! Exits nonzero if any recovery fails or disagrees with the source
 //! field. Because the recovered modulus is cross-checked against a
@@ -16,20 +15,13 @@
 //! which one.
 
 use gf2poly::catalogue::TABLE_V_FIELDS;
-use rgf2m_bench::{arg_value, field_for};
+use rgf2m_bench::{cli, field_for};
 use rgf2m_core::{anonymize, gen::generate, reverse_engineer, Method};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let only: Option<(usize, usize)> = arg_value(&args, "--only").map(|v| {
-        let parts: Vec<usize> = v
-            .split(',')
-            .map(|t| t.trim().parse().expect("--only wants M,N"))
-            .collect();
-        assert_eq!(parts.len(), 2, "--only wants M,N");
-        (parts[0], parts[1])
-    });
-    let methods: Vec<Method> = if args.iter().any(|a| a == "--all-methods") {
+    let args = cli::REVENG.parse();
+    let only = args.pair("--only");
+    let methods: Vec<Method> = if args.has("--all-methods") {
         Method::ALL.to_vec()
     } else {
         vec![Method::ProposedFlat]

@@ -3,56 +3,37 @@
 //! histogram, top-K critical path traces (input pad → LUT chain →
 //! output pad) and the `delay_spec` depth certificate per method.
 //!
-//! Usage:
-//!   sta                        # (8,2), all six methods, artix7
-//!   sta --only M,N             # another Table V field
-//!   sta --method NAME          # a single method (e.g. proposed)
-//!   sta --target NAME          # another fabric (e.g. spartan3)
-//!   sta --all-targets          # every registered fabric
-//!   sta --paths K              # trace the K worst paths (default 2)
-//!   sta --target-ns X          # required time at the outputs in ns
-//!                              # (default: the design's own critical
-//!                              # delay, so slack is a consistency
-//!                              # check rather than a constraint)
+//! Run `sta --help` for its flags (declared in
+//! `rgf2m_bench::cli`); an unknown or malformed flag exits 1 before
+//! any work.
 //!
 //! Exits nonzero if any design misses its required time (negative
 //! slack) or violates its Table V depth bound. This is the CI gate for
 //! the paper's delay claims.
 
-use rgf2m_bench::{arg_value, field_for, harness_pipeline};
+use rgf2m_bench::{cli, field_for, harness_pipeline};
 use rgf2m_core::{delay_spec, gen::generate, Method};
 use rgf2m_fpga::{analyze_sta, StaOptions, Target};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (m, n) = arg_value(&args, "--only")
-        .map(|v| {
-            let parts: Vec<usize> = v
-                .split(',')
-                .map(|t| t.trim().parse().expect("--only wants M,N"))
-                .collect();
-            assert_eq!(parts.len(), 2, "--only wants M,N");
-            (parts[0], parts[1])
-        })
-        .unwrap_or((8, 2));
-    let methods: Vec<Method> = match arg_value(&args, "--method") {
-        Some(name) => vec![Method::from_name(&name)
-            .unwrap_or_else(|| panic!("unknown method {name:?} (see Method::name)"))],
+    let args = cli::STA.parse();
+    let (m, n) = args.pair("--only").unwrap_or((8, 2));
+    let methods: Vec<Method> = match args.value("--method") {
+        Some(name) => vec![Method::from_name(name)
+            .unwrap_or_else(|| args.fail(&format!("unknown method {name:?} (see Method::name)")))],
         None => Method::ALL.to_vec(),
     };
-    let targets: Vec<Target> = if args.iter().any(|a| a == "--all-targets") {
+    let targets: Vec<Target> = if args.has("--all-targets") {
         Target::ALL.to_vec()
     } else {
-        let name = arg_value(&args, "--target").unwrap_or_else(|| "artix7".into());
-        vec![Target::from_name(&name)
-            .unwrap_or_else(|| panic!("unknown target {name:?} (see Target::from_name)"))]
+        let name = args.value("--target").unwrap_or("artix7");
+        vec![Target::from_name(name).unwrap_or_else(|| {
+            args.fail(&format!("unknown target {name:?} (see Target::from_name)"))
+        })]
     };
     let options = StaOptions {
-        target_ns: arg_value(&args, "--target-ns")
-            .map(|v| v.parse().expect("--target-ns wants a number")),
-        max_paths: arg_value(&args, "--paths")
-            .map(|v| v.parse().expect("--paths wants a count"))
-            .unwrap_or(2),
+        target_ns: args.parsed("--target-ns"),
+        max_paths: args.parsed("--paths").unwrap_or(2),
         ..StaOptions::default()
     };
 

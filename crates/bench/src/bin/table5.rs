@@ -3,18 +3,9 @@
 //! fields, through the `rgf2m-fpga` flow (our stand-in for ISE/XST —
 //! see DESIGN.md §2), on any registered target fabric.
 //!
-//! Usage:
-//!   table5                 # all nine fields on artix7 (minutes; use --release)
-//!   table5 --quick         # only (8,2) and (64,23) (~seconds)
-//!   table5 --only M,N      # a single field, e.g. --only 8,2
-//!   table5 --target NAME   # another fabric (artix7|spartan3|virtex5|stratix_alm)
-//!   table5 --all-targets   # every registry fabric, one grid per target
-//!   table5 --threads N     # batch worker threads (0 = all CPUs)
-//!   table5 --json PATH     # write the machine-readable report (JSON)
-//!   table5 --csv PATH      # write the machine-readable report (CSV)
-//!   table5 --daemon EP     # run jobs via rgf2m-served at EP
-//!                          # (unix:PATH or HOST:PORT) instead of
-//!                          # in-process pipelines
+//! Run `table5 --help` for its flags (declared in
+//! `rgf2m_bench::cli`); an unknown or malformed flag exits 1 before
+//! any work.
 //!
 //! The run fans (field × method × target) jobs over the parallel
 //! `BatchRunner` with deterministic per-job seeds: the printed numbers
@@ -29,7 +20,7 @@
 
 use rgf2m_bench::paper_data::PAPER_TABLE_V;
 use rgf2m_bench::{
-    arg_value, format_field_block, rows_to_csv, rows_to_json, run_rows_via_daemon, table_v_jobs_on,
+    cli, format_field_block, rows_to_csv, rows_to_json, run_rows_via_daemon, table_v_jobs_on,
     BatchRow, BatchRunner, MeasuredRow,
 };
 use rgf2m_core::Method;
@@ -37,28 +28,19 @@ use rgf2m_fpga::Target;
 use rgf2m_serve::net::Endpoint;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let only: Option<(usize, usize)> = arg_value(&args, "--only").map(|v| {
-        let parts: Vec<usize> = v
-            .split(',')
-            .map(|t| t.trim().parse().expect("--only wants M,N"))
-            .collect();
-        assert_eq!(parts.len(), 2, "--only wants M,N");
-        (parts[0], parts[1])
-    });
-    let threads: usize = arg_value(&args, "--threads")
-        .map(|v| v.parse().expect("--threads wants an integer"))
-        .unwrap_or(1);
-    let targets: Vec<Target> = if args.iter().any(|a| a == "--all-targets") {
+    let args = cli::TABLE5.parse();
+    let quick = args.has("--quick");
+    let only = args.pair("--only");
+    let threads: usize = args.parsed("--threads").unwrap_or(1);
+    let targets: Vec<Target> = if args.has("--all-targets") {
         Target::ALL.to_vec()
     } else {
-        let name = arg_value(&args, "--target").unwrap_or_else(|| "artix7".into());
-        vec![Target::from_name(&name).unwrap_or_else(|| {
-            panic!(
+        let name = args.value("--target").unwrap_or("artix7");
+        vec![Target::from_name(name).unwrap_or_else(|| {
+            args.fail(&format!(
                 "unknown target {name:?}; registered: {}",
                 Target::ALL.map(|t| t.name()).join(", ")
-            )
+            ))
         })]
     };
 
@@ -83,10 +65,10 @@ fn main() {
         fields.len(),
         targets.len()
     );
-    let rows = match arg_value(&args, "--daemon") {
+    let rows = match args.value("--daemon") {
         None => runner.run_rows(&jobs),
         Some(ep) => {
-            let endpoint = Endpoint::parse(&ep).unwrap_or_else(|e| panic!("--daemon: {e}"));
+            let endpoint = Endpoint::parse(ep).unwrap_or_else(|e| panic!("--daemon: {e}"));
             run_rows_via_daemon(&endpoint, &jobs, runner.base_seed())
                 .unwrap_or_else(|e| panic!("daemon run via {endpoint} failed: {e}"))
         }
@@ -159,13 +141,13 @@ fn main() {
         println!();
     }
 
-    if let Some(path) = arg_value(&args, "--json") {
-        std::fs::write(&path, rows_to_json(&rows, runner.base_seed()))
+    if let Some(path) = args.value("--json") {
+        std::fs::write(path, rows_to_json(&rows, runner.base_seed()))
             .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
         println!("wrote JSON report to {path}");
     }
-    if let Some(path) = arg_value(&args, "--csv") {
-        std::fs::write(&path, rows_to_csv(&rows))
+    if let Some(path) = args.value("--csv") {
+        std::fs::write(path, rows_to_csv(&rows))
             .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
         println!("wrote CSV report to {path}");
     }

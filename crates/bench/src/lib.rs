@@ -6,14 +6,16 @@
 //! adds the paper's published numbers ([`paper_data`]), the per-field
 //! flow drivers, the parallel [`BatchRunner`] ([`batch`]), the
 //! structured JSON/CSV report writers ([`report`]), daemon-backed
-//! execution against a running `rgf2m-served` ([`daemon`]) and the
-//! unified static-analysis gate ([`audit`]).
+//! execution against a running `rgf2m-served` ([`daemon`]), the
+//! unified static-analysis gate ([`audit`]) and the strict command
+//! lines of the binaries ([`cli`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod audit;
 pub mod batch;
+pub mod cli;
 pub mod daemon;
 pub mod paper_data;
 pub mod report;
@@ -127,15 +129,6 @@ pub fn format_field_block(m: usize, n: usize, rows: &[MeasuredRow]) -> String {
         );
     }
     s
-}
-
-/// Looks up the value following `key` in a CLI argument list (shared by
-/// the `table5`, `crosstarget`, `audit`, `sta`, `reveng` and
-/// `lint_netlist` binaries).
-pub fn arg_value(args: &[String], key: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1).cloned())
 }
 
 /// The annealing-proposal budget every harness run is pinned to. Equal

@@ -1,0 +1,96 @@
+//! The bench binaries refuse malformed command lines before any work:
+//! `--help` prints the usage and exits 0; an unknown flag, a flag
+//! without its value, a value that is another flag or a stray argument
+//! exits 1 with the usage on stderr and nothing on stdout.
+
+use std::process::{Command, Output};
+
+const BINS: [(&str, &str); 6] = [
+    ("table5", env!("CARGO_BIN_EXE_table5")),
+    ("crosstarget", env!("CARGO_BIN_EXE_crosstarget")),
+    ("audit", env!("CARGO_BIN_EXE_audit")),
+    ("sta", env!("CARGO_BIN_EXE_sta")),
+    ("reveng", env!("CARGO_BIN_EXE_reveng")),
+    ("lint_netlist", env!("CARGO_BIN_EXE_lint_netlist")),
+];
+
+/// Runs `exe` with `args` in a fresh empty directory, which is returned
+/// so a test can check that nothing was written there.
+fn run(exe: &str, args: &[&str]) -> (Output, std::path::PathBuf) {
+    let dir = std::env::temp_dir().join(format!(
+        "rgf2m-cli-{}-{}",
+        std::process::id(),
+        args.join("_").replace(['/', ' '], "")
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = Command::new(exe)
+        .args(args)
+        .current_dir(&dir)
+        .output()
+        .unwrap();
+    (out, dir)
+}
+
+fn text(bytes: &[u8]) -> String {
+    String::from_utf8_lossy(bytes).into_owned()
+}
+
+#[test]
+fn help_prints_usage_and_exits_0() {
+    for (name, exe) in BINS {
+        let (out, dir) = run(exe, &["--help"]);
+        let stdout = text(&out.stdout);
+        assert_eq!(out.status.code(), Some(0), "{name} --help");
+        assert!(stdout.starts_with("Usage:\n"), "{name}: {stdout}");
+        assert!(stdout.contains(&format!("  {name} --only M,N")), "{name}");
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+}
+
+#[test]
+fn bad_command_lines_exit_1_with_usage_before_any_work() {
+    let cases: [(&[&str], &str); 5] = [
+        (&["--onyl", "8,2"], "unknown flag --onyl"),
+        (&["--only"], "--only needs a value"),
+        (&["--only", "--json", "x"], "--only needs a value"),
+        (&["--only", "8,2", "extra"], "unexpected argument \"extra\""),
+        (&["--only", "8;2"], "--only wants M,N"),
+    ];
+    for (name, exe) in BINS {
+        for (args, error) in cases {
+            let (out, dir) = run(exe, args);
+            let stderr = text(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{name} {args:?}: {stderr}");
+            assert!(out.stdout.is_empty(), "{name} {args:?} did work");
+            assert!(stderr.contains(error), "{name} {args:?}: {stderr}");
+            assert!(stderr.contains("Usage:\n"), "{name} {args:?}: {stderr}");
+            std::fs::remove_dir_all(dir).unwrap();
+        }
+    }
+}
+
+/// The misuses CI guards against: a report flag followed by another
+/// flag writes no file named after it, and a misspelled field filter
+/// does not run the whole grid.
+#[test]
+fn report_flags_never_swallow_another_flag() {
+    let table5 = BINS[0].1;
+    for args in [
+        &["--only", "8,2", "--json", "--csv", "out.csv"][..],
+        &["--onyl", "8,2"],
+        &["--only", "8,2", "--target", "--all-targets"],
+    ] {
+        let (out, dir) = run(table5, args);
+        assert_eq!(out.status.code(), Some(1), "table5 {args:?}");
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "{args:?}");
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+    let (out, dir) = run(BINS[2].1, &["--only", "8,2", "--json"]);
+    assert_eq!(out.status.code(), Some(1), "audit --json with no path");
+    std::fs::remove_dir_all(dir).unwrap();
+    let (out, dir) = run(table5, &["--target", "artix8"]);
+    assert_eq!(out.status.code(), Some(1), "table5 --target artix8");
+    assert!(text(&out.stderr).contains("unknown target \"artix8\""));
+    std::fs::remove_dir_all(dir).unwrap();
+}

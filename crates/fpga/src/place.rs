@@ -12,23 +12,27 @@
 //!   [`PlaceOptions::seed`]: one sequential loop draws every proposal
 //!   and acceptance from a single seeded RNG.
 //! * **Incremental cost** — each proposal pays only for what its
-//!   nets' shapes need. A two-pin net's new box is that of its far pin
-//!   and the mover's destination: one comparison with the cached box,
-//!   never a rescan. Other nets keep cached boxes with how many pins sit
-//!   on each of their four edges, so moving one pin updates a box in
-//!   O(1); only a pin that was the last on an edge it leaves inward
-//!   forces a rescan. A net holding both slices of a swap is skipped,
-//!   since its pin multiset (and so its box) is unchanged. *Wide* nets
-//!   (more than 32 pins, `WIDE_PINS`: the 2m operand nets of a
-//!   bit-parallel multiplier) are skipped as a class when both swap
-//!   cells lie strictly inside every wide box, where no swap can change
-//!   one. One-pin nets have zero wirelength wherever their slice goes
-//!   and are dropped. The boxes equal a fresh scan bit for bit, and
-//!   every net HPWL is a multiple of 2^-23 below 2^11 (0, an integer, or
-//!   an `f32` of at least 1, since a net with a pad spans x ≥ 1), so
-//!   every term and partial sum of a delta is an exact `f64` and no
-//!   order of summation changes a bit: the deltas, and every placement,
-//!   are those of recomputing each touched box from scratch.
+//!   nets' shapes need. A two-pin net caches nothing: its change is the
+//!   length from its far pin (a slice, or a fixed pad stored after the
+//!   slices in the position array) to the mover's destination, minus
+//!   that to the mover's origin. Every other net keeps a cached box,
+//!   numbered densely over those nets alone, with how many pins sit on
+//!   each of its four edges, so moving one pin updates a box in O(1);
+//!   only a pin that was the last on an edge it leaves inward forces a
+//!   rescan. A net holding both slices of a swap is skipped, since its
+//!   pin multiset (and so its box) is unchanged. *Wide* nets (more than
+//!   32 pins, `WIDE_PINS`: the 2m operand nets of a bit-parallel
+//!   multiplier) are skipped as a class when both swap cells lie
+//!   strictly inside every wide box, where no swap can change one. That
+//!   interior follows each accepted wide box exactly; only a binding
+//!   edge moving outward makes the next proposal intersect the boxes
+//!   afresh. One-pin nets have zero wirelength wherever their slice
+//!   goes and are dropped. The boxes equal a fresh scan bit for bit,
+//!   and every net HPWL is a multiple of 2^-23 below 2^11 (0, an
+//!   integer, or an `f32` of at least 1, since a net with a pad spans
+//!   x ≥ 1), so every term and partial sum of a delta is an exact `f64`
+//!   and no order of summation changes a bit: the deltas, and every
+//!   placement, are those of recomputing each touched box from scratch.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -367,6 +371,7 @@ pub fn place_with_stats(
     stats.proposals = spent;
     stats.final_hpwl = ann.total_hpwl();
     placement.pos = ann.pos;
+    placement.pos.truncate(num_slices);
     (placement, stats)
 }
 
@@ -421,17 +426,6 @@ impl Span {
             self.n_hi + u32::from(v == self.hi)
         };
         self.hi = self.hi.max(v);
-    }
-
-    /// The span of exactly two pins — what [`Span::add`] builds from them.
-    fn pair(a: f32, b: f32) -> Span {
-        let n = if a == b { 2 } else { 1 };
-        Span {
-            lo: a.min(b),
-            hi: a.max(b),
-            n_lo: n,
-            n_hi: n,
-        }
     }
 
     /// Moves one pin of this span from `from` to `to`, keeping the
@@ -520,14 +514,6 @@ impl NetBox {
         b
     }
 
-    /// The box of a two-pin net with pins at `a` and `b`.
-    fn pair(a: (f32, f32), b: (f32, f32)) -> NetBox {
-        NetBox {
-            x: Span::pair(a.0, b.0),
-            y: Span::pair(a.1, b.1),
-        }
-    }
-
     /// Moves one pin from `from` to `to` ([`Span::shift`] per axis).
     /// On [`Shift::Rescan`] `self` is stale and must be recomputed.
     fn shift(&mut self, from: (f32, f32), to: (f32, f32)) -> Shift {
@@ -544,24 +530,24 @@ impl NetBox {
     }
 }
 
-/// The far pin of a two-pin net, seen from one of its two slices.
-#[derive(Debug, Clone, Copy)]
-enum Far {
-    /// The net's other slice, which may be moving too.
-    Slice(u32),
-    /// A fixed pad.
-    Pad((f32, f32)),
+/// Half-perimeter wirelength of a two-pin net with pins at `a` and `b`:
+/// the [`NetBox::hpwl`] of their box bit for bit, since `|a − b|` is
+/// `max − min` exactly (IEEE subtraction is sign-symmetric).
+fn pair_hpwl(a: (f32, f32), b: (f32, f32)) -> f64 {
+    ((a.0 - b.0).abs() + (a.1 - b.1).abs()) as f64
 }
 
-/// A two-pin net on one slice, with its far pin.
+/// How the annealer prices one net.
 #[derive(Debug, Clone, Copy)]
-struct TwoPin {
-    net: u32,
-    far: Far,
+enum Cost {
+    /// A two-pin net: its two pins as indices into the annealer's
+    /// positions (a slice, or a fixed pad stored past the slices).
+    Pair(u32, u32),
+    /// Any other net: its index into the cached boxes.
+    Box(u32),
 }
 
-/// Incidence class of nets with three to [`WIDE_PINS`] pins (and of any
-/// one-pin net handed to the annealer directly).
+/// Incidence class of boxed nets with at most [`WIDE_PINS`] pins.
 const OTHER: usize = 0;
 /// Incidence class of nets with more than [`WIDE_PINS`] pins.
 const WIDE: usize = 1;
@@ -592,25 +578,57 @@ impl Interior {
     fn contains(&self, (x, y): (f32, f32)) -> bool {
         self.x.0 < x && x < self.x.1 && self.y.0 < y && y < self.y.1
     }
+
+    /// Follows one wide box from `old` to `new`. Each bound is a max
+    /// (low edges) or min (high edges) over the boxes, so an edge that
+    /// moves inward, or outward without being the binding one, leaves
+    /// the bound exact. Returns `false`, leaving `self` stale, when a
+    /// binding edge moves outward and the next bound is unknown.
+    fn follow(&mut self, old: &NetBox, new: &NetBox) -> bool {
+        fn low(bound: &mut f32, old: f32, new: f32) -> bool {
+            if new < old && old == *bound {
+                return false;
+            }
+            *bound = bound.max(new);
+            true
+        }
+        fn high(bound: &mut f32, old: f32, new: f32) -> bool {
+            if new > old && old == *bound {
+                return false;
+            }
+            *bound = bound.min(new);
+            true
+        }
+        low(&mut self.x.0, old.x.lo, new.x.lo)
+            && high(&mut self.x.1, old.x.hi, new.x.hi)
+            && low(&mut self.y.0, old.y.lo, new.y.lo)
+            && high(&mut self.y.1, old.y.hi, new.y.hi)
+    }
 }
 
 /// The annealer's fixed view of the netlist, in flat offset/data
-/// arrays: each net's slices, and each slice's nets split by shape.
+/// arrays: how each net is priced, each boxed net's slices, and each
+/// slice's nets split by shape. Boxes are numbered densely over the
+/// nets that are not two-pin, wide ones first.
 struct Topology {
-    /// `pins[pin_off[n]..pin_off[n + 1]]`: the slices of net `n`.
+    /// How each net, in netlist order, is priced.
+    cost: Vec<Cost>,
+    /// Boxes `0..n_wide` are the wide nets' ([`WIDE`]).
+    n_wide: usize,
+    /// `pins[pin_off[b]..pin_off[b + 1]]`: the slices of box `b`'s net.
     pin_off: Vec<u32>,
     pins: Vec<u32>,
-    /// The box of each net's fixed pads alone, where a rescan starts.
+    /// The box of each boxed net's fixed pads alone, where a rescan
+    /// starts.
     pad_boxes: Vec<NetBox>,
-    /// `two[two_off[s]..two_off[s + 1]]`: the two-pin nets on slice `s`.
+    /// `two[two_off[s]..two_off[s + 1]]`: the far pin of each two-pin
+    /// net on slice `s`, as an index into the annealer's positions.
     two_off: Vec<u32>,
-    two: Vec<TwoPin>,
-    /// `multi[multi_off[2s + c]..multi_off[2s + c + 1]]`: the nets of
+    two: Vec<u32>,
+    /// `multi[multi_off[2s + c]..multi_off[2s + c + 1]]`: the boxes of
     /// class `c` ([`OTHER`] or [`WIDE`]) on slice `s`.
     multi_off: Vec<u32>,
     multi: Vec<u32>,
-    /// Every wide net on at least one slice.
-    wide: Vec<u32>,
 }
 
 /// Concatenates `lists`, returning the offset of each list's start (and
@@ -626,34 +644,53 @@ fn flatten<'b, T: Copy + 'b>(lists: impl Iterator<Item = &'b [T]>) -> (Vec<u32>,
 }
 
 impl Topology {
-    fn new(nets: &[Net], num_slices: usize) -> Topology {
-        let mut two: Vec<Vec<TwoPin>> = vec![Vec::new(); num_slices];
-        let mut multi: Vec<Vec<u32>> = vec![Vec::new(); 2 * num_slices];
-        let mut wide = Vec::new();
-        for (n, net) in nets.iter().enumerate() {
-            let n = n as u32;
-            let pins = net.slices.len() + net.pads.len();
-            if pins > WIDE_PINS && !net.slices.is_empty() {
-                wide.push(n);
-            }
-            for (i, &s) in net.slices.iter().enumerate() {
-                let s = s as usize;
-                if pins == 2 {
-                    let far = match net.slices.get(1 - i) {
-                        Some(&o) => Far::Slice(o),
-                        None => Far::Pad(net.pads[0]),
-                    };
-                    two[s].push(TwoPin { net: n, far });
-                } else {
-                    let class = if pins > WIDE_PINS { WIDE } else { OTHER };
-                    multi[2 * s + class].push(n);
+    /// The topology of `nets` over `num_slices` slices, and the fixed
+    /// pads of its two-pin nets, which the annealer's positions hold
+    /// from index `num_slices` on.
+    fn new(nets: &[Net], num_slices: usize) -> (Topology, Vec<(f32, f32)>) {
+        let pins = |n: &Net| n.slices.len() + n.pads.len();
+        let is_wide = |n: &Net| pins(n) > WIDE_PINS && !n.slices.is_empty();
+        // Boxed nets, wide ones first, so boxes `0..n_wide` are the wide
+        // class; each class keeps netlist order.
+        let (wide, other): (Vec<usize>, Vec<usize>) = (0..nets.len())
+            .filter(|&n| pins(&nets[n]) != 2)
+            .partition(|&n| is_wide(&nets[n]));
+        let n_wide = wide.len();
+        let boxed: Vec<&Net> = wide.iter().chain(&other).map(|&n| &nets[n]).collect();
+        let mut cost = vec![Cost::Box(0); nets.len()];
+        for (b, &n) in wide.iter().chain(&other).enumerate() {
+            cost[n] = Cost::Box(b as u32);
+        }
+        let mut far_pads = Vec::new();
+        let mut two: Vec<Vec<u32>> = vec![Vec::new(); num_slices];
+        for (n, net) in nets.iter().enumerate().filter(|(_, n)| pins(n) == 2) {
+            let mut pad = |p| {
+                far_pads.push(p);
+                (num_slices + far_pads.len() - 1) as u32
+            };
+            let (a, b) = match *net.slices.as_slice() {
+                [a, b] => (a, b),
+                [a] => (a, pad(net.pads[0])),
+                _ => (pad(net.pads[0]), pad(net.pads[1])),
+            };
+            for (s, far) in [(a, b), (b, a)] {
+                if let Some(list) = two.get_mut(s as usize) {
+                    list.push(far);
                 }
             }
+            cost[n] = Cost::Pair(a, b);
         }
-        let (pin_off, pins) = flatten(nets.iter().map(|n| n.slices.as_slice()));
+        let mut multi: Vec<Vec<u32>> = vec![Vec::new(); 2 * num_slices];
+        for (b, net) in boxed.iter().enumerate() {
+            let class = if b < n_wide { WIDE } else { OTHER };
+            for &s in &net.slices {
+                multi[2 * s as usize + class].push(b as u32);
+            }
+        }
+        let (pin_off, pins) = flatten(boxed.iter().map(|n| n.slices.as_slice()));
         let (two_off, two) = flatten(two.iter().map(Vec::as_slice));
         let (multi_off, multi) = flatten(multi.iter().map(Vec::as_slice));
-        let pad_boxes = nets
+        let pad_boxes = boxed
             .iter()
             .map(|n| {
                 let mut b = NetBox::EMPTY;
@@ -661,7 +698,9 @@ impl Topology {
                 b
             })
             .collect();
-        Topology {
+        let topo = Topology {
+            cost,
+            n_wide,
             pin_off,
             pins,
             pad_boxes,
@@ -669,83 +708,89 @@ impl Topology {
             two,
             multi_off,
             multi,
-            wide,
-        }
+        };
+        (topo, far_pads)
     }
 
-    /// The two-pin nets on slice `s`.
-    fn two_pin(&self, s: u32) -> &[TwoPin] {
+    /// The far pins of the two-pin nets on slice `s`.
+    fn two_pin(&self, s: u32) -> &[u32] {
         let s = s as usize;
         &self.two[self.two_off[s] as usize..self.two_off[s + 1] as usize]
     }
 
-    /// The nets of `class` on slice `s`.
+    /// The boxes of `class` on slice `s`.
     fn multi(&self, s: u32, class: usize) -> &[u32] {
         let i = 2 * s as usize + class;
         &self.multi[self.multi_off[i] as usize..self.multi_off[i + 1] as usize]
     }
 
-    /// The box of net `n` with each slice `p` at `at(p)`.
-    fn rescan(&self, n: usize, at: impl Fn(u32) -> (f32, f32)) -> NetBox {
-        let mut b = self.pad_boxes[n];
-        for &p in &self.pins[self.pin_off[n] as usize..self.pin_off[n + 1] as usize] {
-            b.add(at(p));
+    /// Box `b` with each slice `p` at `at(p)`.
+    fn rescan(&self, b: usize, at: impl Fn(u32) -> (f32, f32)) -> NetBox {
+        let mut nb = self.pad_boxes[b];
+        for &p in &self.pins[self.pin_off[b] as usize..self.pin_off[b + 1] as usize] {
+            nb.add(at(p));
         }
-        b
+        nb
     }
 }
 
 /// The annealing work area: the netlist structure plus mutable
-/// positions, cell contents and cached per-net bounding boxes. All
-/// per-proposal scratch (`updates`, the `stamp` epoch map) lives here,
-/// allocated once and reused for every proposal — the inner annealing
-/// loop never allocates.
+/// positions, cell contents and the cached boxes of the nets that are
+/// not two-pin. All per-proposal scratch (`updates`, the `stamp` epoch
+/// map) lives here, allocated once and reused for every proposal — the
+/// inner annealing loop never allocates.
 struct Annealer {
     topo: Topology,
     w: usize,
+    /// Each slice's position, then the fixed pads of two-pin nets.
     pos: Vec<(f32, f32)>,
     cells: Vec<Option<u32>>,
     boxes: Vec<NetBox>,
     /// The [`Interior`] of the wide nets' cached boxes, unless stale.
     interior: Interior,
-    /// Set once an accepted move changes a wide net's box; the next
-    /// proposal recomputes `interior`.
+    /// Set once an accepted move takes a binding wide edge outward; the
+    /// next proposal recomputes `interior`.
     interior_stale: bool,
-    /// Whether `updates` holds the box of a wide net.
-    wide_moved: bool,
-    /// Scratch: net → the epoch mark it last received (see
+    /// Scratch: box → the epoch mark it last received (see
     /// [`Annealer::shift_class`]); marks of earlier walks are stale.
     stamp: Vec<u64>,
     epoch: u64,
-    /// The new boxes of the nets whose edges or edge counts the current
-    /// proposal changes.
+    /// The new values of the boxes whose edges or edge counts the
+    /// current proposal changes.
     updates: Vec<(u32, NetBox)>,
 }
 
 impl Annealer {
-    fn new(nets: &[Net], w: usize, pos: Vec<(f32, f32)>, cells: Vec<Option<u32>>) -> Self {
-        let topo = Topology::new(nets, pos.len());
-        let boxes = (0..nets.len())
-            .map(|n| topo.rescan(n, |s| pos[s as usize]))
+    fn new(nets: &[Net], w: usize, mut pos: Vec<(f32, f32)>, cells: Vec<Option<u32>>) -> Self {
+        let (topo, far_pads) = Topology::new(nets, pos.len());
+        pos.extend(far_pads);
+        let boxes: Vec<NetBox> = (0..topo.pad_boxes.len())
+            .map(|b| topo.rescan(b, |s| pos[s as usize]))
             .collect();
         Annealer {
             topo,
             w,
             pos,
             cells,
+            stamp: vec![0; boxes.len()],
             boxes,
             interior: Interior::of(std::iter::empty()),
             interior_stale: true,
-            wide_moved: false,
-            stamp: vec![0; nets.len()],
             epoch: 0,
             updates: Vec::new(),
         }
     }
 
-    /// Total HPWL from the cached boxes.
+    /// Total HPWL, summed over the nets in netlist order.
     fn total_hpwl(&self) -> f64 {
-        self.boxes.iter().map(NetBox::hpwl).sum()
+        self.topo
+            .cost
+            .iter()
+            .map(|&c| match c {
+                Cost::Pair(a, b) => pair_hpwl(self.pos[a as usize], self.pos[b as usize]),
+                Cost::Box(b) => self.boxes[b as usize].hpwl(),
+            })
+            .sum()
     }
 
     /// Whether every cached box, edge counts included, equals a fresh
@@ -754,12 +799,12 @@ impl Annealer {
         self.boxes
             .iter()
             .enumerate()
-            .all(|(n, b)| self.topo.rescan(n, |s| self.pos[s as usize]) == *b)
+            .all(|(b, nb)| self.topo.rescan(b, |s| self.pos[s as usize]) == *nb)
     }
 
     /// The [`Interior`] of the wide nets' cached boxes.
     fn fresh_interior(&self) -> Interior {
-        Interior::of(self.topo.wide.iter().map(|&n| &self.boxes[n as usize]))
+        Interior::of(self.boxes[..self.topo.n_wide].iter())
     }
 
     /// Whether the cached interior, unless marked stale, equals a fresh
@@ -780,23 +825,17 @@ impl Annealer {
         let sb = self.cells[cb];
         let pa = cell_pos(ca, self.w);
         let pb = cell_pos(cb, self.w);
-        // A two-pin net's new box is that of its far pin and the mover's
-        // destination. One joining the two movers keeps its box.
+        // A two-pin net spans its far pin and the mover, before and
+        // after the move. One joining the two movers keeps its length.
         let mut delta = 0.0;
-        for (s, to, mate) in [(sa, pb, sb), (sb, pa, sa)] {
+        for (s, from, to, mate) in [(sa, pa, pb, sb), (sb, pb, pa, sa)] {
             let Some(s) = s else { continue };
-            for tp in self.topo.two_pin(s) {
-                let far = match tp.far {
-                    Far::Slice(o) if Some(o) == mate => continue,
-                    Far::Slice(o) => self.pos[o as usize],
-                    Far::Pad(p) => p,
-                };
-                let nb = NetBox::pair(far, to);
-                let cached = self.boxes[tp.net as usize];
-                if nb != cached {
-                    delta += nb.hpwl() - cached.hpwl();
-                    self.updates.push((tp.net, nb));
+            for &far in self.topo.two_pin(s) {
+                if Some(far) == mate {
+                    continue;
                 }
+                let f = self.pos[far as usize];
+                delta += pair_hpwl(f, to) - pair_hpwl(f, from);
             }
         }
         let movers = [(sa, pb), (sb, pa)];
@@ -808,41 +847,39 @@ impl Annealer {
         // With both cells strictly inside every wide box, each mover
         // goes from one interior point of its wide boxes to another, so
         // none of them changes: the whole class is skipped.
-        let before_wide = self.updates.len();
         if !(self.interior.contains(pa) && self.interior.contains(pb)) {
             delta += self.shift_class(WIDE, movers);
         }
-        self.wide_moved = self.updates.len() > before_wide;
         delta
     }
 
-    /// Shifts the box of every `class` net on a mover by its one moving
-    /// pin, records the nets whose edges or edge counts change, and
-    /// returns the sum of their HPWL changes. `movers` holds the slice
-    /// leaving `ca` with its destination, then the one leaving `cb`.
+    /// Shifts every `class` box on a mover by its one moving pin,
+    /// records the boxes whose edges or edge counts change, and returns
+    /// the sum of their HPWL changes. `movers` holds the slice leaving
+    /// `ca` with its destination, then the one leaving `cb`.
     fn shift_class(&mut self, class: usize, movers: [(Option<u32>, (f32, f32)); 2]) -> f64 {
         // A net holding both movers keeps its pin multiset, hence its
-        // box, so it is skipped. Mark the nets of the slice leaving `cb`
-        // first; walking the other mover's nets then relabels the shared
-        // ones, which the second walk skips in turn.
+        // box, so it is skipped. Mark the boxes of the slice leaving
+        // `cb` first; walking the other mover's boxes then relabels the
+        // shared ones, which the second walk skips in turn.
         self.epoch += 2;
         let (of_b, of_both) = (self.epoch, self.epoch + 1);
         if let Some(s) = movers[1].0 {
-            for &n in self.topo.multi(s, class) {
-                self.stamp[n as usize] = of_b;
+            for &b in self.topo.multi(s, class) {
+                self.stamp[b as usize] = of_b;
             }
         }
         let mut delta = 0.0;
         for ((s, to), shared) in movers.into_iter().zip([of_b, of_both]) {
             let Some(s) = s else { continue };
             let from = self.pos[s as usize];
-            for &n in self.topo.multi(s, class) {
-                let nu = n as usize;
-                if self.stamp[nu] == shared {
-                    self.stamp[nu] = of_both;
+            for &b in self.topo.multi(s, class) {
+                let bu = b as usize;
+                if self.stamp[bu] == shared {
+                    self.stamp[bu] = of_both;
                     continue;
                 }
-                let cached = self.boxes[nu];
+                let cached = self.boxes[bu];
                 let mut nb = cached;
                 match nb.shift(from, to) {
                     Shift::Same => continue,
@@ -851,19 +888,19 @@ impl Annealer {
                         let pos = &self.pos;
                         nb = self
                             .topo
-                            .rescan(nu, |p| if p == s { to } else { pos[p as usize] });
+                            .rescan(bu, |p| if p == s { to } else { pos[p as usize] });
                     }
                 }
                 delta += nb.hpwl() - cached.hpwl();
-                self.updates.push((n, nb));
+                self.updates.push((b, nb));
             }
         }
         delta
     }
 
     /// Applies the swap most recently evaluated by [`Annealer::propose`]
-    /// for the same `(ca, cb)` pair, updating positions, cell contents
-    /// and the cached boxes of the affected nets.
+    /// for the same `(ca, cb)` pair, updating positions, cell contents,
+    /// the cached boxes of the affected nets and the wide interior.
     fn accept(&mut self, ca: usize, cb: usize) {
         let sa = self.cells[ca];
         let sb = self.cells[cb];
@@ -874,10 +911,12 @@ impl Annealer {
             self.pos[s as usize] = cell_pos(ca, self.w);
         }
         self.cells.swap(ca, cb);
-        for &(ni, nb) in &self.updates {
-            self.boxes[ni as usize] = nb;
+        for &(b, nb) in &self.updates {
+            let old = std::mem::replace(&mut self.boxes[b as usize], nb);
+            if (b as usize) < self.topo.n_wide && !self.interior_stale {
+                self.interior_stale = !self.interior.follow(&old, &nb);
+            }
         }
-        self.interior_stale |= self.wide_moved;
     }
 }
 
@@ -1075,6 +1114,20 @@ mod tests {
             stats.final_hpwl,
             p.total_hpwl(&nets)
         );
+        // The running total starts from the snake placement's HPWL,
+        // summed in the same net order, bit for bit.
+        let snake = place(
+            &net,
+            &packing,
+            &PlaceOptions {
+                max_total_moves: 0,
+                ..PlaceOptions::default()
+            },
+        );
+        assert_eq!(
+            stats.initial_hpwl.to_bits(),
+            snake.total_hpwl(&nets).to_bits()
+        );
         assert!(stats.final_hpwl <= stats.initial_hpwl * 1.001);
         assert!(stats.accepted <= stats.proposals);
         if let Some(last) = stats.trajectory.last() {
@@ -1115,6 +1168,20 @@ mod tests {
             .fold(0.0, |acc, net| {
                 acc + (NetBox::compute(net, &after).hpwl() - NetBox::compute(net, &ann.pos).hpwl())
             })
+    }
+
+    /// Net `n`'s box as the annealer holds it: the cached box, or the
+    /// box over a two-pin net's pins at the positions it prices them at.
+    fn net_box(ann: &Annealer, n: usize) -> NetBox {
+        match ann.topo.cost[n] {
+            Cost::Box(b) => ann.boxes[b as usize],
+            Cost::Pair(a, b) => {
+                let mut nb = NetBox::EMPTY;
+                nb.add(ann.pos[a as usize]);
+                nb.add(ann.pos[b as usize]);
+                nb
+            }
+        }
     }
 
     /// The cells of the two slices of each two-pin net that has no pad.
@@ -1255,7 +1322,10 @@ mod tests {
         assert_ne!(first, last, "test needs a net on two slices");
         let cell = |s: u32| ann.cells.iter().position(|&c| c == Some(s)).unwrap();
         let (ca, cb) = (cell(first), cell(last));
-        let before = ann.boxes[ni];
+        let Cost::Box(bi) = ann.topo.cost[ni] else {
+            panic!("test needs a net of three or more pins")
+        };
+        let before = net_box(&ann, ni);
         // Either pin moving alone would change the box or its counts.
         let (pf, pl) = (ann.pos[first as usize], ann.pos[last as usize]);
         for (from, to) in [(pf, pl), (pl, pf)] {
@@ -1264,11 +1334,11 @@ mod tests {
         }
         ann.propose(ca, cb);
         assert!(
-            ann.updates.iter().all(|&(n, _)| n as usize != ni),
+            ann.updates.iter().all(|&(b, _)| b != bi),
             "a net holding both movers was updated"
         );
         ann.accept(ca, cb);
-        assert_eq!(ann.boxes[ni], before);
+        assert_eq!(net_box(&ann, ni), before);
         assert!(ann.boxes_are_fresh());
     }
 
@@ -1375,6 +1445,55 @@ mod tests {
         }
     }
 
+    /// A swap taking a pin on a binding edge of the wide interior
+    /// beyond that edge, so the binding wide box grows outward there, or
+    /// `None` if no edge has such a pin and cell. `pick` chooses the
+    /// first edge tried, the pin and the destination.
+    fn outward_swap(ann: &Annealer, pick: usize) -> Option<(usize, usize)> {
+        let interior = ann.fresh_interior();
+        (0..4).find_map(|k| {
+            // Edges in order: low x, high x, low y, high y.
+            let edge = (pick + k) % 4;
+            let (on_x, low) = (edge < 2, edge.is_multiple_of(2));
+            let coord = |p: (f32, f32)| if on_x { p.0 } else { p.1 };
+            let side = |lo: f32, hi: f32| if low { lo } else { hi };
+            let bound = if on_x {
+                side(interior.x.0, interior.x.1)
+            } else {
+                side(interior.y.0, interior.y.1)
+            };
+            let binds = |nb: &NetBox| {
+                let span = if on_x { nb.x } else { nb.y };
+                side(span.lo, span.hi) == bound
+            };
+            // The pins on the bound of the boxes that bind it.
+            let on_edge: Vec<u32> = (0..ann.topo.n_wide)
+                .filter(|&b| binds(&ann.boxes[b]))
+                .flat_map(|b| {
+                    &ann.topo.pins[ann.topo.pin_off[b] as usize..ann.topo.pin_off[b + 1] as usize]
+                })
+                .copied()
+                .filter(|&s| coord(ann.pos[s as usize]) == bound)
+                .collect();
+            let beyond: Vec<usize> = (0..ann.cells.len())
+                .filter(|&c| {
+                    let v = coord(cell_pos(c, ann.w));
+                    if low {
+                        v < bound
+                    } else {
+                        v > bound
+                    }
+                })
+                .collect();
+            if on_edge.is_empty() || beyond.is_empty() {
+                return None;
+            }
+            let s = on_edge[(pick / 4) % on_edge.len()];
+            let from = ann.cells.iter().position(|&c| c == Some(s)).unwrap();
+            Some((from, beyond[(pick / 64) % beyond.len()]))
+        })
+    }
+
     /// A net's box and edge counts straight from the definition:
     /// min/max over all pins, then a count of the pins on each edge.
     fn box_by_definition(net: &Net, pos: &[(f32, f32)]) -> NetBox {
@@ -1449,8 +1568,8 @@ mod tests {
                 proptest::prop_assert!(ann.boxes_are_fresh());
                 proptest::prop_assert!(ann.interior_is_fresh());
             }
-            for (net, b) in nets.iter().zip(&ann.boxes) {
-                proptest::prop_assert_eq!(*b, box_by_definition(net, &ann.pos));
+            for (n, net) in nets.iter().enumerate() {
+                proptest::prop_assert_eq!(net_box(&ann, n), box_by_definition(net, &ann.pos));
             }
             let opts = PlaceOptions {
                 seed: u64::from(swaps[0].0),
@@ -1460,6 +1579,74 @@ mod tests {
             let (p, stats) = place_with_stats(&lutnet, &packing, &opts);
             let nets = build_nets(&lutnet, &packing);
             proptest::prop_assert_eq!(stats.final_hpwl.to_bits(), p.total_hpwl(&nets).to_bits());
+        }
+
+        /// Wide nets on random windows of a full `w × w` grid, plus
+        /// random two-pin and three-pin nets and pads, under accepted
+        /// swaps that take a pin on a binding edge of the wide interior
+        /// outward, mixed with random ones: after every accept the cached
+        /// interior is marked stale or equals a fresh intersection, and
+        /// deltas and boxes stay exact.
+        #[test]
+        fn wide_interior_follows_binding_edges_outward(
+            w in 8usize..14,
+            windows in proptest::collection::vec((0usize..100, 0usize..100, 0usize..100, 0usize..100, 0u32..2), 1..5),
+            small in proptest::collection::vec((0u32..1000, 0u32..1000, 0u32..1000), 0..40),
+            steps in proptest::collection::vec((0usize..1 << 16, 0u32..3, 0u32..1000, 0u32..1000), 1..80),
+        ) {
+            let n = (w * w) as u32;
+            let slice_at = |x: usize, y: usize| (y * w + if y.is_multiple_of(2) { x } else { w - 1 - x }) as u32;
+            // A window of at least 6 × 6 cells; the first ends below the
+            // top row, so its high y edge can move outward.
+            let span = |a: usize, b: usize, end: usize| {
+                let lo = a % (end - 5);
+                (lo, lo + 5 + b % (end - lo - 5))
+            };
+            let mut nets: Vec<Net> = windows
+                .iter()
+                .enumerate()
+                .map(|(i, &(a, b, c, d, pad))| {
+                    let (x0, x1) = span(a, b, w);
+                    let (y0, y1) = span(c, d, if i == 0 { w - 1 } else { w });
+                    let slices = (y0..=y1)
+                        .flat_map(|y| (x0..=x1).map(move |x| (x, y)))
+                        .map(|(x, y)| slice_at(x, y))
+                        .collect::<std::collections::BTreeSet<u32>>()
+                        .into_iter()
+                        .collect();
+                    let pads = if pad == 1 { vec![(-1.0, y0 as f32)] } else { Vec::new() };
+                    Net { slices, pads }
+                })
+                .collect();
+            nets.extend(small.iter().map(|&(a, b, c)| {
+                let mut slices = vec![a % n, b % n];
+                let mut pads = Vec::new();
+                match c % 3 {
+                    0 => {}
+                    1 => pads.push((w as f32, (c % w as u32) as f32)),
+                    _ => slices.push(c % n),
+                }
+                slices.sort_unstable();
+                slices.dedup();
+                Net { slices, pads }
+            }));
+            let (mut ann, n_cells) = snake_annealer(&nets, n as usize);
+            proptest::prop_assert_eq!(ann.topo.n_wide, windows.len());
+            proptest::prop_assert!(outward_swap(&ann, 0).is_some());
+            for &(pick, kind, a, b) in &steps {
+                let (ca, cb) = match outward_swap(&ann, pick).filter(|_| kind != 0) {
+                    Some(pair) => pair,
+                    None => (a as usize % n_cells, b as usize % n_cells),
+                };
+                if ca == cb {
+                    continue;
+                }
+                let delta = ann.propose(ca, cb);
+                proptest::prop_assert_eq!(delta.to_bits(), rescanned_delta(&ann, &nets, ca, cb).to_bits());
+                ann.accept(ca, cb);
+                proptest::prop_assert!(ann.interior_is_fresh());
+                proptest::prop_assert!(ann.boxes_are_fresh());
+            }
         }
     }
 }
