@@ -1,6 +1,6 @@
 //! The parallel batch runner: fan a list of (m, n, method, target)
 //! jobs over worker threads, each through its own fallible
-//! [`Pipeline`], with deterministic per-job seeds.
+//! [`Pipeline`](rgf2m_fpga::Pipeline), with deterministic per-job seeds.
 //!
 //! This is the scale-out entry point the ROADMAP's north star asks for:
 //! one call runs an arbitrary set of field × method × fabric scenarios
@@ -34,7 +34,7 @@ use std::sync::Mutex;
 use gf2m::Field;
 use gf2poly::TypeIiPentanomial;
 use rgf2m_core::Method;
-use rgf2m_fpga::{FlowError, ImplReport, Pipeline, Target};
+use rgf2m_fpga::{FlowError, ImplReport, Target};
 
 /// One batch scenario: implement `method` for GF(2^m) with the type II
 /// pentanomial `(m, n)` on the fabric `target`.
@@ -120,11 +120,11 @@ pub fn job_seed_from(base_seed: u64, index: usize) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Fans jobs over `std::thread::scope` workers, one [`Pipeline`] run
-/// per job, with deterministic per-job placement seeds.
+/// Fans jobs over `std::thread::scope` workers, one
+/// [`Pipeline`](rgf2m_fpga::Pipeline) run per job, with deterministic
+/// per-job placement seeds.
 #[derive(Debug)]
 pub struct BatchRunner {
-    pipeline: Pipeline,
     threads: usize,
     base_seed: u64,
 }
@@ -134,7 +134,6 @@ impl BatchRunner {
     /// [`crate::HARNESS_SEED`], one worker thread.
     pub fn new() -> Self {
         BatchRunner {
-            pipeline: crate::harness_pipeline(),
             threads: 1,
             base_seed: crate::HARNESS_SEED,
         }
@@ -150,20 +149,6 @@ impl BatchRunner {
     /// Sets the base seed every per-job seed derives from.
     pub fn with_base_seed(mut self, seed: u64) -> Self {
         self.base_seed = seed;
-        self
-    }
-
-    /// Replaces the pipeline template jobs run through. Per job, the
-    /// template's placement seed is overridden by
-    /// [`BatchRunner::job_seed`]; a job whose [`Job::target`] differs
-    /// from the template's retargets its pipeline (replacing the device
-    /// model and mapper LUT width with the job target's presets), while
-    /// jobs on the template's own fabric keep its device verbatim —
-    /// including any same-shape delay recalibration. Target-independent
-    /// template options (annealing budget, mapper mode, resynthesis)
-    /// always carry through.
-    pub fn with_pipeline(mut self, pipeline: Pipeline) -> Self {
-        self.pipeline = pipeline;
         self
     }
 
@@ -225,17 +210,10 @@ impl BatchRunner {
             })?;
             let field = Field::from_pentanomial(&penta);
             let net = job.method.generator().generate(&field);
-            // Config-only clone: the per-job seed and target change the
-            // cache key anyway, so copying the template's artifacts
-            // would be waste.
-            let mut pipeline = self.pipeline.clone_config();
-            if job.target != pipeline.target() {
-                // Only retarget when the job actually deviates from the
-                // template — a template carrying a same-shape device
-                // recalibration keeps it for jobs on its own fabric.
-                pipeline = pipeline.with_target(job.target);
-            }
-            pipeline.with_place_seed(seed).run_report(&net)
+            crate::harness_pipeline()
+                .with_target(job.target)
+                .with_place_seed(seed)
+                .run_report(&net)
         })();
         BatchRow { job, seed, result }
     }
@@ -298,40 +276,6 @@ mod tests {
         // extra levels cost time.
         assert!(s.luts > a.luts, "spartan3 {} <= artix7 {}", s.luts, a.luts);
         assert!(s.time_ns > a.time_ns);
-    }
-
-    #[test]
-    fn template_device_recalibration_survives_same_target_jobs() {
-        use rgf2m_fpga::Device;
-        // A template carrying a same-shape artix7 recalibration must
-        // shape its artix7 jobs' timing; jobs on other fabrics retarget
-        // to that fabric's stock preset.
-        let slow = Device {
-            t_obuf_ns: 5.0,
-            ..Device::artix7()
-        };
-        let runner = BatchRunner::new().with_pipeline(crate::harness_pipeline().with_device(slow));
-        let jobs = [
-            Job::new(8, 2, Method::ProposedFlat),
-            Job::on(8, 2, Method::ProposedFlat, Target::Virtex5),
-        ];
-        let rows = runner.run_rows(&jobs);
-        let stock = BatchRunner::new().run_rows(&jobs);
-        let (r, s) = (
-            rows[0].result.as_ref().unwrap(),
-            stock[0].result.as_ref().unwrap(),
-        );
-        assert!(
-            r.time_ns > s.time_ns,
-            "recalibrated OBUF must slow the artix7 job: {} vs {}",
-            r.time_ns,
-            s.time_ns
-        );
-        // The retargeted job ignores the artix7 recalibration entirely.
-        assert_eq!(
-            rows[1].result.as_ref().unwrap(),
-            stock[1].result.as_ref().unwrap()
-        );
     }
 
     #[test]

@@ -15,7 +15,7 @@
 use rgf2m_bench::field_for;
 use rgf2m_core::{generate, Method};
 use rgf2m_fpga::map::MapMode;
-use rgf2m_fpga::{MapOptions, Pipeline};
+use rgf2m_fpga::Pipeline;
 
 fn main() {
     println!("ABLATION — synthesis freedom (resynthesis × mapper mode)");
@@ -40,7 +40,7 @@ fn main() {
             ] {
                 let pipeline = Pipeline::new()
                     .with_resynthesis(resynth)
-                    .with_map_options(MapOptions::new().with_mode(mode));
+                    .with_map_mode(mode);
                 let r = pipeline
                     .run_report(&net)
                     .unwrap_or_else(|e| panic!("({m},{n}) {label} {flow_label}: {e}"));

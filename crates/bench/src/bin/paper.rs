@@ -1,7 +1,8 @@
 //! Prints every table of the paper in sequence (Tables I–IV symbolic,
 //! Table V measured in `--quick` mode, via the registry-driven batch
 //! runner). The one-stop harness binary. For machine-readable Table V
-//! output, run `table5 --json PATH` directly.
+//! output, run `table5 --json PATH` directly. Exits 1, naming each
+//! failed table, if any table binary fails or cannot be started.
 
 use std::process::Command;
 
@@ -13,6 +14,7 @@ fn main() {
         eprintln!("cannot locate sibling table binaries");
         std::process::exit(1);
     };
+    let mut failed = Vec::new();
     for (bin, args) in [
         ("table1", vec![]),
         ("table2", vec![]),
@@ -23,12 +25,17 @@ fn main() {
         let path = dir.join(bin);
         println!("\n════════════════════════════════════════════════════════");
         match Command::new(&path).args(&args).status() {
-            Ok(s) if s.success() => {}
+            Ok(s) if s.success() => continue,
             Ok(s) => eprintln!("{bin} exited with {s}"),
             Err(e) => eprintln!(
                 "failed to run {}: {e} (build all bins first)",
                 path.display()
             ),
         }
+        failed.push(bin);
+    }
+    if !failed.is_empty() {
+        eprintln!("failed table(s): {}", failed.join(", "));
+        std::process::exit(1);
     }
 }

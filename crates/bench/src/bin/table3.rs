@@ -3,7 +3,7 @@
 //! pairing (\[7\]), plus the complexity figures the paper derives from
 //! it (64 AND gates, delay T_A + 5T_X).
 //!
-//! Note (DESIGN.md §8): the exact textual grouping of \[7\]'s Table III
+//! Note: the exact textual grouping of \[7\]'s Table III
 //! depends on that paper's scheduling choices; we print the schedule our
 //! deterministic same-level (Huffman) pairing produces, which achieves
 //! the same delay bound. The gate-level claims are asserted by tests.

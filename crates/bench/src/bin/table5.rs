@@ -1,7 +1,8 @@
 //! Regenerates Table V of the paper: post-"place-and-route" comparison
 //! of six GF(2^m) multiplier methods over nine type II pentanomial
 //! fields, through the `rgf2m-fpga` flow (our stand-in for ISE/XST —
-//! see DESIGN.md §2), on any registered target fabric.
+//! see the README's "Targets", "Placement" and "Timing" sections), on
+//! any registered target fabric.
 //!
 //! Run `table5 --help` for its flags (declared in
 //! `rgf2m_bench::cli`); an unknown or malformed flag exits 1 before
@@ -21,7 +22,7 @@
 use rgf2m_bench::paper_data::PAPER_TABLE_V;
 use rgf2m_bench::{
     cli, format_field_block, rows_to_csv, rows_to_json, run_rows_via_daemon, table_v_jobs_on,
-    BatchRow, BatchRunner, MeasuredRow,
+    BatchRunner, MeasuredRow,
 };
 use rgf2m_core::Method;
 use rgf2m_fpga::Target;
@@ -85,7 +86,8 @@ fn main() {
         let mut our_axt_wins_for_this_work = 0usize;
         let mut proposed_beats_paren = 0usize;
         for (block_rows, &(m, n)) in target_rows.chunks(Method::ALL.len()).zip(&fields) {
-            let measured: Vec<MeasuredRow> = block_rows.iter().filter_map(measured_row).collect();
+            let measured: Vec<MeasuredRow> =
+                block_rows.iter().filter_map(MeasuredRow::of).collect();
             for row in block_rows {
                 if let Err(e) = &row.result {
                     failures += 1;
@@ -155,15 +157,6 @@ fn main() {
         eprintln!("{failures} job(s) failed");
         std::process::exit(1);
     }
-}
-
-fn measured_row(row: &BatchRow) -> Option<MeasuredRow> {
-    row.result.as_ref().ok().map(|r| MeasuredRow {
-        citation: row.job.method.citation(),
-        luts: r.luts,
-        slices: r.slices,
-        time_ns: r.time_ns,
-    })
 }
 
 fn axt_winner(rows: &[MeasuredRow]) -> &'static str {

@@ -3,10 +3,10 @@
 //! The Table V method set comes from the unified registry
 //! ([`rgf2m_core::Method::ALL`], paper row order) and the fabric set
 //! from the target registry ([`rgf2m_fpga::Target::ALL`]); this crate
-//! adds the paper's published numbers ([`paper_data`]), the per-field
-//! flow drivers, the parallel [`BatchRunner`] ([`batch`]), the
-//! structured JSON/CSV report writers ([`report`]), daemon-backed
-//! execution against a running `rgf2m-served` ([`daemon`]), the
+//! adds the paper's published numbers ([`paper_data`]), the parallel
+//! [`BatchRunner`] ([`batch`]), the structured JSON/CSV report writers
+//! ([`report`]), daemon-backed execution against a running
+//! `rgf2m-served` ([`daemon`]), the
 //! unified static-analysis gate ([`audit`]) and the strict command
 //! lines of the binaries ([`cli`]).
 
@@ -22,10 +22,7 @@ pub mod report;
 
 use gf2m::Field;
 use gf2poly::TypeIiPentanomial;
-use netlist::Netlist;
-use rgf2m_core::gen::MultiplierGenerator;
-use rgf2m_core::Method;
-use rgf2m_fpga::{ImplReport, Pipeline, PlaceOptions};
+use rgf2m_fpga::Pipeline;
 
 pub use audit::{
     audit_to_json, run_audit, validate_audit_json, AuditCell, AuditCheck, AuditOptions,
@@ -51,6 +48,17 @@ pub struct MeasuredRow {
 }
 
 impl MeasuredRow {
+    /// The measured row of a successful batch job, `None` for a failed
+    /// one.
+    pub fn of(row: &BatchRow) -> Option<MeasuredRow> {
+        row.result.as_ref().ok().map(|r| MeasuredRow {
+            citation: row.job.method.citation(),
+            luts: r.luts,
+            slices: r.slices,
+            time_ns: r.time_ns,
+        })
+    }
+
     /// LUTs × ns, the paper's composite metric.
     pub fn area_time(&self) -> f64 {
         self.luts as f64 * self.time_ns
@@ -69,42 +77,6 @@ pub fn field_for(m: usize, n: usize) -> Field {
         &TypeIiPentanomial::new(m, n)
             .unwrap_or_else(|e| panic!("invalid Table V pair ({m},{n}): {e}")),
     )
-}
-
-/// Generates the netlist for one Table V row.
-pub fn generate_row_netlist(gen: &dyn MultiplierGenerator, field: &Field) -> Netlist {
-    gen.generate(field)
-}
-
-/// Runs the full FPGA flow for every method on one field through one
-/// pipeline (and therefore one target).
-///
-/// This is the quick in-process driver; it panics on the first flow
-/// error. Prefer [`BatchRunner::run_rows`] over [`table_v_jobs`] /
-/// [`cross_target_jobs`], which reports per-job `FlowError`s instead
-/// and parallelizes.
-///
-/// # Panics
-///
-/// Panics if `(m, n)` is not a valid Table V pair or any method's flow
-/// fails.
-pub fn run_table_v_field(m: usize, n: usize, pipeline: &Pipeline) -> Vec<MeasuredRow> {
-    let field = field_for(m, n);
-    Method::ALL
-        .iter()
-        .map(|method| {
-            let net = method.generator().generate(&field);
-            let report: ImplReport = pipeline
-                .run_report(&net)
-                .unwrap_or_else(|e| panic!("({m},{n}) {}: {e}", method.name()));
-            MeasuredRow {
-                citation: method.citation(),
-                luts: report.luts,
-                slices: report.slices,
-                time_ns: report.time_ns,
-            }
-        })
-        .collect()
 }
 
 /// Formats a measured field block in the paper's Table V layout.
@@ -131,32 +103,16 @@ pub fn format_field_block(m: usize, n: usize, rows: &[MeasuredRow]) -> String {
     s
 }
 
-/// The annealing-proposal budget every harness run is pinned to. Equal
-/// to today's [`PlaceOptions::default`] budget, but pinned here on
-/// purpose: harness runs stay bounded (and their published numbers stay
-/// comparable) even if the library default ever grows.
-pub const HARNESS_MAX_TOTAL_MOVES: usize = 1_200_000;
-
 /// The placement seed harness runs are pinned to (the paper's year).
 pub const HARNESS_SEED: u64 = 2018;
 
-/// The placement options every harness flow/pipeline runs with:
-/// deterministic seed, exact bounded annealing budget.
-pub fn harness_place_options() -> PlaceOptions {
-    PlaceOptions {
-        seed: HARNESS_SEED,
-        max_total_moves: HARNESS_MAX_TOTAL_MOVES,
-        ..PlaceOptions::default()
-    }
-}
-
-/// A pipeline tuned for harness runs: deterministic, with a bounded
-/// annealing budget ([`HARNESS_MAX_TOTAL_MOVES`], an exact proposal
-/// cap) so the largest fields stay tractable. Targets the default
-/// Artix-7 fabric; retarget with `Pipeline::with_target` (the
-/// [`BatchRunner`] does this per job).
+/// The pipeline every harness run starts from: [`Pipeline::new`], on
+/// the paper's Artix-7 fabric with the default placement seed
+/// ([`HARNESS_SEED`]) and its exact, bounded annealing budget. Retarget
+/// with `Pipeline::with_target` (the [`BatchRunner`] does this per
+/// job).
 pub fn harness_pipeline() -> Pipeline {
-    Pipeline::new().with_place_options(harness_place_options())
+    Pipeline::new()
 }
 
 #[cfg(test)]
@@ -165,7 +121,11 @@ mod tests {
 
     #[test]
     fn run_table_v_smallest_field() {
-        let rows = run_table_v_field(8, 2, &harness_pipeline());
+        let rows: Vec<MeasuredRow> = BatchRunner::new()
+            .run_rows(&table_v_jobs(&[(8, 2)]))
+            .iter()
+            .filter_map(MeasuredRow::of)
+            .collect();
         assert_eq!(rows.len(), 6);
         for r in &rows {
             assert!(r.luts > 0 && r.time_ns > 0.0, "{r:?}");
@@ -182,10 +142,9 @@ mod tests {
         // silently rot again.
         let opts = harness_pipeline().place_options().clone();
         assert_eq!(opts.seed, HARNESS_SEED);
-        assert_eq!(opts.max_total_moves, HARNESS_MAX_TOTAL_MOVES);
+        assert_eq!(opts.max_total_moves, 1_200_000);
         // And the harness pipeline targets the paper's fabric.
         assert_eq!(harness_pipeline().target(), rgf2m_fpga::Target::Artix7);
-        harness_pipeline().validate().expect("harness config valid");
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! exits 1 with the usage on stderr and nothing on stdout.
 
 use std::process::{Command, Output};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 const BINS: [(&str, &str); 6] = [
     ("table5", env!("CARGO_BIN_EXE_table5")),
@@ -14,16 +15,24 @@ const BINS: [(&str, &str); 6] = [
     ("lint_netlist", env!("CARGO_BIN_EXE_lint_netlist")),
 ];
 
-/// Runs `exe` with `args` in a fresh empty directory, which is returned
-/// so a test can check that nothing was written there.
-fn run(exe: &str, args: &[&str]) -> (Output, std::path::PathBuf) {
+/// A fresh empty directory of its own for each call, even when tests
+/// running in parallel pass the same arguments.
+fn fresh_dir() -> std::path::PathBuf {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
     let dir = std::env::temp_dir().join(format!(
         "rgf2m-cli-{}-{}",
         std::process::id(),
-        args.join("_").replace(['/', ' '], "")
+        NEXT.fetch_add(1, Ordering::Relaxed)
     ));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// Runs `exe` with `args` in a fresh empty directory, which is returned
+/// so a test can check that nothing was written there.
+fn run(exe: &str, args: &[&str]) -> (Output, std::path::PathBuf) {
+    let dir = fresh_dir();
     let out = Command::new(exe)
         .args(args)
         .current_dir(&dir)
@@ -92,5 +101,33 @@ fn report_flags_never_swallow_another_flag() {
     let (out, dir) = run(table5, &["--target", "artix8"]);
     assert_eq!(out.status.code(), Some(1), "table5 --target artix8");
     assert!(text(&out.stderr).contains("unknown target \"artix8\""));
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
+#[test]
+fn paper_exits_nonzero_naming_each_table_it_could_not_run() {
+    // A copy of `paper` without its sibling table binaries: every table
+    // fails to start, and no table runs.
+    let dir = fresh_dir();
+    let exe = dir.join("paper");
+    std::fs::copy(env!("CARGO_BIN_EXE_paper"), &exe).unwrap();
+    // A child another test forks while the copy is being written holds
+    // it open until its own exec, which makes ours fail with "text file
+    // busy": retry until that child lets go.
+    let out = (0..100)
+        .find_map(|_| match Command::new(&exe).current_dir(&dir).output() {
+            Err(e) if e.kind() == std::io::ErrorKind::ExecutableFileBusy => {
+                std::thread::sleep(std::time::Duration::from_millis(10));
+                None
+            }
+            out => Some(out.unwrap()),
+        })
+        .expect("the copied binary stays busy");
+    let stderr = text(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("failed table(s): table1, table2, table3, table4, table5"),
+        "{stderr}"
+    );
     std::fs::remove_dir_all(dir).unwrap();
 }

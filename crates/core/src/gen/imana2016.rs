@@ -15,7 +15,7 @@ use crate::gen::{MulCircuit, MultiplierGenerator};
 /// We realize the discipline as deterministic depth-aware (Huffman)
 /// pairing, which achieves the published delay bound: `T_A + 5T_X` for
 /// GF(2^8). The printed grouping of Table III may differ textually; the
-/// level structure is the same (see DESIGN.md §8).
+/// level structure is the same.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Imana2016;
 

@@ -128,16 +128,6 @@ fn over(k: usize) -> impl Fn(TermBudgetExceeded) -> FormalError {
     }
 }
 
-/// The GF(2) polynomial computed by mapped output `k`.
-///
-/// # Panics
-///
-/// Panics if `k` is out of range or the netlist is not topologically
-/// ordered.
-pub fn output_poly_mapped(mapped: &LutNetlist, k: usize) -> Result<Poly, TermBudgetExceeded> {
-    LutScratch::new(mapped).output_poly(mapped, k).cloned()
-}
-
 /// Working memory for expanding LUT cones, reused from one output bit
 /// to the next: the dense cone index, one polynomial buffer per cone
 /// position, and the leaf polynomials LUT inputs read.

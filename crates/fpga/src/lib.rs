@@ -4,8 +4,8 @@
 //! The paper evaluates its multipliers *post-place-and-route* on a
 //! Xilinx Artix-7 (ISE 14.7 / XST). That flow is proprietary; this crate
 //! implements the equivalent pipeline from scratch so the workspace can
-//! regenerate Table V end to end (see DESIGN.md §2 for the substitution
-//! argument) — and, because the paper's premise is *reconfigurable*
+//! regenerate Table V end to end (the README's "Targets", "Placement"
+//! and "Timing" sections give the substitution argument) — and, because the paper's premise is *reconfigurable*
 //! implementation, generalises the fabric behind a [`Target`] registry
 //! (k = 4/6/8, different slice capacities) so the same constructions can
 //! be compared across LUT structures:

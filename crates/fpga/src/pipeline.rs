@@ -17,12 +17,10 @@
 //!   pipeline is ~free (see [`Pipeline::cache_stats`]);
 //! * **target-derived** — [`Pipeline::with_target`] picks a fabric from
 //!   the [`Target`] registry and derives the device model, the mapper's
-//!   LUT width and the slice capacity from it. `with_device` /
-//!   `with_map_options` still exist for fine-tuning (e.g. custom delay
-//!   calibration, mapper mode), but [`Pipeline::validate`] rejects any
-//!   combination that contradicts the chosen target — no silent
-//!   `MapOptions::k` vs `Device::lut_inputs` mismatch can reach the
-//!   flow.
+//!   LUT width and cut budget, and the slice capacity from it. The whole
+//!   configuration is the target, the mapper mode, resynthesis on/off,
+//!   the placement seed and an optional artifact hook, so no device
+//!   model can disagree with the LUT width the mapper uses.
 //!
 //! # Examples
 //!
@@ -80,7 +78,7 @@ use netlist::{Fnv1a, Netlist};
 
 use crate::device::Device;
 use crate::formal::FormalError;
-use crate::lut::{LutNetlist, MAX_LUT_INPUTS};
+use crate::lut::LutNetlist;
 use crate::map::{map_to_luts_in, MapMode, MapOptions, MapScratch};
 use crate::pack::{pack_slices, Packing};
 use crate::place::{place, PlaceOptions, Placement};
@@ -172,11 +170,10 @@ pub struct FlowArtifacts {
 
 /// Everything that can go wrong in the implementation pipeline.
 ///
-/// The pipeline never panics on bad input: invalid configurations are
-/// rejected up front, a mapping that changes functionality is reported
-/// as [`FlowError::FormalMismatch`], a design too large to verify as
-/// [`FlowError::TermBudgetExceeded`], and a design that exceeds the
-/// configured slice capacity as [`FlowError::Unplaceable`].
+/// The pipeline never panics on bad input: a mapping that changes
+/// functionality is reported as [`FlowError::FormalMismatch`], a design
+/// too large to verify as [`FlowError::TermBudgetExceeded`], and an
+/// invalid field or job description as [`FlowError::InvalidOptions`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum FlowError {
@@ -187,20 +184,8 @@ pub enum FlowError {
         /// The design name.
         design: String,
     },
-    /// The packed design needs more slices than the pipeline's
-    /// configured capacity (see [`Pipeline::with_max_slices`]).
-    Unplaceable {
-        /// The design name.
-        design: String,
-        /// Slices the packed design needs.
-        slices: usize,
-        /// Slices available.
-        capacity: usize,
-    },
-    /// The pipeline configuration itself is unusable (LUT width out of
-    /// `1..=8`, zero priority cuts, a degenerate device model, options
-    /// contradicting the chosen [`Target`], an invalid field/job
-    /// description...).
+    /// A job description the flow cannot run, e.g. a field pair that is
+    /// not a valid type II pentanomial.
     InvalidOptions(String),
     /// Complete algebraic verification ([`Pipeline::verify`],
     /// [`Pipeline::verify_formal`], [`Pipeline::verify_formal_mapped`])
@@ -289,14 +274,6 @@ impl fmt::Display for FlowError {
             FlowError::VerificationMismatch { design } => {
                 write!(f, "synthesis flow changed the interface of {design}")
             }
-            FlowError::Unplaceable {
-                design,
-                slices,
-                capacity,
-            } => write!(
-                f,
-                "{design} is unplaceable: needs {slices} slices, device capacity is {capacity}"
-            ),
             FlowError::InvalidOptions(msg) => write!(f, "invalid flow options: {msg}"),
             FlowError::FormalMismatch {
                 design,
@@ -466,7 +443,6 @@ pub struct Pipeline {
     map_options: MapOptions,
     place_options: PlaceOptions,
     resynthesize: bool,
-    max_slices: Option<usize>,
     cache: Mutex<HashMap<CacheKey, Arc<FlowArtifacts>>>,
     hits: AtomicUsize,
     store_hits: AtomicUsize,
@@ -495,16 +471,15 @@ type CacheKey = (u64, u64);
 
 impl Pipeline {
     /// A pipeline targeting the default [`Target::Artix7`] fabric with
-    /// default options (resynthesis enabled — the XST-like behaviour),
-    /// no slice-capacity limit, and an empty artifact cache.
+    /// default options (resynthesis enabled — the XST-like behaviour)
+    /// and an empty artifact cache.
     pub fn new() -> Self {
         Pipeline {
             target: Target::Artix7,
-            device: Device::artix7(),
-            map_options: MapOptions::new(),
+            device: Target::Artix7.device(),
+            map_options: Target::Artix7.map_options(),
             place_options: PlaceOptions::default(),
             resynthesize: true,
-            max_slices: None,
             cache: Mutex::new(HashMap::new()),
             hits: AtomicUsize::new(0),
             store_hits: AtomicUsize::new(0),
@@ -520,11 +495,7 @@ impl Pipeline {
     /// options from it — the mapper's LUT width *and* the
     /// width-derived priority-cut budget
     /// ([`MapOptions::default_cuts_for`]); the mapper mode is
-    /// preserved. This is the one knob for everything
-    /// device-dependent; to fine-tune the derived options, call
-    /// [`Pipeline::with_map_options`] *after* retargeting (later
-    /// `with_device`/`with_map_options` calls that contradict the
-    /// target still fail [`Pipeline::validate`]).
+    /// preserved. This is the one knob for everything device-dependent.
     pub fn with_target(mut self, target: Target) -> Self {
         self.target = target;
         self.device = target.device();
@@ -538,42 +509,16 @@ impl Pipeline {
         self
     }
 
-    /// Replaces the device model — for fine-tuning the delay constants
-    /// of the current target's preset (e.g. a recalibration). The
-    /// device's *shape* (`lut_inputs`, `luts_per_slice`) must keep
-    /// matching the target or [`Pipeline::validate`] rejects the
-    /// configuration; retargeting to a different shape goes through
-    /// [`Pipeline::with_target`].
-    pub fn with_device(mut self, device: Device) -> Self {
-        self.device = device;
-        self
-    }
-
-    /// Replaces the mapping options. `k` must keep matching the
-    /// target's LUT width ([`Pipeline::validate`] enforces it); to
-    /// change `k`, change the target.
-    pub fn with_map_options(mut self, opts: MapOptions) -> Self {
-        self.map_options = opts;
-        self
-    }
-
-    /// Replaces the placement options.
-    pub fn with_place_options(mut self, opts: PlaceOptions) -> Self {
-        self.place_options = opts;
+    /// Sets the mapper mode; the LUT width and cut budget stay the
+    /// target's.
+    pub fn with_map_mode(mut self, mode: MapMode) -> Self {
+        self.map_options.mode = mode;
         self
     }
 
     /// Sets the placement RNG seed (see [`PlaceOptions::seed`]).
     pub fn with_place_seed(mut self, seed: u64) -> Self {
         self.place_options.seed = seed;
-        self
-    }
-
-    /// Caps the slice count a design may occupy; packing a design past
-    /// this returns [`FlowError::Unplaceable`]. `None` (the default)
-    /// models an unbounded fabric.
-    pub fn with_max_slices(mut self, max: Option<usize>) -> Self {
-        self.max_slices = max;
         self
     }
 
@@ -619,62 +564,9 @@ impl Pipeline {
         self.resynthesize
     }
 
-    /// The configured slice capacity, if any.
-    pub fn max_slices(&self) -> Option<usize> {
-        self.max_slices
-    }
-
-    /// Validates the configuration; every stage calls this first so no
-    /// bad option can reach a downstream `assert!`. Beyond the basic
-    /// range checks, this is where the target acts as the single source
-    /// of truth: a `MapOptions::k` or a device shape that contradicts
-    /// the chosen [`Target`] is an error, never a silent mismatch.
-    pub fn validate(&self) -> Result<(), FlowError> {
-        if !(1..=MAX_LUT_INPUTS).contains(&self.map_options.k) {
-            return Err(FlowError::InvalidOptions(format!(
-                "LUT width k = {} outside 1..={MAX_LUT_INPUTS}",
-                self.map_options.k
-            )));
-        }
-        if self.map_options.cuts_per_node == 0 {
-            return Err(FlowError::InvalidOptions(
-                "cuts_per_node must be at least 1".into(),
-            ));
-        }
-        if self.device.luts_per_slice == 0 {
-            return Err(FlowError::InvalidOptions(
-                "device must hold at least one LUT per slice".into(),
-            ));
-        }
-        if self.device.lut_inputs != self.target.lut_inputs()
-            || self.device.luts_per_slice != self.target.luts_per_slice()
-        {
-            return Err(FlowError::InvalidOptions(format!(
-                "device shape ({} inputs, {} LUTs/slice) contradicts target {} \
-                 ({} inputs, {} LUTs/slice); use Pipeline::with_target to retarget",
-                self.device.lut_inputs,
-                self.device.luts_per_slice,
-                self.target.name(),
-                self.target.lut_inputs(),
-                self.target.luts_per_slice(),
-            )));
-        }
-        if self.map_options.k != self.device.lut_inputs {
-            return Err(FlowError::InvalidOptions(format!(
-                "MapOptions k = {} contradicts target {} (LUT width {}); \
-                 set the width via Pipeline::with_target",
-                self.map_options.k,
-                self.target.name(),
-                self.device.lut_inputs,
-            )));
-        }
-        Ok(())
-    }
-
     /// Stage 0: dead-code elimination plus (if enabled) XOR-cluster
     /// resynthesis. The output is what [`Pipeline::map`] should consume.
     pub fn resynth(&self, net: &Netlist) -> Result<Netlist, FlowError> {
-        self.validate()?;
         let clean = net.eliminate_dead_code();
         Ok(if self.resynthesize {
             crate::resynth::rebalance_xors_in(&clean, self.map_options.k, &NetAnalysis::of(&clean))
@@ -685,12 +577,11 @@ impl Pipeline {
 
     /// Stage 1: priority-cuts k-LUT technology mapping.
     pub fn map(&self, synth: &Netlist) -> Result<LutNetlist, FlowError> {
-        self.validate()?;
         Ok(self.map_analyzed(synth, &NetAnalysis::of(synth)))
     }
 
     /// Maps with a precomputed analysis, on the pipeline's shared
-    /// scratch when it is free. Callers have validated the options.
+    /// scratch when it is free.
     fn map_analyzed(&self, synth: &Netlist, analysis: &NetAnalysis) -> LutNetlist {
         match self.map_scratch.try_lock() {
             Ok(mut scratch) => map_to_luts_in(synth, &self.map_options, analysis, &mut scratch),
@@ -712,7 +603,6 @@ impl Pipeline {
     /// [`FlowError::TermBudgetExceeded`]. `mapped` must pass
     /// [`crate::lint::lint_mapped`] first, as [`Pipeline::run`] ensures.
     pub fn verify(&self, reference: &Netlist, mapped: &LutNetlist) -> Result<(), FlowError> {
-        self.validate()?;
         crate::formal::verify_equivalent(reference, mapped)
             .map_err(|e| FlowError::formal(reference.name(), e))
     }
@@ -731,7 +621,6 @@ impl Pipeline {
     /// certifies the design on *all* operand pairs; a failure is
     /// [`FlowError::FormalMismatch`] naming the first wrong bit.
     pub fn verify_formal(&self, spec: &netlist::MulSpec, net: &Netlist) -> Result<(), FlowError> {
-        self.validate()?;
         FlowError::lint(net.name(), &netlist::lint_netlist_errors(net))?;
         crate::formal::verify_netlist(spec, net).map_err(|e| FlowError::formal(net.name(), e))
     }
@@ -748,7 +637,6 @@ impl Pipeline {
     /// (no device model involved) and runs before resynthesis — it
     /// certifies the generator's algebraic structure.
     pub fn verify_depth(&self, spec: &netlist::DepthSpec, net: &Netlist) -> Result<(), FlowError> {
-        self.validate()?;
         if net.outputs().len() != spec.num_outputs() {
             return Err(FlowError::VerificationMismatch {
                 design: net.name().to_string(),
@@ -776,7 +664,6 @@ impl Pipeline {
     /// below its formula keep passing; the specs themselves are exact,
     /// so any spurious gate fails the certificate.
     pub fn verify_area(&self, spec: &netlist::AreaSpec, net: &Netlist) -> Result<(), FlowError> {
-        self.validate()?;
         netlist::check_area(net, spec).map_err(|e| FlowError::AreaExceeded {
             design: net.name().to_string(),
             kind: e.kind,
@@ -795,30 +682,17 @@ impl Pipeline {
         spec: &netlist::MulSpec,
         mapped: &LutNetlist,
     ) -> Result<(), FlowError> {
-        self.validate()?;
         FlowError::lint(mapped.name(), &crate::lint::lint_mapped_errors(mapped))?;
         crate::formal::verify_mapped(spec, mapped).map_err(|e| FlowError::formal(mapped.name(), e))
     }
 
-    /// Stage 3: slice packing, checked against the configured capacity.
+    /// Stage 3: slice packing.
     pub fn pack(&self, mapped: &LutNetlist) -> Result<Packing, FlowError> {
-        self.validate()?;
-        let packing = pack_slices(mapped, self.device.luts_per_slice);
-        if let Some(cap) = self.max_slices {
-            if packing.num_slices() > cap {
-                return Err(FlowError::Unplaceable {
-                    design: mapped.name().to_string(),
-                    slices: packing.num_slices(),
-                    capacity: cap,
-                });
-            }
-        }
-        Ok(packing)
+        Ok(pack_slices(mapped, self.device.luts_per_slice))
     }
 
     /// Stage 4: simulated-annealing placement.
     pub fn place(&self, mapped: &LutNetlist, packing: &Packing) -> Result<Placement, FlowError> {
-        self.validate()?;
         Ok(place(mapped, packing, &self.place_options))
     }
 
@@ -861,7 +735,6 @@ impl Pipeline {
         &self,
         net: &Netlist,
     ) -> Result<(ImplReport, ReportSource), FlowError> {
-        self.validate()?;
         let key = self.cache_key(net);
         if let Some(hit) = self.probe_tiers(&key, net.name()) {
             return Ok(hit);
@@ -872,17 +745,12 @@ impl Pipeline {
 
     /// The cache tiers of [`Pipeline::run_report_sourced`] alone, for a
     /// design known by its name and [`Netlist::content_hash`]: the
-    /// memory cache, then the attached [`ArtifactHook`]. `Ok(None)` is
-    /// a miss in both; nothing is computed. A caller that already knows
+    /// memory cache, then the attached [`ArtifactHook`]. `None` is a
+    /// miss in both; nothing is computed. A caller that already knows
     /// which netlist a request produces can skip generating it on a
     /// hit. The hit counters are the ones `run_report_sourced` bumps.
-    pub fn lookup(
-        &self,
-        name: &str,
-        content_hash: u64,
-    ) -> Result<Option<(ImplReport, ReportSource)>, FlowError> {
-        self.validate()?;
-        Ok(self.probe_tiers(&(content_hash, self.options_fingerprint()), name))
+    pub fn lookup(&self, name: &str, content_hash: u64) -> Option<(ImplReport, ReportSource)> {
+        self.probe_tiers(&(content_hash, self.options_fingerprint()), name)
     }
 
     /// The compute step of [`Pipeline::run_report_sourced`] alone: runs
@@ -891,7 +759,6 @@ impl Pipeline {
     /// [`Pipeline::lookup`] of this design has just missed, so that a
     /// miss is not probed (and counted) twice.
     pub fn compute_report(&self, net: &Netlist) -> Result<ImplReport, FlowError> {
-        self.validate()?;
         self.compute_and_fill(net, self.cache_key(net))
             .map(|a| a.report.clone())
     }
@@ -912,7 +779,6 @@ impl Pipeline {
     /// is *not* consulted here — a persisted report cannot stand in for
     /// the full artifact set — but a fresh computation still feeds it.
     fn run_cached(&self, net: &Netlist) -> Result<Arc<FlowArtifacts>, FlowError> {
-        self.validate()?;
         let key = self.cache_key(net);
         if let Some(hit) = self.probe_memory(&key, net.name()) {
             return Ok(hit);
@@ -1037,7 +903,6 @@ impl Pipeline {
             map_options: self.map_options.clone(),
             place_options: self.place_options.clone(),
             resynthesize: self.resynthesize,
-            max_slices: self.max_slices,
             cache: Mutex::new(HashMap::new()),
             hits: AtomicUsize::new(0),
             store_hits: AtomicUsize::new(0),
@@ -1052,6 +917,10 @@ impl Pipeline {
     /// of the memoization key. Includes the target name, so retargeted
     /// clones of one configuration never collide in a shared cache even
     /// where two fabrics agree on every numeric constant.
+    ///
+    /// The byte stream is frozen: the fingerprint names every
+    /// artifact-store file (`rgf2m-{hash}-{fingerprint}.json`), so
+    /// changing it would orphan every persisted store.
     pub fn options_fingerprint(&self) -> u64 {
         let mut h = Fnv1a::new();
         h.write_str(self.target.name());
@@ -1077,13 +946,9 @@ impl Pipeline {
         h.write_usize(self.place_options.moves_factor);
         h.write_usize(self.place_options.max_total_moves);
         h.write_u64(u64::from(self.resynthesize));
-        match self.max_slices {
-            None => h.write_u64(0),
-            Some(cap) => {
-                h.write_u64(1);
-                h.write_usize(cap);
-            }
-        }
+        // The retired slice-capacity option's "none" tag, kept so
+        // persisted store keys do not move.
+        h.write_u64(0);
         h.finish()
     }
 
@@ -1140,73 +1005,10 @@ mod tests {
     }
 
     #[test]
-    fn invalid_lut_width_is_an_error_not_a_panic() {
-        let net = xor_tree(8);
-        let p = Pipeline::new().with_map_options(MapOptions {
-            k: 9,
-            cuts_per_node: 8,
-            mode: MapMode::Free,
-        });
-        match p.run(&net) {
-            Err(FlowError::InvalidOptions(msg)) => assert!(msg.contains("k = 9"), "{msg}"),
-            other => panic!("expected InvalidOptions, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn zero_cuts_is_an_error() {
-        let p = Pipeline::new().with_map_options(MapOptions {
-            k: 6,
-            cuts_per_node: 0,
-            mode: MapMode::Free,
-        });
-        assert!(matches!(
-            p.run(&xor_tree(8)),
-            Err(FlowError::InvalidOptions(_))
-        ));
-    }
-
-    #[test]
-    fn k_contradicting_the_target_is_rejected() {
-        // k = 4 is a perfectly valid LUT width — but not for an Artix-7
-        // pipeline. The historical API mapped with k=4 while packing
-        // and timing assumed LUT6; now it is a typed error.
-        let p = Pipeline::new().with_map_options(MapOptions::new().with_k(4));
-        match p.run(&xor_tree(8)) {
-            Err(FlowError::InvalidOptions(msg)) => {
-                assert!(msg.contains("contradicts target artix7"), "{msg}");
-            }
-            other => panic!("expected InvalidOptions, got {other:?}"),
-        }
-        // The same k is fine once the target says so.
-        assert!(Pipeline::new()
-            .with_target(Target::Spartan3)
-            .run(&xor_tree(8))
-            .is_ok());
-    }
-
-    #[test]
-    fn device_shape_contradicting_the_target_is_rejected() {
-        let p = Pipeline::new().with_device(Device::virtex5());
-        match p.validate() {
-            Err(FlowError::InvalidOptions(msg)) => {
-                assert!(msg.contains("contradicts target artix7"), "{msg}");
-            }
-            other => panic!("expected InvalidOptions, got {other:?}"),
-        }
-        // Same-shape recalibration stays allowed: constants are free.
-        let recal = Device {
-            t_lut_ns: 0.50,
-            ..Device::artix7()
-        };
-        assert!(Pipeline::new().with_device(recal).validate().is_ok());
-    }
-
-    #[test]
     fn with_target_rederives_device_and_k() {
         for target in Target::ALL {
             let p = Pipeline::new()
-                .with_map_options(MapOptions::new().with_mode(MapMode::FanoutPreserving))
+                .with_map_mode(MapMode::FanoutPreserving)
                 .with_target(target);
             assert_eq!(p.target(), target);
             assert_eq!(p.device(), &target.device());
@@ -1219,15 +1021,7 @@ mod tests {
                 "{target}"
             );
             assert_eq!(p.map_options().mode, MapMode::FanoutPreserving);
-            p.validate().unwrap_or_else(|e| panic!("{target}: {e}"));
         }
-        // Explicit mapping options set *after* retargeting are the
-        // escape hatch from the derived cut budget.
-        let p = Pipeline::new()
-            .with_target(Target::StratixAlm)
-            .with_map_options(Target::StratixAlm.map_options().with_cuts_per_node(16));
-        assert_eq!(p.map_options().cuts_per_node, 16);
-        p.validate().unwrap();
     }
 
     #[test]
@@ -1292,29 +1086,6 @@ mod tests {
     }
 
     #[test]
-    fn capacity_overflow_is_unplaceable() {
-        let net = xor_tree(128);
-        let p = Pipeline::new().with_max_slices(Some(2));
-        match p.run(&net) {
-            Err(FlowError::Unplaceable {
-                design,
-                slices,
-                capacity,
-            }) => {
-                assert_eq!(design, "xor128");
-                assert!(slices > 2);
-                assert_eq!(capacity, 2);
-            }
-            other => panic!("expected Unplaceable, got {other:?}"),
-        }
-        // The same pipeline with enough capacity succeeds.
-        assert!(Pipeline::new()
-            .with_max_slices(Some(10_000))
-            .run(&net)
-            .is_ok());
-    }
-
-    #[test]
     fn stages_compose_to_the_same_report_as_run() {
         let net = xor_tree(40);
         let p = Pipeline::new();
@@ -1371,51 +1142,43 @@ mod tests {
 
     #[test]
     fn options_fingerprint_covers_every_result_option() {
-        // Verification has no setting any more: only the target,
-        // device, mapping, placement, resynthesis and capacity reach
-        // the fingerprint. Rebuilding the defaults through exactly
-        // those setters lands on the default fingerprint...
+        // Rebuilding the defaults through the five setters lands on the
+        // default fingerprint...
         let fp = Pipeline::new().options_fingerprint();
         let rebuilt = Pipeline::new()
             .with_target(Target::Artix7)
-            .with_device(Device::artix7())
-            .with_map_options(Target::Artix7.map_options())
-            .with_place_options(PlaceOptions::default())
+            .with_map_mode(MapMode::Free)
             .with_resynthesis(true)
-            .with_max_slices(None);
+            .with_place_seed(PlaceOptions::default().seed)
+            .with_artifact_hook(Arc::new(MemHook::default()));
         assert_eq!(rebuilt.options_fingerprint(), fp);
-        // ...a config clone and an attached store leave it alone...
+        // ...a config clone leaves it alone...
         assert_eq!(rebuilt.clone_config().options_fingerprint(), fp);
-        let hooked = Pipeline::new().with_artifact_hook(Arc::new(MemHook::default()));
-        assert_eq!(hooked.options_fingerprint(), fp);
-        // ...and each of them (every placement field included) moves it.
-        let recal = Device {
-            t_lut_ns: 0.50,
-            ..Device::artix7()
-        };
+        // ...and each result-bearing setter moves it.
         for changed in [
             Pipeline::new().with_target(Target::Virtex5),
-            Pipeline::new().with_device(recal),
-            Pipeline::new()
-                .with_map_options(MapOptions::new().with_mode(MapMode::FanoutPreserving)),
-            Pipeline::new().with_place_seed(42),
-            Pipeline::new().with_place_options(PlaceOptions {
-                moves_factor: 9,
-                ..PlaceOptions::default()
-            }),
-            Pipeline::new().with_place_options(PlaceOptions {
-                max_total_moves: 1_000,
-                ..PlaceOptions::default()
-            }),
+            Pipeline::new().with_map_mode(MapMode::FanoutPreserving),
             Pipeline::new().with_resynthesis(false),
-            Pipeline::new().with_max_slices(Some(10_000)),
+            Pipeline::new().with_place_seed(42),
         ] {
             assert_ne!(changed.options_fingerprint(), fp);
         }
-        // A correct mapping verifies.
-        let net = xor_tree(32);
-        let mapped = rebuilt.map(&rebuilt.resynth(&net).unwrap()).unwrap();
-        rebuilt.verify(&net, &mapped).unwrap();
+    }
+
+    #[test]
+    fn options_fingerprints_are_pinned_store_keys() {
+        // Every artifact-store file is named by its fingerprint, so these
+        // values must never move: a change orphans every persisted store.
+        assert_eq!(Pipeline::new().options_fingerprint(), 0x3dce_af81_fe8f_bd79);
+        let stratix = Pipeline::new()
+            .with_target(Target::StratixAlm)
+            .with_place_seed(777);
+        assert_eq!(stratix.options_fingerprint(), 0xe9fa_650b_1ec8_96d4);
+        let spartan = Pipeline::new()
+            .with_map_mode(MapMode::FanoutPreserving)
+            .with_resynthesis(false)
+            .with_target(Target::Spartan3);
+        assert_eq!(spartan.options_fingerprint(), 0xe568_232e_913c_f0a3);
     }
 
     /// `y = x0 ∨ … ∨ x{n-1}` as a chain of `x ⊕ y ⊕ xy`, whose
@@ -1606,12 +1369,6 @@ mod tests {
     fn error_messages_are_informative() {
         let e = FlowError::VerificationMismatch { design: "d".into() };
         assert!(e.to_string().contains("changed the interface of d"));
-        let e = FlowError::Unplaceable {
-            design: "d".into(),
-            slices: 9,
-            capacity: 2,
-        };
-        assert!(e.to_string().contains("unplaceable"));
         let e = FlowError::InvalidOptions("k".into());
         assert!(e.to_string().contains("invalid flow options"));
         let e = FlowError::FormalMismatch {
@@ -1765,8 +1522,8 @@ mod tests {
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 1);
         // A failing run is a miss without an insert.
-        let p = Pipeline::new().with_max_slices(Some(1));
-        assert!(p.run_report(&xor_tree(128)).is_err());
+        let p = Pipeline::new();
+        assert!(p.run_report(&or_chain(48)).is_err());
         let stats = p.cache_stats();
         assert_eq!((stats.misses, stats.inserts, stats.entries), (1, 0, 0));
     }
@@ -1810,32 +1567,23 @@ mod tests {
         let (name, hash) = (net.name(), net.content_hash());
         let hook = Arc::new(MemHook::default());
         let p = Pipeline::new().with_artifact_hook(hook.clone());
-        assert_eq!(p.lookup(name, hash).unwrap(), None);
+        assert_eq!(p.lookup(name, hash), None);
         assert_eq!(p.cache_stats(), CacheStats::default());
         let report = p.run_report(&net).unwrap();
         assert_eq!(
-            p.lookup(name, hash).unwrap(),
+            p.lookup(name, hash),
             Some((report.clone(), ReportSource::Memory))
         );
         // A fresh pipeline over the same hook: a store hit, counted.
         let warm = Pipeline::new().with_artifact_hook(hook.clone());
-        assert_eq!(
-            warm.lookup(name, hash).unwrap(),
-            Some((report, ReportSource::Store))
-        );
+        assert_eq!(warm.lookup(name, hash), Some((report, ReportSource::Store)));
         assert_eq!(
             (warm.cache_stats().store_hits, warm.cache_stats().misses),
             (1, 0)
         );
         // A name that does not match the key is a collision: a miss.
-        assert_eq!(p.lookup("other", hash).unwrap(), None);
-        assert_eq!(warm.lookup("other", hash).unwrap(), None);
-        // Invalid options fail as they would for a run.
-        let bad = Pipeline::new().with_map_options(MapOptions::new().with_k(3));
-        assert!(matches!(
-            bad.lookup(name, hash),
-            Err(FlowError::InvalidOptions(_))
-        ));
+        assert_eq!(p.lookup("other", hash), None);
+        assert_eq!(warm.lookup("other", hash), None);
     }
 
     #[test]

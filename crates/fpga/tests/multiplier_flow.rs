@@ -4,7 +4,7 @@ use gf2m::Field;
 use gf2poly::TypeIiPentanomial;
 use rgf2m_core::{generate, Method};
 use rgf2m_fpga::map::MapMode;
-use rgf2m_fpga::{MapOptions, Pipeline, Target};
+use rgf2m_fpga::{Pipeline, Target};
 
 fn gf256() -> Field {
     Field::from_pentanomial(&TypeIiPentanomial::new(8, 2).unwrap())
@@ -144,7 +144,7 @@ fn fanout_preserving_mode_is_never_better_than_free() {
         let net = generate(&field, method);
         let free = Pipeline::new().run_report(&net).unwrap();
         let fp = Pipeline::new()
-            .with_map_options(MapOptions::new().with_mode(MapMode::FanoutPreserving))
+            .with_map_mode(MapMode::FanoutPreserving)
             .run_report(&net)
             .unwrap();
         assert!(

@@ -373,15 +373,6 @@ impl Gf2Poly {
         a
     }
 
-    /// Modular product `self * other mod modulus`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `modulus` is zero.
-    pub fn mul_mod(&self, other: &Gf2Poly, modulus: &Gf2Poly) -> Gf2Poly {
-        self.mul_poly(other).rem_by(modulus)
-    }
-
     /// Modular square `self^2 mod modulus`.
     ///
     /// # Panics

@@ -37,20 +37,14 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use rgf2m_core::Method;
-use rgf2m_fpga::{CacheStats, ImplReport, Pipeline, PlaceOptions, ReportSource, Target};
+use rgf2m_fpga::{CacheStats, ImplReport, Pipeline, ReportSource, Target};
 
 use crate::net::{AnyListener, Conn, Endpoint};
 use crate::protocol::{
     encode_error, encode_shutdown_ack, encode_synth_ok, parse_request, FieldSpec, Request,
-    SynthRequest, DEFAULT_SEED,
+    SynthRequest,
 };
 use crate::store::ArtifactStore;
-
-/// The annealing-proposal budget the daemon's default template is
-/// pinned to — equal to `rgf2m_bench::HARNESS_MAX_TOTAL_MOVES` (a
-/// bench-side test pins the two together), so daemon-served reports
-/// byte-match the table binaries' in-process runs.
-pub const DEFAULT_MAX_TOTAL_MOVES: usize = 1_200_000;
 
 /// The longest request line the daemon buffers, newline included. Real
 /// requests are under 200 bytes; a longer line gets one `bad request`
@@ -58,15 +52,12 @@ pub const DEFAULT_MAX_TOTAL_MOVES: usize = 1_200_000;
 /// daemon's memory by streaming bytes without a newline.
 pub const MAX_LINE_BYTES: usize = 64 * 1024;
 
-/// The daemon's default pipeline template: deterministic seed, exact
-/// bounded annealing budget — the same options fingerprint as the
-/// bench harness, so one store serves both worlds.
+/// The pipeline every daemon job starts from: [`Pipeline::new`], whose
+/// placement seed is [`crate::DEFAULT_SEED`] — the same options
+/// fingerprint as the bench harness, so one store serves both worlds.
+/// Per job, the request's target and seed are applied on top.
 pub fn default_template() -> Pipeline {
-    Pipeline::new().with_place_options(PlaceOptions {
-        seed: DEFAULT_SEED,
-        max_total_moves: DEFAULT_MAX_TOTAL_MOVES,
-        ..PlaceOptions::default()
-    })
+    Pipeline::new()
 }
 
 /// How a daemon should run.
@@ -78,19 +69,15 @@ pub struct ServerConfig {
     pub store_root: Option<PathBuf>,
     /// Worker threads (`0` = one per available CPU).
     pub workers: usize,
-    /// The pipeline options template jobs run through (per job, the
-    /// target and placement seed are overridden by the request).
-    pub template: Pipeline,
 }
 
 impl ServerConfig {
-    /// A config with the default template, store off, auto workers.
+    /// A config with the store off and auto workers.
     pub fn new(endpoint: Endpoint) -> Self {
         ServerConfig {
             endpoint,
             store_root: None,
             workers: 0,
-            template: default_template(),
         }
     }
 
@@ -103,12 +90,6 @@ impl ServerConfig {
     /// Sets the worker thread count (`0` = one per available CPU).
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
-        self
-    }
-
-    /// Replaces the pipeline template.
-    pub fn with_template(mut self, template: Pipeline) -> Self {
-        self.template = template;
         self
     }
 }
@@ -161,7 +142,6 @@ pub fn serve(
         config.workers
     };
     let shared = Shared {
-        template: config.template,
         endpoint: resolved.clone(),
         store,
         pipelines: Mutex::new(HashMap::new()),
@@ -261,7 +241,6 @@ const STAGE_GENERATE: usize = 0;
 const STAGE_SYNTH: usize = 1;
 
 struct Shared {
-    template: Pipeline,
     endpoint: Endpoint,
     store: Option<Arc<ArtifactStore>>,
     /// One pipeline per `(target, seed)`: determinism per key, and a
@@ -425,7 +404,7 @@ impl Shared {
                 let t = Instant::now();
                 let hit = pipeline.lookup(name, *content_hash);
                 synth += t.elapsed();
-                hit.map_err(|e| e.to_string())?
+                hit
             }
             None => None,
         };
@@ -475,14 +454,7 @@ impl Shared {
         let mut map = self.pipelines.lock().expect("pipelines poisoned");
         map.entry((target, seed))
             .or_insert_with(|| {
-                let mut p = self.template.clone_config();
-                if target != p.target() {
-                    // Mirror the BatchRunner: only retarget when the
-                    // job deviates from the template fabric, so a
-                    // same-shape device recalibration carries through.
-                    p = p.with_target(target);
-                }
-                p = p.with_place_seed(seed);
+                let mut p = default_template().with_target(target).with_place_seed(seed);
                 if let Some(store) = &self.store {
                     p = p.with_artifact_hook(store.clone());
                 }

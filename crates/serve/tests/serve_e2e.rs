@@ -34,11 +34,7 @@ fn gf256() -> Field {
 
 /// The daemon's per-(target, seed) pipeline, reproduced in-process.
 fn pipeline_like_daemon(target: Target, seed: u64) -> Pipeline {
-    let mut p = default_template();
-    if target != p.target() {
-        p = p.with_target(target);
-    }
-    p.with_place_seed(seed)
+    default_template().with_target(target).with_place_seed(seed)
 }
 
 /// Reads one number from a `stats` document by its path.

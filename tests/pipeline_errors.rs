@@ -1,7 +1,6 @@
 //! Error-path coverage for the fallible `Pipeline` API: everything the
-//! (now removed) legacy `FpgaFlow` used to panic on — or silently
-//! accept, like a mapper LUT width disagreeing with the device — must
-//! surface as a typed `FlowError` through the facade.
+//! (now removed) legacy `FpgaFlow` used to panic on must surface as a
+//! typed `FlowError` through the facade.
 
 use rgf2m::prelude::*;
 
@@ -78,79 +77,6 @@ fn interface_corruption_is_also_a_verification_error() {
     match pipeline.verify(&tiny, &mapped) {
         Err(FlowError::VerificationMismatch { design }) => assert_eq!(design, "tiny"),
         other => panic!("expected VerificationMismatch, got {other:?}"),
-    }
-}
-
-#[test]
-fn invalid_map_options_are_rejected_up_front() {
-    let pipeline = Pipeline::new().with_map_options(MapOptions {
-        k: 9, // LUT truth tables only go to k = 8
-        cuts_per_node: 8,
-        mode: MapMode::Free,
-    });
-    match pipeline.run(&gf256_net()) {
-        Err(FlowError::InvalidOptions(msg)) => assert!(msg.contains("k = 9"), "{msg}"),
-        other => panic!("expected InvalidOptions, got {other:?}"),
-    }
-}
-
-#[test]
-fn map_k_contradicting_the_target_is_rejected() {
-    // Regression for the latent mismatch the historical API allowed:
-    // `MapOptions::k` configured independently of `Device::lut_inputs`
-    // could silently map k=4 cones while packing and timing assumed
-    // LUT6. The target is now the single source of truth — the same
-    // configuration is a typed error naming both sides...
-    let pipeline = Pipeline::new().with_map_options(MapOptions::new().with_k(4));
-    match pipeline.run(&gf256_net()) {
-        Err(FlowError::InvalidOptions(msg)) => {
-            assert!(msg.contains("k = 4"), "{msg}");
-            assert!(msg.contains("artix7"), "{msg}");
-            assert!(msg.contains("with_target"), "{msg}");
-        }
-        other => panic!("expected InvalidOptions, got {other:?}"),
-    }
-    // ...and the supported spelling — pick a k=4 fabric — works.
-    let report = Pipeline::new()
-        .with_target(Target::Spartan3)
-        .run_report(&gf256_net())
-        .expect("retargeted pipeline runs clean");
-    assert!(report.luts > 0);
-}
-
-#[test]
-fn device_shape_contradicting_the_target_is_rejected() {
-    // Swapping in another preset's device without retargeting is the
-    // same class of silent mismatch; only same-shape recalibrations of
-    // the current target's device pass validation.
-    let pipeline = Pipeline::new().with_device(Target::StratixAlm.device());
-    match pipeline.validate() {
-        Err(FlowError::InvalidOptions(msg)) => {
-            assert!(msg.contains("contradicts target artix7"), "{msg}")
-        }
-        other => panic!("expected InvalidOptions, got {other:?}"),
-    }
-    let recalibrated = Device {
-        t_net_ns: 1.00,
-        ..Target::Artix7.device()
-    };
-    Pipeline::new()
-        .with_device(recalibrated)
-        .validate()
-        .expect("same-shape recalibration is allowed");
-}
-
-#[test]
-fn designs_too_big_for_the_device_are_unplaceable() {
-    let pipeline = Pipeline::new().with_max_slices(Some(3));
-    match pipeline.run(&gf256_net()) {
-        Err(FlowError::Unplaceable {
-            slices, capacity, ..
-        }) => {
-            assert!(slices > capacity);
-            assert_eq!(capacity, 3);
-        }
-        other => panic!("expected Unplaceable, got {other:?}"),
     }
 }
 
