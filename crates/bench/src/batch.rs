@@ -126,17 +126,13 @@ pub fn job_seed_from(base_seed: u64, index: usize) -> u64 {
 #[derive(Debug)]
 pub struct BatchRunner {
     threads: usize,
-    base_seed: u64,
 }
 
 impl BatchRunner {
     /// A runner over [`crate::harness_pipeline`] options, base seed
     /// [`crate::HARNESS_SEED`], one worker thread.
     pub fn new() -> Self {
-        BatchRunner {
-            threads: 1,
-            base_seed: crate::HARNESS_SEED,
-        }
+        BatchRunner { threads: 1 }
     }
 
     /// Sets the worker thread count (`0` = one worker per available
@@ -146,21 +142,16 @@ impl BatchRunner {
         self
     }
 
-    /// Sets the base seed every per-job seed derives from.
-    pub fn with_base_seed(mut self, seed: u64) -> Self {
-        self.base_seed = seed;
-        self
-    }
-
     /// The deterministic placement seed of job `index` (see
     /// [`job_seed_from`], which this delegates to).
     pub fn job_seed(&self, index: usize) -> u64 {
-        job_seed_from(self.base_seed, index)
+        job_seed_from(self.base_seed(), index)
     }
 
-    /// The base seed in use.
+    /// The base seed every per-job seed derives from:
+    /// [`crate::HARNESS_SEED`].
     pub fn base_seed(&self) -> u64 {
-        self.base_seed
+        crate::HARNESS_SEED
     }
 
     /// Runs every job, returning one `Result` per job **in job order**.
@@ -383,7 +374,6 @@ mod tests {
             (0..32).map(|i| runner.job_seed(i)).collect::<Vec<_>>()
         );
         // A different base seed produces a different schedule.
-        let other = BatchRunner::new().with_base_seed(1);
-        assert_ne!(seeds[0], other.job_seed(0));
+        assert_ne!(seeds[0], job_seed_from(1, 0));
     }
 }

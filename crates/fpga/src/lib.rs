@@ -30,8 +30,8 @@
 //!    yielding per-endpoint slack, a slack histogram and top-K critical
 //!    path traces in a typed [`timing::StaReport`];
 //! 6. [`pipeline`] — the end-to-end [`pipeline::Pipeline`]: fallible
-//!    (`Result<FlowArtifacts, FlowError>`), staged, memoized per input
-//!    design and **target-derived** ([`Pipeline::with_target`] is the
+//!    (`Result<FlowArtifacts, FlowError>`), staged, with each input
+//!    design's report memoized, and **target-derived** ([`Pipeline::with_target`] is the
 //!    one device knob), producing the LUTs / Slices / ns / A×T quadruple
 //!    of the paper's Table V;
 //! 7. [`formal`] + [`lint`] — static analysis over both netlist levels:

@@ -12,7 +12,7 @@
 //! priority list (never more than `cuts_per_node` live, however many
 //! merges a wide-LUT node produces), and cone truth extraction uses an
 //! epoch-stamped memo instead of a per-cone `HashMap`. All of it is
-//! reusable across mappings through [`MapScratch`], and all of it is
+//! allocated per mapping and dropped with it, and all of it is
 //! bit-identical to the straightforward collect/dedup/sort formulation.
 
 use netlist::analysis::NetAnalysis;
@@ -399,15 +399,12 @@ impl ConeMemo {
     }
 }
 
-/// Reusable scratch memory for [`map_to_luts_in`]: the arena cut store,
-/// the bounded candidate list, the epoch-stamped cone memo and the
-/// selection work arrays.
-///
-/// One scratch serves any number of mappings — any netlist, any
-/// options — with no allocation beyond high-water growth, and the
-/// result is bit-identical to mapping with a fresh scratch.
+/// Scratch memory for [`map_to_luts_in`]: the arena cut store, the
+/// bounded candidate list, the epoch-stamped cone memo and the
+/// selection work arrays. A reused scratch maps bit-identically to a
+/// fresh one.
 #[derive(Debug, Default)]
-pub struct MapScratch {
+struct MapScratch {
     store: CutStore,
     cands: CandList,
     cone: ConeMemo,
@@ -419,40 +416,29 @@ pub struct MapScratch {
     lut_of: Vec<u32>,
 }
 
-impl MapScratch {
-    /// Creates an empty scratch.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 /// Maps a gate netlist to k-input LUTs.
 ///
 /// Returns a [`LutNetlist`] with the same interface (input order and
 /// output names). Every mapping should be proved equivalent with
 /// [`crate::formal::verify_equivalent`]; the flow does this
-/// automatically.
-///
-/// Convenience wrapper over [`map_to_luts_in`] that analyzes the
-/// netlist and allocates fresh scratch; callers mapping repeatedly (the
-/// pipeline, benches) should hold a [`MapScratch`] and a
-/// [`NetAnalysis`] and call [`map_to_luts_in`] directly.
+/// automatically. Each call analyzes the netlist and allocates its own
+/// scratch, which it frees on return.
 ///
 /// # Panics
 ///
 /// Panics if `opts.k > MAX_LUT_INPUTS`.
 pub fn map_to_luts(net: &Netlist, opts: &MapOptions) -> LutNetlist {
-    map_to_luts_in(net, opts, &NetAnalysis::of(net), &mut MapScratch::new())
+    map_to_luts_in(net, opts, &NetAnalysis::of(net), &mut MapScratch::default())
 }
 
-/// Maps a gate netlist to k-input LUTs using a precomputed
-/// [`NetAnalysis`] and caller-owned [`MapScratch`].
+/// [`map_to_luts`] with a precomputed [`NetAnalysis`] and a given
+/// [`MapScratch`].
 ///
 /// # Panics
 ///
 /// Panics if `opts.k > MAX_LUT_INPUTS` or if `analysis` was not
 /// computed for `net`.
-pub fn map_to_luts_in(
+fn map_to_luts_in(
     net: &Netlist,
     opts: &MapOptions,
     analysis: &NetAnalysis,
@@ -894,7 +880,7 @@ mod tests {
 
     #[test]
     fn scratch_reuse_is_bit_identical_to_fresh() {
-        let mut shared = MapScratch::new();
+        let mut shared = MapScratch::default();
         let configs = [
             (xor_tree(24), MapOptions::new()),
             (xor_tree(8), MapOptions::new().with_k(8)),

@@ -11,10 +11,13 @@
 //!   [`Pipeline::verify`], [`Pipeline::pack`], [`Pipeline::place`],
 //!   [`Pipeline::time`]), which is also what makes fault injection
 //!   possible (corrupt a mapped netlist, then call `verify`);
-//! * **memoized** — [`Pipeline::run`] caches [`FlowArtifacts`] keyed by
-//!   a stable content hash of the input netlist plus an options
-//!   fingerprint, so re-running the same design through the same
-//!   pipeline is ~free (see [`Pipeline::cache_stats`]);
+//! * **memoized** — [`Pipeline::run_report`] caches each design's
+//!   [`ImplReport`] keyed by a stable content hash of the input netlist
+//!   plus an options fingerprint, so re-running the same design through
+//!   the same pipeline is ~free (see [`Pipeline::cache_stats`]). Only
+//!   reports are kept, the same value an [`ArtifactHook`] persists:
+//!   [`Pipeline::run`] hands its full [`FlowArtifacts`] to the caller
+//!   and retains none of them;
 //! * **target-derived** — [`Pipeline::with_target`] picks a fabric from
 //!   the [`Target`] registry and derives the device model, the mapper's
 //!   LUT width and cut budget, and the slice capacity from it. The whole
@@ -40,11 +43,11 @@
 //! net.output("maj", y);
 //!
 //! let pipeline = Pipeline::new();
-//! let artifacts = pipeline.run(&net)?;
-//! assert_eq!(artifacts.report.luts, 1);
-//! let again = pipeline.run(&net)?; // memoized: no recomputation
+//! let report = pipeline.run_report(&net)?;
+//! assert_eq!(report.luts, 1);
+//! let again = pipeline.run_report(&net)?; // memoized: no recomputation
 //! assert_eq!(pipeline.cache_stats().hits, 1);
-//! assert_eq!(again.report.time_ns, artifacts.report.time_ns);
+//! assert_eq!(again, report);
 //! # Ok::<(), rgf2m_fpga::FlowError>(())
 //! ```
 //!
@@ -79,7 +82,7 @@ use netlist::{Fnv1a, Netlist};
 use crate::device::Device;
 use crate::formal::FormalError;
 use crate::lut::LutNetlist;
-use crate::map::{map_to_luts_in, MapMode, MapOptions, MapScratch};
+use crate::map::{map_to_luts, MapMode, MapOptions};
 use crate::pack::{pack_slices, Packing};
 use crate::place::{place, PlaceOptions, Placement};
 use crate::target::Target;
@@ -333,7 +336,7 @@ impl fmt::Display for FlowError {
 /// [`Pipeline`] can serve repeat traffic across processes and restarts.
 ///
 /// [`Pipeline::run_report_sourced`] and [`Pipeline::lookup`] consult
-/// the hook on a memory-cache miss; every memory fill feeds it.
+/// the hook on a memory-cache miss; every computed report feeds it.
 /// Implementations must be **key-faithful**: [`ArtifactHook::load`]
 /// may only return a report previously stored for exactly that
 /// `(content_hash, fingerprint)` pair and design name — anything it
@@ -345,9 +348,9 @@ pub trait ArtifactHook: Send + Sync + fmt::Debug {
     /// `None` (a miss — the pipeline recomputes).
     fn load(&self, design: &str, content_hash: u64, fingerprint: u64) -> Option<ImplReport>;
 
-    /// Persists a freshly computed artifact set under its cache key.
+    /// Persists a freshly computed report under its cache key.
     /// Failures must be swallowed (counted, logged — not raised).
-    fn store(&self, content_hash: u64, fingerprint: u64, artifacts: &FlowArtifacts);
+    fn store(&self, content_hash: u64, fingerprint: u64, report: &ImplReport);
 }
 
 /// Where a [`Pipeline::run_report_sourced`] result came from.
@@ -381,13 +384,14 @@ pub struct CacheStats {
     pub hits: usize,
     /// Reports served by the [`ArtifactHook`] on a memory miss.
     pub store_hits: usize,
-    /// Runs that had to execute the full pipeline (memory and hook both
-    /// missed, or the caller required full artifacts).
+    /// Runs that executed the full pipeline (memory and hook both
+    /// missed, or the caller asked for full artifacts with
+    /// [`Pipeline::run`]).
     pub misses: usize,
     /// Successful pipeline runs inserted into the memory cache (a miss
     /// that errors is counted in [`CacheStats::misses`] only).
     pub inserts: usize,
-    /// Designs currently memoized in the memory cache.
+    /// Reports currently memoized in the memory cache.
     pub entries: usize,
 }
 
@@ -434,7 +438,7 @@ impl FlowError {
 ///
 /// The builder starts from the default [`Target::Artix7`] fabric;
 /// [`Pipeline::with_target`] re-derives every device-dependent option
-/// from another registry preset. The artifact cache is shared across
+/// from another registry preset. The report cache is shared across
 /// `&self`, so one `Pipeline` can serve many concurrent callers.
 #[derive(Debug)]
 pub struct Pipeline {
@@ -443,7 +447,7 @@ pub struct Pipeline {
     map_options: MapOptions,
     place_options: PlaceOptions,
     resynthesize: bool,
-    cache: Mutex<HashMap<CacheKey, Arc<FlowArtifacts>>>,
+    cache: Mutex<HashMap<CacheKey, ImplReport>>,
     hits: AtomicUsize,
     store_hits: AtomicUsize,
     misses: AtomicUsize,
@@ -451,13 +455,6 @@ pub struct Pipeline {
     /// Persistent second-level store consulted on memory misses; not
     /// part of the options fingerprint (it never changes results).
     hook: Option<Arc<dyn ArtifactHook>>,
-    /// Mapper scratch (arena cut store, candidate list, cone memo)
-    /// shared across runs: one pipeline mapping many designs reuses the
-    /// same flat buffers instead of reallocating per design. Guarded so
-    /// concurrent runs stay safe — a contended run falls back to fresh
-    /// scratch rather than serializing on the lock (results are
-    /// bit-identical either way).
-    map_scratch: Mutex<MapScratch>,
 }
 
 /// Memoization key: (netlist content hash, options fingerprint), kept
@@ -465,14 +462,13 @@ pub struct Pipeline {
 /// design-name check on every hit additionally catches collisions
 /// between differently-named designs; same-name collisions remain
 /// theoretically possible at ~2^-64 per pair. The cache has no
-/// eviction — long-lived pipelines over many large designs should call
-/// [`Pipeline::clear_cache`] between batches.
+/// eviction; an entry is one [`ImplReport`], a few hundred bytes.
 type CacheKey = (u64, u64);
 
 impl Pipeline {
     /// A pipeline targeting the default [`Target::Artix7`] fabric with
     /// default options (resynthesis enabled — the XST-like behaviour)
-    /// and an empty artifact cache.
+    /// and an empty report cache.
     pub fn new() -> Self {
         Pipeline {
             target: Target::Artix7,
@@ -486,7 +482,6 @@ impl Pipeline {
             misses: AtomicUsize::new(0),
             inserts: AtomicUsize::new(0),
             hook: None,
-            map_scratch: Mutex::new(MapScratch::new()),
         }
     }
 
@@ -534,11 +529,6 @@ impl Pipeline {
         self
     }
 
-    /// The attached persistent store, if any.
-    pub fn artifact_hook(&self) -> Option<&Arc<dyn ArtifactHook>> {
-        self.hook.as_ref()
-    }
-
     /// The target fabric in use.
     pub fn target(&self) -> Target {
         self.target
@@ -577,18 +567,7 @@ impl Pipeline {
 
     /// Stage 1: priority-cuts k-LUT technology mapping.
     pub fn map(&self, synth: &Netlist) -> Result<LutNetlist, FlowError> {
-        Ok(self.map_analyzed(synth, &NetAnalysis::of(synth)))
-    }
-
-    /// Maps with a precomputed analysis, on the pipeline's shared
-    /// scratch when it is free.
-    fn map_analyzed(&self, synth: &Netlist, analysis: &NetAnalysis) -> LutNetlist {
-        match self.map_scratch.try_lock() {
-            Ok(mut scratch) => map_to_luts_in(synth, &self.map_options, analysis, &mut scratch),
-            // Another run holds the scratch: fresh buffers beat
-            // serializing concurrent maps (bit-identical output).
-            Err(_) => map_to_luts_in(synth, &self.map_options, analysis, &mut MapScratch::new()),
-        }
+        Ok(map_to_luts(synth, &self.map_options))
     }
 
     /// Stage 2: proves `mapped` equivalent to the *source* netlist
@@ -701,121 +680,15 @@ impl Pipeline {
         analyze(mapped, packing, placement, &self.device)
     }
 
-    /// Runs the whole pipeline, returning every intermediate artifact.
-    ///
-    /// Results are memoized per (netlist content hash, options
-    /// fingerprint): running the same design through the same pipeline
-    /// again returns a clone of the cached artifacts without redoing
-    /// any work.
+    /// Runs every stage for `net` and returns every intermediate
+    /// artifact, without probing either cache tier. The summary then
+    /// fills the memory cache and the [`ArtifactHook`], so later
+    /// [`Pipeline::run_report`] calls for the design are hits; the
+    /// artifacts themselves belong to the caller alone.
     pub fn run(&self, net: &Netlist) -> Result<FlowArtifacts, FlowError> {
-        self.run_cached(net).map(|a| (*a).clone())
-    }
-
-    /// Runs the whole pipeline and returns just the Table V-style
-    /// summary (on a cache hit this copies only the report, not the
-    /// full artifact set). With an [`ArtifactHook`] attached, a memory
-    /// miss consults the persistent store before computing — see
-    /// [`Pipeline::run_report_sourced`] to learn which tier served.
-    pub fn run_report(&self, net: &Netlist) -> Result<ImplReport, FlowError> {
-        self.run_report_sourced(net).map(|(report, _)| report)
-    }
-
-    /// [`Pipeline::run_report`] plus the provenance of the result: the
-    /// memory cache, the attached [`ArtifactHook`] store, or a fresh
-    /// computation. The serving daemon uses this to label responses and
-    /// meter traffic.
-    ///
-    /// Tier order on each call: [`Pipeline::lookup`] (memory cache →
-    /// artifact hook), else a full pipeline run (which then fills the
-    /// memory cache *and* the hook). A hook hit cannot fill the memory
-    /// cache — the store persists reports, not full artifact sets — so
-    /// repeat hook hits stay hook hits until something computes the
-    /// design in-process.
-    pub fn run_report_sourced(
-        &self,
-        net: &Netlist,
-    ) -> Result<(ImplReport, ReportSource), FlowError> {
-        let key = self.cache_key(net);
-        if let Some(hit) = self.probe_tiers(&key, net.name()) {
-            return Ok(hit);
-        }
-        self.compute_and_fill(net, key)
-            .map(|a| (a.report.clone(), ReportSource::Computed))
-    }
-
-    /// The cache tiers of [`Pipeline::run_report_sourced`] alone, for a
-    /// design known by its name and [`Netlist::content_hash`]: the
-    /// memory cache, then the attached [`ArtifactHook`]. `None` is a
-    /// miss in both; nothing is computed. A caller that already knows
-    /// which netlist a request produces can skip generating it on a
-    /// hit. The hit counters are the ones `run_report_sourced` bumps.
-    pub fn lookup(&self, name: &str, content_hash: u64) -> Option<(ImplReport, ReportSource)> {
-        self.probe_tiers(&(content_hash, self.options_fingerprint()), name)
-    }
-
-    /// The compute step of [`Pipeline::run_report_sourced`] alone: runs
-    /// every stage for `net` without probing either tier, then fills
-    /// the memory cache and the [`ArtifactHook`]. For a caller whose
-    /// [`Pipeline::lookup`] of this design has just missed, so that a
-    /// miss is not probed (and counted) twice.
-    pub fn compute_report(&self, net: &Netlist) -> Result<ImplReport, FlowError> {
-        self.compute_and_fill(net, self.cache_key(net))
-            .map(|a| a.report.clone())
-    }
-
-    /// Memory cache, then the artifact hook; counts the hit.
-    fn probe_tiers(&self, key: &CacheKey, name: &str) -> Option<(ImplReport, ReportSource)> {
-        if let Some(hit) = self.probe_memory(key, name) {
-            return Some((hit.report.clone(), ReportSource::Memory));
-        }
-        let report = self.hook.as_ref()?.load(name, key.0, key.1)?;
-        self.store_hits.fetch_add(1, Ordering::Relaxed);
-        Some((report, ReportSource::Store))
-    }
-
-    /// The memoized core of [`Pipeline::run`]: returns a shared handle
-    /// to the cached artifacts, computing them on a miss. Clones taken
-    /// from the handle happen outside the cache lock. The [`ArtifactHook`]
-    /// is *not* consulted here — a persisted report cannot stand in for
-    /// the full artifact set — but a fresh computation still feeds it.
-    fn run_cached(&self, net: &Netlist) -> Result<Arc<FlowArtifacts>, FlowError> {
-        let key = self.cache_key(net);
-        if let Some(hit) = self.probe_memory(&key, net.name()) {
-            return Ok(hit);
-        }
-        self.compute_and_fill(net, key)
-    }
-
-    /// Memory-cache probe; counts a hit. A design-name mismatch on an
-    /// equal key is a hash collision and treated as a miss.
-    fn probe_memory(&self, key: &CacheKey, name: &str) -> Option<Arc<FlowArtifacts>> {
-        let hit = self
-            .cache
-            .lock()
-            .expect("pipeline cache poisoned")
-            .get(key)
-            .filter(|hit| hit.report.name == name)
-            .map(Arc::clone);
-        if hit.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        hit
-    }
-
-    /// The full pipeline run on a cache miss: computes every stage,
-    /// fills the memory cache, and persists through the hook.
-    fn compute_and_fill(
-        &self,
-        net: &Netlist,
-        key: CacheKey,
-    ) -> Result<Arc<FlowArtifacts>, FlowError> {
         self.misses.fetch_add(1, Ordering::Relaxed);
         let synth = self.resynth(net)?;
-        // One structural analysis of the synthesized netlist serves the
-        // whole run (mapping consumes fanouts and levels); the mapper
-        // reuses the pipeline's scratch arena across runs.
-        let analysis = NetAnalysis::of(&synth);
-        let mapped = self.map_analyzed(&synth, &analysis);
+        let mapped = self.map(&synth)?;
         // Structural lint before any verification: hard findings abort
         // the run, hygiene counts flow into the report (the lint pass
         // is the single source of truth for them).
@@ -855,22 +728,78 @@ impl Pipeline {
             xor_gates: gate_stats.xors,
             dedup_saved,
         };
-        let artifacts = Arc::new(FlowArtifacts {
+        let key = self.cache_key(net);
+        self.inserts.fetch_add(1, Ordering::Relaxed);
+        self.cache
+            .lock()
+            .expect("pipeline cache poisoned")
+            .insert(key, report.clone());
+        if let Some(hook) = &self.hook {
+            hook.store(key.0, key.1, &report);
+        }
+        Ok(FlowArtifacts {
             mapped,
             packing,
             placement,
             timing,
             report,
-        });
-        self.inserts.fetch_add(1, Ordering::Relaxed);
-        self.cache
+        })
+    }
+
+    /// Runs the whole pipeline and returns just the Table V-style
+    /// summary, from the memory cache when this pipeline has computed
+    /// the design before. With an [`ArtifactHook`] attached, a memory
+    /// miss consults the persistent store before computing — see
+    /// [`Pipeline::run_report_sourced`] to learn which tier served.
+    pub fn run_report(&self, net: &Netlist) -> Result<ImplReport, FlowError> {
+        self.run_report_sourced(net).map(|(report, _)| report)
+    }
+
+    /// [`Pipeline::run_report`] plus the provenance of the result: the
+    /// memory cache, the attached [`ArtifactHook`] store, or a fresh
+    /// computation. The serving daemon uses this to label responses and
+    /// meter traffic.
+    ///
+    /// Tier order on each call: [`Pipeline::lookup`] (memory cache →
+    /// artifact hook), else [`Pipeline::run`] (which then fills the
+    /// memory cache *and* the hook). A hook hit does not fill the
+    /// memory cache, so repeat hook hits stay hook hits until something
+    /// computes the design in-process.
+    pub fn run_report_sourced(
+        &self,
+        net: &Netlist,
+    ) -> Result<(ImplReport, ReportSource), FlowError> {
+        if let Some(hit) = self.lookup(net.name(), net.content_hash()) {
+            return Ok(hit);
+        }
+        self.run(net)
+            .map(|artifacts| (artifacts.report, ReportSource::Computed))
+    }
+
+    /// The cache tiers of [`Pipeline::run_report_sourced`] alone, for a
+    /// design known by its name and [`Netlist::content_hash`]: the
+    /// memory cache, then the attached [`ArtifactHook`]. `None` is a
+    /// miss in both; nothing is computed. A caller that already knows
+    /// which netlist a request produces can skip generating it on a
+    /// hit. The hit counters are the ones `run_report_sourced` bumps.
+    /// A design-name mismatch on an equal key is a hash collision and
+    /// treated as a miss.
+    pub fn lookup(&self, name: &str, content_hash: u64) -> Option<(ImplReport, ReportSource)> {
+        let fingerprint = self.options_fingerprint();
+        let hit = self
+            .cache
             .lock()
             .expect("pipeline cache poisoned")
-            .insert(key, Arc::clone(&artifacts));
-        if let Some(hook) = &self.hook {
-            hook.store(key.0, key.1, &artifacts);
+            .get(&(content_hash, fingerprint))
+            .filter(|hit| hit.name == name)
+            .cloned();
+        if let Some(report) = hit {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Some((report, ReportSource::Memory));
         }
-        Ok(artifacts)
+        let report = self.hook.as_ref()?.load(name, content_hash, fingerprint)?;
+        self.store_hits.fetch_add(1, Ordering::Relaxed);
+        Some((report, ReportSource::Store))
     }
 
     /// A snapshot of every cache observability counter: memory hits,
@@ -888,11 +817,6 @@ impl Pipeline {
         }
     }
 
-    /// Drops every memoized artifact (the hit counter is kept).
-    pub fn clear_cache(&self) {
-        self.cache.lock().expect("pipeline cache poisoned").clear();
-    }
-
     /// A fresh pipeline with the same configuration and artifact hook but
     /// an **empty** cache, for callers that fan a template out per job
     /// with different seeds or targets.
@@ -903,13 +827,8 @@ impl Pipeline {
             map_options: self.map_options.clone(),
             place_options: self.place_options.clone(),
             resynthesize: self.resynthesize,
-            cache: Mutex::new(HashMap::new()),
-            hits: AtomicUsize::new(0),
-            store_hits: AtomicUsize::new(0),
-            misses: AtomicUsize::new(0),
-            inserts: AtomicUsize::new(0),
             hook: self.hook.clone(),
-            map_scratch: Mutex::new(MapScratch::new()),
+            ..Pipeline::new()
         }
     }
 
@@ -979,14 +898,14 @@ mod tests {
     fn cache_serves_repeat_runs() {
         let net = xor_tree(32);
         let p = Pipeline::new();
-        let first = p.run(&net).unwrap();
+        let first = p.run_report(&net).unwrap();
         assert_eq!((p.cache_stats().hits, p.cache_stats().entries), (0, 1));
-        let second = p.run(&net).unwrap();
+        let second = p.run_report(&net).unwrap();
         assert_eq!((p.cache_stats().hits, p.cache_stats().entries), (1, 1));
-        assert_eq!(first.report.time_ns, second.report.time_ns);
+        assert_eq!(first, second);
         // A structurally different design is a different key.
         let other = xor_tree(33);
-        p.run(&other).unwrap();
+        p.run_report(&other).unwrap();
         assert_eq!(p.cache_stats().entries, 2);
     }
 
@@ -1492,12 +1411,12 @@ mod tests {
                 .cloned()
         }
 
-        fn store(&self, content_hash: u64, fingerprint: u64, artifacts: &FlowArtifacts) {
+        fn store(&self, content_hash: u64, fingerprint: u64, report: &ImplReport) {
             self.stores.fetch_add(1, Ordering::Relaxed);
             self.saved
                 .lock()
                 .unwrap()
-                .insert((content_hash, fingerprint), artifacts.report.clone());
+                .insert((content_hash, fingerprint), report.clone());
         }
     }
 
@@ -1557,8 +1476,9 @@ mod tests {
             .with_artifact_hook(hook.clone());
         let (_, source) = other.run_report_sourced(&net).unwrap();
         assert_eq!(source, ReportSource::Computed);
-        // The hook survives clone_config.
-        assert!(warm.clone_config().artifact_hook().is_some());
+        // A config clone shares the hook: its first run is a store hit.
+        let (_, source) = warm.clone_config().run_report_sourced(&net).unwrap();
+        assert_eq!(source, ReportSource::Store);
     }
 
     #[test]
@@ -1588,10 +1508,12 @@ mod tests {
 
     #[test]
     fn compute_report_probes_no_tier_and_fills_both() {
+        // The compute step is `run`: it probes neither tier, but its
+        // report fills both.
         let net = xor_tree(32);
         let hook = Arc::new(MemHook::default());
         let p = Pipeline::new().with_artifact_hook(hook.clone());
-        let report = p.compute_report(&net).unwrap();
+        let report = p.run(&net).unwrap().report;
         assert_eq!(hook.loads.load(Ordering::Relaxed), 0);
         assert_eq!(hook.stores.load(Ordering::Relaxed), 1);
         assert_eq!(
@@ -1607,13 +1529,14 @@ mod tests {
         let hook = Arc::new(MemHook::default());
         let p = Pipeline::new().with_artifact_hook(hook.clone());
         p.run(&net).unwrap();
-        // `run` needs full artifacts, which the hook cannot supply: no
-        // load is attempted, but the fill is persisted.
-        assert_eq!(hook.loads.load(Ordering::Relaxed), 0);
-        assert_eq!(hook.stores.load(Ordering::Relaxed), 1);
+        // With the design in both tiers, `run` still recomputes: the
+        // full artifacts are never cached, so no load is attempted.
+        p.run(&net).unwrap();
         let fresh = Pipeline::new().with_artifact_hook(hook.clone());
         fresh.run(&net).unwrap();
-        assert_eq!(fresh.cache_stats().misses, 1, "run() must recompute");
+        assert_eq!((p.cache_stats().misses, fresh.cache_stats().misses), (2, 1));
+        assert_eq!(hook.loads.load(Ordering::Relaxed), 0);
+        assert_eq!(hook.stores.load(Ordering::Relaxed), 3);
     }
 
     #[test]

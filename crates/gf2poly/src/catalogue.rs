@@ -3,8 +3,8 @@
 //!
 //! The paper's Table V evaluates nine `(m, n)` type II pentanomial pairs;
 //! [`TABLE_V_FIELDS`] lists them in the paper's order. [`NIST_DEGREES`]
-//! and [`SECG_DEGREES`] record the standardized binary-field degrees the
-//! paper refers to, and [`nist_standard_modulus`] returns the exact
+//! records the standardized binary-field degrees the paper refers to,
+//! and [`nist_standard_modulus`] returns the exact
 //! reduction polynomials fixed by FIPS 186-4 for cross-checking our field
 //! arithmetic against an independent source.
 
@@ -26,10 +26,6 @@ pub const TABLE_V_FIELDS: [(usize, usize); 9] = [
 /// The five binary-field degrees recommended by NIST for ECDSA
 /// (FIPS 186-4 curves B/K-163 … B/K-571).
 pub const NIST_DEGREES: [usize; 5] = [163, 233, 283, 409, 571];
-
-/// Binary-field degrees from SECG SEC 2 that the paper singles out
-/// (sect113r1/r2 use GF(2^113)).
-pub const SECG_DEGREES: [usize; 2] = [113, 131];
 
 /// Returns the Table V pentanomials as validated [`TypeIiPentanomial`]s.
 ///

@@ -103,41 +103,6 @@ impl Gf2Poly {
         p
     }
 
-    /// Parses a big-endian hexadecimal string (as produced by the
-    /// [`LowerHex`](std::fmt::LowerHex) formatting) into a polynomial.
-    ///
-    /// # Errors
-    ///
-    /// Returns the offending character if the string contains anything
-    /// but ASCII hex digits (an optional `0x` prefix is allowed).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use gf2poly::Gf2Poly;
-    /// let f = Gf2Poly::from_hex("11d").unwrap();
-    /// assert_eq!(f, Gf2Poly::from_exponents(&[8, 4, 3, 2, 0]));
-    /// assert_eq!(format!("{f:x}"), "11d");
-    /// assert!(Gf2Poly::from_hex("xyz").is_err());
-    /// ```
-    pub fn from_hex(s: &str) -> Result<Self, char> {
-        let s = s
-            .strip_prefix("0x")
-            .or_else(|| s.strip_prefix("0X"))
-            .unwrap_or(s);
-        let mut p = Gf2Poly::zero();
-        let digits: Vec<char> = s.chars().collect();
-        for (pos, &c) in digits.iter().rev().enumerate() {
-            let v = c.to_digit(16).ok_or(c)? as u64;
-            for b in 0..4 {
-                if (v >> b) & 1 == 1 {
-                    p.set_coeff(pos * 4 + b, true);
-                }
-            }
-        }
-        Ok(p)
-    }
-
     /// Exposes the little-endian limbs of the polynomial.
     ///
     /// The returned slice is normalized: its last limb (if any) is nonzero.
@@ -405,28 +370,6 @@ impl Gf2Poly {
             acc = acc.square_mod(modulus);
         }
         acc
-    }
-
-    /// Formal derivative of the polynomial.
-    ///
-    /// Over GF(2) only odd-exponent terms survive:
-    /// `d/dy (y^k) = k·y^(k−1) = y^(k−1)` iff `k` is odd.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use gf2poly::Gf2Poly;
-    /// let f = Gf2Poly::from_exponents(&[8, 4, 3, 2, 0]);
-    /// assert_eq!(f.derivative(), Gf2Poly::from_exponents(&[2]));
-    /// ```
-    pub fn derivative(&self) -> Gf2Poly {
-        let mut out = Gf2Poly::zero();
-        for e in self.exponents() {
-            if e % 2 == 1 {
-                out.set_coeff(e - 1, true);
-            }
-        }
-        out
     }
 
     /// Evaluates the polynomial at a point of GF(2).
@@ -705,12 +648,6 @@ mod tests {
         assert_eq!(x.pow_2k_mod(8, &f), x);
         // and x^(2^4) ≠ x because 8/2 = 4 < 8.
         assert_ne!(x.pow_2k_mod(4, &f), x);
-    }
-
-    #[test]
-    fn derivative_drops_even_terms() {
-        let f = poly(&[9, 8, 3, 1, 0]);
-        assert_eq!(f.derivative(), poly(&[8, 2, 0]));
     }
 
     #[test]

@@ -91,11 +91,6 @@ proptest! {
     }
 
     #[test]
-    fn derivative_is_additive(a in arb_poly(), b in arb_poly()) {
-        prop_assert_eq!((&a + &b).derivative(), a.derivative() + b.derivative());
-    }
-
-    #[test]
     fn eval_is_ring_hom_at_one(a in arb_poly(), b in arb_poly()) {
         // evaluation at 1 is a ring homomorphism GF(2)[y] -> GF(2).
         prop_assert_eq!(a.mul_poly(&b).eval(true), a.eval(true) & b.eval(true));

@@ -15,7 +15,7 @@
 //!
 //! * [`Monomial`] — a product of distinct input variables;
 //! * [`Poly`] — a GF(2) sum of distinct monomials (sparse, canonical);
-//! * [`node_poly`] / [`output_poly`] / [`output_polys`] — cone
+//! * [`node_polys`] / [`output_poly`] / [`output_polys`] — cone
 //!   extraction over a [`Netlist`], every product expansion held to
 //!   [`MAX_PRODUCT_TERMS`]; [`ConeScratch`] keeps the working memory
 //!   of repeated extractions;
@@ -42,7 +42,7 @@
 //! # Examples
 //!
 //! ```
-//! use netlist::algebra::{node_poly, Poly};
+//! use netlist::algebra::{output_poly, Poly};
 //! use netlist::Netlist;
 //!
 //! let mut net = Netlist::new("maj-ish");
@@ -51,7 +51,7 @@
 //! let ab = net.and(a, b);
 //! let y = net.xor(ab, a);
 //! net.output("y", y);
-//! let p = node_poly(&net, y)?;
+//! let p = output_poly(&net, 0)?;
 //! assert_eq!(p.to_string(), "x0 + x0*x1");
 //! assert_eq!(p, Poly::var(0) + Poly::var(0).mul(&Poly::var(1)));
 //! # Ok::<(), netlist::algebra::TermBudgetExceeded>(())
@@ -823,13 +823,6 @@ fn release(table: &mut [Poly], uses: &mut [u32], pool: &mut Vec<Poly>, j: usize)
 /// outgrows the budget is an error rather than a hang.
 pub fn node_polys(net: &Netlist, roots: &[NodeId]) -> Result<Vec<Poly>, TermBudgetExceeded> {
     ConeScratch::new().node_polys(net, roots)
-}
-
-/// The polynomial computed by one node.
-pub fn node_poly(net: &Netlist, node: NodeId) -> Result<Poly, TermBudgetExceeded> {
-    Ok(node_polys(net, &[node])?
-        .pop()
-        .expect("one root yields one polynomial"))
 }
 
 /// The polynomial of primary output `k` (by declaration order).

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::{Gate, Netlist, NodeId};
+use crate::{Gate, Netlist};
 
 /// Per-path gate-depth of a node or netlist, split by gate type.
 ///
@@ -153,28 +153,6 @@ pub fn levels(net: &Netlist) -> Vec<u32> {
     level
 }
 
-/// The set of primary-input indices in the transitive fanin of `node`.
-pub fn cone_inputs(net: &Netlist, node: NodeId) -> Vec<u32> {
-    let mut seen = vec![false; net.len()];
-    let mut inputs = Vec::new();
-    let mut stack = vec![node];
-    while let Some(n) = stack.pop() {
-        if std::mem::replace(&mut seen[n.index()], true) {
-            continue;
-        }
-        match net.gate(n) {
-            Gate::Input(i) => inputs.push(i),
-            Gate::Const(_) => {}
-            Gate::And(a, b) | Gate::Xor(a, b) => {
-                stack.push(a);
-                stack.push(b);
-            }
-        }
-    }
-    inputs.sort_unstable();
-    inputs
-}
-
 impl Netlist {
     /// Computes summary [`Stats`] for this netlist.
     pub fn stats(&self) -> Stats {
@@ -268,19 +246,6 @@ mod tests {
                 assert!(lv[id.index()] > lv[b.index()]);
             }
         }
-    }
-
-    #[test]
-    fn cone_inputs_of_output() {
-        let net = sample();
-        let (_, y) = net.outputs()[0];
-        assert_eq!(cone_inputs(&net, y), vec![0, 1, 2, 3]);
-        // The first AND's cone is just {a, b}.
-        let and_id = net
-            .node_ids()
-            .find(|&id| matches!(net.gate(id), Gate::And(_, _)))
-            .unwrap();
-        assert_eq!(cone_inputs(&net, and_id), vec![0, 1]);
     }
 
     #[test]

@@ -150,7 +150,7 @@ pub fn serve(
         work_cv: Condvar::new(),
         drain_cv: Condvar::new(),
         shutting_down: AtomicBool::new(false),
-        conns: Mutex::new(Vec::new()),
+        conns: Mutex::new(HashMap::new()),
         counters: Counters::default(),
         timings: Mutex::new([StageTime::default(), StageTime::default()]),
     };
@@ -158,7 +158,7 @@ pub fn serve(
         for _ in 0..workers {
             scope.spawn(|| shared.worker_loop());
         }
-        loop {
+        for conn_id in 0usize.. {
             let conn = match listener.accept() {
                 Ok(conn) => conn,
                 Err(_) if shared.shutting_down.load(Ordering::SeqCst) => break,
@@ -174,10 +174,22 @@ pub fn serve(
                 break; // the shutdown self-wake (or a late client)
             }
             if let Ok(clone) = conn.try_clone() {
-                shared.conns.lock().expect("conns poisoned").push(clone);
+                shared
+                    .conns
+                    .lock()
+                    .expect("conns poisoned")
+                    .insert(conn_id, clone);
             }
             let shared = &shared;
-            scope.spawn(move || shared.handle_conn(conn));
+            scope.spawn(move || {
+                shared.handle_conn(conn);
+                // Its reader is done, so the drain need not shut it.
+                shared
+                    .conns
+                    .lock()
+                    .expect("conns poisoned")
+                    .remove(&conn_id);
+            });
         }
         shared.drain_and_close();
         Ok(())
@@ -253,7 +265,9 @@ struct Shared {
     work_cv: Condvar,
     drain_cv: Condvar,
     shutting_down: AtomicBool,
-    conns: Mutex<Vec<Conn>>,
+    /// A handle on every open connection, by accept order, so the drain
+    /// can close them; each leaves when its reader thread ends.
+    conns: Mutex<HashMap<usize, Conn>>,
     counters: Counters,
     timings: Mutex<[StageTime; 2]>,
 }
@@ -284,7 +298,8 @@ impl Shared {
                 break;
             }
             let Ok(line) = std::str::from_utf8(&buf) else {
-                break;
+                write_line(&writer, &encode_error(0, "bad request: line is not UTF-8"));
+                continue;
             };
             if line.trim().is_empty() {
                 continue;
@@ -423,8 +438,8 @@ impl Shared {
                 // compute without probing them a second time.
                 let outcome = if known.is_some() {
                     pipeline
-                        .compute_report(&net)
-                        .map(|report| (report, ReportSource::Computed))
+                        .run(&net)
+                        .map(|artifacts| (artifacts.report, ReportSource::Computed))
                 } else {
                     let identity = (net.name().to_string(), net.content_hash());
                     remember_bounded(
@@ -556,7 +571,7 @@ impl Shared {
         }
         drop(board);
         self.work_cv.notify_all(); // release idle workers
-        for conn in self.conns.lock().expect("conns poisoned").iter() {
+        for conn in self.conns.lock().expect("conns poisoned").values() {
             let _ = conn.shutdown();
         }
     }

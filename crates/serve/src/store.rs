@@ -31,7 +31,7 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use rgf2m_fpga::{ArtifactHook, FlowArtifacts, ImplReport};
+use rgf2m_fpga::{ArtifactHook, ImplReport};
 
 use crate::codec::{read_report, write_report_members};
 use crate::json::{parse_json, JsonValue};
@@ -232,8 +232,8 @@ impl ArtifactHook for ArtifactStore {
         ArtifactStore::load(self, design, content_hash, fingerprint)
     }
 
-    fn store(&self, content_hash: u64, fingerprint: u64, artifacts: &FlowArtifacts) {
-        self.save(content_hash, fingerprint, &artifacts.report);
+    fn store(&self, content_hash: u64, fingerprint: u64, report: &ImplReport) {
+        self.save(content_hash, fingerprint, report);
     }
 }
 

@@ -2,7 +2,8 @@
 //! six-method × four-target GF(2^8) grid with zero recomputations,
 //! byte-identical daemon vs in-process reports, warm hits that generate
 //! no netlist, singleflight dedup of concurrent identical requests,
-//! graceful drain on shutdown, and a bounded request line.
+//! graceful drain on shutdown, a bounded request line, and a typed
+//! error for a line that is not UTF-8.
 
 use std::fs;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -571,6 +572,41 @@ fn huge_field_degree_is_refused_and_the_connection_survives() {
         .run_report(&Method::ProposedFlat.generator().generate(&gf256()))
         .unwrap();
     assert_eq!(resp.report().unwrap(), expected);
+
+    let mut client = Client::connect(handle.endpoint()).unwrap();
+    client.shutdown().unwrap();
+    handle.join().unwrap();
+}
+
+/// A line that is not UTF-8 gets a typed `bad request` reply with id 0,
+/// and the same connection's next request is still served.
+#[test]
+fn non_utf8_request_line_gets_a_typed_error_and_the_connection_survives() {
+    let handle = server::spawn(ServerConfig::new(Endpoint::Tcp("127.0.0.1:0".into()))).unwrap();
+    let Endpoint::Tcp(addr) = handle.endpoint().clone() else {
+        unreachable!("bound over TCP")
+    };
+    let mut conn = std::net::TcpStream::connect(&addr).unwrap();
+    conn.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .unwrap();
+    let stats = encode_request(&Request::Stats { id: 7 });
+    conn.write_all(b"\xff\xfe\n").unwrap();
+    conn.write_all(format!("{stats}\n").as_bytes()).unwrap();
+    let mut replies = BufReader::new(conn.try_clone().unwrap());
+    let mut read_reply = || {
+        let mut reply = String::new();
+        replies
+            .read_line(&mut reply)
+            .expect("the daemon replies within the timeout");
+        parse_response(reply.trim_end()).unwrap()
+    };
+
+    let resp = read_reply();
+    assert_eq!((resp.id, resp.ok), (0, false));
+    let msg = resp.error().unwrap_or_default().to_string();
+    assert_eq!(msg, "bad request: line is not UTF-8");
+    let resp = read_reply();
+    assert_eq!((resp.id, resp.ok), (7, true), "{:?}", resp.error());
 
     let mut client = Client::connect(handle.endpoint()).unwrap();
     client.shutdown().unwrap();
