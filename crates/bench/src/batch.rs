@@ -96,16 +96,6 @@ pub fn table_v_jobs_on(fields: &[(usize, usize)], target: Target) -> Vec<Job> {
         .collect()
 }
 
-/// The full cross-target grid: for every registry target (in
-/// [`Target::ALL`] order), every listed field × every Table V method —
-/// target-major, so each target's rows form whole six-method blocks.
-pub fn cross_target_jobs(fields: &[(usize, usize)]) -> Vec<Job> {
-    Target::ALL
-        .into_iter()
-        .flat_map(|target| table_v_jobs_on(fields, target))
-        .collect()
-}
-
 /// The deterministic placement seed of job `index` under `base_seed`
 /// (a splitmix64-style finalizer — decorrelated across indices,
 /// independent of thread count or scheduling). This is the seed
@@ -247,17 +237,6 @@ mod tests {
     }
 
     #[test]
-    fn cross_target_jobs_cover_the_whole_grid_target_major() {
-        let jobs = cross_target_jobs(&[(8, 2), (8, 3)]);
-        assert_eq!(jobs.len(), Target::ALL.len() * 2 * Method::ALL.len());
-        for (i, job) in jobs.iter().enumerate() {
-            let per_target = 2 * Method::ALL.len();
-            assert_eq!(job.target, Target::ALL[i / per_target], "job {i}");
-            assert_eq!(job.method, Method::ALL[i % Method::ALL.len()], "job {i}");
-        }
-    }
-
-    #[test]
     fn jobs_on_different_targets_yield_different_numbers() {
         let job = |t| Job::on(8, 2, Method::ProposedFlat, t);
         let rows = BatchRunner::new().run_rows(&[job(Target::Artix7), job(Target::Spartan3)]);
@@ -307,10 +286,13 @@ mod tests {
 
     #[test]
     fn cross_target_export_is_byte_identical_across_thread_counts() {
-        // The acceptance contract for the crosstarget surface: the full
-        // per-target grid serializes to the same bytes whatever the
+        // The `table5 --all-targets` grid, one job list per target in
+        // registry order, serializes to the same bytes whatever the
         // worker count, and passes schema validation.
-        let jobs = cross_target_jobs(&[(8, 2)]);
+        let jobs: Vec<Job> = Target::ALL
+            .into_iter()
+            .flat_map(|t| table_v_jobs_on(&[(8, 2)], t))
+            .collect();
         let runner = BatchRunner::new();
         let a = rows_to_json(&runner.run_rows(&jobs), runner.base_seed());
         let b = rows_to_json(

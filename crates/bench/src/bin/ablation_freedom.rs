@@ -18,6 +18,7 @@ use rgf2m_fpga::map::MapMode;
 use rgf2m_fpga::Pipeline;
 
 fn main() {
+    rgf2m_bench::cli::NO_FLAGS.parse();
     println!("ABLATION — synthesis freedom (resynthesis × mapper mode)");
     println!();
     for (m, n) in [(8usize, 2usize), (64, 23)] {

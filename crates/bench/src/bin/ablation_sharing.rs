@@ -25,6 +25,7 @@ fn stats_line(name: &str, field: &Field, gen: &dyn MultiplierGenerator) {
 }
 
 fn main() {
+    rgf2m_bench::cli::NO_FLAGS.parse();
     println!("ABLATION — gate-level sharing across methods");
     println!();
     for (m, n) in [(8usize, 2usize), (64, 23), (113, 34)] {

@@ -8,9 +8,10 @@
 //! `rgf2m_bench::cli`); an unknown or malformed flag exits 1 before
 //! any work.
 //!
-//! This single invocation is the CI static-analysis step: it subsumes
-//! the old separate lint and depth-certificate smoke runs.
+//! This single invocation is the CI static-analysis step and the only
+//! driver of these certificates.
 
+use gf2poly::TypeIiPentanomial;
 use rgf2m_bench::{audit_to_json, cli, run_audit, AuditOptions, Fault};
 use rgf2m_core::Method;
 use rgf2m_fpga::Target;
@@ -18,6 +19,9 @@ use rgf2m_fpga::Target;
 fn main() {
     let args = cli::AUDIT.parse();
     let (m, n) = args.pair("--only").unwrap_or((8, 2));
+    if let Err(e) = TypeIiPentanomial::new(m, n) {
+        args.fail(&format!("--only {m},{n} names no type II pentanomial: {e}"));
+    }
     let methods: Vec<Method> = match args.value("--method") {
         Some(name) => vec![Method::from_name(name)
             .unwrap_or_else(|| args.fail(&format!("unknown method {name:?} (see Method::name)")))],

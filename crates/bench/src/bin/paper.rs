@@ -7,6 +7,7 @@
 use std::process::Command;
 
 fn main() {
+    rgf2m_bench::cli::NO_FLAGS.parse();
     let exe_dir = std::env::current_exe()
         .ok()
         .and_then(|p| p.parent().map(|d| d.to_path_buf()));

@@ -32,7 +32,9 @@ fn main() {
         .copied()
         .filter(|&pair| only.is_none_or(|o| o == pair))
         .collect();
-    assert!(!fields.is_empty(), "no Table V field matches --only");
+    if let Some((m, n)) = only.filter(|_| fields.is_empty()) {
+        args.fail(&format!("--only {m},{n} names no Table V field"));
+    }
 
     let mut failures = 0usize;
     for &(m, n) in &fields {

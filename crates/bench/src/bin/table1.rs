@@ -5,6 +5,7 @@ use rgf2m_bench::field_for;
 use rgf2m_core::CoefficientTable;
 
 fn main() {
+    rgf2m_bench::cli::NO_FLAGS.parse();
     let field = field_for(8, 2);
     println!("TABLE I");
     println!("COEFFICIENTS OF THE PRODUCT FOR GF(2^8) WITH (m,n) = (8,2).");

@@ -4,6 +4,7 @@
 use rgf2m_core::{SiTi, SplitAtom};
 
 fn main() {
+    rgf2m_bench::cli::NO_FLAGS.parse();
     println!("TABLE II");
     println!("TERMS S^j_i AND T^j_i FOR GF(2^8).");
     println!();

@@ -12,6 +12,7 @@ use rgf2m_bench::field_for;
 use rgf2m_core::{generate, FlatCoefficientTable, Method};
 
 fn main() {
+    rgf2m_bench::cli::NO_FLAGS.parse();
     let field = field_for(8, 2);
     println!("TABLE III");
     println!("COEFFICIENTS OF THE PRODUCT FOR GF(2^8) WITH SPLITTING");

@@ -6,6 +6,7 @@ use rgf2m_bench::field_for;
 use rgf2m_core::FlatCoefficientTable;
 
 fn main() {
+    rgf2m_bench::cli::NO_FLAGS.parse();
     let field = field_for(8, 2);
     println!("TABLE IV");
     println!("NEW COEFFICIENTS OF THE PRODUCT FOR TYPE II GF(2^8).");

@@ -53,7 +53,9 @@ fn main() {
             None => !quick || matches!((m, n), (8, 2) | (64, 23)),
         })
         .collect();
-    assert!(!fields.is_empty(), "no Table V field matches the filters");
+    if let Some((m, n)) = only.filter(|_| fields.is_empty()) {
+        args.fail(&format!("--only {m},{n} names no Table V field"));
+    }
 
     let runner = BatchRunner::new().with_threads(threads);
     let jobs: Vec<_> = targets

@@ -9,6 +9,9 @@
 //! Usage:
 //!   validate_audit PATH    # exit 0 and print a summary, or exit 1
 //!
+//! Any other command line (no path, or more than one argument) prints
+//! the usage and exits 2.
+//!
 //! CI runs `audit` on GF(2^8) and then this validator on both the
 //! freshly emitted document and the committed sample, so the
 //! machine-readable audit export can never silently rot.
@@ -16,14 +19,12 @@
 use rgf2m_bench::validate_audit_json;
 
 fn main() {
-    let path = match std::env::args().nth(1) {
-        Some(p) => p,
-        None => {
-            eprintln!("usage: validate_audit PATH");
-            std::process::exit(2);
-        }
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let [path] = &args[..] else {
+        eprintln!("usage: validate_audit PATH");
+        std::process::exit(2);
     };
-    let text = match std::fs::read_to_string(&path) {
+    let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => {
             eprintln!("validate_audit: cannot read {path}: {e}");

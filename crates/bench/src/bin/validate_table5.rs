@@ -1,5 +1,5 @@
 //! Schema-validates a `rgf2m-table5/5` JSON artifact (as emitted by
-//! `table5 --json PATH` or `crosstarget --json PATH`): schema tag,
+//! `table5 --json PATH`, on one fabric or `--all-targets`): schema tag,
 //! non-empty whole six-method blocks in the paper's row order, a
 //! registered target fabric uniform within each block, positive LUTs /
 //! slices / depth / ns plus a positive `and_depth` / `xor_depth` pair,
@@ -10,21 +10,22 @@
 //! Usage:
 //!   validate_table5 PATH    # exit 0 and print a summary, or exit 1
 //!
+//! Any other command line (no path, or more than one argument) prints
+//! the usage and exits 2.
+//!
 //! CI runs the batch runner on GF(2^8) for all six methods (on two
-//! different targets) and then this validator, so the machine-readable
-//! export can never silently rot.
+//! targets one at a time, then on every target at once) and then this
+//! validator, so the machine-readable export can never silently rot.
 
 use rgf2m_bench::validate_table5_json;
 
 fn main() {
-    let path = match std::env::args().nth(1) {
-        Some(p) => p,
-        None => {
-            eprintln!("usage: validate_table5 PATH");
-            std::process::exit(2);
-        }
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let [path] = &args[..] else {
+        eprintln!("usage: validate_table5 PATH");
+        std::process::exit(2);
     };
-    let text = match std::fs::read_to_string(&path) {
+    let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => {
             eprintln!("validate_table5: cannot read {path}: {e}");

@@ -28,9 +28,7 @@ pub use audit::{
     audit_to_json, run_audit, validate_audit_json, AuditCell, AuditCheck, AuditOptions,
     AuditReport, Fault, AUDIT_SCHEMA,
 };
-pub use batch::{
-    cross_target_jobs, job_seed_from, table_v_jobs, table_v_jobs_on, BatchRow, BatchRunner, Job,
-};
+pub use batch::{job_seed_from, table_v_jobs, table_v_jobs_on, BatchRow, BatchRunner, Job};
 pub use daemon::run_rows_via_daemon;
 pub use report::{rows_to_csv, rows_to_json, validate_table5_json, TABLE5_SCHEMA};
 

@@ -1,18 +1,28 @@
 //! The bench binaries refuse malformed command lines before any work:
 //! `--help` prints the usage and exits 0; an unknown flag, a flag
 //! without its value, a value that is another flag or a stray argument
-//! exits 1 with the usage on stderr and nothing on stdout.
+//! exits 1 with the usage on stderr and nothing on stdout. The two
+//! validators take exactly one path and exit 2 on anything else.
 
 use std::process::{Command, Output};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-const BINS: [(&str, &str); 6] = [
+const BINS: [(&str, &str); 4] = [
     ("table5", env!("CARGO_BIN_EXE_table5")),
-    ("crosstarget", env!("CARGO_BIN_EXE_crosstarget")),
     ("audit", env!("CARGO_BIN_EXE_audit")),
     ("sta", env!("CARGO_BIN_EXE_sta")),
     ("reveng", env!("CARGO_BIN_EXE_reveng")),
-    ("lint_netlist", env!("CARGO_BIN_EXE_lint_netlist")),
+];
+
+/// The binaries that print a table or an ablation and take no flags.
+const NO_FLAG_BINS: [(&str, &str); 7] = [
+    ("table1", env!("CARGO_BIN_EXE_table1")),
+    ("table2", env!("CARGO_BIN_EXE_table2")),
+    ("table3", env!("CARGO_BIN_EXE_table3")),
+    ("table4", env!("CARGO_BIN_EXE_table4")),
+    ("paper", env!("CARGO_BIN_EXE_paper")),
+    ("ablation_freedom", env!("CARGO_BIN_EXE_ablation_freedom")),
+    ("ablation_sharing", env!("CARGO_BIN_EXE_ablation_sharing")),
 ];
 
 /// A fresh empty directory of its own for each call, even when tests
@@ -59,12 +69,13 @@ fn help_prints_usage_and_exits_0() {
 
 #[test]
 fn bad_command_lines_exit_1_with_usage_before_any_work() {
-    let cases: [(&[&str], &str); 5] = [
+    let cases: [(&[&str], &str); 6] = [
         (&["--onyl", "8,2"], "unknown flag --onyl"),
         (&["--only"], "--only needs a value"),
         (&["--only", "--json", "x"], "--only needs a value"),
         (&["--only", "8,2", "extra"], "unexpected argument \"extra\""),
         (&["--only", "8;2"], "--only wants M,N"),
+        (&["--only", "8,4"], "--only 8,4 names no"),
     ];
     for (name, exe) in BINS {
         for (args, error) in cases {
@@ -74,6 +85,56 @@ fn bad_command_lines_exit_1_with_usage_before_any_work() {
             assert!(out.stdout.is_empty(), "{name} {args:?} did work");
             assert!(stderr.contains(error), "{name} {args:?}: {stderr}");
             assert!(stderr.contains("Usage:\n"), "{name} {args:?}: {stderr}");
+            std::fs::remove_dir_all(dir).unwrap();
+        }
+    }
+}
+
+#[test]
+fn no_flag_bins_print_usage_on_help_and_refuse_everything_else() {
+    for (name, exe) in NO_FLAG_BINS {
+        let (out, dir) = run(exe, &["--help"]);
+        let stdout = text(&out.stdout);
+        assert_eq!(out.status.code(), Some(0), "{name} --help");
+        assert!(stdout.starts_with("Usage:\n"), "{name}: {stdout}");
+        assert!(stdout.contains(name), "{name}: {stdout}");
+        std::fs::remove_dir_all(dir).unwrap();
+        for args in [&["--bogus"][..], &["extra"]] {
+            let (out, dir) = run(exe, args);
+            let stderr = text(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{name} {args:?}: {stderr}");
+            assert!(out.stdout.is_empty(), "{name} {args:?} did work");
+            assert!(stderr.contains("Usage:\n"), "{name} {args:?}: {stderr}");
+            std::fs::remove_dir_all(dir).unwrap();
+        }
+    }
+}
+
+#[test]
+fn validators_take_exactly_one_path() {
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    for (name, exe, sample) in [
+        (
+            "validate_table5",
+            env!("CARGO_BIN_EXE_validate_table5"),
+            "TABLE5_sample.json",
+        ),
+        (
+            "validate_audit",
+            env!("CARGO_BIN_EXE_validate_audit"),
+            "AUDIT_sample.json",
+        ),
+    ] {
+        let sample = format!("{root}/{sample}");
+        let (out, dir) = run(exe, &[&sample]);
+        assert_eq!(out.status.code(), Some(0), "{name} {sample}");
+        std::fs::remove_dir_all(dir).unwrap();
+        for args in [&[][..], &[&sample, "extra"]] {
+            let (out, dir) = run(exe, args);
+            let stderr = text(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{name} {args:?}: {stderr}");
+            assert!(out.stdout.is_empty(), "{name} {args:?}");
+            assert!(stderr.contains(&format!("usage: {name} PATH")), "{stderr}");
             std::fs::remove_dir_all(dir).unwrap();
         }
     }
@@ -95,7 +156,7 @@ fn report_flags_never_swallow_another_flag() {
         assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "{args:?}");
         std::fs::remove_dir_all(dir).unwrap();
     }
-    let (out, dir) = run(BINS[2].1, &["--only", "8,2", "--json"]);
+    let (out, dir) = run(BINS[1].1, &["--only", "8,2", "--json"]);
     assert_eq!(out.status.code(), Some(1), "audit --json with no path");
     std::fs::remove_dir_all(dir).unwrap();
     let (out, dir) = run(table5, &["--target", "artix8"]);

@@ -116,7 +116,7 @@ impl LintKind {
         }
     }
 
-    /// Kebab-case name, as printed by the `lint_netlist` bin.
+    /// Kebab-case name, as printed in each finding.
     pub fn name(self) -> &'static str {
         match self {
             LintKind::CombinationalCycle => "combinational-cycle",
