@@ -4,94 +4,60 @@
 //! Karatsuba recursion trades AND gates for XOR gates and depth — the
 //! classic space/time alternative for large fields. Including it shows
 //! where the paper's quadratic designs stop being area-optimal, and
-//! exercises the generator framework on a structurally different
+//! exercises the `MulCircuit` builder on a structurally different
 //! algorithm.
 
 use gf2m::Field;
 use netlist::{Netlist, NodeId};
-use rgf2m_core::gen::{MulCircuit, MultiplierGenerator};
+use rgf2m_core::gen::MulCircuit;
 
-/// Generator for a recursive Karatsuba polynomial multiplier followed by
-/// reduction-matrix reduction.
-///
-/// Recursion switches to schoolbook below [`Karatsuba::threshold`]
-/// coordinates (the standard hybrid, since Karatsuba's XOR overhead
-/// dominates at small sizes).
+/// The schoolbook cut-off: recursion stops at this many coordinates
+/// (the standard hybrid, since Karatsuba's XOR overhead dominates at
+/// small sizes).
+const THRESHOLD: usize = 8;
+
+/// A recursive Karatsuba polynomial multiplier, schoolbook from 8
+/// coordinates down, followed by reduction-matrix reduction. The
+/// netlist is named `mul_karatsuba_m<m>`.
 ///
 /// # Examples
 ///
 /// ```
 /// use gf2m::Field;
 /// use gf2poly::TypeIiPentanomial;
-/// use rgf2m_baselines::Karatsuba;
-/// use rgf2m_core::MultiplierGenerator;
 ///
 /// let field = Field::from_pentanomial(&TypeIiPentanomial::new(64, 23)?);
-/// let net = Karatsuba::default().generate(&field);
+/// let net = rgf2m_baselines::karatsuba(&field);
 /// // Sub-quadratic: strictly fewer than 64² AND gates.
 /// assert!(net.stats().ands < 64 * 64);
 /// # Ok::<(), gf2poly::PentanomialError>(())
 /// ```
-#[derive(Debug, Clone, Copy)]
-pub struct Karatsuba {
-    threshold: usize,
+pub fn karatsuba(field: &Field) -> Netlist {
+    karatsuba_with(field, THRESHOLD)
 }
 
-impl Karatsuba {
-    /// Creates a generator with the given schoolbook cut-off.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threshold < 2`.
-    pub fn new(threshold: usize) -> Self {
-        assert!(threshold >= 2, "threshold must be at least 2");
-        Karatsuba { threshold }
-    }
-
-    /// The schoolbook cut-off size.
-    pub fn threshold(&self) -> usize {
-        self.threshold
-    }
-}
-
-impl Default for Karatsuba {
-    /// Threshold 8 — a conventional hybrid cut-off.
-    fn default() -> Self {
-        Karatsuba::new(8)
-    }
-}
-
-impl MultiplierGenerator for Karatsuba {
-    fn name(&self) -> &'static str {
-        "karatsuba"
-    }
-
-    fn citation(&self) -> &'static str {
-        "(extension)"
-    }
-
-    fn generate(&self, field: &Field) -> Netlist {
-        let m = field.m();
-        let red = field.reduction_matrix().clone();
-        let mut circuit = MulCircuit::new(m, format!("mul_karatsuba_m{m}"));
-        let a: Vec<NodeId> = (0..m).map(|i| circuit.a_input(i)).collect();
-        let b: Vec<NodeId> = (0..m).map(|j| circuit.b_input(j)).collect();
-        // Unreduced product d_0..d_{2m-2}.
-        let d = karatsuba_rec(circuit.net_mut(), &a, &b, self.threshold);
-        debug_assert_eq!(d.len(), 2 * m - 1);
-        // Reduce via the reduction matrix.
-        for k in 0..m {
-            let mut parts = vec![d[k]];
-            for t in 0..m - 1 {
-                if red.entry(k, t) {
-                    parts.push(d[m + t]);
-                }
+/// [`karatsuba`] with the schoolbook cut-off `threshold` (at least 2).
+fn karatsuba_with(field: &Field, threshold: usize) -> Netlist {
+    let m = field.m();
+    let red = field.reduction_matrix().clone();
+    let mut circuit = MulCircuit::new(m, format!("mul_karatsuba_m{m}"));
+    let a: Vec<NodeId> = (0..m).map(|i| circuit.a_input(i)).collect();
+    let b: Vec<NodeId> = (0..m).map(|j| circuit.b_input(j)).collect();
+    // Unreduced product d_0..d_{2m-2}.
+    let d = karatsuba_rec(circuit.net_mut(), &a, &b, threshold);
+    debug_assert_eq!(d.len(), 2 * m - 1);
+    // Reduce via the reduction matrix.
+    for k in 0..m {
+        let mut parts = vec![d[k]];
+        for t in 0..m - 1 {
+            if red.entry(k, t) {
+                parts.push(d[m + t]);
             }
-            let c = circuit.net_mut().xor_balanced(&parts);
-            circuit.output(k, c);
         }
-        circuit.finish()
+        let c = circuit.net_mut().xor_balanced(&parts);
+        circuit.output(k, c);
     }
+    circuit.finish()
 }
 
 /// Recursive Karatsuba over coordinate slices; returns the 2n−1
@@ -170,7 +136,7 @@ mod tests {
     fn correct_exhaustively_on_gf256() {
         let field = Field::from_pentanomial(&TypeIiPentanomial::new(8, 2).unwrap());
         // Threshold 2 forces real recursion even at m = 8.
-        let net = Karatsuba::new(2).generate(&field);
+        let net = karatsuba_with(&field, 2);
         let oracle = |w: &[u64]| field.mul_words(w);
         assert!(check_against_oracle_exhaustive(&net, oracle).is_equivalent());
     }
@@ -179,7 +145,7 @@ mod tests {
     fn correct_on_odd_sized_field() {
         // Odd m exercises the asymmetric split at every level.
         let field = Field::from_pentanomial(&TypeIiPentanomial::new(11, 4).unwrap());
-        let net = Karatsuba::new(3).generate(&field);
+        let net = karatsuba_with(&field, 3);
         let oracle = |w: &[u64]| field.mul_words(w);
         assert!(check_against_oracle_exhaustive(&net, oracle).is_equivalent());
     }
@@ -188,7 +154,7 @@ mod tests {
     fn sub_quadratic_and_count() {
         for (m, n) in [(64usize, 23usize), (113, 34)] {
             let field = Field::from_pentanomial(&TypeIiPentanomial::new(m, n).unwrap());
-            let net = Karatsuba::default().generate(&field);
+            let net = karatsuba(&field);
             let ands = net.stats().ands;
             assert!(ands < m * m, "({m},{n}): {ands} >= m²");
             // And the asymptotic is roughly m^1.585: allow generous slack.
@@ -202,22 +168,16 @@ mod tests {
     #[test]
     fn trades_ands_for_xors_and_depth() {
         let field = Field::from_pentanomial(&TypeIiPentanomial::new(64, 23).unwrap());
-        let kara = Karatsuba::default().generate(&field).stats();
-        let quad = rgf2m_core::Rashidi.generate(&field).stats();
+        let kara = karatsuba(&field).stats();
+        let quad = rgf2m_core::generate(&field, rgf2m_core::Method::Rashidi).stats();
         assert!(kara.ands < quad.ands);
         assert!(kara.depth.xors >= quad.depth.xors);
     }
 
     #[test]
-    fn threshold_validation() {
-        assert!(std::panic::catch_unwind(|| Karatsuba::new(1)).is_err());
-        assert_eq!(Karatsuba::default().threshold(), 8);
-    }
-
-    #[test]
     fn threshold_larger_than_m_degenerates_to_schoolbook() {
         let field = Field::from_pentanomial(&TypeIiPentanomial::new(8, 2).unwrap());
-        let net = Karatsuba::new(64).generate(&field);
+        let net = karatsuba_with(&field, 64);
         assert_eq!(net.stats().ands, 64); // pure schoolbook
         let oracle = |w: &[u64]| field.mul_words(w);
         assert!(check_against_oracle_exhaustive(&net, oracle).is_equivalent());

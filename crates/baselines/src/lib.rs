@@ -1,17 +1,16 @@
 //! Baseline GF(2^m) bit-parallel multiplier generators.
 //!
 //! The three published architectures the paper's Table V compares
-//! against — [`MastrovitoPaar`](rgf2m_core::MastrovitoPaar) (\[2\]),
-//! [`Rashidi`](rgf2m_core::Rashidi) (\[8\]) and
-//! [`ReyhaniHasan`](rgf2m_core::ReyhaniHasan) (\[3\]) — live in
-//! [`rgf2m_core::gen`] behind the unified [`rgf2m_core::Method`]
-//! registry, so a single enum covers the whole Table V row order. This
-//! crate keeps the two *extra-paper* references:
+//! against — \[2\] Mastrovito/Paar, \[8\] Rashidi et al. and \[3\]
+//! Reyhani-Masoleh & Hasan — are [`rgf2m_core::Method`] variants, built
+//! by [`rgf2m_core::generate`] like the paper's own three, so one enum
+//! covers the whole Table V row order. This crate keeps the two
+//! *extra-paper* references, each a plain function of the field:
 //!
-//! * [`School`] — a deliberately naive two-step multiplier (chained
+//! * [`school`] — a deliberately naive two-step multiplier (chained
 //!   XOR accumulation) kept as a structural worst-case reference for
 //!   tests and ablations (not part of the paper's Table V);
-//! * [`Karatsuba`] — a sub-quadratic recursive multiplier (extension
+//! * [`karatsuba`] — a sub-quadratic recursive multiplier (extension
 //!   beyond the paper: fewer AND gates, more XOR depth).
 //!
 //! # Examples
@@ -19,13 +18,15 @@
 //! ```
 //! use gf2m::Field;
 //! use gf2poly::TypeIiPentanomial;
-//! use rgf2m_core::{MultiplierGenerator, ReyhaniHasan};
+//! use rgf2m_core::{generate, Method};
 //!
 //! let field = Field::from_pentanomial(&TypeIiPentanomial::new(8, 2)?);
-//! let net = ReyhaniHasan.generate(&field);
-//! // The paper cites 77 XOR gates for [3] at (m, n) = (8, 2); our
-//! // builder shares one repeated pair node, landing at 76.
-//! assert_eq!(net.stats().xors, 76);
+//! let school = rgf2m_baselines::school(&field);
+//! let rashidi = generate(&field, Method::Rashidi);
+//! // Chained accumulation costs depth: at least twice [8]'s balanced
+//! // trees, for the same m² = 64 AND gates.
+//! assert!(school.depth().xors >= 2 * rashidi.depth().xors);
+//! assert_eq!(school.stats().ands, rashidi.stats().ands);
 //! # Ok::<(), gf2poly::PentanomialError>(())
 //! ```
 
@@ -35,5 +36,5 @@
 mod karatsuba;
 mod school;
 
-pub use karatsuba::Karatsuba;
-pub use school::School;
+pub use karatsuba::karatsuba;
+pub use school::school;

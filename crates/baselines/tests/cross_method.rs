@@ -5,14 +5,14 @@ use gf2m::Field;
 use gf2poly::TypeIiPentanomial;
 use netlist::sim::{check_equivalent_exhaustive, check_equivalent_random};
 use netlist::Netlist;
-use rgf2m_baselines::School;
-use rgf2m_core::{generate, MastrovitoPaar, Method, MultiplierGenerator, Rashidi, ReyhaniHasan};
+use rgf2m_baselines::school;
+use rgf2m_core::{generate, Method};
 
 fn all_table_v_methods(field: &Field) -> Vec<(&'static str, Netlist)> {
     vec![
-        ("[2] mastrovito", MastrovitoPaar.generate(field)),
-        ("[8] rashidi", Rashidi.generate(field)),
-        ("[3] reyhani", ReyhaniHasan.generate(field)),
+        ("[2] mastrovito", generate(field, Method::MastrovitoPaar)),
+        ("[8] rashidi", generate(field, Method::Rashidi)),
+        ("[3] reyhani", generate(field, Method::ReyhaniHasan)),
         ("[6] imana2012", generate(field, Method::Imana2012)),
         ("[7] imana2016", generate(field, Method::Imana2016)),
         ("this-work proposed", generate(field, Method::ProposedFlat)),
@@ -64,8 +64,8 @@ fn all_six_methods_equivalent_on_nist163_random() {
 #[test]
 fn school_reference_agrees_with_rashidi() {
     let field = Field::from_pentanomial(&TypeIiPentanomial::new(13, 5).unwrap());
-    let school = School.generate(&field);
-    let rashidi = Rashidi.generate(&field);
+    let school = school(&field);
+    let rashidi = generate(&field, Method::Rashidi);
     assert!(check_equivalent_random(&school, &rashidi, 8, 5).is_equivalent());
 }
 
@@ -76,7 +76,7 @@ fn depth_ordering_matches_paper_theory_gf256() {
     // [6] = T_A+6T_X, [3] = T_A+7T_X (our balanced variant ≤ that).
     let field = Field::from_pentanomial(&TypeIiPentanomial::new(8, 2).unwrap());
     let depth_of = |net: &Netlist| net.depth().xors;
-    let rashidi = depth_of(&Rashidi.generate(&field));
+    let rashidi = depth_of(&generate(&field, Method::Rashidi));
     let imana2016 = depth_of(&generate(&field, Method::Imana2016));
     let imana2012 = depth_of(&generate(&field, Method::Imana2012));
     assert_eq!(rashidi, 5);

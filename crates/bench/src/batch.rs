@@ -33,7 +33,7 @@ use std::sync::Mutex;
 
 use gf2m::Field;
 use gf2poly::TypeIiPentanomial;
-use rgf2m_core::Method;
+use rgf2m_core::{generate, Method};
 use rgf2m_fpga::{FlowError, ImplReport, Target};
 
 /// One batch scenario: implement `method` for GF(2^m) with the type II
@@ -190,7 +190,7 @@ impl BatchRunner {
                 ))
             })?;
             let field = Field::from_pentanomial(&penta);
-            let net = job.method.generator().generate(&field);
+            let net = generate(&field, job.method);
             crate::harness_pipeline()
                 .with_target(job.target)
                 .with_place_seed(seed)

@@ -4,16 +4,15 @@
 //! therefore reducing the space requirements". Our builders share
 //! through hash-consing; this ablation quantifies the effect by
 //! comparing gate counts of the six methods — which differ exactly in
-//! how much structure they share — plus the naive `School` reference.
+//! how much structure they share — plus the naive `school` reference.
 
-use gf2m::Field;
-use rgf2m_baselines::School;
+use netlist::Netlist;
+use rgf2m_baselines::school;
 use rgf2m_bench::field_for;
-use rgf2m_core::gen::MultiplierGenerator;
-use rgf2m_core::Method;
+use rgf2m_core::{generate, Method};
 
-fn stats_line(name: &str, field: &Field, gen: &dyn MultiplierGenerator) {
-    let s = gen.generate(field).stats();
+fn stats_line(name: &str, net: &Netlist) {
+    let s = net.stats();
     println!(
         "  {:<22} {:>6} {:>6} {:>9} {:>11}",
         name,
@@ -38,11 +37,10 @@ fn main() {
         for method in Method::ALL {
             stats_line(
                 &format!("{} {}", method.citation(), method.name()),
-                &field,
-                method.generator().as_ref(),
+                &generate(&field, method),
             );
         }
-        stats_line("(reference) school", &field, &School);
+        stats_line("(reference) school", &school(&field));
         println!();
     }
     println!("Reading: AND counts are identical (m^2, fully shared products);");

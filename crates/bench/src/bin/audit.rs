@@ -58,7 +58,8 @@ fn main() {
 
     if let Some(path) = args.value("--json") {
         let doc = audit_to_json(&report);
-        std::fs::write(path, &doc).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+        std::fs::write(path, &doc)
+            .unwrap_or_else(|e| cli::die(&format!("cannot write {path}: {e}")));
         println!("wrote {path} ({} bytes)", doc.len());
     }
 

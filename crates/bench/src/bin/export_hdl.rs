@@ -1,63 +1,47 @@
-//! CLI: generate any multiplier and dump it as HDL.
+//! Generates one multiplier and prints it as HDL on stdout (pipe it to
+//! a file).
 //!
-//! Usage: `export_hdl <m> <n> <method> [vhdl|verilog|dot|blif]`
-//! where `<method>` is one of `mastrovito`, `rashidi`, `reyhani_hasan`,
-//! `imana2012`, `imana2016`, `proposed`, `karatsuba`, `school`.
-//!
-//! Prints the chosen backend's output to stdout (pipe it to a file).
+//! Run `export_hdl --help` for its flags (declared in
+//! `rgf2m_bench::cli`); an unknown or malformed flag, an `--only M,N`
+//! that is no type II pentanomial, or an unknown method or format exits
+//! 1 before any work.
 
-use rgf2m_baselines::{Karatsuba, School};
-use rgf2m_bench::field_for;
-use rgf2m_core::gen::MultiplierGenerator;
-use rgf2m_core::{MastrovitoPaar, Method, Rashidi, ReyhaniHasan};
+use gf2poly::TypeIiPentanomial;
+use netlist::Netlist;
+use rgf2m_baselines::{karatsuba, school};
+use rgf2m_bench::{cli, field_for};
+use rgf2m_core::{generate, Method};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (m, n, method, backend) = match args.as_slice() {
-        [m, n, method] => (m, n, method.as_str(), "vhdl".to_string()),
-        [m, n, method, backend] => (m, n, method.as_str(), backend.clone()),
-        _ => {
-            eprintln!("usage: export_hdl <m> <n> <method> [vhdl|verilog|dot|blif]");
-            std::process::exit(2);
-        }
+    let args = cli::EXPORT_HDL.parse();
+    let (m, n) = args.pair("--only").unwrap_or((8, 2));
+    if let Err(e) = TypeIiPentanomial::new(m, n) {
+        args.fail(&format!("--only {m},{n} names no type II pentanomial: {e}"));
+    }
+    let name = args.value("--method").unwrap_or("proposed");
+    let method = Method::from_name(name);
+    if method.is_none() && name != "school" && name != "karatsuba" {
+        args.fail(&format!(
+            "unknown method {name:?}; known: {}, school, karatsuba",
+            Method::ALL.map(|m| m.name()).join(", ")
+        ));
+    }
+    let render: fn(&Netlist) -> String = match args.value("--format").unwrap_or("vhdl") {
+        "vhdl" => Netlist::to_vhdl,
+        "verilog" => Netlist::to_verilog,
+        "dot" => Netlist::to_dot,
+        "blif" => Netlist::to_blif,
+        other => args.fail(&format!(
+            "unknown format {other:?} (vhdl | verilog | dot | blif)"
+        )),
     };
-    let (m, n): (usize, usize) = match (m.parse(), n.parse()) {
-        (Ok(m), Ok(n)) => (m, n),
-        _ => {
-            eprintln!("m and n must be integers");
-            std::process::exit(2);
-        }
-    };
-    let generator: Box<dyn MultiplierGenerator> = match method {
-        "mastrovito" => Box::new(MastrovitoPaar),
-        "rashidi" => Box::new(Rashidi),
-        "reyhani_hasan" => Box::new(ReyhaniHasan),
-        "imana2012" => Method::Imana2012.generator(),
-        "imana2016" => Method::Imana2016.generator(),
-        "proposed" => Method::ProposedFlat.generator(),
-        "karatsuba" => Box::new(Karatsuba::default()),
-        "school" => Box::new(School),
-        other => {
-            eprintln!("unknown method '{other}'");
-            std::process::exit(2);
-        }
-    };
+
     let field = field_for(m, n);
-    let net = generator.generate(&field);
-    eprintln!(
-        "generated {} for GF(2^{m}) (n = {n}): {}",
-        generator.name(),
-        net.stats()
-    );
-    let text = match backend.as_str() {
-        "vhdl" => net.to_vhdl(),
-        "verilog" => net.to_verilog(),
-        "dot" => net.to_dot(),
-        "blif" => net.to_blif(),
-        other => {
-            eprintln!("unknown backend '{other}'");
-            std::process::exit(2);
-        }
+    let net = match method {
+        Some(method) => generate(&field, method),
+        None if name == "school" => school(&field),
+        None => karatsuba(&field),
     };
-    print!("{text}");
+    eprintln!("generated {name} for GF(2^{m}) (n = {n}): {}", net.stats());
+    print!("{}", render(&net));
 }

@@ -34,8 +34,14 @@ fn main() {
             args.fail(&format!("unknown target {name:?} (see Target::from_name)"))
         })]
     };
+    let target_ns: Option<f64> = args.parsed("--target-ns");
+    if let Some(t) = target_ns.filter(|t| !t.is_finite()) {
+        args.fail(&format!(
+            "--target-ns must be a finite number of ns, got {t}"
+        ));
+    }
     let options = StaOptions {
-        target_ns: args.parsed("--target-ns"),
+        target_ns,
         max_paths: args.parsed("--paths").unwrap_or(2),
         ..StaOptions::default()
     };

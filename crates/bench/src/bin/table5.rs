@@ -56,6 +56,9 @@ fn main() {
     if let Some((m, n)) = only.filter(|_| fields.is_empty()) {
         args.fail(&format!("--only {m},{n} names no Table V field"));
     }
+    let daemon = args
+        .value("--daemon")
+        .map(|ep| Endpoint::parse(ep).unwrap_or_else(|e| args.fail(&format!("--daemon: {e}"))));
 
     let runner = BatchRunner::new().with_threads(threads);
     let jobs: Vec<_> = targets
@@ -68,13 +71,10 @@ fn main() {
         fields.len(),
         targets.len()
     );
-    let rows = match args.value("--daemon") {
+    let rows = match daemon {
         None => runner.run_rows(&jobs),
-        Some(ep) => {
-            let endpoint = Endpoint::parse(ep).unwrap_or_else(|e| panic!("--daemon: {e}"));
-            run_rows_via_daemon(&endpoint, &jobs, runner.base_seed())
-                .unwrap_or_else(|e| panic!("daemon run via {endpoint} failed: {e}"))
-        }
+        Some(endpoint) => run_rows_via_daemon(&endpoint, &jobs, runner.base_seed())
+            .unwrap_or_else(|e| cli::die(&format!("daemon run via {endpoint} failed: {e}"))),
     };
 
     println!("TABLE V — COMPARISON OF GF(2^m) MULTIPLIERS");
@@ -147,12 +147,12 @@ fn main() {
 
     if let Some(path) = args.value("--json") {
         std::fs::write(path, rows_to_json(&rows, runner.base_seed()))
-            .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+            .unwrap_or_else(|e| cli::die(&format!("cannot write {path}: {e}")));
         println!("wrote JSON report to {path}");
     }
     if let Some(path) = args.value("--csv") {
         std::fs::write(path, rows_to_csv(&rows))
-            .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+            .unwrap_or_else(|e| cli::die(&format!("cannot write {path}: {e}")));
         println!("wrote CSV report to {path}");
     }
     if failures > 0 {

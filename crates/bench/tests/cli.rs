@@ -1,17 +1,20 @@
 //! The bench binaries refuse malformed command lines before any work:
 //! `--help` prints the usage and exits 0; an unknown flag, a flag
 //! without its value, a value that is another flag or a stray argument
-//! exits 1 with the usage on stderr and nothing on stdout. The two
-//! validators take exactly one path and exit 2 on anything else.
+//! exits 1 with the usage on stderr and nothing on stdout. A failure
+//! after the command line was accepted exits 1 with one `error:` line,
+//! never a panic. The two validators take exactly one path and exit 2
+//! on anything else.
 
 use std::process::{Command, Output};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-const BINS: [(&str, &str); 4] = [
+const BINS: [(&str, &str); 5] = [
     ("table5", env!("CARGO_BIN_EXE_table5")),
     ("audit", env!("CARGO_BIN_EXE_audit")),
     ("sta", env!("CARGO_BIN_EXE_sta")),
     ("reveng", env!("CARGO_BIN_EXE_reveng")),
+    ("export_hdl", env!("CARGO_BIN_EXE_export_hdl")),
 ];
 
 /// The binaries that print a table or an ablation and take no flags.
@@ -87,6 +90,93 @@ fn bad_command_lines_exit_1_with_usage_before_any_work() {
             assert!(stderr.contains("Usage:\n"), "{name} {args:?}: {stderr}");
             std::fs::remove_dir_all(dir).unwrap();
         }
+    }
+}
+
+/// Values that pass the flag check but cannot be used: each exits 1
+/// with the usage before any work, without a panic.
+#[test]
+fn unusable_values_exit_1_with_usage_before_any_work() {
+    let cases: [(&str, &[&str], &str); 6] = [
+        (
+            "table5",
+            &["--only", "8,2", "--daemon", "bogus"],
+            "--daemon: ",
+        ),
+        (
+            "sta",
+            &["--method", "proposed", "--target-ns", "nan"],
+            "--target-ns",
+        ),
+        (
+            "sta",
+            &["--method", "proposed", "--target-ns", "inf"],
+            "--target-ns",
+        ),
+        (
+            "sta",
+            &["--method", "proposed", "--target-ns", "-inf"],
+            "--target-ns",
+        ),
+        (
+            "export_hdl",
+            &["--method", "bogus"],
+            "unknown method \"bogus\"",
+        ),
+        ("export_hdl", &["--format", "vhd"], "unknown format \"vhd\""),
+    ];
+    for (name, args, error) in cases {
+        let exe = BINS.iter().find(|(n, _)| *n == name).unwrap().1;
+        let (out, dir) = run(exe, args);
+        let stderr = text(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name} {args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{name} {args:?} did work");
+        assert!(stderr.starts_with("error: "), "{name} {args:?}: {stderr}");
+        assert!(stderr.contains(error), "{name} {args:?}: {stderr}");
+        assert!(stderr.contains("Usage:\n"), "{name} {args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{name} {args:?}: {stderr}");
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+}
+
+/// An accepted command line that cannot be carried out (an unreachable
+/// daemon, a report path in a missing directory) exits 1 with exactly
+/// one `error:` line, not a panic.
+#[test]
+fn failures_after_parsing_exit_1_with_one_error_line() {
+    let (table5, audit) = (BINS[0].1, BINS[1].1);
+    let cases: [(&str, &[&str], &str); 4] = [
+        (
+            table5,
+            &["--only", "8,2", "--daemon", "unix:missing.sock"],
+            "error: daemon run via unix:missing.sock failed: ",
+        ),
+        (
+            table5,
+            &["--only", "8,2", "--json", "missing/out.json"],
+            "error: cannot write missing/out.json: ",
+        ),
+        (
+            table5,
+            &["--only", "8,2", "--csv", "missing/out.csv"],
+            "error: cannot write missing/out.csv: ",
+        ),
+        (
+            audit,
+            &["--only", "8,2", "--json", "missing/out.json"],
+            "error: cannot write missing/out.json: ",
+        ),
+    ];
+    for (exe, args, error) in cases {
+        let (out, dir) = run(exe, args);
+        let stderr = text(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        let errors: Vec<&str> = stderr.lines().filter(|l| l.starts_with("error:")).collect();
+        assert_eq!(errors.len(), 1, "{args:?}: {stderr}");
+        assert!(errors[0].starts_with(error), "{args:?}: {stderr}");
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "{args:?}");
+        std::fs::remove_dir_all(dir).unwrap();
     }
 }
 

@@ -20,9 +20,16 @@
 //!   structurally neutral flat sum, leaving restructuring freedom to the
 //!   downstream synthesis tool (`rgf2m-fpga`).
 //!
-//! All six accept *any* [`Field`] (the constructions need only the
-//! reduction/product matrices), though the paper's delay analysis
-//! targets type II pentanomials.
+//! [`generate`] is the one entry point: it matches on the [`Method`]
+//! and calls that method's construction, a plain function in its own
+//! module. All six accept *any* [`Field`] (the constructions need only
+//! the reduction/product matrices), though the paper's delay analysis
+//! targets type II pentanomials. Each netlist has inputs
+//! `a0..a{m−1}, b0..b{m−1}` (in that order) and outputs `c0..c{m−1}`
+//! computing the polynomial-basis product. It is named
+//! `mul_<method>_m<m>` after [`Method::name`] (except \[3\]'s
+//! `mul_reyhani_m<m>`); the name is part of [`Netlist::content_hash`],
+//! so it is a stable identity.
 
 mod builder;
 mod imana2012;
@@ -34,33 +41,10 @@ mod reyhani;
 pub mod support;
 
 pub use builder::MulCircuit;
-pub use imana2012::Imana2012;
-pub use imana2016::Imana2016;
-pub use mastrovito::MastrovitoPaar;
-pub use proposed::ProposedFlat;
-pub use rashidi::Rashidi;
-pub use reyhani::ReyhaniHasan;
 pub use support::coefficient_support;
 
 use gf2m::Field;
 use netlist::Netlist;
-
-/// A generator of bit-parallel GF(2^m) multiplier netlists.
-///
-/// Implementations produce a combinational netlist with inputs
-/// `a0..a{m−1}, b0..b{m−1}` (in that order) and outputs `c0..c{m−1}`
-/// computing the polynomial-basis product in the given field.
-pub trait MultiplierGenerator {
-    /// Short machine-friendly name (e.g. `"proposed"`).
-    fn name(&self) -> &'static str;
-
-    /// The paper's citation tag for this method (e.g. `"[7]"`,
-    /// `"This work"`).
-    fn citation(&self) -> &'static str;
-
-    /// Generates the multiplier netlist for `field`.
-    fn generate(&self, field: &Field) -> Netlist;
-}
 
 /// The unified registry of the paper's Table V generator methods.
 ///
@@ -143,18 +127,6 @@ impl Method {
     pub fn from_name(name: &str) -> Option<Method> {
         Method::ALL.into_iter().find(|m| m.name() == name)
     }
-
-    /// The boxed generator for this method.
-    pub fn generator(self) -> Box<dyn MultiplierGenerator> {
-        match self {
-            Method::MastrovitoPaar => Box::new(MastrovitoPaar),
-            Method::Rashidi => Box::new(Rashidi),
-            Method::ReyhaniHasan => Box::new(ReyhaniHasan),
-            Method::Imana2012 => Box::new(Imana2012),
-            Method::Imana2016 => Box::new(Imana2016),
-            Method::ProposedFlat => Box::new(ProposedFlat),
-        }
-    }
 }
 
 impl std::fmt::Display for Method {
@@ -164,10 +136,15 @@ impl std::fmt::Display for Method {
 }
 
 /// Generates the multiplier netlist for `field` with the given method.
-///
-/// Convenience wrapper over [`Method::generator`].
 pub fn generate(field: &Field, method: Method) -> Netlist {
-    method.generator().generate(field)
+    match method {
+        Method::MastrovitoPaar => mastrovito::generate(field),
+        Method::Rashidi => rashidi::generate(field),
+        Method::ReyhaniHasan => reyhani::generate(field),
+        Method::Imana2012 => imana2012::generate(field),
+        Method::Imana2016 => imana2016::generate(field),
+        Method::ProposedFlat => proposed::generate(field),
+    }
 }
 
 #[cfg(test)]
@@ -269,9 +246,9 @@ mod tests {
 
     #[test]
     fn registry_is_the_single_source_of_truth() {
-        // Six methods, paper row order, and the boxed generators agree
-        // with the enum's own name()/citation() — the registry contract
-        // the rest of the workspace builds on.
+        // Six methods in paper row order, each found again by its
+        // name — the registry contract the rest of the workspace
+        // builds on.
         assert_eq!(Method::ALL.len(), 6);
         let citations: Vec<&str> = Method::ALL.iter().map(|m| m.citation()).collect();
         assert_eq!(citations, ["[2]", "[8]", "[3]", "[6]", "[7]", "This work"]);
@@ -288,9 +265,6 @@ mod tests {
             ]
         );
         for method in Method::ALL {
-            let g = method.generator();
-            assert_eq!(g.name(), method.name(), "{method:?}");
-            assert_eq!(g.citation(), method.citation(), "{method:?}");
             assert_eq!(Method::from_name(method.name()), Some(method));
         }
         assert_eq!(Method::from_name("no_such_method"), None);

@@ -5,9 +5,9 @@ use gf2m::Field;
 use netlist::Netlist;
 
 use crate::coeffs::FlatCoefficientTable;
-use crate::gen::{MulCircuit, MultiplierGenerator};
+use crate::gen::MulCircuit;
 
-/// Generator for the paper's contribution (Table IV): keep the
+/// The paper's contribution (Table IV): keep the
 /// `S^j_i`/`T^j_i` splitting of \[7\] but *drop the parenthesised
 /// pairing restriction*. Every coefficient is emitted as a structurally
 /// neutral sum of its atoms — no cross-coefficient pair nodes are forced
@@ -18,32 +18,19 @@ use crate::gen::{MulCircuit, MultiplierGenerator};
 /// The atoms themselves are still complete balanced trees (that part of
 /// the structure is beneficial and kept), and partial products remain
 /// fully shared.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ProposedFlat;
-
-impl MultiplierGenerator for ProposedFlat {
-    fn name(&self) -> &'static str {
-        "proposed"
+pub(super) fn generate(field: &Field) -> Netlist {
+    let m = field.m();
+    let table = FlatCoefficientTable::new(field);
+    let mut circuit = MulCircuit::new(m, format!("mul_proposed_m{m}"));
+    for k in 0..m {
+        let atoms: Vec<_> = table.atoms(k).to_vec();
+        let nodes: Vec<_> = atoms.iter().map(|a| circuit.atom(a)).collect();
+        // A plain balanced combination in table order: no forced
+        // same-level pair nodes shared across coefficients.
+        let c = circuit.net_mut().xor_balanced(&nodes);
+        circuit.output(k, c);
     }
-
-    fn citation(&self) -> &'static str {
-        "This work"
-    }
-
-    fn generate(&self, field: &Field) -> Netlist {
-        let m = field.m();
-        let table = FlatCoefficientTable::new(field);
-        let mut circuit = MulCircuit::new(m, format!("mul_proposed_m{m}"));
-        for k in 0..m {
-            let atoms: Vec<_> = table.atoms(k).to_vec();
-            let nodes: Vec<_> = atoms.iter().map(|a| circuit.atom(a)).collect();
-            // A plain balanced combination in table order: no forced
-            // same-level pair nodes shared across coefficients.
-            let c = circuit.net_mut().xor_balanced(&nodes);
-            circuit.output(k, c);
-        }
-        circuit.finish()
-    }
+    circuit.finish()
 }
 
 #[cfg(test)]
@@ -55,17 +42,16 @@ mod tests {
     #[test]
     fn correct_on_gf256() {
         let field = Field::from_pentanomial(&TypeIiPentanomial::new(8, 2).unwrap());
-        let net = ProposedFlat.generate(&field);
+        let net = generate(&field);
         let oracle = |w: &[u64]| field.mul_words(w);
         assert!(check_against_oracle_exhaustive(&net, oracle).is_equivalent());
     }
 
     #[test]
     fn structurally_differs_from_parenthesised_method() {
-        use crate::gen::Imana2016;
         let field = Field::from_pentanomial(&TypeIiPentanomial::new(8, 2).unwrap());
-        let flat = ProposedFlat.generate(&field);
-        let paren = Imana2016.generate(&field);
+        let flat = generate(&field);
+        let paren = crate::generate(&field, crate::Method::Imana2016);
         // Same function (checked elsewhere), different structure: the
         // netlists should not be gate-for-gate identical.
         let flat_sig: Vec<_> = flat.gates().to_vec();
@@ -78,7 +64,7 @@ mod tests {
         // AND depth is exactly 1 and XOR depth is bounded by
         // ceil(log2(largest coefficient support)).
         let field = Field::from_pentanomial(&TypeIiPentanomial::new(8, 2).unwrap());
-        let net = ProposedFlat.generate(&field);
+        let net = generate(&field);
         assert_eq!(net.depth().ands, 1);
         assert!(net.depth().xors <= 7);
     }

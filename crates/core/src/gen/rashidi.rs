@@ -4,9 +4,9 @@ use gf2m::Field;
 use netlist::Netlist;
 
 use crate::gen::support::coefficient_support;
-use crate::gen::{Method, MulCircuit, MultiplierGenerator};
+use crate::gen::MulCircuit;
 
-/// Generator for the bit-parallel version of the low-time-complexity
+/// The bit-parallel version of the low-time-complexity
 /// multiplier of Rashidi, Farashahi & Sayedi (\[8\] in the paper).
 ///
 /// Every product coordinate is *flattened to its raw partial-product
@@ -16,31 +16,18 @@ use crate::gen::{Method, MulCircuit, MultiplierGenerator};
 /// `T_A + ⌈log2 |support|⌉ · T_X`, matching Table V where \[8\] posts the
 /// lowest critical path for GF(2^8). The price is that nothing except
 /// the AND gates is shared between coefficients, which costs XOR area.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Rashidi;
-
-impl MultiplierGenerator for Rashidi {
-    fn name(&self) -> &'static str {
-        Method::Rashidi.name()
+pub(super) fn generate(field: &Field) -> Netlist {
+    let m = field.m();
+    let mut circuit = MulCircuit::new(m, format!("mul_rashidi_m{m}"));
+    for k in 0..m {
+        let products: Vec<_> = coefficient_support(field, k)
+            .into_iter()
+            .map(|(i, j)| circuit.product(i, j))
+            .collect();
+        let c = circuit.net_mut().xor_balanced(&products);
+        circuit.output(k, c);
     }
-
-    fn citation(&self) -> &'static str {
-        Method::Rashidi.citation()
-    }
-
-    fn generate(&self, field: &Field) -> Netlist {
-        let m = field.m();
-        let mut circuit = MulCircuit::new(m, format!("mul_rashidi_m{m}"));
-        for k in 0..m {
-            let products: Vec<_> = coefficient_support(field, k)
-                .into_iter()
-                .map(|(i, j)| circuit.product(i, j))
-                .collect();
-            let c = circuit.net_mut().xor_balanced(&products);
-            circuit.output(k, c);
-        }
-        circuit.finish()
-    }
+    circuit.finish()
 }
 
 #[cfg(test)]
@@ -56,7 +43,7 @@ mod tests {
     #[test]
     fn correct_exhaustively_on_gf256() {
         let field = gf256();
-        let net = Rashidi.generate(&field);
+        let net = generate(&field);
         let oracle = |w: &[u64]| field.mul_words(w);
         assert!(check_against_oracle_exhaustive(&net, oracle).is_equivalent());
     }
@@ -71,18 +58,18 @@ mod tests {
             .max()
             .unwrap();
         let want = usize::BITS - (max_support - 1).leading_zeros();
-        let d = Rashidi.generate(&field).depth();
+        let d = generate(&field).depth();
         assert_eq!(d.ands, 1);
         assert_eq!(d.xors, want);
     }
 
     #[test]
     fn depth_is_minimal_among_all_methods_gf256() {
-        use crate::{generate, Method};
+        use crate::Method;
         let field = gf256();
-        let rashidi_depth = Rashidi.generate(&field).depth().xors;
+        let rashidi_depth = generate(&field).depth().xors;
         for method in Method::ALL {
-            let other = generate(&field, method).depth().xors;
+            let other = crate::generate(&field, method).depth().xors;
             assert!(
                 rashidi_depth <= other,
                 "rashidi {rashidi_depth} vs {method:?} {other}"
@@ -94,17 +81,19 @@ mod tests {
     fn pays_for_depth_with_xor_area() {
         // Flattening forgoes z-pair sharing: strictly more XORs than [3].
         let field = gf256();
-        let rashidi = Rashidi.generate(&field).stats().xors;
-        let reyhani = crate::ReyhaniHasan.generate(&field).stats().xors;
+        let rashidi = generate(&field).stats().xors;
+        let reyhani = crate::generate(&field, crate::Method::ReyhaniHasan)
+            .stats()
+            .xors;
         assert!(rashidi > reyhani, "{rashidi} vs {reyhani}");
         // But the AND gates are still shared: exactly m².
-        assert_eq!(Rashidi.generate(&field).stats().ands, 64);
+        assert_eq!(generate(&field).stats().ands, 64);
     }
 
     #[test]
     fn correct_on_large_field_randomly() {
         let field = Field::from_pentanomial(&TypeIiPentanomial::new(64, 23).unwrap());
-        let net = Rashidi.generate(&field);
+        let net = generate(&field);
         let oracle = |w: &[u64]| field.mul_words(w);
         assert!(check_against_oracle_random(&net, oracle, 4, 13).is_equivalent());
     }

@@ -3,10 +3,10 @@
 use gf2m::Field;
 use netlist::Netlist;
 
-use crate::gen::{Method, MulCircuit, MultiplierGenerator};
+use crate::gen::MulCircuit;
 use crate::terms::d_terms;
 
-/// Generator for the low-complexity polynomial-basis architecture of
+/// The low-complexity polynomial-basis architecture of
 /// Reyhani-Masoleh & Hasan (\[3\] in the paper).
 ///
 /// Structure:
@@ -23,48 +23,35 @@ use crate::terms::d_terms;
 /// \[3\]: `Σ_k (|d_k|−1) = 49` inside the trees plus 28 reduction XORs
 /// (the popcount of the reduction matrix), minus whatever pair nodes the
 /// hash-consing builder happens to share.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ReyhaniHasan;
-
-impl MultiplierGenerator for ReyhaniHasan {
-    fn name(&self) -> &'static str {
-        Method::ReyhaniHasan.name()
-    }
-
-    fn citation(&self) -> &'static str {
-        Method::ReyhaniHasan.citation()
-    }
-
-    fn generate(&self, field: &Field) -> Netlist {
-        let m = field.m();
-        let red = field.reduction_matrix().clone();
-        let mut circuit = MulCircuit::new(m, format!("mul_reyhani_m{m}"));
-        // Shared d_k trees over raw products, in antidiagonal order
-        // (a_i·b_{k−i} for ascending i — no z-pair substructure).
-        let d_nodes: Vec<_> = (0..=2 * m - 2)
-            .map(|k| {
-                let mut pairs: Vec<(usize, usize)> =
-                    d_terms(m, k).iter().flat_map(|t| t.products()).collect();
-                pairs.sort_unstable();
-                let products: Vec<_> = pairs
-                    .into_iter()
-                    .map(|(i, j)| circuit.product(i, j))
-                    .collect();
-                circuit.net_mut().xor_balanced(&products)
-            })
-            .collect();
-        for k in 0..m {
-            let mut parts = vec![d_nodes[k]];
-            for t in 0..m - 1 {
-                if red.entry(k, t) {
-                    parts.push(d_nodes[m + t]);
-                }
+pub(super) fn generate(field: &Field) -> Netlist {
+    let m = field.m();
+    let red = field.reduction_matrix().clone();
+    let mut circuit = MulCircuit::new(m, format!("mul_reyhani_m{m}"));
+    // Shared d_k trees over raw products, in antidiagonal order
+    // (a_i·b_{k−i} for ascending i — no z-pair substructure).
+    let d_nodes: Vec<_> = (0..=2 * m - 2)
+        .map(|k| {
+            let mut pairs: Vec<(usize, usize)> =
+                d_terms(m, k).iter().flat_map(|t| t.products()).collect();
+            pairs.sort_unstable();
+            let products: Vec<_> = pairs
+                .into_iter()
+                .map(|(i, j)| circuit.product(i, j))
+                .collect();
+            circuit.net_mut().xor_balanced(&products)
+        })
+        .collect();
+    for k in 0..m {
+        let mut parts = vec![d_nodes[k]];
+        for t in 0..m - 1 {
+            if red.entry(k, t) {
+                parts.push(d_nodes[m + t]);
             }
-            let c = circuit.net_mut().xor_balanced(&parts);
-            circuit.output(k, c);
         }
-        circuit.finish()
+        let c = circuit.net_mut().xor_balanced(&parts);
+        circuit.output(k, c);
     }
+    circuit.finish()
 }
 
 #[cfg(test)]
@@ -80,7 +67,7 @@ mod tests {
     #[test]
     fn correct_exhaustively_on_gf256() {
         let field = gf256();
-        let net = ReyhaniHasan.generate(&field);
+        let net = generate(&field);
         let oracle = |w: &[u64]| field.mul_words(w);
         assert!(check_against_oracle_exhaustive(&net, oracle).is_equivalent());
     }
@@ -92,7 +79,7 @@ mod tests {
         // hash-conses the pair (T4 + T5), which appears in both c0 and
         // c7's balanced trees, saving exactly one gate: 76. (The paper
         // itself notes such repeated terms "could be shared".)
-        let s = ReyhaniHasan.generate(&gf256()).stats();
+        let s = generate(&gf256()).stats();
         assert_eq!(s.ands, 64);
         assert_eq!(s.xors, 76);
     }
@@ -102,7 +89,7 @@ mod tests {
         // The paper cites T_A + 7T_X; our balanced variant achieves no
         // worse than that (balanced trees can only improve on the
         // original's pairing).
-        let d = ReyhaniHasan.generate(&gf256()).depth();
+        let d = generate(&gf256()).depth();
         assert_eq!(d.ands, 1);
         assert!((6..=7).contains(&d.xors), "depth = {d}");
     }
@@ -110,7 +97,7 @@ mod tests {
     #[test]
     fn correct_on_large_field_randomly() {
         let field = Field::from_pentanomial(&TypeIiPentanomial::new(113, 34).unwrap());
-        let net = ReyhaniHasan.generate(&field);
+        let net = generate(&field);
         let oracle = |w: &[u64]| field.mul_words(w);
         assert!(check_against_oracle_random(&net, oracle, 3, 11).is_equivalent());
     }
@@ -133,7 +120,7 @@ mod tests {
             let reduction_xors: usize = (0..m)
                 .map(|k| (0..m - 1).filter(|&t| red.entry(k, t)).count())
                 .sum();
-            let s = ReyhaniHasan.generate(&field).stats();
+            let s = generate(&field).stats();
             assert!(s.xors <= tree_xors + reduction_xors, "(m,n)=({m},{n})");
             assert!(s.xors > tree_xors, "(m,n)=({m},{n})");
             // Sharing is rare: within 1% of the formula.

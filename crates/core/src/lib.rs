@@ -55,10 +55,7 @@ pub mod terms;
 
 pub use area::area_spec;
 pub use coeffs::{CoefficientTable, FlatCoefficientTable};
-pub use gen::{
-    coefficient_support, generate, Imana2012, Imana2016, MastrovitoPaar, Method,
-    MultiplierGenerator, ProposedFlat, Rashidi, ReyhaniHasan,
-};
+pub use gen::{coefficient_support, generate, Method};
 pub use reveng::{anonymize, reverse_engineer, ModulusClass, RecoveredField, RevengError};
 pub use sit::SiTi;
 pub use spec::{delay_spec, multiplier_spec};

@@ -68,12 +68,6 @@ impl Target {
         Target::StratixAlm,
     ];
 
-    /// Every registered target (slice form of [`Target::ALL`], for
-    /// symmetry with the method registry's iteration idiom).
-    pub fn all() -> &'static [Target] {
-        &Target::ALL
-    }
-
     /// The short machine-friendly name (stable; used in reports, JSON/
     /// CSV exports and CLI arguments).
     pub fn name(self) -> &'static str {
@@ -157,7 +151,6 @@ mod tests {
     #[test]
     fn registry_is_the_single_source_of_truth() {
         assert_eq!(Target::ALL.len(), 4);
-        assert_eq!(Target::all(), &Target::ALL);
         let names: Vec<&str> = Target::ALL.iter().map(|t| t.name()).collect();
         assert_eq!(names, ["artix7", "spartan3", "virtex5", "stratix_alm"]);
         for target in Target::ALL {

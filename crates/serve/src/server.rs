@@ -36,7 +36,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use rgf2m_core::Method;
+use rgf2m_core::{generate, Method};
 use rgf2m_fpga::{CacheStats, ImplReport, Pipeline, ReportSource, Target};
 
 use crate::net::{AnyListener, Conn, Endpoint};
@@ -430,7 +430,7 @@ impl Shared {
                 // so it keeps getting its typed error.
                 let field = field_spec.build_field()?;
                 let t = Instant::now();
-                let net = method.generator().generate(&field);
+                let net = generate(&field, *method);
                 self.record_stage(STAGE_GENERATE, t.elapsed());
                 let pipeline = self.pipeline_for(*target, *seed);
                 let t = Instant::now();

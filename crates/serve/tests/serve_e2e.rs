@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use gf2m::Field;
 use gf2poly::TypeIiPentanomial;
-use rgf2m_core::Method;
+use rgf2m_core::{generate, Method};
 use rgf2m_fpga::{Pipeline, Target};
 use rgf2m_serve::client::{Client, ClientJob};
 use rgf2m_serve::json::JsonValue;
@@ -166,7 +166,7 @@ fn a_fresh_seed_for_a_known_design_is_computed() {
     let (report, source) = client.synth(&fresh).unwrap().expect("valid job");
     assert_eq!(source, "computed");
     let expected = pipeline_like_daemon(Target::Artix7, 77)
-        .run_report(&Method::ProposedFlat.generator().generate(&gf256()))
+        .run_report(&generate(&gf256(), Method::ProposedFlat))
         .unwrap();
     assert_eq!(report, expected);
     assert_eq!(report.time_ns.to_bits(), expected.time_ns.to_bits());
@@ -254,10 +254,7 @@ fn invalid_fields_keep_their_typed_error_after_valid_jobs() {
 fn warm_store_replay_of_the_gf256_grid_recomputes_nothing() {
     let store = Arc::new(ArtifactStore::open(scratch("grid")).unwrap());
     let field = gf256();
-    let nets: Vec<_> = Method::ALL
-        .iter()
-        .map(|m| m.generator().generate(&field))
-        .collect();
+    let nets: Vec<_> = Method::ALL.map(|m| generate(&field, m)).to_vec();
     let grid_size = Method::ALL.len() * Target::ALL.len();
     // Cold pass: every (method, target) cell is a genuine computation.
     let mut cold = Vec::new();
@@ -314,9 +311,7 @@ fn daemon_reports_match_in_process_runs_and_survive_restart() {
     for (job, outcome) in jobs.iter().zip(&served) {
         let (report, source) = outcome.as_ref().expect("valid job");
         assert_eq!(source, "computed");
-        let fresh = reference
-            .run_report(&job.method.generator().generate(&field))
-            .unwrap();
+        let fresh = reference.run_report(&generate(&field, job.method)).unwrap();
         assert_eq!(*report, fresh, "{:?}", job.method);
         assert_eq!(report.time_ns.to_bits(), fresh.time_ns.to_bits());
     }
@@ -517,7 +512,7 @@ fn oversized_request_line_is_refused_and_closed() {
     };
     let (report, _) = client.synth(&job).unwrap().expect("valid job");
     let expected = pipeline_like_daemon(Target::Artix7, DEFAULT_SEED)
-        .run_report(&Method::ProposedFlat.generator().generate(&gf256()))
+        .run_report(&generate(&gf256(), Method::ProposedFlat))
         .unwrap();
     assert_eq!(report, expected);
     client.shutdown().unwrap();
@@ -569,7 +564,7 @@ fn huge_field_degree_is_refused_and_the_connection_survives() {
     let resp = round_trip(&valid);
     assert_eq!((resp.id, resp.ok), (2, true), "{:?}", resp.error());
     let expected = pipeline_like_daemon(Target::Artix7, DEFAULT_SEED)
-        .run_report(&Method::ProposedFlat.generator().generate(&gf256()))
+        .run_report(&generate(&gf256(), Method::ProposedFlat))
         .unwrap();
     assert_eq!(resp.report().unwrap(), expected);
 

@@ -13,7 +13,7 @@
 //! | field arithmetic | [`gf2m`] | GF(2^m) software oracle, reduction/Mastrovito matrices |
 //! | gate-level IR | [`netlist`] | XOR/AND netlists, simulation, content hashing, HDL export |
 //! | **paper's contribution** | [`core`] | S/T algebra, splitting, and the unified six-method Table V registry ([`core::Method`]) |
-//! | extra references | [`baselines`] | schoolbook + Karatsuba structural references |
+//! | extra references | [`baselines`] | [`baselines::school`] and [`baselines::karatsuba`], structural references outside Table V |
 //! | FPGA substrate | [`fpga`] | the fallible, cacheable [`fpga::Pipeline`]: resynth → map → verify → pack → place → time |
 //! | serving | [`serve`] | the persistent [`serve::ArtifactStore`] and the `rgf2m-served` daemon + [`serve::Client`] |
 //!
@@ -98,6 +98,10 @@ pub use rgf2m_fpga as fpga;
 pub use rgf2m_serve as serve;
 
 /// The most commonly used items, one `use` away.
+///
+/// Every Table V multiplier comes from [`generate`](prelude::generate)
+/// with a [`Method`](prelude::Method); the two extra-paper references
+/// are the functions [`baselines::school`] and [`baselines::karatsuba`].
 pub mod prelude {
     pub use gf2m::{Field, FieldError, MastrovitoMatrix, ReductionMatrix};
     pub use gf2poly::{is_irreducible, Gf2Poly, PentanomialError, TypeIiPentanomial};
@@ -106,11 +110,10 @@ pub mod prelude {
         AreaSpec, Depth, DepthSpec, Gate, GateCensus, GateKind, LintReport, MulSpec, Netlist,
         NodeId, Poly,
     };
-    pub use rgf2m_baselines::School;
     pub use rgf2m_core::{
         anonymize, area_spec, delay_spec, generate, multiplier_spec, reverse_engineer, AtomKind,
-        CoefficientTable, FlatCoefficientTable, MastrovitoPaar, Method, MultiplierGenerator,
-        ProductTerm, Rashidi, RecoveredField, ReyhaniHasan, SiTi, SplitAtom,
+        CoefficientTable, FlatCoefficientTable, Method, ProductTerm, RecoveredField, SiTi,
+        SplitAtom,
     };
     pub use rgf2m_fpga::{
         lint_mapped, ArtifactHook, CacheStats, Device, FlowArtifacts, FlowError, ImplReport,

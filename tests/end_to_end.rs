@@ -3,19 +3,14 @@
 
 use rgf2m::prelude::*;
 
-/// The whole Table V family now comes straight from the registry.
-fn all_methods() -> Vec<Box<dyn MultiplierGenerator>> {
-    Method::ALL.iter().map(|m| m.generator()).collect()
-}
-
 #[test]
 fn every_method_exhaustively_correct_on_the_papers_field() {
     let field = Field::from_pentanomial(&TypeIiPentanomial::new(8, 2).unwrap());
-    for gen in all_methods() {
-        let net = gen.generate(&field);
+    for method in Method::ALL {
+        let net = generate(&field, method);
         let oracle = |w: &[u64]| field.mul_words(w);
         let r = netlist::sim::check_against_oracle_exhaustive(&net, oracle);
-        assert!(r.is_equivalent(), "{}: {r:?}", gen.name());
+        assert!(r.is_equivalent(), "{method}: {r:?}");
     }
 }
 
@@ -25,13 +20,13 @@ fn every_method_survives_the_full_fpga_flow_on_gf256() {
     // One shared pipeline: the re-verification stage runs per design,
     // and a mapping mismatch arrives as a typed error.
     let pipeline = Pipeline::new();
-    for gen in all_methods() {
-        let net = gen.generate(&field);
+    for method in Method::ALL {
+        let net = generate(&field, method);
         let report = pipeline
             .run_report(&net)
-            .unwrap_or_else(|e| panic!("{}: {e}", gen.name()));
-        assert!(report.luts >= 17, "{}: too few LUTs to be real", gen.name());
-        assert!(report.time_ns > 4.0, "{}", gen.name());
+            .unwrap_or_else(|e| panic!("{method}: {e}"));
+        assert!(report.luts >= 17, "{method}: too few LUTs to be real");
+        assert!(report.time_ns > 4.0, "{method}");
     }
     assert_eq!(pipeline.cache_stats().entries, Method::ALL.len());
 }
@@ -67,16 +62,16 @@ fn mapped_multiplier_still_multiplies_through_lut_simulation() {
 #[test]
 fn hdl_exports_are_syntactically_plausible_for_all_methods() {
     let field = Field::from_pentanomial(&TypeIiPentanomial::new(13, 5).unwrap());
-    for gen in all_methods() {
-        let net = gen.generate(&field);
+    for method in Method::ALL {
+        let net = generate(&field, method);
         let vhdl = net.to_vhdl();
-        assert_eq!(vhdl.matches("entity").count(), 2, "{}", gen.name());
-        assert!(vhdl.contains("port ("), "{}", gen.name());
+        assert_eq!(vhdl.matches("entity").count(), 2, "{method}");
+        assert!(vhdl.contains("port ("), "{method}");
         let verilog = net.to_verilog();
-        assert_eq!(verilog.matches("module").count(), 2, "{}", gen.name()); // module + endmodule
+        assert_eq!(verilog.matches("module").count(), 2, "{method}"); // module + endmodule
         let blif = net.to_blif();
-        assert!(blif.contains(".model"), "{}", gen.name());
-        assert!(blif.contains(".end"), "{}", gen.name());
+        assert!(blif.contains(".model"), "{method}");
+        assert!(blif.contains(".end"), "{method}");
     }
 }
 

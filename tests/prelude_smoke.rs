@@ -8,9 +8,8 @@
 use rgf2m::prelude::{
     generate, is_irreducible, AtomKind, CoefficientTable, Device, Field, FieldError,
     FlatCoefficientTable, FlowArtifacts, FlowError, Gate, Gf2Poly, ImplReport, MapMode, MapOptions,
-    MastrovitoMatrix, MastrovitoPaar, Method, MultiplierGenerator, Netlist, NodeId,
-    PentanomialError, Pipeline, PlaceOptions, ProductTerm, Rashidi, ReductionMatrix, ReyhaniHasan,
-    School, SiTi, SplitAtom, Target, TypeIiPentanomial,
+    MastrovitoMatrix, Method, Netlist, NodeId, PentanomialError, Pipeline, PlaceOptions,
+    ProductTerm, ReductionMatrix, SiTi, SplitAtom, Target, TypeIiPentanomial,
 };
 
 /// The facade's module aliases must also stay stable.
@@ -38,10 +37,6 @@ fn every_prelude_type_is_nameable() {
     type_exists::<Gate>();
     type_exists::<Netlist>();
     type_exists::<NodeId>();
-    type_exists::<MastrovitoPaar>();
-    type_exists::<Rashidi>();
-    type_exists::<ReyhaniHasan>();
-    type_exists::<School>();
     type_exists::<AtomKind>();
     type_exists::<CoefficientTable>();
     type_exists::<FlatCoefficientTable>();
@@ -60,15 +55,6 @@ fn every_prelude_type_is_nameable() {
     // The target-registry surface.
     type_exists::<Target>();
     type_exists::<Device>();
-}
-
-/// The generator trait must be usable as a bound.
-fn assert_generator_bound<G: MultiplierGenerator>() {}
-
-#[test]
-fn trait_items_are_usable_as_bounds() {
-    assert_generator_bound::<MastrovitoPaar>();
-    assert_generator_bound::<School>();
 }
 
 #[test]
