@@ -83,15 +83,3 @@ fn depth_ordering_matches_paper_theory_gf256() {
     assert_eq!(imana2016, 5);
     assert_eq!(imana2012, 6);
 }
-
-#[test]
-fn every_method_exports_valid_looking_vhdl() {
-    let field = Field::from_pentanomial(&TypeIiPentanomial::new(8, 2).unwrap());
-    for (name, net) in all_table_v_methods(&field) {
-        let vhdl = net.to_vhdl();
-        assert!(vhdl.contains("entity"), "{name}");
-        assert!(vhdl.contains("architecture structural"), "{name}");
-        let verilog = net.to_verilog();
-        assert!(verilog.contains("endmodule"), "{name}");
-    }
-}

@@ -11,6 +11,9 @@
 //! This single invocation is the CI static-analysis step and the only
 //! driver of these certificates.
 
+use std::fs::File;
+use std::io::Write as _;
+
 use gf2poly::TypeIiPentanomial;
 use rgf2m_bench::{audit_to_json, cli, run_audit, AuditOptions, Fault};
 use rgf2m_core::Method;
@@ -47,6 +50,14 @@ fn main() {
         })
     });
 
+    // The report path is opened before the first certificate runs, so
+    // one that cannot be written fails the run before it spends any time.
+    let json = args.value("--json").map(|path| {
+        let file =
+            File::create(path).unwrap_or_else(|e| cli::die(&format!("cannot write {path}: {e}")));
+        (path, file)
+    });
+
     let report = run_audit(&AuditOptions {
         m,
         n,
@@ -56,9 +67,9 @@ fn main() {
     });
     print!("{report}");
 
-    if let Some(path) = args.value("--json") {
+    if let Some((path, mut file)) = json {
         let doc = audit_to_json(&report);
-        std::fs::write(path, &doc)
+        file.write_all(doc.as_bytes())
             .unwrap_or_else(|e| cli::die(&format!("cannot write {path}: {e}")));
         println!("wrote {path} ({} bytes)", doc.len());
     }

@@ -19,6 +19,9 @@
 //! (artix7 only — the paper measured on that fabric), followed by shape
 //! checks (who wins A×T, proposed vs \[7\]).
 
+use std::fs::File;
+use std::io::Write as _;
+
 use rgf2m_bench::paper_data::PAPER_TABLE_V;
 use rgf2m_bench::{
     cli, format_field_block, rows_to_csv, rows_to_json, run_rows_via_daemon, table_v_jobs_on,
@@ -60,6 +63,14 @@ fn main() {
         .value("--daemon")
         .map(|ep| Endpoint::parse(ep).unwrap_or_else(|e| args.fail(&format!("--daemon: {e}"))));
 
+    // Report paths are opened before the first job, so one that cannot
+    // be written fails the run before it spends any time.
+    let create = |path: &str| {
+        File::create(path).unwrap_or_else(|e| cli::die(&format!("cannot write {path}: {e}")))
+    };
+    let json = args.value("--json").map(|path| (path, create(path)));
+    let csv = args.value("--csv").map(|path| (path, create(path)));
+
     let runner = BatchRunner::new().with_threads(threads);
     let jobs: Vec<_> = targets
         .iter()
@@ -73,8 +84,15 @@ fn main() {
     );
     let rows = match daemon {
         None => runner.run_rows(&jobs),
-        Some(endpoint) => run_rows_via_daemon(&endpoint, &jobs, runner.base_seed())
-            .unwrap_or_else(|e| cli::die(&format!("daemon run via {endpoint} failed: {e}"))),
+        Some(endpoint) => {
+            run_rows_via_daemon(&endpoint, &jobs, runner.base_seed()).unwrap_or_else(|e| {
+                // No report comes of this run: drop the files opened for it.
+                for (path, _) in json.iter().chain(&csv) {
+                    let _ = std::fs::remove_file(path);
+                }
+                cli::die(&format!("daemon run via {endpoint} failed: {e}"))
+            })
+        }
     };
 
     println!("TABLE V — COMPARISON OF GF(2^m) MULTIPLIERS");
@@ -145,13 +163,13 @@ fn main() {
         println!();
     }
 
-    if let Some(path) = args.value("--json") {
-        std::fs::write(path, rows_to_json(&rows, runner.base_seed()))
+    if let Some((path, mut file)) = json {
+        file.write_all(rows_to_json(&rows, runner.base_seed()).as_bytes())
             .unwrap_or_else(|e| cli::die(&format!("cannot write {path}: {e}")));
         println!("wrote JSON report to {path}");
     }
-    if let Some(path) = args.value("--csv") {
-        std::fs::write(path, rows_to_csv(&rows))
+    if let Some((path, mut file)) = csv {
+        file.write_all(rows_to_csv(&rows).as_bytes())
             .unwrap_or_else(|e| cli::die(&format!("cannot write {path}: {e}")));
         println!("wrote CSV report to {path}");
     }

@@ -223,17 +223,16 @@ Usage:
     switches: &["--all-targets"],
 };
 
-/// `export_hdl`: one multiplier netlist as HDL on stdout.
-pub static EXPORT_HDL: Cli = Cli {
+/// `export_blif`: one multiplier netlist as BLIF on stdout.
+pub static EXPORT_BLIF: Cli = Cli {
     usage: "\
 Usage:
-  export_hdl                 # proposed at (8,2) as VHDL on stdout
-  export_hdl --only M,N      # another type II pentanomial field
-  export_hdl --method NAME   # a Table V method (e.g. rashidi), or the
-                             # extra-paper school | karatsuba
-  export_hdl --format F      # vhdl | verilog | dot | blif
+  export_blif                 # proposed at (8,2) as BLIF on stdout
+  export_blif --only M,N      # another type II pentanomial field
+  export_blif --method NAME   # a Table V method (e.g. rashidi), or the
+                              # extra-paper school | karatsuba
 ",
-    valued: &["--only", "--method", "--format"],
+    valued: &["--only", "--method"],
     switches: &[],
 };
 
@@ -320,7 +319,7 @@ mod tests {
             ("sta", &STA),
             ("reveng", &REVENG),
             ("table1", &NO_FLAGS),
-            ("export_hdl", &EXPORT_HDL),
+            ("export_blif", &EXPORT_BLIF),
         ];
         let refused_after_parsing = ["--inject", "--only 8,4", "--target-ns nan"];
         let mut checked = 0;

@@ -14,7 +14,7 @@ const BINS: [(&str, &str); 5] = [
     ("audit", env!("CARGO_BIN_EXE_audit")),
     ("sta", env!("CARGO_BIN_EXE_sta")),
     ("reveng", env!("CARGO_BIN_EXE_reveng")),
-    ("export_hdl", env!("CARGO_BIN_EXE_export_hdl")),
+    ("export_blif", env!("CARGO_BIN_EXE_export_blif")),
 ];
 
 /// The binaries that print a table or an ablation and take no flags.
@@ -72,8 +72,9 @@ fn help_prints_usage_and_exits_0() {
 
 #[test]
 fn bad_command_lines_exit_1_with_usage_before_any_work() {
-    let cases: [(&[&str], &str); 6] = [
+    let cases: [(&[&str], &str); 7] = [
         (&["--onyl", "8,2"], "unknown flag --onyl"),
+        (&["--format", "vhd"], "unknown flag --format"),
         (&["--only"], "--only needs a value"),
         (&["--only", "--json", "x"], "--only needs a value"),
         (&["--only", "8,2", "extra"], "unexpected argument \"extra\""),
@@ -97,7 +98,7 @@ fn bad_command_lines_exit_1_with_usage_before_any_work() {
 /// with the usage before any work, without a panic.
 #[test]
 fn unusable_values_exit_1_with_usage_before_any_work() {
-    let cases: [(&str, &[&str], &str); 6] = [
+    let cases: [(&str, &[&str], &str); 5] = [
         (
             "table5",
             &["--only", "8,2", "--daemon", "bogus"],
@@ -119,11 +120,10 @@ fn unusable_values_exit_1_with_usage_before_any_work() {
             "--target-ns",
         ),
         (
-            "export_hdl",
+            "export_blif",
             &["--method", "bogus"],
             "unknown method \"bogus\"",
         ),
-        ("export_hdl", &["--format", "vhd"], "unknown format \"vhd\""),
     ];
     for (name, args, error) in cases {
         let exe = BINS.iter().find(|(n, _)| *n == name).unwrap().1;
@@ -141,14 +141,29 @@ fn unusable_values_exit_1_with_usage_before_any_work() {
 
 /// An accepted command line that cannot be carried out (an unreachable
 /// daemon, a report path in a missing directory) exits 1 with exactly
-/// one `error:` line, not a panic.
+/// one `error:` line, not a panic, and prints nothing on stdout: a
+/// report path is checked before the first job runs.
 #[test]
 fn failures_after_parsing_exit_1_with_one_error_line() {
     let (table5, audit) = (BINS[0].1, BINS[1].1);
-    let cases: [(&str, &[&str], &str); 4] = [
+    let cases: [(&str, &[&str], &str); 5] = [
         (
             table5,
             &["--only", "8,2", "--daemon", "unix:missing.sock"],
+            "error: daemon run via unix:missing.sock failed: ",
+        ),
+        (
+            table5,
+            &[
+                "--only",
+                "8,2",
+                "--daemon",
+                "unix:missing.sock",
+                "--json",
+                "out.json",
+                "--csv",
+                "out.csv",
+            ],
             "error: daemon run via unix:missing.sock failed: ",
         ),
         (
@@ -172,6 +187,7 @@ fn failures_after_parsing_exit_1_with_one_error_line() {
         let stderr = text(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} did work");
         let errors: Vec<&str> = stderr.lines().filter(|l| l.starts_with("error:")).collect();
         assert_eq!(errors.len(), 1, "{args:?}: {stderr}");
         assert!(errors[0].starts_with(error), "{args:?}: {stderr}");

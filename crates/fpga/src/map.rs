@@ -188,11 +188,11 @@ struct CutStore {
 }
 
 impl CutStore {
-    fn clear(&mut self, nodes: usize) {
-        self.leaves.clear();
-        self.cuts.clear();
-        self.ranges.clear();
-        self.ranges.reserve(nodes);
+    fn with_nodes(nodes: usize) -> Self {
+        CutStore {
+            ranges: Vec::with_capacity(nodes),
+            ..CutStore::default()
+        }
     }
 
     fn leaves_of(&self, m: &CutMeta) -> &[u32] {
@@ -240,7 +240,7 @@ struct SlotMeta {
 /// live entry are caught by signature + leaf comparison; a duplicate of
 /// an evicted or rejected entry shares its key, which by then is never
 /// below the tail's, so ordering alone rejects it.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct CandList {
     k: usize,
     cap: usize,
@@ -258,14 +258,16 @@ struct CandList {
 }
 
 impl CandList {
-    fn configure(&mut self, k: usize, cap: usize) {
-        self.k = k;
-        self.cap = cap;
-        self.slots.clear();
-        self.slots.resize((cap + 1) * k, 0);
-        self.metas.clear();
-        self.metas.resize(cap + 1, SlotMeta::default());
-        self.begin_node();
+    fn new(k: usize, cap: usize) -> Self {
+        CandList {
+            k,
+            cap,
+            slots: vec![0; (cap + 1) * k],
+            metas: vec![SlotMeta::default(); cap + 1],
+            order: Vec::new(),
+            spare: 0,
+            next_fresh: 1,
+        }
     }
 
     fn begin_node(&mut self) {
@@ -399,79 +401,32 @@ impl ConeMemo {
     }
 }
 
-/// Scratch memory for [`map_to_luts_in`]: the arena cut store, the
-/// bounded candidate list, the epoch-stamped cone memo and the
-/// selection work arrays. A reused scratch maps bit-identically to a
-/// fresh one.
-#[derive(Debug, Default)]
-struct MapScratch {
-    store: CutStore,
-    cands: CandList,
-    cone: ConeMemo,
-    labels: Vec<u32>,
-    areas: Vec<f64>,
-    required: Vec<u32>,
-    needed: Vec<bool>,
-    chosen: Vec<u32>,
-    lut_of: Vec<u32>,
-}
-
 /// Maps a gate netlist to k-input LUTs.
 ///
 /// Returns a [`LutNetlist`] with the same interface (input order and
 /// output names). Every mapping should be proved equivalent with
 /// [`crate::formal::verify_equivalent`]; the flow does this
 /// automatically. Each call analyzes the netlist and allocates its own
-/// scratch, which it frees on return.
+/// scratch (the arena cut store, the bounded candidate list, the
+/// epoch-stamped cone memo and the selection work arrays), which it
+/// frees on return.
 ///
 /// # Panics
 ///
 /// Panics if `opts.k > MAX_LUT_INPUTS`.
 pub fn map_to_luts(net: &Netlist, opts: &MapOptions) -> LutNetlist {
-    map_to_luts_in(net, opts, &NetAnalysis::of(net), &mut MapScratch::default())
-}
-
-/// [`map_to_luts`] with a precomputed [`NetAnalysis`] and a given
-/// [`MapScratch`].
-///
-/// # Panics
-///
-/// Panics if `opts.k > MAX_LUT_INPUTS` or if `analysis` was not
-/// computed for `net`.
-fn map_to_luts_in(
-    net: &Netlist,
-    opts: &MapOptions,
-    analysis: &NetAnalysis,
-    scratch: &mut MapScratch,
-) -> LutNetlist {
     assert!(
         opts.k <= MAX_LUT_INPUTS,
         "truth tables limited to k <= {MAX_LUT_INPUTS}"
     );
     let n = net.len();
-    assert_eq!(
-        analysis.fanouts.len(),
-        n,
-        "analysis does not match the netlist"
-    );
-    let fanouts = &analysis.fanouts;
-    let MapScratch {
-        store,
-        cands,
-        cone,
-        labels,
-        areas,
-        required,
-        needed,
-        chosen,
-        lut_of,
-    } = scratch;
-    store.clear(n);
-    cands.configure(opts.k, opts.cuts_per_node);
-    labels.clear();
-    labels.resize(n, 0);
-    areas.clear();
-    areas.resize(n, 0.0);
+    let analysis = NetAnalysis::of(net);
+    let fanouts: &[usize] = &analysis.fanouts;
+    let mut store = CutStore::with_nodes(n);
+    let mut cands = CandList::new(opts.k, opts.cuts_per_node);
+    let mut cone = ConeMemo::default();
+    let mut labels = vec![0u32; n];
+    let mut areas = vec![0.0f64; n];
 
     // Phase 1: cut enumeration + depth labels + area flow, in topo order.
     for id in net.node_ids() {
@@ -563,18 +518,15 @@ fn map_to_luts_in(
         .map(|(_, o)| labels[o.index()])
         .max()
         .unwrap_or(0);
-    required.clear();
-    required.resize(n, u32::MAX);
-    needed.clear();
-    needed.resize(n, false);
+    let mut required = vec![u32::MAX; n];
+    let mut needed = vec![false; n];
     for (_, o) in net.outputs() {
         if matches!(net.gate(*o), Gate::And(_, _) | Gate::Xor(_, _)) {
             needed[o.index()] = true;
             required[o.index()] = required[o.index()].min(global_depth);
         }
     }
-    chosen.clear();
-    chosen.resize(n, u32::MAX);
+    let mut chosen = vec![u32::MAX; n];
     for idx in (0..n).rev() {
         if !needed[idx] {
             continue;
@@ -608,8 +560,7 @@ fn map_to_luts_in(
 
     // Phase 3: extraction + truth tables.
     let mut out = LutNetlist::new(net.name().to_string(), opts.k, net.input_names().to_vec());
-    lut_of.clear();
-    lut_of.resize(n, u32::MAX);
+    let mut lut_of = vec![u32::MAX; n];
     for idx in 0..n {
         let ci = chosen[idx];
         if ci == u32::MAX {
@@ -617,17 +568,17 @@ fn map_to_luts_in(
         }
         let (first, _) = store.ranges[idx];
         let m = store.cuts[(first + ci) as usize];
-        let truth = cone_truth_memo(net, idx, store.leaves_of(&m), cone);
+        let truth = cone_truth_memo(net, idx, store.leaves_of(&m), &mut cone);
         let inputs: Vec<Signal> = store
             .leaves_of(&m)
             .iter()
-            .map(|&l| signal_for(net, l as usize, lut_of))
+            .map(|&l| signal_for(net, l as usize, &lut_of))
             .collect();
         let id = out.push_lut(Lut { inputs, truth });
         lut_of[idx] = id;
     }
     for (name, o) in net.outputs() {
-        out.push_output(name.clone(), signal_for(net, o.index(), lut_of));
+        out.push_output(name.clone(), signal_for(net, o.index(), &lut_of));
     }
     out
 }
@@ -879,31 +830,6 @@ mod tests {
     }
 
     #[test]
-    fn scratch_reuse_is_bit_identical_to_fresh() {
-        let mut shared = MapScratch::default();
-        let configs = [
-            (xor_tree(24), MapOptions::new()),
-            (xor_tree(8), MapOptions::new().with_k(8)),
-            (
-                xor_tree(24),
-                MapOptions::new().with_k(4).with_cuts_per_node(2),
-            ),
-            (
-                xor_tree(12),
-                MapOptions::new()
-                    .with_k(3)
-                    .with_mode(MapMode::FanoutPreserving),
-            ),
-        ];
-        for (net, opts) in &configs {
-            let with_shared = map_to_luts_in(net, opts, &NetAnalysis::of(net), &mut shared);
-            let fresh = map_to_luts(net, opts);
-            assert_eq!(with_shared.luts(), fresh.luts());
-            assert_eq!(with_shared.outputs(), fresh.outputs());
-        }
-    }
-
-    #[test]
     fn bounded_insertion_matches_collect_sort_truncate() {
         // Feed one deterministic candidate stream through the bounded
         // list and through the reference procedure the naive mapper
@@ -913,8 +839,7 @@ mod tests {
         use rand::{Rng, SeedableRng};
         let (k, cap) = (4usize, 3usize);
         let mut rng = StdRng::seed_from_u64(9);
-        let mut cands = CandList::default();
-        cands.configure(k, cap);
+        let mut cands = CandList::new(k, cap);
         let mut reference: Vec<(Vec<u32>, u32, f64)> = Vec::new();
         for _ in 0..300 {
             let len = rng.gen_range(1..=k);

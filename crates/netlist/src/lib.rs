@@ -1,5 +1,5 @@
 //! Gate-level XOR/AND netlists (XAGs) with hash-consing construction,
-//! bit-parallel simulation, structural analysis and HDL export.
+//! bit-parallel simulation, structural analysis and BLIF export.
 //!
 //! The multipliers of Imaña (DATE 2018) are pure combinational networks
 //! of 2-input AND gates (the partial products `a_i·b_j`) and 2-input XOR
@@ -25,7 +25,7 @@
 //!   verification and reduction-polynomial reverse engineering;
 //! * [`lint`] — structural hygiene checks (cycles, undriven signals,
 //!   dead nodes, duplicate gates) as a typed [`lint::LintReport`];
-//! * [`export`] — structural VHDL, Verilog, DOT and BLIF backends.
+//! * [`export`] — the BLIF writer, the one netlist interchange format.
 //!
 //! # Examples
 //!

@@ -114,17 +114,4 @@ proptest! {
         prop_assert_eq!(out[0], out[1]);
         prop_assert_eq!(out[0], out[2]);
     }
-
-    #[test]
-    fn exports_are_nonempty_and_mention_every_input(recipe in arb_recipe()) {
-        let net = build(&recipe);
-        let vhdl = net.to_vhdl();
-        let verilog = net.to_verilog();
-        let blif = net.to_blif();
-        for name in net.input_names() {
-            prop_assert!(vhdl.contains(name.as_str()));
-            prop_assert!(verilog.contains(name.as_str()));
-            prop_assert!(blif.contains(name.as_str()));
-        }
-    }
 }

@@ -58,13 +58,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("FPGA flow: {report}");
     println!("paper's Table V row for this design: 33 LUTs, 12 slices, 9.77 ns");
 
-    // 6. Export as VHDL (the paper's design entry language).
-    let vhdl = net.to_vhdl();
+    // 6. Export as BLIF, the netlist format outside flows read.
+    let blif = net.to_blif();
     println!(
-        "\nVHDL export: {} lines (showing the first 8)",
-        vhdl.lines().count()
+        "\nBLIF export: {} lines (showing the first 8)",
+        blif.lines().count()
     );
-    for line in vhdl.lines().take(8) {
+    for line in blif.lines().take(8) {
         println!("  {line}");
     }
     Ok(())

@@ -11,7 +11,7 @@
 //! |---|---|---|
 //! | polynomials over GF(2) | [`gf2poly`] | arithmetic, irreducibility, type II pentanomials |
 //! | field arithmetic | [`gf2m`] | GF(2^m) software oracle, reduction/Mastrovito matrices |
-//! | gate-level IR | [`netlist`] | XOR/AND netlists, simulation, content hashing, HDL export |
+//! | gate-level IR | [`netlist`] | XOR/AND netlists, simulation, content hashing, BLIF export |
 //! | **paper's contribution** | [`core`] | S/T algebra, splitting, and the unified six-method Table V registry ([`core::Method`]) |
 //! | extra references | [`baselines`] | [`baselines::school`] and [`baselines::karatsuba`], structural references outside Table V |
 //! | FPGA substrate | [`fpga`] | the fallible, cacheable [`fpga::Pipeline`]: resynth → map → verify → pack → place → time |
