@@ -194,10 +194,11 @@ fn inject_redundant_gate(net: &mut Netlist) {
 /// Runs every static certificate over the configured grid.
 ///
 /// Gate-level checks (lint, formal, depth, area, strash) are
-/// target-independent but repeated per cell so each cell is a
-/// self-contained verdict; the mapped check re-maps per fabric. No
-/// placement or timing runs — the audit is purely static, so its
-/// output (and the JSON export) is deterministic byte for byte.
+/// target-independent, so they run once per method and every target's
+/// cell carries a copy, keeping each cell a self-contained verdict; the
+/// mapped check re-maps per fabric. No placement or timing runs — the
+/// audit is purely static, so its output (and the JSON export) is
+/// deterministic byte for byte.
 pub fn run_audit(opts: &AuditOptions) -> AuditReport {
     let field = field_for(opts.m, opts.n);
     let spec = multiplier_spec(&field);
@@ -213,76 +214,79 @@ pub fn run_audit(opts: &AuditOptions) -> AuditReport {
         }
         let depth_spec = delay_spec(&field, method);
         let area = area_spec(&field, method);
+        let pipeline = harness_pipeline();
+        let mut gate_checks = Vec::with_capacity(5);
+
+        // Structural hygiene. Errors break the certificate; warnings
+        // ride along in the summary.
+        let lint = netlist::lint_netlist(&net);
+        gate_checks.push(AuditCheck {
+            check: "lint",
+            ok: !lint.has_errors(),
+            detail: lint.summary(),
+        });
+
+        // Complete algebraic verification of every output cone.
+        gate_checks.push(match pipeline.verify_formal(&spec, &net) {
+            Ok(()) => AuditCheck {
+                check: "formal",
+                ok: true,
+                detail: format!("all {} output cones match the spec", opts.m),
+            },
+            Err(e) => AuditCheck {
+                check: "formal",
+                ok: false,
+                detail: e.to_string(),
+            },
+        });
+
+        // The Table V delay formula, as a structural depth bound.
+        gate_checks.push(match pipeline.verify_depth(&depth_spec, &net) {
+            Ok(()) => AuditCheck {
+                check: "depth",
+                ok: true,
+                detail: format!("within {}", depth_spec.worst()),
+            },
+            Err(e) => AuditCheck {
+                check: "depth",
+                ok: false,
+                detail: e.to_string(),
+            },
+        });
+
+        // The Table V gate-count formula, exact per kind.
+        gate_checks.push(match pipeline.verify_area(&area, &net) {
+            Ok(()) => AuditCheck {
+                check: "area",
+                ok: true,
+                detail: format!("exactly {area}"),
+            },
+            Err(e) => AuditCheck {
+                check: "area",
+                ok: false,
+                detail: e.to_string(),
+            },
+        });
+
+        // Structural hashing: the proof-carrying dedup rewrite must find
+        // nothing to merge (the hash-consing builder already shares
+        // every repeated cone) and its output must still verify
+        // formally.
+        let (deduped, saved) = netlist::strash_dedup(&net);
+        let rewrite_ok = pipeline.verify_formal(&spec, &deduped).is_ok();
+        gate_checks.push(AuditCheck {
+            check: "strash",
+            ok: saved == 0 && rewrite_ok,
+            detail: if rewrite_ok {
+                format!("dedup rewrite saved {saved} gate(s), output verifies formally")
+            } else {
+                format!("dedup rewrite saved {saved} gate(s) but broke verification")
+            },
+        });
+
         for &target in &opts.targets {
             let pipeline: Pipeline = harness_pipeline().with_target(target);
-            let mut checks = Vec::with_capacity(6);
-
-            // Structural hygiene. Errors break the certificate;
-            // warnings ride along in the summary.
-            let lint = netlist::lint_netlist(&net);
-            checks.push(AuditCheck {
-                check: "lint",
-                ok: !lint.has_errors(),
-                detail: lint.summary(),
-            });
-
-            // Complete algebraic verification of every output cone.
-            checks.push(match pipeline.verify_formal(&spec, &net) {
-                Ok(()) => AuditCheck {
-                    check: "formal",
-                    ok: true,
-                    detail: format!("all {} output cones match the spec", opts.m),
-                },
-                Err(e) => AuditCheck {
-                    check: "formal",
-                    ok: false,
-                    detail: e.to_string(),
-                },
-            });
-
-            // The Table V delay formula, as a structural depth bound.
-            checks.push(match pipeline.verify_depth(&depth_spec, &net) {
-                Ok(()) => AuditCheck {
-                    check: "depth",
-                    ok: true,
-                    detail: format!("within {}", depth_spec.worst()),
-                },
-                Err(e) => AuditCheck {
-                    check: "depth",
-                    ok: false,
-                    detail: e.to_string(),
-                },
-            });
-
-            // The Table V gate-count formula, exact per kind.
-            checks.push(match pipeline.verify_area(&area, &net) {
-                Ok(()) => AuditCheck {
-                    check: "area",
-                    ok: true,
-                    detail: format!("exactly {area}"),
-                },
-                Err(e) => AuditCheck {
-                    check: "area",
-                    ok: false,
-                    detail: e.to_string(),
-                },
-            });
-
-            // Structural hashing: the proof-carrying dedup rewrite must
-            // find nothing to merge (the hash-consing builder already
-            // shares every repeated cone) and its output must still
-            // verify formally.
-            let (deduped, saved) = netlist::strash_dedup(&net);
-            let rewrite_ok = pipeline.verify_formal(&spec, &deduped).is_ok();
-            checks.push(AuditCheck {
-                check: "strash",
-                ok: saved == 0 && rewrite_ok,
-                detail: if rewrite_ok {
-                    format!("dedup rewrite saved {saved} gate(s), output verifies formally")
-                } else {
-                    format!("dedup rewrite saved {saved} gate(s) but broke verification")
-                },
-            });
+            let mut checks = gate_checks.clone();
 
             // Mapped level: re-map for this fabric (no placement) and
             // verify the LUT netlist formally; `verify_formal_mapped`

@@ -140,7 +140,7 @@ mod tests {
         // silently rot again.
         let opts = harness_pipeline().place_options().clone();
         assert_eq!(opts.seed, HARNESS_SEED);
-        assert_eq!(opts.max_total_moves, 1_200_000);
+        assert_eq!(rgf2m_fpga::place::MAX_TOTAL_MOVES, 1_200_000);
         // And the harness pipeline targets the paper's fabric.
         assert_eq!(harness_pipeline().target(), rgf2m_fpga::Target::Artix7);
     }

@@ -3,8 +3,8 @@
 //! without its value, a value that is another flag or a stray argument
 //! exits 1 with the usage on stderr and nothing on stdout. A failure
 //! after the command line was accepted exits 1 with one `error:` line,
-//! never a panic. The two validators take exactly one path and exit 2
-//! on anything else.
+//! never a panic. The validator takes exactly one path and exits 1 on
+//! anything else.
 
 use std::process::{Command, Output};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -219,31 +219,36 @@ fn no_flag_bins_print_usage_on_help_and_refuse_everything_else() {
 #[test]
 fn validators_take_exactly_one_path() {
     let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    for (name, exe, sample) in [
-        (
-            "validate_table5",
-            env!("CARGO_BIN_EXE_validate_table5"),
-            "TABLE5_sample.json",
-        ),
-        (
-            "validate_audit",
-            env!("CARGO_BIN_EXE_validate_audit"),
-            "AUDIT_sample.json",
-        ),
-    ] {
+    let exe = env!("CARGO_BIN_EXE_validate");
+    for sample in ["TABLE5_sample.json", "AUDIT_sample.json"] {
         let sample = format!("{root}/{sample}");
         let (out, dir) = run(exe, &[&sample]);
-        assert_eq!(out.status.code(), Some(0), "{name} {sample}");
+        assert_eq!(out.status.code(), Some(0), "validate {sample}");
+        assert!(text(&out.stdout).contains(": OK — "), "validate {sample}");
         std::fs::remove_dir_all(dir).unwrap();
         for args in [&[][..], &[&sample, "extra"]] {
             let (out, dir) = run(exe, args);
             let stderr = text(&out.stderr);
-            assert_eq!(out.status.code(), Some(2), "{name} {args:?}: {stderr}");
-            assert!(out.stdout.is_empty(), "{name} {args:?}");
-            assert!(stderr.contains(&format!("usage: {name} PATH")), "{stderr}");
+            assert_eq!(out.status.code(), Some(1), "validate {args:?}: {stderr}");
+            assert!(out.stdout.is_empty(), "validate {args:?}");
+            assert!(stderr.contains("usage: validate PATH"), "{stderr}");
             std::fs::remove_dir_all(dir).unwrap();
         }
     }
+    // A document of any other schema is refused, naming the two it takes.
+    let docs = fresh_dir();
+    let other = docs.join("other.json");
+    std::fs::write(&other, r#"{"schema": "rgf2m-table5/4", "rows": []}"#).unwrap();
+    let (out, dir) = run(exe, &[other.to_str().unwrap()]);
+    let stderr = text(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(out.stdout.is_empty(), "validate accepted {stderr}");
+    assert!(
+        stderr.contains("INVALID — schema \"rgf2m-table5/4\", expected"),
+        "{stderr}"
+    );
+    std::fs::remove_dir_all(dir).unwrap();
+    std::fs::remove_dir_all(docs).unwrap();
 }
 
 /// The misuses CI guards against: a report flag followed by another

@@ -3,30 +3,32 @@
 //! A [`Device`] is the *numerical* half of a target: LUT width, slice
 //! capacity and the delay constants the timing model consumes. The
 //! *named* half — the registry of supported fabrics — is
-//! [`crate::Target`]; each registered target owns exactly one device
-//! preset below, and [`crate::Pipeline::with_target`] derives every
-//! device-dependent option from it.
+//! [`crate::Target`], which owns the one calibrated `Device` constant
+//! of each fabric ([`crate::Target::device`]); a pipeline reads every
+//! device-dependent value from its target.
 
 /// An FPGA device model: LUT width, slice capacity and the delay
 /// constants of the timing model.
 ///
-/// The default approximates a Xilinx Artix-7 (7-series) fabric — LUT6,
-/// four LUTs per slice — with delay constants calibrated once against
-/// the paper's measured GF(2^8) row (Table V) and then held fixed for
-/// every other field. The other presets model fabrics the related work
-/// implements the same multipliers on; their constants are scaled from
-/// the Artix-7 calibration by the families' relative process/datasheet
-/// speed, not re-calibrated against silicon — cross-target numbers are
-/// therefore *trend* data (how each construction responds to k and
-/// slice shape), not absolute timing claims.
+/// The paper's fabric, Artix-7, has delay constants calibrated once
+/// against the paper's measured GF(2^8) row (Table V) and then held
+/// fixed for every other field. The other registered fabrics model
+/// families the related work implements the same multipliers on; their
+/// constants are scaled from the Artix-7 calibration by the families'
+/// relative process/datasheet speed, not re-calibrated against silicon
+/// — cross-target numbers are therefore *trend* data (how each
+/// construction responds to k and slice shape), not absolute timing
+/// claims.
 ///
 /// # Examples
 ///
 /// ```
-/// let dev = rgf2m_fpga::Device::artix7();
+/// use rgf2m_fpga::Target;
+///
+/// let dev = Target::Artix7.device();
 /// assert_eq!(dev.lut_inputs, 6);
 /// assert_eq!(dev.luts_per_slice, 4);
-/// assert_eq!(rgf2m_fpga::Device::spartan3().lut_inputs, 4);
+/// assert_eq!(Target::Spartan3.device().lut_inputs, 4);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Device {
@@ -49,97 +51,11 @@ pub struct Device {
     pub t_net_per_fanout_ns: f64,
 }
 
-impl Device {
-    /// The default Artix-7-class device model (28 nm, LUT6, 4
-    /// LUTs/slice) — the fabric the paper measures on.
-    pub fn artix7() -> Self {
-        Device {
-            lut_inputs: 6,
-            luts_per_slice: 4,
-            // Calibrated against the paper's (8,2) row (33 LUTs /
-            // 9.77 ns designs are IOB-delay dominated on a real part),
-            // with the distance coefficient fitted so the m = 163 rows
-            // land near the paper's ~23 ns despite our simpler placer.
-            t_ibuf_ns: 1.40,
-            t_obuf_ns: 2.56,
-            t_lut_ns: 0.48,
-            t_net_ns: 1.05,
-            t_net_per_unit_ns: 0.022,
-            t_net_per_fanout_ns: 0.030,
-        }
-    }
-
-    /// A Spartan-3-class device model (90 nm, LUT4, 2 LUTs/slice): the
-    /// narrowest registered fabric, where every construction pays extra
-    /// LUT levels. Constants are the Artix-7 calibration scaled by the
-    /// 90 nm family's slower logic and routing.
-    pub fn spartan3() -> Self {
-        Device {
-            lut_inputs: 4,
-            luts_per_slice: 2,
-            t_ibuf_ns: 2.20,
-            t_obuf_ns: 3.90,
-            t_lut_ns: 0.61,
-            t_net_ns: 1.60,
-            t_net_per_unit_ns: 0.048,
-            t_net_per_fanout_ns: 0.062,
-        }
-    }
-
-    /// A Virtex-5-class device model (65 nm, LUT6, 2 LUTs/slice in this
-    /// model): same LUT width as Artix-7 but half the slice capacity,
-    /// isolating the packing/placement effect of slice shape at fixed
-    /// k. Constants are the Artix-7 calibration scaled to 65 nm.
-    pub fn virtex5() -> Self {
-        Device {
-            lut_inputs: 6,
-            luts_per_slice: 2,
-            t_ibuf_ns: 1.62,
-            t_obuf_ns: 2.94,
-            t_lut_ns: 0.53,
-            t_net_ns: 1.22,
-            t_net_per_unit_ns: 0.029,
-            t_net_per_fanout_ns: 0.038,
-        }
-    }
-
-    /// A Stratix-ALM-like device model (28 nm, 8-input fracturable
-    /// ALMs, 10 per LAB): the widest registered fabric — XOR trees
-    /// collapse into fewer, wider levels at a slightly higher per-LUT
-    /// mux delay. Constants are the Artix-7 calibration with the ALM's
-    /// deeper input mux and the LAB's denser local routing.
-    pub fn stratix_alm() -> Self {
-        Device {
-            lut_inputs: 8,
-            luts_per_slice: 10,
-            t_ibuf_ns: 1.31,
-            t_obuf_ns: 2.43,
-            t_lut_ns: 0.57,
-            t_net_ns: 0.96,
-            t_net_per_unit_ns: 0.020,
-            t_net_per_fanout_ns: 0.027,
-        }
-    }
-}
-
-impl Default for Device {
-    fn default() -> Self {
-        Device::artix7()
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
     // The registry is the source of truth for the preset list — a new
-    // preset joins these tests the moment it gets a `Target` variant
-    // (and `target.rs` tests fail if a preset lacks one).
+    // preset joins these tests the moment it gets a `Target` variant.
     use crate::target::Target;
-
-    #[test]
-    fn artix7_is_default() {
-        assert_eq!(Device::default(), Device::artix7());
-    }
 
     #[test]
     fn delay_constants_are_positive_on_every_preset() {
@@ -160,7 +76,7 @@ mod tests {
 
     #[test]
     fn older_fabrics_are_slower_per_lut() {
-        assert!(Device::spartan3().t_lut_ns > Device::virtex5().t_lut_ns);
-        assert!(Device::virtex5().t_lut_ns > Device::artix7().t_lut_ns);
+        assert!(Target::Spartan3.device().t_lut_ns > Target::Virtex5.device().t_lut_ns);
+        assert!(Target::Virtex5.device().t_lut_ns > Target::Artix7.device().t_lut_ns);
     }
 }

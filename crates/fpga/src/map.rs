@@ -34,7 +34,8 @@ pub enum MapMode {
     FanoutPreserving,
 }
 
-/// Options controlling [`map_to_luts`].
+/// Options controlling [`map_to_luts`]. [`crate::Pipeline::map_options`]
+/// builds them from the pipeline's target and mapper mode.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MapOptions {
     /// LUT input width `k` (≤ [`MAX_LUT_INPUTS`]).
@@ -46,64 +47,19 @@ pub struct MapOptions {
 }
 
 impl MapOptions {
-    /// Default options: k = 6, 8 cuts per node, free restructuring.
-    pub fn new() -> Self {
-        MapOptions {
-            k: 6,
-            cuts_per_node: 8,
-            mode: MapMode::Free,
-        }
-    }
-
     /// The width-derived priority-cut budget: 8 for the narrow fabrics,
     /// 4 once `k` reaches 8.
     ///
     /// Cut enumeration cost grows with the square of the list length,
     /// and the k = 8 ALM-style fabric pays that on far more feasible
     /// merges per node; halving the budget there keeps wide-LUT mapping
-    /// bounded. [`crate::Target::map_options`] applies this default;
-    /// [`MapOptions::with_cuts_per_node`] is the escape hatch back to
-    /// any explicit budget.
-    pub fn default_cuts_for(k: usize) -> usize {
+    /// bounded. [`crate::Pipeline::map_options`] applies it.
+    pub(crate) fn default_cuts_for(k: usize) -> usize {
         if k >= 8 {
             4
         } else {
             8
         }
-    }
-
-    /// Sets the LUT width.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is 0 or greater than [`MAX_LUT_INPUTS`] (truth
-    /// tables are stored in one [`Truth`]).
-    pub fn with_k(mut self, k: usize) -> Self {
-        assert!(
-            (1..=MAX_LUT_INPUTS).contains(&k),
-            "k must be in 1..={MAX_LUT_INPUTS}"
-        );
-        self.k = k;
-        self
-    }
-
-    /// Sets the mapping mode.
-    pub fn with_mode(mut self, mode: MapMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// Sets the priority-cut list length.
-    pub fn with_cuts_per_node(mut self, c: usize) -> Self {
-        assert!(c >= 1);
-        self.cuts_per_node = c;
-        self
-    }
-}
-
-impl Default for MapOptions {
-    fn default() -> Self {
-        MapOptions::new()
     }
 }
 
@@ -413,12 +369,14 @@ impl ConeMemo {
 ///
 /// # Panics
 ///
-/// Panics if `opts.k > MAX_LUT_INPUTS`.
+/// Panics if `opts.k` is 0 or greater than [`MAX_LUT_INPUTS`] (truth
+/// tables are stored in one [`Truth`]) or if `opts.cuts_per_node` is 0.
 pub fn map_to_luts(net: &Netlist, opts: &MapOptions) -> LutNetlist {
     assert!(
-        opts.k <= MAX_LUT_INPUTS,
-        "truth tables limited to k <= {MAX_LUT_INPUTS}"
+        (1..=MAX_LUT_INPUTS).contains(&opts.k),
+        "k must be in 1..={MAX_LUT_INPUTS}"
     );
+    assert!(opts.cuts_per_node >= 1, "cuts_per_node must be at least 1");
     let n = net.len();
     let analysis = NetAnalysis::of(net);
     let fanouts: &[usize] = &analysis.fanouts;
@@ -646,6 +604,15 @@ mod tests {
     use super::*;
     use crate::formal::verify_equivalent;
 
+    /// Free mapping to `k`-input LUTs with the classic 8-cut budget.
+    fn opts(k: usize) -> MapOptions {
+        MapOptions {
+            k,
+            cuts_per_node: 8,
+            mode: MapMode::Free,
+        }
+    }
+
     /// Truth table of a cone with a fresh memo (tests only; the mapper
     /// itself reuses one memo across all cones).
     fn cone_truth(net: &Netlist, root: usize, leaves: &[u32]) -> Truth {
@@ -693,7 +660,7 @@ mod tests {
     #[test]
     fn xor3_fits_one_lut() {
         let net = xor_tree(3);
-        let mapped = map_to_luts(&net, &MapOptions::new());
+        let mapped = map_to_luts(&net, &opts(6));
         assert_eq!(mapped.num_luts(), 1);
         assert_eq!(mapped.depth(), 1);
         assert_eq!(verify_equivalent(&net, &mapped), Ok(()));
@@ -705,7 +672,7 @@ mod tests {
         // level 2, so a depth-2 cover (6 LUTs of 4 + 1 root LUT) exists
         // structurally and the depth-oriented mapper must find it.
         let net = xor_tree(24);
-        let mapped = map_to_luts(&net, &MapOptions::new());
+        let mapped = map_to_luts(&net, &opts(6));
         assert_eq!(mapped.depth(), 2, "{mapped}");
         assert_eq!(mapped.num_luts(), 7, "{mapped}");
         assert_eq!(verify_equivalent(&net, &mapped), Ok(()));
@@ -719,7 +686,7 @@ mod tests {
         // (crate::resynth) exists precisely to fix this — mirroring what
         // the paper relies on XST to do for its flat Table IV forms.
         let net = xor_tree(36);
-        let mapped = map_to_luts(&net, &MapOptions::new());
+        let mapped = map_to_luts(&net, &opts(6));
         assert_eq!(mapped.depth(), 3, "{mapped}");
         assert_eq!(verify_equivalent(&net, &mapped), Ok(()));
     }
@@ -740,16 +707,17 @@ mod tests {
         net.output("y1", y1);
         net.output("y2", y2);
 
-        let free = map_to_luts(&net, &MapOptions::new().with_k(3));
+        let free = map_to_luts(&net, &opts(3));
         assert_eq!(free.depth(), 1);
         assert_eq!(free.num_luts(), 2);
         assert_eq!(verify_equivalent(&net, &free), Ok(()));
 
         let fp = map_to_luts(
             &net,
-            &MapOptions::new()
-                .with_k(3)
-                .with_mode(MapMode::FanoutPreserving),
+            &MapOptions {
+                mode: MapMode::FanoutPreserving,
+                ..opts(3)
+            },
         );
         assert_eq!(fp.depth(), 2);
         assert_eq!(fp.num_luts(), 3);
@@ -767,7 +735,7 @@ mod tests {
         let r = net.xor(p, q);
         let s = net.and(r, a);
         net.output("y", s);
-        let mapped = map_to_luts(&net, &MapOptions::new());
+        let mapped = map_to_luts(&net, &opts(6));
         assert_eq!(mapped.num_luts(), 1); // 3 inputs total — one LUT6
         assert_eq!(verify_equivalent(&net, &mapped), Ok(()));
     }
@@ -779,7 +747,7 @@ mod tests {
         let t = net.constant(true);
         net.output("same", a);
         net.output("one", t);
-        let mapped = map_to_luts(&net, &MapOptions::new());
+        let mapped = map_to_luts(&net, &opts(6));
         assert_eq!(mapped.num_luts(), 0);
         assert_eq!(
             mapped.outputs(),
@@ -889,7 +857,7 @@ mod tests {
         // On a k=8 fabric an 8-input XOR is a single LUT; the truth
         // table lives in all four words and must still verify.
         let net = xor_tree(8);
-        let mapped = map_to_luts(&net, &MapOptions::new().with_k(8));
+        let mapped = map_to_luts(&net, &opts(8));
         assert_eq!(mapped.num_luts(), 1, "{mapped}");
         assert_eq!(mapped.depth(), 1);
         assert_eq!(verify_equivalent(&net, &mapped), Ok(()));
@@ -898,7 +866,7 @@ mod tests {
     #[test]
     fn narrow_k4_mapping_never_exceeds_four_inputs() {
         let net = xor_tree(24);
-        let mapped = map_to_luts(&net, &MapOptions::new().with_k(4));
+        let mapped = map_to_luts(&net, &opts(4));
         assert!(mapped.luts().iter().all(|l| l.inputs.len() <= 4));
         assert_eq!(verify_equivalent(&net, &mapped), Ok(()));
     }

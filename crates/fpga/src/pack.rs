@@ -43,15 +43,16 @@ impl Packing {
 ///
 /// ```
 /// use netlist::Netlist;
-/// use rgf2m_fpga::{map, pack};
+/// use rgf2m_fpga::{pack, Pipeline};
 ///
 /// let mut net = Netlist::new("t");
 /// let ins: Vec<_> = (0..12).map(|i| net.input(format!("x{i}"))).collect();
 /// let root = net.xor_balanced(&ins);
 /// net.output("y", root);
-/// let mapped = map::map_to_luts(&net, &map::MapOptions::new());
+/// let mapped = Pipeline::new().map(&net)?;
 /// let packing = pack::pack_slices(&mapped, 4);
 /// assert!(packing.num_slices() >= mapped.num_luts().div_ceil(4));
+/// # Ok::<(), rgf2m_fpga::FlowError>(())
 /// ```
 pub fn pack_slices(lutnet: &LutNetlist, luts_per_slice: usize) -> Packing {
     assert!(luts_per_slice >= 1);

@@ -19,11 +19,12 @@
 //!   [`Pipeline::run`] hands its full [`FlowArtifacts`] to the caller
 //!   and retains none of them;
 //! * **target-derived** — [`Pipeline::with_target`] picks a fabric from
-//!   the [`Target`] registry and derives the device model, the mapper's
-//!   LUT width and cut budget, and the slice capacity from it. The whole
-//!   configuration is the target, the mapper mode, resynthesis on/off,
-//!   the placement seed and an optional artifact hook, so no device
-//!   model can disagree with the LUT width the mapper uses.
+//!   the [`Target`] registry, and the device model, the mapper's LUT
+//!   width and cut budget, and the slice capacity are read from it. The
+//!   whole configuration is the target, the mapper mode, resynthesis
+//!   on/off, the placement seed and an optional artifact hook; nothing
+//!   derived is stored, so no device model can disagree with the LUT
+//!   width the mapper uses.
 //!
 //! # Examples
 //!
@@ -76,7 +77,6 @@ use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use netlist::analysis::NetAnalysis;
 use netlist::{Fnv1a, Netlist};
 
 use crate::device::Device;
@@ -84,7 +84,7 @@ use crate::formal::FormalError;
 use crate::lut::LutNetlist;
 use crate::map::{map_to_luts, MapMode, MapOptions};
 use crate::pack::{pack_slices, Packing};
-use crate::place::{place, PlaceOptions, Placement};
+use crate::place::{place, PlaceOptions, Placement, MAX_TOTAL_MOVES, MOVES_FACTOR};
 use crate::target::Target;
 use crate::timing::{analyze, StaReport};
 
@@ -436,25 +436,25 @@ impl FlowError {
 
 /// The fallible, staged, memoizing implementation pipeline.
 ///
-/// The builder starts from the default [`Target::Artix7`] fabric;
-/// [`Pipeline::with_target`] re-derives every device-dependent option
-/// from another registry preset. The report cache is shared across
-/// `&self`, so one `Pipeline` can serve many concurrent callers.
+/// The builder starts from the paper's [`Target::Artix7`] fabric;
+/// [`Pipeline::with_target`] switches to another registry preset, from
+/// which every device-dependent value is read. The report cache is
+/// shared across `&self`, so one `Pipeline` can serve many concurrent
+/// callers.
 #[derive(Debug)]
 pub struct Pipeline {
     target: Target,
-    device: Device,
-    map_options: MapOptions,
-    place_options: PlaceOptions,
+    map_mode: MapMode,
     resynthesize: bool,
+    place_options: PlaceOptions,
+    /// Persistent second-level store consulted on memory misses; not
+    /// part of the options fingerprint (it never changes results).
+    hook: Option<Arc<dyn ArtifactHook>>,
     cache: Mutex<HashMap<CacheKey, ImplReport>>,
     hits: AtomicUsize,
     store_hits: AtomicUsize,
     misses: AtomicUsize,
     inserts: AtomicUsize,
-    /// Persistent second-level store consulted on memory misses; not
-    /// part of the options fingerprint (it never changes results).
-    hook: Option<Arc<dyn ArtifactHook>>,
 }
 
 /// Memoization key: (netlist content hash, options fingerprint), kept
@@ -472,29 +472,24 @@ impl Pipeline {
     pub fn new() -> Self {
         Pipeline {
             target: Target::Artix7,
-            device: Target::Artix7.device(),
-            map_options: Target::Artix7.map_options(),
-            place_options: PlaceOptions::default(),
+            map_mode: MapMode::Free,
             resynthesize: true,
+            place_options: PlaceOptions::default(),
+            hook: None,
             cache: Mutex::new(HashMap::new()),
             hits: AtomicUsize::new(0),
             store_hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
             inserts: AtomicUsize::new(0),
-            hook: None,
         }
     }
 
-    /// Retargets the pipeline: replaces the device model with the
-    /// target's preset and re-derives the device-dependent mapping
-    /// options from it — the mapper's LUT width *and* the
-    /// width-derived priority-cut budget
-    /// ([`MapOptions::default_cuts_for`]); the mapper mode is
-    /// preserved. This is the one knob for everything device-dependent.
+    /// Retargets the pipeline. The device model, the mapper's LUT
+    /// width and cut budget and the slice capacity are all read from
+    /// the target, so this is the one knob for everything
+    /// device-dependent; the mapper mode is kept.
     pub fn with_target(mut self, target: Target) -> Self {
         self.target = target;
-        self.device = target.device();
-        self.map_options = target.map_options().with_mode(self.map_options.mode);
         self
     }
 
@@ -507,7 +502,7 @@ impl Pipeline {
     /// Sets the mapper mode; the LUT width and cut budget stay the
     /// target's.
     pub fn with_map_mode(mut self, mode: MapMode) -> Self {
-        self.map_options.mode = mode;
+        self.map_mode = mode;
         self
     }
 
@@ -534,14 +529,20 @@ impl Pipeline {
         self.target
     }
 
-    /// The device model in use.
-    pub fn device(&self) -> &Device {
-        &self.device
+    /// The device model in use: the target's.
+    pub fn device(&self) -> &'static Device {
+        self.target.device()
     }
 
-    /// The mapping options in use.
-    pub fn map_options(&self) -> &MapOptions {
-        &self.map_options
+    /// The mapping options in use: the target's LUT width, the cut
+    /// budget that width allows, and the mapper mode.
+    pub fn map_options(&self) -> MapOptions {
+        let k = self.device().lut_inputs;
+        MapOptions {
+            k,
+            cuts_per_node: MapOptions::default_cuts_for(k),
+            mode: self.map_mode,
+        }
     }
 
     /// The placement options in use.
@@ -559,7 +560,7 @@ impl Pipeline {
     pub fn resynth(&self, net: &Netlist) -> Result<Netlist, FlowError> {
         let clean = net.eliminate_dead_code();
         Ok(if self.resynthesize {
-            crate::resynth::rebalance_xors_in(&clean, self.map_options.k, &NetAnalysis::of(&clean))
+            crate::resynth::rebalance_xors(&clean, self.device().lut_inputs)
         } else {
             clean
         })
@@ -567,7 +568,7 @@ impl Pipeline {
 
     /// Stage 1: priority-cuts k-LUT technology mapping.
     pub fn map(&self, synth: &Netlist) -> Result<LutNetlist, FlowError> {
-        Ok(map_to_luts(synth, &self.map_options))
+        Ok(map_to_luts(synth, &self.map_options()))
     }
 
     /// Stage 2: proves `mapped` equivalent to the *source* netlist
@@ -667,7 +668,7 @@ impl Pipeline {
 
     /// Stage 3: slice packing.
     pub fn pack(&self, mapped: &LutNetlist) -> Result<Packing, FlowError> {
-        Ok(pack_slices(mapped, self.device.luts_per_slice))
+        Ok(pack_slices(mapped, self.device().luts_per_slice))
     }
 
     /// Stage 4: simulated-annealing placement.
@@ -677,7 +678,7 @@ impl Pipeline {
 
     /// Stage 5: static timing analysis (infallible once placed).
     pub fn time(&self, mapped: &LutNetlist, packing: &Packing, placement: &Placement) -> StaReport {
-        analyze(mapped, packing, placement, &self.device)
+        analyze(mapped, packing, placement, self.device())
     }
 
     /// Runs every stage for `net` and returns every intermediate
@@ -823,10 +824,9 @@ impl Pipeline {
     pub fn clone_config(&self) -> Pipeline {
         Pipeline {
             target: self.target,
-            device: self.device.clone(),
-            map_options: self.map_options.clone(),
-            place_options: self.place_options.clone(),
+            map_mode: self.map_mode,
             resynthesize: self.resynthesize,
+            place_options: self.place_options.clone(),
             hook: self.hook.clone(),
             ..Pipeline::new()
         }
@@ -841,29 +841,31 @@ impl Pipeline {
     /// artifact-store file (`rgf2m-{hash}-{fingerprint}.json`), so
     /// changing it would orphan every persisted store.
     pub fn options_fingerprint(&self) -> u64 {
+        let device = self.device();
+        let map = self.map_options();
         let mut h = Fnv1a::new();
         h.write_str(self.target.name());
-        h.write_usize(self.device.lut_inputs);
-        h.write_usize(self.device.luts_per_slice);
+        h.write_usize(device.lut_inputs);
+        h.write_usize(device.luts_per_slice);
         for t in [
-            self.device.t_ibuf_ns,
-            self.device.t_obuf_ns,
-            self.device.t_lut_ns,
-            self.device.t_net_ns,
-            self.device.t_net_per_unit_ns,
-            self.device.t_net_per_fanout_ns,
+            device.t_ibuf_ns,
+            device.t_obuf_ns,
+            device.t_lut_ns,
+            device.t_net_ns,
+            device.t_net_per_unit_ns,
+            device.t_net_per_fanout_ns,
         ] {
             h.write_f64(t);
         }
-        h.write_usize(self.map_options.k);
-        h.write_usize(self.map_options.cuts_per_node);
-        h.write_u64(match self.map_options.mode {
+        h.write_usize(map.k);
+        h.write_usize(map.cuts_per_node);
+        h.write_u64(match map.mode {
             MapMode::Free => 0,
             MapMode::FanoutPreserving => 1,
         });
         h.write_u64(self.place_options.seed);
-        h.write_usize(self.place_options.moves_factor);
-        h.write_usize(self.place_options.max_total_moves);
+        h.write_usize(MOVES_FACTOR);
+        h.write_usize(MAX_TOTAL_MOVES);
         h.write_u64(u64::from(self.resynthesize));
         // The retired slice-capacity option's "none" tag, kept so
         // persisted store keys do not move.
@@ -930,13 +932,14 @@ mod tests {
                 .with_map_mode(MapMode::FanoutPreserving)
                 .with_target(target);
             assert_eq!(p.target(), target);
-            assert_eq!(p.device(), &target.device());
-            assert_eq!(p.map_options().k, target.lut_inputs());
+            assert_eq!(p.device(), target.device());
+            let k = target.device().lut_inputs;
+            assert_eq!(p.map_options().k, k);
             // The cut budget is device-derived (it follows the fabric's
             // LUT width), while the mapper mode survives retargeting.
             assert_eq!(
                 p.map_options().cuts_per_node,
-                MapOptions::default_cuts_for(target.lut_inputs()),
+                MapOptions::default_cuts_for(k),
                 "{target}"
             );
             assert_eq!(p.map_options().mode, MapMode::FanoutPreserving);
@@ -959,7 +962,7 @@ mod tests {
                     .mapped
                     .luts()
                     .iter()
-                    .all(|l| l.inputs.len() <= target.lut_inputs()),
+                    .all(|l| l.inputs.len() <= target.device().lut_inputs),
                 "{target}"
             );
         }
@@ -1098,6 +1101,129 @@ mod tests {
             .with_resynthesis(false)
             .with_target(Target::Spartan3);
         assert_eq!(spartan.options_fingerprint(), 0xe568_232e_913c_f0a3);
+        // Every fabric × mapper mode × resynthesis setting at the
+        // harness seed, so a registry change cannot move any of them.
+        let pinned = [
+            (Target::Artix7, MapMode::Free, true, 0x3dce_af81_fe8f_bd79),
+            (Target::Artix7, MapMode::Free, false, 0xeed0_99b9_eb7a_a538),
+            (
+                Target::Artix7,
+                MapMode::FanoutPreserving,
+                true,
+                0xe128_e57a_2b8e_3648,
+            ),
+            (
+                Target::Artix7,
+                MapMode::FanoutPreserving,
+                false,
+                0x3026_fb42_3ea3_4e89,
+            ),
+            (Target::Spartan3, MapMode::Free, true, 0x8814_889e_af07_31e3),
+            (
+                Target::Spartan3,
+                MapMode::Free,
+                false,
+                0x3916_72d6_9bf2_19a2,
+            ),
+            (
+                Target::Spartan3,
+                MapMode::FanoutPreserving,
+                true,
+                0x966a_0d66_7e27_d862,
+            ),
+            (
+                Target::Spartan3,
+                MapMode::FanoutPreserving,
+                false,
+                0xe568_232e_913c_f0a3,
+            ),
+            (Target::Virtex5, MapMode::Free, true, 0x927f_6f60_b6c0_d8cb),
+            (Target::Virtex5, MapMode::Free, false, 0x4381_5998_a3ab_c08a),
+            (
+                Target::Virtex5,
+                MapMode::FanoutPreserving,
+                true,
+                0x44b7_45d3_9b16_512a,
+            ),
+            (
+                Target::Virtex5,
+                MapMode::FanoutPreserving,
+                false,
+                0x93b5_5b9b_ae2b_696b,
+            ),
+            (
+                Target::StratixAlm,
+                MapMode::Free,
+                true,
+                0xfd90_7f36_644e_74d3,
+            ),
+            (
+                Target::StratixAlm,
+                MapMode::Free,
+                false,
+                0xae92_696e_5139_5c92,
+            ),
+            (
+                Target::StratixAlm,
+                MapMode::FanoutPreserving,
+                true,
+                0x934a_105e_ac79_1f52,
+            ),
+            (
+                Target::StratixAlm,
+                MapMode::FanoutPreserving,
+                false,
+                0xe248_2626_bf8e_3793,
+            ),
+        ];
+        for (target, mode, resynth, fingerprint) in pinned {
+            let p = Pipeline::new()
+                .with_target(target)
+                .with_map_mode(mode)
+                .with_resynthesis(resynth)
+                .with_place_seed(2018);
+            assert_eq!(
+                p.options_fingerprint(),
+                fingerprint,
+                "{target} {mode:?} resynthesis {resynth}"
+            );
+        }
+        // The fingerprint hashes each preset's constants, so pin them too.
+        let presets = [
+            (
+                Target::Artix7,
+                (6, 4),
+                [1.40, 2.56, 0.48, 1.05, 0.022, 0.030],
+            ),
+            (
+                Target::Spartan3,
+                (4, 2),
+                [2.20, 3.90, 0.61, 1.60, 0.048, 0.062],
+            ),
+            (
+                Target::Virtex5,
+                (6, 2),
+                [1.62, 2.94, 0.53, 1.22, 0.029, 0.038],
+            ),
+            (
+                Target::StratixAlm,
+                (8, 10),
+                [1.31, 2.43, 0.57, 0.96, 0.020, 0.027],
+            ),
+        ];
+        for (target, shape, delays) in presets {
+            let d = target.device();
+            assert_eq!((d.lut_inputs, d.luts_per_slice), shape, "{target}");
+            let got = [
+                d.t_ibuf_ns,
+                d.t_obuf_ns,
+                d.t_lut_ns,
+                d.t_net_ns,
+                d.t_net_per_unit_ns,
+                d.t_net_per_fanout_ns,
+            ];
+            assert_eq!(got, delays, "{target}");
+        }
     }
 
     /// `y = x0 ∨ … ∨ x{n-1}` as a chain of `x ⊕ y ⊕ xy`, whose

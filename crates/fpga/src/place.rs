@@ -4,7 +4,7 @@
 //! swaps of two grid cells and accepting them under the usual Metropolis
 //! criterion. Three properties matter to the rest of the workspace:
 //!
-//! * **Exact budgets** — [`PlaceOptions::max_total_moves`] is an exact
+//! * **Exact budgets** — [`MAX_TOTAL_MOVES`] is an exact
 //!   cap on evaluated proposals (including the initial-temperature
 //!   probe); whenever the budget rather than the cooling floor ends the
 //!   anneal, exactly that many real proposals have been evaluated.
@@ -215,43 +215,29 @@ fn output_pad_pos(o: usize, n: usize, (w, h): (usize, usize)) -> (f32, f32) {
 pub struct PlaceOptions {
     /// RNG seed (placement is fully deterministic for a given seed).
     pub seed: u64,
-    /// Moves per temperature step ≈ `moves_factor × num_slices`.
-    pub moves_factor: usize,
-    /// Exact cap on evaluated swap proposals, including the
-    /// initial-temperature probe. Whenever this budget (rather than the
-    /// cooling floor) ends the anneal, exactly this many real proposals
-    /// have been evaluated.
-    pub max_total_moves: usize,
 }
 
 impl Default for PlaceOptions {
     fn default() -> Self {
-        PlaceOptions {
-            seed: 2018,
-            moves_factor: 8,
-            max_total_moves: 1_200_000,
-        }
+        PlaceOptions { seed: 2018 }
     }
 }
 
-/// One temperature step of the annealing trajectory.
-#[derive(Debug, Clone)]
-pub struct TempStep {
-    /// Temperature during the step.
-    pub temperature: f64,
-    /// Total HPWL after the step's accepted moves were applied.
-    pub hpwl: f64,
-    /// Real proposals evaluated in the step.
-    pub proposed: usize,
-    /// Proposals accepted (and applied).
-    pub accepted: usize,
-}
+/// Moves per temperature step ≈ `MOVES_FACTOR × num_slices` (at least
+/// 64).
+pub const MOVES_FACTOR: usize = 8;
 
-/// Counters and the cooling trajectory of one [`place_with_stats`] run.
+/// Exact cap on evaluated swap proposals, including the
+/// initial-temperature probe. Whenever this budget (rather than the
+/// cooling floor) ends the anneal, exactly this many real proposals
+/// have been evaluated.
+pub const MAX_TOTAL_MOVES: usize = 1_200_000;
+
+/// Counters of one [`place_with_stats`] run.
 #[derive(Debug, Clone)]
 pub struct PlaceStats {
     /// Real proposals evaluated, including the initial-temperature
-    /// probe. Never exceeds [`PlaceOptions::max_total_moves`], and equals
+    /// probe. Never exceeds [`MAX_TOTAL_MOVES`], and equals
     /// it exactly whenever the budget (not the cooling floor) ended the
     /// anneal.
     pub proposals: usize,
@@ -261,9 +247,6 @@ pub struct PlaceStats {
     pub initial_hpwl: f64,
     /// Total HPWL of the returned placement.
     pub final_hpwl: f64,
-    /// One entry per temperature step (empty if the budget ran out
-    /// during the probe).
-    pub trajectory: Vec<TempStep>,
 }
 
 /// Places the packed design: snake-order initial placement refined by
@@ -275,11 +258,21 @@ pub fn place(lutnet: &LutNetlist, packing: &Packing, opts: &PlaceOptions) -> Pla
 }
 
 /// Like [`place`], additionally returning proposal/acceptance counters
-/// and the per-temperature-step HPWL trajectory.
+/// and the initial and final HPWL.
 pub fn place_with_stats(
     lutnet: &LutNetlist,
     packing: &Packing,
     opts: &PlaceOptions,
+) -> (Placement, PlaceStats) {
+    anneal(lutnet, packing, opts.seed, MAX_TOTAL_MOVES)
+}
+
+/// [`place_with_stats`] under an explicit proposal `budget`.
+fn anneal(
+    lutnet: &LutNetlist,
+    packing: &Packing,
+    seed: u64,
+    budget: usize,
 ) -> (Placement, PlaceStats) {
     let num_slices = packing.num_slices();
     let (w, h) = grid_size(num_slices);
@@ -314,7 +307,6 @@ pub fn place_with_stats(
         accepted: 0,
         initial_hpwl: 0.0,
         final_hpwl: 0.0,
-        trajectory: Vec::new(),
     };
     if num_slices < 2 || nets.is_empty() {
         let hp = placement.total_hpwl(&nets);
@@ -325,10 +317,9 @@ pub fn place_with_stats(
     let mut ann = Annealer::new(&nets, w, std::mem::take(&mut placement.pos), cells);
     stats.initial_hpwl = ann.total_hpwl();
 
-    let budget = opts.max_total_moves;
     let mut spent = 0usize;
     let n_cells = w * h;
-    let mut rng = StdRng::seed_from_u64(opts.seed);
+    let mut rng = StdRng::seed_from_u64(seed);
 
     // Initial temperature from sampled (and charged) probe proposals.
     let probe = PROBE_PROPOSALS.min(budget);
@@ -344,7 +335,7 @@ pub fn place_with_stats(
         (acc / probe as f64).max(0.5) * 2.0
     };
 
-    let moves_per_temp = (opts.moves_factor * num_slices).max(64);
+    let moves_per_temp = (MOVES_FACTOR * num_slices).max(64);
     while t > T_MIN && spent < budget {
         let alloc = moves_per_temp.min(budget - spent);
         let mut accepted = 0usize;
@@ -360,12 +351,6 @@ pub fn place_with_stats(
         debug_assert!(ann.interior_is_fresh(), "cached wide interior drifted");
         spent += alloc;
         stats.accepted += accepted;
-        stats.trajectory.push(TempStep {
-            temperature: t,
-            hpwl: ann.total_hpwl(),
-            proposed: alloc,
-            accepted,
-        });
         t *= COOLING;
     }
     stats.proposals = spent;
@@ -974,10 +959,7 @@ mod tests {
         // different moves and lands elsewhere.
         let net = dense_lutnet(90);
         let packing = pack_slices(&net, 4);
-        let opts = |seed| PlaceOptions {
-            seed,
-            ..PlaceOptions::default()
-        };
+        let opts = |seed| PlaceOptions { seed };
         let a1 = place(&net, &packing, &opts(7));
         let a2 = place(&net, &packing, &opts(7));
         let b = place(&net, &packing, &opts(8));
@@ -995,15 +977,7 @@ mod tests {
         let packing = pack_slices(&net, 4);
         let nets = build_nets(&net, &packing);
         // Snake-only placement (zero-move annealer):
-        let frozen = place(
-            &net,
-            &packing,
-            &PlaceOptions {
-                seed: 1,
-                moves_factor: 0,
-                max_total_moves: 0,
-            },
-        );
+        let (frozen, _) = anneal(&net, &packing, 1, 0);
         let refined = place(&net, &packing, &PlaceOptions::default());
         assert!(refined.total_hpwl(&nets) <= frozen.total_hpwl(&nets) * 1.001);
     }
@@ -1043,56 +1017,34 @@ mod tests {
         assert_eq!(p.slice_pos(0), (0.0, 0.0));
     }
 
-    // ---- budget accounting (the `max_total_moves` contract) ----
+    // ---- budget accounting (the `MAX_TOTAL_MOVES` contract) ----
 
     #[test]
     fn budget_is_exact_when_it_binds() {
         let net = sample_lutnet(60);
         let packing = pack_slices(&net, 4);
-        let (_, stats) = place_with_stats(
-            &net,
-            &packing,
-            &PlaceOptions {
-                seed: 7,
-                moves_factor: 1_000,
-                max_total_moves: 500,
-            },
-        );
+        // The probe plus several temperature steps, the last one cut
+        // short by the budget.
+        let (_, stats) = anneal(&net, &packing, 7, 500);
         assert_eq!(stats.proposals, 500, "budget must be spent exactly");
-        let stepped: usize = stats.trajectory.iter().map(|s| s.proposed).sum();
-        assert_eq!(stepped + PROBE_PROPOSALS, 500);
+        assert!(stats.accepted > 0);
     }
 
     #[test]
     fn budget_smaller_than_probe_truncates_the_probe() {
         let net = sample_lutnet(60);
         let packing = pack_slices(&net, 4);
-        let (_, stats) = place_with_stats(
-            &net,
-            &packing,
-            &PlaceOptions {
-                seed: 7,
-                moves_factor: 8,
-                max_total_moves: 10,
-            },
-        );
+        let (_, stats) = anneal(&net, &packing, 7, 10);
         assert_eq!(stats.proposals, 10);
-        assert!(stats.trajectory.is_empty());
+        // No temperature step ran, so nothing was accepted.
+        assert_eq!(stats.accepted, 0);
     }
 
     #[test]
     fn zero_budget_returns_the_snake_placement() {
         let net = sample_lutnet(60);
         let packing = pack_slices(&net, 4);
-        let (p, stats) = place_with_stats(
-            &net,
-            &packing,
-            &PlaceOptions {
-                seed: 7,
-                moves_factor: 8,
-                max_total_moves: 0,
-            },
-        );
+        let (p, stats) = anneal(&net, &packing, 7, 0);
         assert_eq!(stats.proposals, 0);
         assert_eq!(stats.accepted, 0);
         for s in 0..packing.num_slices() {
@@ -1116,23 +1068,13 @@ mod tests {
         );
         // The running total starts from the snake placement's HPWL,
         // summed in the same net order, bit for bit.
-        let snake = place(
-            &net,
-            &packing,
-            &PlaceOptions {
-                max_total_moves: 0,
-                ..PlaceOptions::default()
-            },
-        );
+        let (snake, _) = anneal(&net, &packing, PlaceOptions::default().seed, 0);
         assert_eq!(
             stats.initial_hpwl.to_bits(),
             snake.total_hpwl(&nets).to_bits()
         );
         assert!(stats.final_hpwl <= stats.initial_hpwl * 1.001);
         assert!(stats.accepted <= stats.proposals);
-        if let Some(last) = stats.trajectory.last() {
-            assert!((last.hpwl - stats.final_hpwl).abs() < 1e-6);
-        }
     }
 
     // ---- proposal evaluation is side-effect free ----
@@ -1571,12 +1513,7 @@ mod tests {
             for (n, net) in nets.iter().enumerate() {
                 proptest::prop_assert_eq!(net_box(&ann, n), box_by_definition(net, &ann.pos));
             }
-            let opts = PlaceOptions {
-                seed: u64::from(swaps[0].0),
-                moves_factor: 4,
-                max_total_moves: 3_000,
-            };
-            let (p, stats) = place_with_stats(&lutnet, &packing, &opts);
+            let (p, stats) = anneal(&lutnet, &packing, u64::from(swaps[0].0), 3_000);
             let nets = build_nets(&lutnet, &packing);
             proptest::prop_assert_eq!(stats.final_hpwl.to_bits(), p.total_hpwl(&nets).to_bits());
         }

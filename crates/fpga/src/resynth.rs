@@ -58,24 +58,8 @@ use netlist::{analysis, Gate, Netlist, NodeId};
 /// assert!(balanced.depth().xors <= 6);
 /// ```
 pub fn rebalance_xors(net: &Netlist, k: usize) -> Netlist {
-    rebalance_xors_in(net, k, &analysis::NetAnalysis::of(net))
-}
-
-/// Like [`rebalance_xors`], using a precomputed [`analysis::NetAnalysis`]
-/// of `net` — so a pipeline that already analyzed the netlist (fanouts
-/// feed mapping too) does not walk the node array again here.
-///
-/// # Panics
-///
-/// Panics if `k < 2` or if `hints` was not computed for `net`.
-pub fn rebalance_xors_in(net: &Netlist, k: usize, hints: &analysis::NetAnalysis) -> Netlist {
     assert!(k >= 2, "chunk width must be at least 2");
-    assert_eq!(
-        hints.fanouts.len(),
-        net.len(),
-        "analysis does not match the netlist"
-    );
-    let fanouts = &hints.fanouts;
+    let fanouts = analysis::NetAnalysis::of(net).fanouts;
     let mut out = Netlist::new(net.name().to_string());
     let mut remap: Vec<Option<NodeId>> = vec![None; net.len()];
     // Estimated LUT depth of every *new* XOR cluster root we create.
@@ -253,7 +237,8 @@ fn build_cluster(
 mod tests {
     use super::*;
     use crate::formal::verify_equivalent;
-    use crate::map::{map_to_luts, MapOptions};
+    use crate::map::map_to_luts;
+    use crate::Pipeline;
     use netlist::sim::check_equivalent_exhaustive;
 
     fn xor_chain_net(leaves: usize) -> Netlist {
@@ -268,7 +253,7 @@ mod tests {
     fn rebalanced_36_leaf_cluster_maps_to_depth_2() {
         let net = xor_chain_net(36);
         let re = rebalance_xors(&net, 6);
-        let mapped = map_to_luts(&re, &MapOptions::new());
+        let mapped = map_to_luts(&re, &Pipeline::new().map_options());
         assert_eq!(mapped.depth(), 2, "{mapped}");
         assert_eq!(mapped.num_luts(), 7, "{mapped}");
         assert_eq!(verify_equivalent(&re, &mapped), Ok(()));
@@ -289,7 +274,7 @@ mod tests {
         let root = net.xor_chain(&prods);
         net.output("y", root);
         let re = rebalance_xors(&net, 6);
-        let mapped = map_to_luts(&re, &MapOptions::new());
+        let mapped = map_to_luts(&re, &Pipeline::new().map_options());
         assert_eq!(mapped.depth(), 2, "{mapped}");
         assert_eq!(mapped.num_luts(), 4, "{mapped}");
         assert_eq!(verify_equivalent(&re, &mapped), Ok(()));

@@ -7,17 +7,15 @@
 //! that fabric a first-class, registry-backed choice, mirroring the
 //! six-method `rgf2m_core::Method` registry on the generator side:
 //! every preset has a stable [`Target::name`], a
-//! [`Target::description`], a [`Target::from_name`] lookup and a
-//! calibrated [`Device`] model, and
-//! [`crate::Pipeline::with_target`] derives every device-dependent
-//! pipeline option (mapper k, slice capacity, delay constants) from it
-//! — the single source of truth that makes a silent
-//! `MapOptions::k` vs `Device::lut_inputs` mismatch impossible.
+//! [`Target::description`], a [`Target::from_name`] lookup and one
+//! calibrated [`Device`] constant ([`Target::device`]). A
+//! [`crate::Pipeline`] stores only its target and reads the mapper's
+//! LUT width, the slice capacity and the delay constants from it, so
+//! no mapper width can disagree with the device it is timed on.
 
 use std::fmt;
 
 use crate::device::Device;
-use crate::map::MapOptions;
 
 /// A named FPGA fabric preset.
 ///
@@ -40,13 +38,13 @@ use crate::map::MapOptions;
 ///
 /// assert_eq!(Target::ALL.len(), 4);
 /// assert_eq!(Target::from_name("stratix_alm"), Some(Target::StratixAlm));
-/// assert_eq!(Target::StratixAlm.lut_inputs(), 8);
+/// assert_eq!(Target::StratixAlm.device().lut_inputs, 8);
 /// assert_eq!(Target::Artix7.device().luts_per_slice, 4);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Target {
     /// Xilinx Artix-7-class (28 nm, LUT6, 4 LUTs/slice) — the paper's
-    /// measurement fabric and the default everywhere.
+    /// measurement fabric, where [`crate::Pipeline::new`] starts.
     Artix7,
     /// Xilinx Spartan-3-class (90 nm, LUT4, 2 LUTs/slice) — the
     /// narrowest registered fabric.
@@ -96,46 +94,80 @@ impl Target {
         Target::ALL.into_iter().find(|t| t.name() == name)
     }
 
-    /// The calibrated device model for this fabric.
-    pub fn device(self) -> Device {
+    /// The calibrated device model for this fabric: its LUT width,
+    /// slice capacity and delay constants.
+    pub fn device(self) -> &'static Device {
         match self {
-            Target::Artix7 => Device::artix7(),
-            Target::Spartan3 => Device::spartan3(),
-            Target::Virtex5 => Device::virtex5(),
-            Target::StratixAlm => Device::stratix_alm(),
+            Target::Artix7 => &ARTIX7,
+            Target::Spartan3 => &SPARTAN3,
+            Target::Virtex5 => &VIRTEX5,
+            Target::StratixAlm => &STRATIX_ALM,
         }
     }
-
-    /// The fabric's LUT input width `k`.
-    pub fn lut_inputs(self) -> usize {
-        self.device().lut_inputs
-    }
-
-    /// The fabric's slice capacity (LUTs per slice/LAB).
-    pub fn luts_per_slice(self) -> usize {
-        self.device().luts_per_slice
-    }
-
-    /// Default mapping options for this fabric: `k` derived from the
-    /// device and the priority-cut budget derived from `k` via
-    /// [`MapOptions::default_cuts_for`] (wide-LUT fabrics such as
-    /// `stratix_alm` get a tighter budget so k ≥ 8 enumeration stays
-    /// bounded). Chain [`MapOptions::with_cuts_per_node`] to override
-    /// the budget explicitly.
-    pub fn map_options(self) -> MapOptions {
-        let k = self.lut_inputs();
-        MapOptions::new()
-            .with_k(k)
-            .with_cuts_per_node(MapOptions::default_cuts_for(k))
-    }
 }
 
-impl Default for Target {
-    /// The paper's fabric.
-    fn default() -> Self {
-        Target::Artix7
-    }
-}
+/// The Artix-7-class device model (28 nm, LUT6, 4 LUTs/slice) — the
+/// fabric the paper measures on.
+const ARTIX7: Device = Device {
+    lut_inputs: 6,
+    luts_per_slice: 4,
+    // Calibrated against the paper's (8,2) row (33 LUTs /
+    // 9.77 ns designs are IOB-delay dominated on a real part),
+    // with the distance coefficient fitted so the m = 163 rows
+    // land near the paper's ~23 ns despite our simpler placer.
+    t_ibuf_ns: 1.40,
+    t_obuf_ns: 2.56,
+    t_lut_ns: 0.48,
+    t_net_ns: 1.05,
+    t_net_per_unit_ns: 0.022,
+    t_net_per_fanout_ns: 0.030,
+};
+
+/// The Spartan-3-class device model (90 nm, LUT4, 2 LUTs/slice): the
+/// narrowest registered fabric, where every construction pays extra
+/// LUT levels. Constants are the Artix-7 calibration scaled by the
+/// 90 nm family's slower logic and routing.
+const SPARTAN3: Device = Device {
+    lut_inputs: 4,
+    luts_per_slice: 2,
+    t_ibuf_ns: 2.20,
+    t_obuf_ns: 3.90,
+    t_lut_ns: 0.61,
+    t_net_ns: 1.60,
+    t_net_per_unit_ns: 0.048,
+    t_net_per_fanout_ns: 0.062,
+};
+
+/// The Virtex-5-class device model (65 nm, LUT6, 2 LUTs/slice in this
+/// model): same LUT width as Artix-7 but half the slice capacity,
+/// isolating the packing/placement effect of slice shape at fixed k.
+/// Constants are the Artix-7 calibration scaled to 65 nm.
+const VIRTEX5: Device = Device {
+    lut_inputs: 6,
+    luts_per_slice: 2,
+    t_ibuf_ns: 1.62,
+    t_obuf_ns: 2.94,
+    t_lut_ns: 0.53,
+    t_net_ns: 1.22,
+    t_net_per_unit_ns: 0.029,
+    t_net_per_fanout_ns: 0.038,
+};
+
+/// The Stratix-ALM-like device model (28 nm, 8-input fracturable ALMs,
+/// 10 per LAB): the widest registered fabric — XOR trees collapse into
+/// fewer, wider levels at a slightly higher per-LUT mux delay.
+/// Constants are the Artix-7 calibration with the ALM's deeper input
+/// mux and the LAB's denser local routing.
+const STRATIX_ALM: Device = Device {
+    lut_inputs: 8,
+    luts_per_slice: 10,
+    t_ibuf_ns: 1.31,
+    t_obuf_ns: 2.43,
+    t_lut_ns: 0.57,
+    t_net_ns: 0.96,
+    t_net_per_unit_ns: 0.020,
+    t_net_per_fanout_ns: 0.027,
+};
 
 impl fmt::Display for Target {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -147,6 +179,7 @@ impl fmt::Display for Target {
 mod tests {
     use super::*;
     use crate::lut::MAX_LUT_INPUTS;
+    use crate::Pipeline;
 
     #[test]
     fn registry_is_the_single_source_of_truth() {
@@ -159,7 +192,7 @@ mod tests {
             assert!(!target.description().is_empty());
         }
         assert_eq!(Target::from_name("ise_14_7"), None);
-        assert_eq!(Target::default(), Target::Artix7);
+        assert_eq!(Pipeline::new().target(), Target::Artix7);
     }
 
     #[test]
@@ -167,10 +200,9 @@ mod tests {
         let mut shapes: Vec<(usize, usize)> = Target::ALL
             .iter()
             .map(|t| {
-                assert!((1..=MAX_LUT_INPUTS).contains(&t.lut_inputs()), "{t}");
-                assert_eq!(t.lut_inputs(), t.device().lut_inputs, "{t}");
-                assert_eq!(t.luts_per_slice(), t.device().luts_per_slice, "{t}");
-                (t.lut_inputs(), t.luts_per_slice())
+                let d = t.device();
+                assert!((1..=MAX_LUT_INPUTS).contains(&d.lut_inputs), "{t}");
+                (d.lut_inputs, d.luts_per_slice)
             })
             .collect();
         shapes.sort_unstable();
@@ -180,28 +212,16 @@ mod tests {
 
     #[test]
     fn map_options_derive_k_and_cut_budget_from_the_device() {
-        for target in Target::ALL {
-            let opts = target.map_options();
+        let cuts = |target| {
+            let opts = Pipeline::new().with_target(target).map_options();
             assert_eq!(opts.k, target.device().lut_inputs, "{target}");
-            assert_eq!(
-                opts.cuts_per_node,
-                MapOptions::default_cuts_for(opts.k),
-                "{target}"
-            );
-        }
-        // Pin the concrete budgets: narrow fabrics keep the classic 8,
-        // the k = 8 ALM fabric gets the tightened budget.
-        assert_eq!(Target::Artix7.map_options().cuts_per_node, 8);
-        assert_eq!(Target::Spartan3.map_options().cuts_per_node, 8);
-        assert_eq!(Target::Virtex5.map_options().cuts_per_node, 8);
-        assert_eq!(Target::StratixAlm.map_options().cuts_per_node, 4);
-        // The escape hatch overrides the derived default.
-        assert_eq!(
-            Target::StratixAlm
-                .map_options()
-                .with_cuts_per_node(16)
-                .cuts_per_node,
-            16
-        );
+            opts.cuts_per_node
+        };
+        // Narrow fabrics keep the classic 8 cuts per node, the k = 8 ALM
+        // fabric gets the tightened budget.
+        assert_eq!(cuts(Target::Artix7), 8);
+        assert_eq!(cuts(Target::Spartan3), 8);
+        assert_eq!(cuts(Target::Virtex5), 8);
+        assert_eq!(cuts(Target::StratixAlm), 4);
     }
 }

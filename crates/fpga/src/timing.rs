@@ -545,17 +545,18 @@ mod tests {
     use crate::lut::Lut;
     use crate::pack::pack_slices;
     use crate::place::{place, PlaceOptions};
+    use crate::Target;
 
     fn timed(net: &LutNetlist) -> StaReport {
         let packing = pack_slices(net, 4);
         let placement = place(net, &packing, &PlaceOptions::default());
-        analyze(net, &packing, &placement, &Device::artix7())
+        analyze(net, &packing, &placement, Target::Artix7.device())
     }
 
     fn timed_with(net: &LutNetlist, options: &StaOptions) -> StaReport {
         let packing = pack_slices(net, 4);
         let placement = place(net, &packing, &PlaceOptions::default());
-        analyze_sta(net, &packing, &placement, &Device::artix7(), options)
+        analyze_sta(net, &packing, &placement, Target::Artix7.device(), options)
     }
 
     #[test]
@@ -566,7 +567,7 @@ mod tests {
             truth: crate::lut::Truth::of(0b0110),
         });
         net.push_output("y".into(), Signal::Lut(id));
-        let d = Device::artix7();
+        let d = Target::Artix7.device();
         let r = timed(&net);
         // At least IBUF + net + LUT + net + OBUF.
         let floor = d.t_ibuf_ns + d.t_net_ns + d.t_lut_ns + d.t_net_ns + d.t_obuf_ns;
@@ -622,7 +623,7 @@ mod tests {
         let mut net = LutNetlist::new("p".into(), 6, vec!["a".into()]);
         net.push_output("y".into(), Signal::Input(0));
         let r = timed(&net);
-        let d = Device::artix7();
+        let d = Target::Artix7.device();
         assert!(r.critical_ns >= d.t_ibuf_ns + d.t_obuf_ns);
     }
 

@@ -79,11 +79,15 @@ fn gf256_multipliers_flow_on_every_registered_target() {
                     .mapped
                     .luts()
                     .iter()
-                    .all(|l| l.inputs.len() <= target.lut_inputs()),
+                    .all(|l| l.inputs.len() <= target.device().lut_inputs),
                 "{target}/{method:?}: LUT exceeds k"
             );
             assert!(
-                artifacts.report.slices >= artifacts.report.luts.div_ceil(target.luts_per_slice()),
+                artifacts.report.slices
+                    >= artifacts
+                        .report
+                        .luts
+                        .div_ceil(target.device().luts_per_slice),
                 "{target}/{method:?}: packing denser than the fabric allows"
             );
             assert_eq!(

@@ -18,7 +18,7 @@
 use gf2m::Field;
 use gf2poly::TypeIiPentanomial;
 use rgf2m_core::{generate, Method};
-use rgf2m_fpga::place::{place_with_stats, PlaceOptions};
+use rgf2m_fpga::place::{place_with_stats, PlaceOptions, MAX_TOTAL_MOVES};
 use rgf2m_fpga::{Pipeline, Target};
 
 /// One pinned placement: method and target names, proposals, accepted
@@ -26,11 +26,8 @@ use rgf2m_fpga::{Pipeline, Target};
 type Fingerprint = (&'static str, &'static str, usize, usize, u64, u64);
 
 fn harness_options() -> PlaceOptions {
-    PlaceOptions {
-        seed: 2018,
-        max_total_moves: 1_200_000,
-        ..PlaceOptions::default()
-    }
+    assert_eq!(MAX_TOTAL_MOVES, 1_200_000);
+    PlaceOptions { seed: 2018 }
 }
 
 /// FNV-1a over the bits of every slice's (x, y), in slice order.

@@ -41,7 +41,7 @@ proptest! {
             .with_resynthesis(resynth);
         let synth = pipeline.resynth(&net).expect("valid configuration");
         let mapped = pipeline.map(&synth).expect("valid configuration");
-        let k = target.lut_inputs();
+        let k = target.device().lut_inputs;
         for (i, lut) in mapped.luts().iter().enumerate() {
             prop_assert!(
                 lut.inputs.len() <= k,
@@ -67,7 +67,7 @@ proptest! {
             .with_target(target)
             .run(&net)
             .expect("clean flow");
-        let per_slice = target.luts_per_slice();
+        let per_slice = target.device().luts_per_slice;
         prop_assert!(artifacts.report.slices >= artifacts.report.luts.div_ceil(per_slice));
         prop_assert_eq!(artifacts.report.luts, artifacts.mapped.num_luts());
         prop_assert_eq!(artifacts.report.slices, artifacts.packing.num_slices());
@@ -98,7 +98,7 @@ proptest! {
         for target in Target::ALL {
             for method in Method::ALL {
                 let net = generate(&field, method);
-                let mapped = map_to_luts(&net, &target.map_options());
+                let mapped = map_to_luts(&net, &Pipeline::new().with_target(target).map_options());
                 let words: Vec<u64> =
                     (0..net.num_inputs()).map(|_| rng.gen()).collect();
                 let net_out = net.eval_words(&words);

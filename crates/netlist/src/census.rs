@@ -1,12 +1,9 @@
-//! Gate census, area certificates and structural hashing (strash).
+//! Area certificates and structural hashing (strash).
 //!
 //! The paper's Table V compares the methods on *area* — #AND and #XOR
 //! gate counts — alongside delay. This module is the area counterpart
 //! of [`crate::depth`]:
 //!
-//! * [`GateCensus`] — per-kind totals plus per-output-cone counts and
-//!   shared-vs-exclusive attribution (how much logic each coefficient
-//!   owns outright versus borrows from other cones);
 //! * [`AreaSpec`] / [`check_area`] — the *expected* per-kind gate
 //!   counts of a design (built per method × field by
 //!   `rgf2m_core::area_spec`) and the check that a netlist stays within
@@ -25,7 +22,7 @@
 //! # Examples
 //!
 //! ```
-//! use netlist::census::{check_area, strash_dedup, AreaSpec, GateCensus};
+//! use netlist::census::{check_area, strash_dedup, AreaSpec};
 //! use netlist::Netlist;
 //!
 //! let mut net = Netlist::new("pair");
@@ -35,9 +32,8 @@
 //! let y = net.xor(p, a);
 //! net.output("y", y);
 //!
-//! let census = GateCensus::of(&net);
-//! assert_eq!((census.ands, census.xors), (1, 1));
 //! assert!(check_area(&net, &AreaSpec::new(1, 1)).is_ok());
+//! assert!(check_area(&net, &AreaSpec::new(0, 1)).is_err());
 //! let (rebuilt, saved) = strash_dedup(&net);
 //! assert_eq!(saved, 0); // hash-consed construction has nothing to merge
 //! assert_eq!(rebuilt.stats().gates(), 2);
@@ -69,161 +65,6 @@ impl GateKind {
 impl fmt::Display for GateKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-/// Gate counts of one primary-output cone.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConeCensus {
-    /// The output's declared name.
-    pub output: String,
-    /// AND gates in the output's transitive fanin.
-    pub ands: usize,
-    /// XOR gates in the output's transitive fanin.
-    pub xors: usize,
-    /// AND gates reachable from *no other* output.
-    pub exclusive_ands: usize,
-    /// XOR gates reachable from *no other* output.
-    pub exclusive_xors: usize,
-}
-
-impl ConeCensus {
-    /// Total gates in the cone.
-    pub fn gates(&self) -> usize {
-        self.ands + self.xors
-    }
-
-    /// Gates this cone borrows from logic shared with other outputs.
-    pub fn shared(&self) -> usize {
-        self.gates() - self.exclusive_ands - self.exclusive_xors
-    }
-}
-
-/// A full gate census of a netlist: per-kind totals, shared-vs-exclusive
-/// attribution, and one [`ConeCensus`] per primary output.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GateCensus {
-    /// Primary inputs.
-    pub inputs: usize,
-    /// Constant nodes.
-    pub consts: usize,
-    /// Total AND gates.
-    pub ands: usize,
-    /// Total XOR gates.
-    pub xors: usize,
-    /// AND gates in two or more output cones.
-    pub shared_ands: usize,
-    /// XOR gates in two or more output cones.
-    pub shared_xors: usize,
-    /// Per-output cone counts, in output declaration order.
-    pub cones: Vec<ConeCensus>,
-}
-
-impl GateCensus {
-    /// Takes the census of `net` in one reverse-reachability pass per
-    /// output.
-    pub fn of(net: &Netlist) -> GateCensus {
-        let mut census = GateCensus {
-            inputs: 0,
-            consts: 0,
-            ands: 0,
-            xors: 0,
-            shared_ands: 0,
-            shared_xors: 0,
-            cones: Vec::with_capacity(net.outputs().len()),
-        };
-        for id in net.node_ids() {
-            match net.gate(id) {
-                Gate::Input(_) => census.inputs += 1,
-                Gate::Const(_) => census.consts += 1,
-                Gate::And(_, _) => census.ands += 1,
-                Gate::Xor(_, _) => census.xors += 1,
-            }
-        }
-        // How many output cones contain each node. `stamp` makes each
-        // cone count a node at most once even though the DFS may push
-        // it several times.
-        let mut cone_count = vec![0u32; net.len()];
-        let mut stamp = vec![usize::MAX; net.len()];
-        for (oi, (name, root)) in net.outputs().iter().enumerate() {
-            let mut cone = ConeCensus {
-                output: name.clone(),
-                ands: 0,
-                xors: 0,
-                exclusive_ands: 0,
-                exclusive_xors: 0,
-            };
-            let mut stack = vec![*root];
-            while let Some(n) = stack.pop() {
-                if std::mem::replace(&mut stamp[n.index()], oi) == oi {
-                    continue;
-                }
-                cone_count[n.index()] += 1;
-                match net.gate(n) {
-                    Gate::And(a, b) => {
-                        cone.ands += 1;
-                        stack.push(a);
-                        stack.push(b);
-                    }
-                    Gate::Xor(a, b) => {
-                        cone.xors += 1;
-                        stack.push(a);
-                        stack.push(b);
-                    }
-                    Gate::Input(_) | Gate::Const(_) => {}
-                }
-            }
-            census.cones.push(cone);
-        }
-        // Attribution: a gate in exactly one cone is that cone's
-        // exclusive logic (`stamp` still holds its only visitor); a gate
-        // in two or more is shared.
-        for id in net.node_ids() {
-            let kind = match net.gate(id) {
-                Gate::And(_, _) => GateKind::And,
-                Gate::Xor(_, _) => GateKind::Xor,
-                Gate::Input(_) | Gate::Const(_) => continue,
-            };
-            match cone_count[id.index()] {
-                0 => {} // dead logic belongs to no cone
-                1 => {
-                    let cone = &mut census.cones[stamp[id.index()]];
-                    match kind {
-                        GateKind::And => cone.exclusive_ands += 1,
-                        GateKind::Xor => cone.exclusive_xors += 1,
-                    }
-                }
-                _ => match kind {
-                    GateKind::And => census.shared_ands += 1,
-                    GateKind::Xor => census.shared_xors += 1,
-                },
-            }
-        }
-        census
-    }
-
-    /// Total 2-input gate count (ANDs + XORs) — the paper's space
-    /// metric, equal to [`crate::Stats::gates`].
-    pub fn gates(&self) -> usize {
-        self.ands + self.xors
-    }
-
-    /// Gates in two or more output cones.
-    pub fn shared(&self) -> usize {
-        self.shared_ands + self.shared_xors
-    }
-}
-
-impl fmt::Display for GateCensus {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} AND + {} XOR ({} shared) over {} cone(s)",
-            self.ands,
-            self.xors,
-            self.shared(),
-            self.cones.len()
-        )
     }
 }
 
@@ -431,63 +272,6 @@ mod tests {
         net.output("c0", y0);
         net.output("c1", y1);
         net
-    }
-
-    #[test]
-    fn census_totals_match_stats() {
-        let net = two_output_net();
-        let census = GateCensus::of(&net);
-        let stats = net.stats();
-        assert_eq!(census.ands, stats.ands);
-        assert_eq!(census.xors, stats.xors);
-        assert_eq!(census.inputs, stats.inputs);
-        assert_eq!(census.consts, stats.consts);
-        assert_eq!(census.gates(), stats.gates());
-        assert_eq!(
-            census.inputs + census.consts + census.gates(),
-            net.len(),
-            "census must account for every node"
-        );
-    }
-
-    #[test]
-    fn census_attributes_shared_and_exclusive_logic() {
-        let net = two_output_net();
-        let census = GateCensus::of(&net);
-        assert_eq!(census.cones.len(), 2);
-        let c0 = &census.cones[0];
-        let c1 = &census.cones[1];
-        assert_eq!(c0.output, "c0");
-        assert_eq!((c0.ands, c0.xors), (1, 1));
-        assert_eq!((c1.ands, c1.xors), (2, 1));
-        // a&b sits in both cones; everything else is exclusive.
-        assert_eq!(census.shared_ands, 1);
-        assert_eq!(census.shared_xors, 0);
-        assert_eq!(c0.exclusive_ands, 0);
-        assert_eq!(c0.exclusive_xors, 1);
-        assert_eq!(c1.exclusive_ands, 1);
-        assert_eq!(c1.exclusive_xors, 1);
-        assert_eq!(c0.shared(), 1);
-        assert_eq!(c1.shared(), 1);
-        assert_eq!(census.shared(), 1);
-        let text = census.to_string();
-        assert!(text.contains("2 AND + 2 XOR"), "{text}");
-        assert!(text.contains("2 cone(s)"), "{text}");
-    }
-
-    #[test]
-    fn dead_logic_is_neither_shared_nor_exclusive() {
-        let mut net = Netlist::new("dead");
-        let a = net.input("a");
-        let b = net.input("b");
-        let keep = net.xor(a, b);
-        net.and(a, b); // dead
-        net.output("y", keep);
-        let census = GateCensus::of(&net);
-        assert_eq!(census.ands, 1);
-        assert_eq!(census.shared_ands, 0);
-        assert_eq!(census.cones[0].exclusive_ands, 0);
-        assert_eq!(census.cones[0].gates(), 1);
     }
 
     #[test]

@@ -16,10 +16,9 @@
 //!   metric), fanout, levelization;
 //! * [`depth`] — per-output depth cones and [`depth::DepthSpec`]
 //!   certificates checking netlists against expected Table V formulas;
-//! * [`census`] — gate census (per-kind totals, per-output cones,
-//!   shared-vs-exclusive attribution), [`census::AreaSpec`] area
-//!   certificates, and structural hashing (strash) with the
-//!   proof-carrying [`census::strash_dedup`] rewrite;
+//! * [`census`] — [`census::AreaSpec`] area certificates and
+//!   structural hashing (strash) with the proof-carrying
+//!   [`census::strash_dedup`] rewrite;
 //! * [`algebra`] — GF(2) polynomial extraction (algebraic normal form
 //!   per output cone), the engine behind complete multiplier
 //!   verification and reduction-polynomial reverse engineering;
@@ -59,9 +58,7 @@ mod ir;
 
 pub use algebra::{MulSpec, Poly};
 pub use analysis::{Depth, Stats};
-pub use census::{
-    check_area, strash_classes, strash_dedup, AreaExcess, AreaSpec, GateCensus, GateKind,
-};
+pub use census::{check_area, strash_classes, strash_dedup, AreaExcess, AreaSpec, GateKind};
 pub use depth::{check_depths, output_depths, DepthExcess, DepthSpec};
 pub use ir::{Fnv1a, Gate, Netlist, NodeId};
 pub use lint::{lint_netlist, lint_netlist_errors, LintReport};

@@ -18,15 +18,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "target", "k", "LUTs/slice", "LUTs", "Slices", "depth", "Time(ns)", "AxT"
     );
     for target in Target::ALL {
-        // One knob per fabric: with_target re-derives the device model,
+        // One knob per fabric: with_target switches the device model,
         // the mapper's LUT width and the slice capacity together.
         let pipeline = Pipeline::new().with_target(target);
         let r = pipeline.run_report(&net)?;
         println!(
             "  {:<12} {:>2} {:>11} {:>6} {:>7} {:>6} {:>9.2} {:>9.2}",
             target.name(),
-            target.lut_inputs(),
-            target.luts_per_slice(),
+            target.device().lut_inputs,
+            target.device().luts_per_slice,
             r.luts,
             r.slices,
             r.depth,

@@ -59,7 +59,7 @@
 //! assert_eq!(report, again);
 //!
 //! // The fabric is a first-class registry choice too: one knob
-//! // re-derives the device model, the mapper's LUT width and the
+//! // switches the device model, the mapper's LUT width and the
 //! // slice capacity together.
 //! assert_eq!(Target::ALL.len(), 4);
 //! let narrow = Pipeline::new().with_target(Target::Spartan3);
@@ -107,8 +107,7 @@ pub mod prelude {
     pub use gf2poly::{is_irreducible, Gf2Poly, PentanomialError, TypeIiPentanomial};
     pub use netlist::{
         check_area, check_depths, lint_netlist, output_depths, strash_classes, strash_dedup,
-        AreaSpec, Depth, DepthSpec, Gate, GateCensus, GateKind, LintReport, MulSpec, Netlist,
-        NodeId, Poly,
+        AreaSpec, Depth, DepthSpec, Gate, GateKind, LintReport, MulSpec, Netlist, NodeId, Poly,
     };
     pub use rgf2m_core::{
         anonymize, area_spec, delay_spec, generate, multiplier_spec, reverse_engineer, AtomKind,
