@@ -102,6 +102,16 @@ pub struct AuditCheck {
     pub detail: String,
 }
 
+impl AuditCheck {
+    /// The verdict of `check`: held with the `Ok` evidence, or violated
+    /// with the error's text.
+    fn of<E: fmt::Display>(check: &'static str, result: Result<String, E>) -> AuditCheck {
+        let ok = result.is_ok();
+        let detail = result.unwrap_or_else(|e| e.to_string());
+        AuditCheck { check, ok, detail }
+    }
+}
+
 /// All certificate verdicts for one Method × Target grid cell.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AuditCell {
@@ -215,114 +225,85 @@ pub fn run_audit(opts: &AuditOptions) -> AuditReport {
         let depth_spec = delay_spec(&field, method);
         let area = area_spec(&field, method);
         let pipeline = harness_pipeline();
-        let mut gate_checks = Vec::with_capacity(5);
 
         // Structural hygiene. Errors break the certificate; warnings
         // ride along in the summary.
         let lint = netlist::lint_netlist(&net);
-        gate_checks.push(AuditCheck {
-            check: "lint",
-            ok: !lint.has_errors(),
-            detail: lint.summary(),
-        });
-
-        // Complete algebraic verification of every output cone.
-        gate_checks.push(match pipeline.verify_formal(&spec, &net) {
-            Ok(()) => AuditCheck {
-                check: "formal",
-                ok: true,
-                detail: format!("all {} output cones match the spec", opts.m),
-            },
-            Err(e) => AuditCheck {
-                check: "formal",
-                ok: false,
-                detail: e.to_string(),
-            },
-        });
-
-        // The Table V delay formula, as a structural depth bound.
-        gate_checks.push(match pipeline.verify_depth(&depth_spec, &net) {
-            Ok(()) => AuditCheck {
-                check: "depth",
-                ok: true,
-                detail: format!("within {}", depth_spec.worst()),
-            },
-            Err(e) => AuditCheck {
-                check: "depth",
-                ok: false,
-                detail: e.to_string(),
-            },
-        });
-
-        // The Table V gate-count formula, exact per kind.
-        gate_checks.push(match pipeline.verify_area(&area, &net) {
-            Ok(()) => AuditCheck {
-                check: "area",
-                ok: true,
-                detail: format!("exactly {area}"),
-            },
-            Err(e) => AuditCheck {
-                check: "area",
-                ok: false,
-                detail: e.to_string(),
-            },
-        });
+        let lint = if lint.has_errors() {
+            Err(lint.summary())
+        } else {
+            Ok(lint.summary())
+        };
 
         // Structural hashing: the proof-carrying dedup rewrite must find
         // nothing to merge (the hash-consing builder already shares
         // every repeated cone) and its output must still verify
         // formally.
         let (deduped, saved) = netlist::strash_dedup(&net);
-        let rewrite_ok = pipeline.verify_formal(&spec, &deduped).is_ok();
-        gate_checks.push(AuditCheck {
-            check: "strash",
-            ok: saved == 0 && rewrite_ok,
-            detail: if rewrite_ok {
-                format!("dedup rewrite saved {saved} gate(s), output verifies formally")
-            } else {
-                format!("dedup rewrite saved {saved} gate(s) but broke verification")
-            },
-        });
+        let strash = match pipeline.verify_formal(&spec, &deduped) {
+            Ok(()) => {
+                let detail =
+                    format!("dedup rewrite saved {saved} gate(s), output verifies formally");
+                if saved == 0 {
+                    Ok(detail)
+                } else {
+                    Err(detail)
+                }
+            }
+            Err(_) => Err(format!(
+                "dedup rewrite saved {saved} gate(s) but broke verification"
+            )),
+        };
+
+        let gate_checks = [
+            AuditCheck::of("lint", lint),
+            // Complete algebraic verification of every output cone.
+            AuditCheck::of(
+                "formal",
+                pipeline
+                    .verify_formal(&spec, &net)
+                    .map(|()| format!("all {} output cones match the spec", opts.m)),
+            ),
+            // The Table V delay formula, as a structural depth bound.
+            AuditCheck::of(
+                "depth",
+                pipeline
+                    .verify_depth(&depth_spec, &net)
+                    .map(|()| format!("within {}", depth_spec.worst())),
+            ),
+            // The Table V gate-count formula, exact per kind.
+            AuditCheck::of(
+                "area",
+                pipeline
+                    .verify_area(&area, &net)
+                    .map(|()| format!("exactly {area}")),
+            ),
+            AuditCheck::of("strash", strash),
+        ];
 
         for &target in &opts.targets {
             let pipeline: Pipeline = harness_pipeline().with_target(target);
-            let mut checks = gate_checks.clone();
+            let mut checks = gate_checks.to_vec();
 
             // Mapped level: re-map for this fabric (no placement) and
             // verify the LUT netlist formally; `verify_formal_mapped`
             // lints it first, so mapped structural errors surface here.
             let mapped = pipeline
                 .resynth(&net)
-                .and_then(|synth| pipeline.map(&synth));
-            checks.push(match mapped {
-                Ok(mut mapped) => {
+                .and_then(|synth| pipeline.map(&synth))
+                .and_then(|mut mapped| {
                     if opts.fault == Some(Fault::TruthFault) {
                         let truth = mapped.luts()[0].truth;
                         mapped.set_truth(0, !truth);
                     }
-                    match pipeline.verify_formal_mapped(&spec, &mapped) {
-                        Ok(()) => AuditCheck {
-                            check: "mapped",
-                            ok: true,
-                            detail: format!(
-                                "{} LUTs match the spec on {}",
-                                mapped.num_luts(),
-                                target.name()
-                            ),
-                        },
-                        Err(e) => AuditCheck {
-                            check: "mapped",
-                            ok: false,
-                            detail: e.to_string(),
-                        },
-                    }
-                }
-                Err(e) => AuditCheck {
-                    check: "mapped",
-                    ok: false,
-                    detail: e.to_string(),
-                },
-            });
+                    pipeline.verify_formal_mapped(&spec, &mapped)?;
+                    Ok(format!(
+                        "{} LUTs match the spec on {}",
+                        mapped.num_luts(),
+                        target.name()
+                    ))
+                });
+            checks.push(AuditCheck::of("mapped", mapped));
 
             report.cells.push(AuditCell {
                 method,

@@ -34,7 +34,9 @@ use std::sync::Mutex;
 use gf2m::Field;
 use gf2poly::TypeIiPentanomial;
 use rgf2m_core::{generate, Method};
-use rgf2m_fpga::{FlowError, ImplReport, Target};
+use rgf2m_fpga::{place::DEFAULT_SEED, FlowError, ImplReport, Target};
+
+use crate::paper_data::PaperRow;
 
 /// One batch scenario: implement `method` for GF(2^m) with the type II
 /// pentanomial `(m, n)` on the fabric `target`.
@@ -69,10 +71,15 @@ impl Job {
         }
     }
 
-    /// The same job on another fabric.
-    pub fn with_target(mut self, target: Target) -> Self {
-        self.target = target;
-        self
+    /// The job's pentanomial, or the error every execution path
+    /// ([`BatchRunner`] and [`crate::daemon`]) reports for job `index`.
+    pub(crate) fn pentanomial(&self, index: usize) -> Result<TypeIiPentanomial, FlowError> {
+        TypeIiPentanomial::new(self.m, self.n).map_err(|e| {
+            FlowError::InvalidOptions(format!(
+                "job {index}: ({}, {}) is not a valid type II pentanomial: {e}",
+                self.m, self.n
+            ))
+        })
     }
 }
 
@@ -99,10 +106,9 @@ pub fn table_v_jobs_on(fields: &[(usize, usize)], target: Target) -> Vec<Job> {
 /// The deterministic placement seed of job `index` under `base_seed`
 /// (a splitmix64-style finalizer — decorrelated across indices,
 /// independent of thread count or scheduling). This is the seed
-/// discipline shared by every execution path: [`BatchRunner::job_seed`]
-/// delegates here, and the daemon path ([`crate::daemon`]) derives the
-/// same seeds client-side so served rows are byte-identical to local
-/// ones.
+/// discipline shared by every execution path: the [`BatchRunner`] and
+/// the daemon path ([`crate::daemon`]) both derive their seeds here, so
+/// served rows are byte-identical to local ones.
 pub fn job_seed_from(base_seed: u64, index: usize) -> u64 {
     let mut z = base_seed ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -120,7 +126,7 @@ pub struct BatchRunner {
 
 impl BatchRunner {
     /// A runner over [`crate::harness_pipeline`] options, base seed
-    /// [`crate::HARNESS_SEED`], one worker thread.
+    /// [`DEFAULT_SEED`], one worker thread.
     pub fn new() -> Self {
         BatchRunner { threads: 1 }
     }
@@ -132,16 +138,10 @@ impl BatchRunner {
         self
     }
 
-    /// The deterministic placement seed of job `index` (see
-    /// [`job_seed_from`], which this delegates to).
-    pub fn job_seed(&self, index: usize) -> u64 {
-        job_seed_from(self.base_seed(), index)
-    }
-
     /// The base seed every per-job seed derives from:
-    /// [`crate::HARNESS_SEED`].
+    /// [`DEFAULT_SEED`].
     pub fn base_seed(&self) -> u64 {
-        crate::HARNESS_SEED
+        DEFAULT_SEED
     }
 
     /// Runs every job, returning one `Result` per job **in job order**.
@@ -181,15 +181,9 @@ impl BatchRunner {
     }
 
     fn run_job(&self, index: usize, job: Job) -> BatchRow {
-        let seed = self.job_seed(index);
+        let seed = job_seed_from(self.base_seed(), index);
         let result = (|| {
-            let penta = TypeIiPentanomial::new(job.m, job.n).map_err(|e| {
-                FlowError::InvalidOptions(format!(
-                    "job {index}: ({}, {}) is not a valid type II pentanomial: {e}",
-                    job.m, job.n
-                ))
-            })?;
-            let field = Field::from_pentanomial(&penta);
+            let field = Field::from_pentanomial(&job.pentanomial(index)?);
             let net = generate(&field, job.method);
             crate::harness_pipeline()
                 .with_target(job.target)
@@ -216,6 +210,18 @@ pub struct BatchRow {
     pub seed: u64,
     /// The flow outcome.
     pub result: Result<ImplReport, FlowError>,
+}
+
+impl BatchRow {
+    /// The Table V row of a successful job, `None` for a failed one.
+    pub fn table_v_row(&self) -> Option<PaperRow> {
+        self.result.as_ref().ok().map(|r| PaperRow {
+            citation: self.job.method.citation(),
+            luts: r.luts,
+            slices: r.slices,
+            time_ns: r.time_ns,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -346,15 +352,13 @@ mod tests {
     #[test]
     fn per_job_seeds_are_decorrelated_and_deterministic() {
         let runner = BatchRunner::new();
-        let seeds: Vec<u64> = (0..32).map(|i| runner.job_seed(i)).collect();
+        let seed = |i| job_seed_from(runner.base_seed(), i);
+        let seeds: Vec<u64> = (0..32).map(seed).collect();
         let mut unique = seeds.clone();
         unique.sort_unstable();
         unique.dedup();
         assert_eq!(unique.len(), seeds.len());
-        assert_eq!(
-            seeds,
-            (0..32).map(|i| runner.job_seed(i)).collect::<Vec<_>>()
-        );
+        assert_eq!(seeds, (0..32).map(seed).collect::<Vec<_>>());
         // A different base seed produces a different schedule.
         assert_ne!(seeds[0], job_seed_from(1, 0));
     }

@@ -7,17 +7,13 @@
 //! that is no type II pentanomial, or an unknown method exits 1 before
 //! any work.
 
-use gf2poly::TypeIiPentanomial;
 use rgf2m_baselines::{karatsuba, school};
 use rgf2m_bench::{cli, field_for};
 use rgf2m_core::{generate, Method};
 
 fn main() {
     let args = cli::EXPORT_BLIF.parse();
-    let (m, n) = args.pair("--only").unwrap_or((8, 2));
-    if let Err(e) = TypeIiPentanomial::new(m, n) {
-        args.fail(&format!("--only {m},{n} names no type II pentanomial: {e}"));
-    }
+    let (m, n) = args.field();
     let name = args.value("--method").unwrap_or("proposed");
     let method = Method::from_name(name);
     if method.is_none() && name != "school" && name != "karatsuba" {

@@ -10,30 +10,15 @@
 //! slack). The paper's delay formulas are certified by `audit`'s
 //! `depth` check, which needs no placement.
 
-use gf2poly::TypeIiPentanomial;
 use rgf2m_bench::{cli, field_for, harness_pipeline};
-use rgf2m_core::{gen::generate, Method};
-use rgf2m_fpga::{analyze_sta, StaOptions, Target};
+use rgf2m_core::gen::generate;
+use rgf2m_fpga::{analyze_sta, StaOptions};
 
 fn main() {
     let args = cli::STA.parse();
-    let (m, n) = args.pair("--only").unwrap_or((8, 2));
-    if let Err(e) = TypeIiPentanomial::new(m, n) {
-        args.fail(&format!("--only {m},{n} names no type II pentanomial: {e}"));
-    }
-    let methods: Vec<Method> = match args.value("--method") {
-        Some(name) => vec![Method::from_name(name)
-            .unwrap_or_else(|| args.fail(&format!("unknown method {name:?} (see Method::name)")))],
-        None => Method::ALL.to_vec(),
-    };
-    let targets: Vec<Target> = if args.has("--all-targets") {
-        Target::ALL.to_vec()
-    } else {
-        let name = args.value("--target").unwrap_or("artix7");
-        vec![Target::from_name(name).unwrap_or_else(|| {
-            args.fail(&format!("unknown target {name:?} (see Target::from_name)"))
-        })]
-    };
+    let (m, n) = args.field();
+    let methods = args.methods();
+    let targets = args.targets();
     let target_ns: Option<f64> = args.parsed("--target-ns");
     if let Some(t) = target_ns.filter(|t| !t.is_finite()) {
         args.fail(&format!(

@@ -11,13 +11,20 @@
 //!   with `--`, a flag given twice or a stray argument prints the error
 //!   and the usage on stderr and exits 1.
 //!
-//! A value that does not parse ([`Args::parsed`], [`Args::pair`]) or
-//! names nothing ([`Args::fail`]) exits the same way. A failure after
-//! the command line was accepted — an unreachable daemon, a report path
-//! that cannot be written — prints one `error:` line and exits 1
+//! A value that does not parse ([`Args::parsed`], [`Args::pair`],
+//! [`Args::field`]) or names nothing ([`Args::fail`], [`Args::methods`],
+//! [`Args::targets`]) exits the same way. A failure after the command
+//! line was accepted — an unreachable daemon, a report path that cannot
+//! be written ([`Args::report`]) — prints one `error:` line and exits 1
 //! ([`die`]).
 
+use std::fs::File;
+use std::io::Write as _;
 use std::str::FromStr;
+
+use gf2poly::TypeIiPentanomial;
+use rgf2m_core::Method;
+use rgf2m_fpga::Target;
 
 /// One binary's command-line contract.
 #[derive(Debug)]
@@ -101,10 +108,34 @@ impl Cli {
     }
 }
 
+/// A report file, created when the command line is read so that an
+/// unwritable path fails the run before any work.
+#[derive(Debug)]
+pub struct Report<'a> {
+    /// The path the report goes to.
+    pub path: &'a str,
+    file: File,
+}
+
+impl Report<'_> {
+    /// Writes the whole report; exits 1 with one `error:` line if it
+    /// cannot.
+    pub fn write(mut self, doc: &str) {
+        self.file
+            .write_all(doc.as_bytes())
+            .unwrap_or_else(|e| die(&format!("cannot write {}: {e}", self.path)));
+    }
+}
+
 impl Args {
     /// The value given for `flag`, which must be declared as valued.
     pub fn value(&self, flag: &str) -> Option<&str> {
         assert!(self.cli.valued.contains(&flag), "{flag} is not declared");
+        self.given(flag)
+    }
+
+    /// The value given for `flag`, declared or not.
+    fn given(&self, flag: &str) -> Option<&str> {
         self.values
             .iter()
             .find(|(f, _)| *f == flag)
@@ -140,6 +171,66 @@ impl Args {
     /// that passed the flag check but names nothing.
     pub fn fail(&self, msg: &str) -> ! {
         self.cli.fail(msg)
+    }
+
+    /// The `--only M,N` field, (8, 2) by default; exits 1 unless it is
+    /// a type II pentanomial.
+    pub fn field(&self) -> (usize, usize) {
+        let (m, n) = self.pair("--only").unwrap_or((8, 2));
+        if let Err(e) = TypeIiPentanomial::new(m, n) {
+            self.fail(&format!("--only {m},{n} names no type II pentanomial: {e}"));
+        }
+        (m, n)
+    }
+
+    /// The registry entry called `name`; exits 1 listing the registry,
+    /// in the daemon's words, if there is none.
+    fn lookup<T: Copy>(
+        &self,
+        kind: &str,
+        name: &str,
+        all: &[T],
+        name_of: fn(T) -> &'static str,
+    ) -> T {
+        let names: Vec<&str> = all.iter().map(|&t| name_of(t)).collect();
+        match names.iter().position(|&n| n == name) {
+            Some(i) => all[i],
+            None => self.fail(&format!(
+                "unknown {kind} {name:?}; registered: {}",
+                names.join(", ")
+            )),
+        }
+    }
+
+    /// The method `--method NAME` names, or every Table V method;
+    /// exits 1 on an unknown name.
+    pub fn methods(&self) -> Vec<Method> {
+        match self.value("--method") {
+            Some(name) => vec![self.lookup("method", name, &Method::ALL, Method::name)],
+            None => Method::ALL.to_vec(),
+        }
+    }
+
+    /// The fabrics `--all-targets`, `--targets A,B` or `--target NAME`
+    /// name, in that precedence, or artix7; exits 1 on an unknown name.
+    /// Each binary declares the forms it takes.
+    pub fn targets(&self) -> Vec<Target> {
+        let target = |name: &str| self.lookup("target", name, &Target::ALL, Target::name);
+        if self.has("--all-targets") {
+            Target::ALL.to_vec()
+        } else if let Some(list) = self.given("--targets") {
+            list.split(',').map(|t| target(t.trim())).collect()
+        } else {
+            vec![target(self.value("--target").unwrap_or("artix7"))]
+        }
+    }
+
+    /// The report file `flag` names, created now; exits 1 with one
+    /// `error:` line if it cannot be.
+    pub fn report(&self, flag: &str) -> Option<Report<'_>> {
+        let path = self.value(flag)?;
+        let file = File::create(path).unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
+        Some(Report { path, file })
     }
 }
 
@@ -313,12 +404,13 @@ mod tests {
     #[test]
     fn ci_command_lines_keep_parsing() {
         let ci = include_str!("../../../.github/workflows/ci.yml");
-        let bins: [(&str, &'static Cli); 6] = [
+        let bins: [(&str, &'static Cli); 7] = [
             ("table5", &TABLE5),
             ("audit", &AUDIT),
             ("sta", &STA),
             ("reveng", &REVENG),
             ("table1", &NO_FLAGS),
+            ("paper", &NO_FLAGS),
             ("export_blif", &EXPORT_BLIF),
         ];
         let refused_after_parsing = ["--inject", "--only 8,4", "--target-ns nan"];

@@ -15,7 +15,6 @@
 
 use std::io;
 
-use gf2poly::TypeIiPentanomial;
 use rgf2m_fpga::FlowError;
 use rgf2m_serve::client::{Client, ClientJob};
 use rgf2m_serve::net::Endpoint;
@@ -40,37 +39,27 @@ pub fn run_rows_via_daemon(
     // carry the exact BatchRunner error bytes, and skipping them keeps
     // the daemon's registry validation out of the equivalence surface.
     let mut rows: Vec<BatchRow> = Vec::with_capacity(jobs.len());
-    let mut wire: Vec<(usize, ClientJob)> = Vec::with_capacity(jobs.len());
+    let (mut wire, mut batch) = (Vec::new(), Vec::new());
     for (index, &job) in jobs.iter().enumerate() {
         let seed = job_seed_from(base_seed, index);
-        let result = match TypeIiPentanomial::new(job.m, job.n) {
-            Err(e) => Err(FlowError::InvalidOptions(format!(
-                "job {index}: ({}, {}) is not a valid type II pentanomial: {e}",
-                job.m, job.n
-            ))),
-            Ok(_) => {
-                wire.push((
-                    index,
-                    ClientJob {
-                        field: FieldSpec::Pair { m: job.m, n: job.n },
-                        method: job.method,
-                        target: job.target,
-                        seed,
-                    },
-                ));
-                // Placeholder; overwritten from the daemon's answer.
-                Err(FlowError::Remote {
-                    message: "daemon response missing".into(),
-                })
-            }
-        };
+        let result = job.pentanomial(index).and_then(|_| {
+            wire.push(index);
+            batch.push(ClientJob {
+                field: FieldSpec::Pair { m: job.m, n: job.n },
+                method: job.method,
+                target: job.target,
+                seed,
+            });
+            // Placeholder; overwritten from the daemon's answer.
+            Err(FlowError::Remote {
+                message: "daemon response missing".into(),
+            })
+        });
         rows.push(BatchRow { job, seed, result });
     }
-    if !wire.is_empty() {
-        let mut client = Client::connect(endpoint)?;
-        let batch: Vec<ClientJob> = wire.iter().map(|(_, j)| j.clone()).collect();
-        let outcomes = client.synth_batch(&batch)?;
-        for ((index, _), outcome) in wire.into_iter().zip(outcomes) {
+    if !batch.is_empty() {
+        let outcomes = Client::connect(endpoint)?.synth_batch(&batch)?;
+        for (index, outcome) in wire.into_iter().zip(outcomes) {
             rows[index].result = match outcome {
                 Ok((report, _source)) => Ok(report),
                 Err(message) => Err(FlowError::Remote { message }),
@@ -88,14 +77,13 @@ mod tests {
     use rgf2m_core::Method;
     use rgf2m_fpga::Target;
     use rgf2m_serve::server::{self, default_template, ServerConfig};
-    use rgf2m_serve::DEFAULT_SEED;
 
-    /// The daemon's seed and pipeline defaults are pinned to the
-    /// harness's: this is what makes daemon-served rows byte-identical
-    /// to `BatchRunner` rows without any client-side configuration.
+    /// The daemon's pipeline defaults are pinned to the harness's (the
+    /// seed is one constant, `place::DEFAULT_SEED`): this is what makes
+    /// daemon-served rows byte-identical to `BatchRunner` rows without
+    /// any client-side configuration.
     #[test]
     fn daemon_defaults_mirror_the_harness() {
-        assert_eq!(DEFAULT_SEED, crate::HARNESS_SEED);
         assert_eq!(
             default_template().options_fingerprint(),
             crate::harness_pipeline().options_fingerprint()

@@ -3,7 +3,8 @@
 //! The Table V method set comes from the unified registry
 //! ([`rgf2m_core::Method::ALL`], paper row order) and the fabric set
 //! from the target registry ([`rgf2m_fpga::Target::ALL`]); this crate
-//! adds the paper's published numbers ([`paper_data`]), the parallel
+//! adds the paper's published numbers and the A×T rule that judges
+//! them and ours alike ([`paper_data`]), the parallel
 //! [`BatchRunner`] ([`batch`]), the structured JSON/CSV report writers
 //! ([`report`]), daemon-backed execution against a running
 //! `rgf2m-served` ([`daemon`]), the
@@ -22,6 +23,7 @@ pub mod report;
 
 use gf2m::Field;
 use gf2poly::TypeIiPentanomial;
+use paper_data::PaperRow;
 use rgf2m_fpga::Pipeline;
 
 pub use audit::{
@@ -31,37 +33,6 @@ pub use audit::{
 pub use batch::{job_seed_from, table_v_jobs, table_v_jobs_on, BatchRow, BatchRunner, Job};
 pub use daemon::run_rows_via_daemon;
 pub use report::{rows_to_csv, rows_to_json, validate_table5_json, TABLE5_SCHEMA};
-
-/// One measured row of our Table V reproduction.
-#[derive(Debug, Clone)]
-pub struct MeasuredRow {
-    /// The paper's citation tag (`"[2]"` … `"This work"`).
-    pub citation: &'static str,
-    /// Post-mapping LUT count.
-    pub luts: usize,
-    /// Post-packing slice count.
-    pub slices: usize,
-    /// Post-place critical path (ns).
-    pub time_ns: f64,
-}
-
-impl MeasuredRow {
-    /// The measured row of a successful batch job, `None` for a failed
-    /// one.
-    pub fn of(row: &BatchRow) -> Option<MeasuredRow> {
-        row.result.as_ref().ok().map(|r| MeasuredRow {
-            citation: row.job.method.citation(),
-            luts: r.luts,
-            slices: r.slices,
-            time_ns: r.time_ns,
-        })
-    }
-
-    /// LUTs × ns, the paper's composite metric.
-    pub fn area_time(&self) -> f64 {
-        self.luts as f64 * self.time_ns
-    }
-}
 
 /// Builds the field for a Table V `(m, n)` pair.
 ///
@@ -77,8 +48,9 @@ pub fn field_for(m: usize, n: usize) -> Field {
     )
 }
 
-/// Formats a measured field block in the paper's Table V layout.
-pub fn format_field_block(m: usize, n: usize, rows: &[MeasuredRow]) -> String {
+/// Formats a field block, measured or published, in the paper's
+/// Table V layout.
+pub fn format_field_block(m: usize, n: usize, rows: &[PaperRow]) -> String {
     use std::fmt::Write as _;
     let mut s = String::new();
     let _ = writeln!(s, "  ({m},{n})");
@@ -101,12 +73,10 @@ pub fn format_field_block(m: usize, n: usize, rows: &[MeasuredRow]) -> String {
     s
 }
 
-/// The placement seed harness runs are pinned to (the paper's year).
-pub const HARNESS_SEED: u64 = 2018;
-
 /// The pipeline every harness run starts from: [`Pipeline::new`], on
 /// the paper's Artix-7 fabric with the default placement seed
-/// ([`HARNESS_SEED`]) and its exact, bounded annealing budget. Retarget
+/// ([`rgf2m_fpga::place::DEFAULT_SEED`]) and its exact, bounded
+/// annealing budget. Retarget
 /// with `Pipeline::with_target` (the [`BatchRunner`] does this per
 /// job).
 pub fn harness_pipeline() -> Pipeline {
@@ -119,10 +89,10 @@ mod tests {
 
     #[test]
     fn run_table_v_smallest_field() {
-        let rows: Vec<MeasuredRow> = BatchRunner::new()
+        let rows: Vec<PaperRow> = BatchRunner::new()
             .run_rows(&table_v_jobs(&[(8, 2)]))
             .iter()
-            .filter_map(MeasuredRow::of)
+            .filter_map(BatchRow::table_v_row)
             .collect();
         assert_eq!(rows.len(), 6);
         for r in &rows {
@@ -139,7 +109,7 @@ mod tests {
         // annealing budget. Pin the actual options so the doc can't
         // silently rot again.
         let opts = harness_pipeline().place_options().clone();
-        assert_eq!(opts.seed, HARNESS_SEED);
+        assert_eq!(opts.seed, rgf2m_fpga::place::DEFAULT_SEED);
         assert_eq!(rgf2m_fpga::place::MAX_TOTAL_MOVES, 1_200_000);
         // And the harness pipeline targets the paper's fabric.
         assert_eq!(harness_pipeline().target(), rgf2m_fpga::Target::Artix7);
@@ -160,15 +130,11 @@ mod tests {
         let mut wins = 0;
         let mut exceptions = Vec::new();
         for block in paper_data::PAPER_TABLE_V {
-            let best = block
-                .rows
-                .iter()
-                .min_by(|a, b| a.area_time().partial_cmp(&b.area_time()).unwrap())
-                .unwrap();
-            if best.citation == "This work" {
+            let verdict = paper_data::axt_verdict(&block.rows);
+            if verdict.this_work_wins() {
                 wins += 1;
             } else {
-                exceptions.push((block.m, block.n, best.citation));
+                exceptions.push((block.m, block.n, verdict.winner.unwrap()));
             }
         }
         assert_eq!(wins, 7, "exceptions: {exceptions:?}");

@@ -1,11 +1,16 @@
 //! The paper's Table V, transcribed verbatim for side-by-side
-//! comparison with our measurements.
+//! comparison with our measurements, and the A×T rule that judges a
+//! published block and a measured one alike.
 //!
 //! Source: Imaña, "Reconfigurable implementation of GF(2^m) bit-parallel
 //! multipliers", DATE 2018, Table V (post-place-and-route results on
 //! Xilinx Artix-7 XC7A200T-FFG1156 with ISE 14.7 / XST).
 
-/// One published row: method citation + LUTs / Slices / Time.
+use rgf2m_core::Method;
+
+/// One Table V row: method citation + LUTs / Slices / Time. A published
+/// row and a measured one
+/// ([`BatchRow::table_v_row`](crate::BatchRow::table_v_row)) alike.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PaperRow {
     /// The paper's citation tag.
@@ -22,6 +27,44 @@ impl PaperRow {
     /// LUTs × ns (matches the paper's printed A×T column to rounding).
     pub fn area_time(&self) -> f64 {
         self.luts as f64 * self.time_ns
+    }
+}
+
+/// The A×T verdict on one field block.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AxtVerdict {
+    /// The citation of the row with the lowest LUTs × ns (the first of
+    /// a tie); `None` for an empty block.
+    pub winner: Option<&'static str>,
+    /// Whether 'This work' has a lower LUTs × ns than \[7\], its
+    /// parenthesised predecessor; `false` unless both rows are present.
+    pub beats_paren: bool,
+}
+
+impl AxtVerdict {
+    /// Whether 'This work' wins the block on A×T.
+    pub fn this_work_wins(&self) -> bool {
+        self.winner == Some(Method::ProposedFlat.citation())
+    }
+}
+
+/// The paper's A×T rule over one field block's rows, published or
+/// measured: who wins, and whether 'This work' beats \[7\].
+pub fn axt_verdict(rows: &[PaperRow]) -> AxtVerdict {
+    let area_time = |method: Method| {
+        rows.iter()
+            .find(|r| r.citation == method.citation())
+            .map(PaperRow::area_time)
+    };
+    AxtVerdict {
+        winner: rows
+            .iter()
+            .min_by(|a, b| a.area_time().total_cmp(&b.area_time()))
+            .map(|r| r.citation),
+        beats_paren: matches!(
+            (area_time(Method::ProposedFlat), area_time(Method::Imana2016)),
+            (Some(this_work), Some(paren)) if this_work < paren
+        ),
     }
 }
 
@@ -189,15 +232,25 @@ mod tests {
         // The paper's §IV claim: "the new approach is more area and time
         // efficient [than [7]] in all implemented fields".
         for block in &PAPER_TABLE_V {
-            let paren = block.rows[4];
-            let tw = block.rows[5];
             assert!(
-                tw.area_time() < paren.area_time(),
+                axt_verdict(&block.rows).beats_paren,
                 "({},{})",
                 block.m,
                 block.n
             );
         }
+    }
+
+    #[test]
+    fn axt_verdict_of_a_block_missing_rows() {
+        // A measured block loses the rows of failed jobs.
+        let rows = &PAPER_TABLE_V[0].rows;
+        let without_paren = [rows[0], rows[5]];
+        let verdict = axt_verdict(&without_paren);
+        assert!(verdict.this_work_wins() && !verdict.beats_paren);
+        let empty = axt_verdict(&[]);
+        assert_eq!(empty.winner, None);
+        assert!(!empty.this_work_wins() && !empty.beats_paren);
     }
 
     #[test]

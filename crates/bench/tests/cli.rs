@@ -98,12 +98,25 @@ fn bad_command_lines_exit_1_with_usage_before_any_work() {
 /// with the usage before any work, without a panic.
 #[test]
 fn unusable_values_exit_1_with_usage_before_any_work() {
-    let cases: [(&str, &[&str], &str); 5] = [
+    let unknown_target =
+        "unknown target \"artix8\"; registered: artix7, spartan3, virtex5, stratix_alm";
+    let unknown_method = "unknown method \"bogus\"; registered: mastrovito, rashidi, \
+                          reyhani_hasan, imana2012, imana2016, proposed";
+    let reducible = "--only 16,2 names no type II pentanomial";
+    let cases: [(&str, &[&str], &str); 13] = [
         (
             "table5",
             &["--only", "8,2", "--daemon", "bogus"],
             "--daemon: ",
         ),
+        ("table5", &["--target", "artix8"], unknown_target),
+        ("audit", &["--targets", "artix7,artix8"], unknown_target),
+        ("sta", &["--target", "artix8"], unknown_target),
+        ("audit", &["--method", "bogus"], unknown_method),
+        ("sta", &["--method", "bogus"], unknown_method),
+        ("audit", &["--only", "16,2"], reducible),
+        ("sta", &["--only", "16,2"], reducible),
+        ("export_blif", &["--only", "16,2"], reducible),
         (
             "sta",
             &["--method", "proposed", "--target-ns", "nan"],

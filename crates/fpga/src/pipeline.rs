@@ -699,17 +699,9 @@ impl Pipeline {
         let packing = self.pack(&mapped)?;
         let placement = self.place(&mapped, &packing)?;
         let timing = self.time(&mapped, &packing, &placement);
-        // Gate-level depth of the *source* netlist: the algebraic
-        // delay claim, deliberately measured before resynthesis.
-        let gate_depth =
-            netlist::output_depths(net)
-                .into_iter()
-                .fold(netlist::Depth::default(), |w, d| netlist::Depth {
-                    ands: w.ands.max(d.ands),
-                    xors: w.xors.max(d.xors),
-                });
-        // Source-netlist area (the Table V #AND/#XOR claim) and the
-        // structural-hashing dividend: gates a strash rewrite would
+        // Source-netlist area and depth (the Table V #AND/#XOR and
+        // delay claims, deliberately measured before resynthesis) and
+        // the structural-hashing dividend: gates a strash rewrite would
         // reclaim (0 for every hash-consed generator — a positive
         // sharing certificate carried into the report).
         let gate_stats = net.stats();
@@ -723,8 +715,8 @@ impl Pipeline {
             dup_gates: lint.duplicate_gates(),
             dead_nodes: lint.dead_nodes(),
             worst_slack_ns: timing.worst_slack_ns,
-            and_depth: gate_depth.ands,
-            xor_depth: gate_depth.xors,
+            and_depth: gate_stats.depth.ands,
+            xor_depth: gate_stats.depth.xors,
             and_gates: gate_stats.ands,
             xor_gates: gate_stats.xors,
             dedup_saved,

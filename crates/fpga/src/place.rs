@@ -210,6 +210,11 @@ fn output_pad_pos(o: usize, n: usize, (w, h): (usize, usize)) -> (f32, f32) {
     (w as f32, y)
 }
 
+/// The placement seed of every run that names none: the paper's
+/// year. Harness runs and seedless daemon requests both anneal with it,
+/// so they share store keys.
+pub const DEFAULT_SEED: u64 = 2018;
+
 /// Options for the annealer.
 #[derive(Debug, Clone)]
 pub struct PlaceOptions {
@@ -219,7 +224,7 @@ pub struct PlaceOptions {
 
 impl Default for PlaceOptions {
     fn default() -> Self {
-        PlaceOptions { seed: 2018 }
+        PlaceOptions { seed: DEFAULT_SEED }
     }
 }
 

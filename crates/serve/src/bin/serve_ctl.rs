@@ -19,11 +19,11 @@
 //! daemon is contacted, so a misspelled assertion cannot pass silently.
 
 use rgf2m_core::Method;
-use rgf2m_fpga::Target;
+use rgf2m_fpga::{place::DEFAULT_SEED, Target};
 use rgf2m_serve::client::{Client, ClientJob};
 use rgf2m_serve::json::JsonValue;
 use rgf2m_serve::net::Endpoint;
-use rgf2m_serve::protocol::{FieldSpec, DEFAULT_SEED};
+use rgf2m_serve::protocol::FieldSpec;
 
 const USAGE: &str = "usage: serve_ctl ENDPOINT synth|stats|shutdown ...";
 const SYNTH_USAGE: &str = "usage: serve_ctl ENDPOINT synth M N METHOD [TARGET] [--seed S]";

@@ -24,9 +24,10 @@ const NAME: &str = "name";
 /// zero up to float noise.
 const SLACK_TOLERANCE: f64 = 1e-6;
 
-/// The largest count a reader accepts, 2^53 − 1: every integer up to
-/// it has its own `f64`, so a JSON number there reads back exactly.
-const MAX_EXACT_COUNT: f64 = ((1u64 << 53) - 1) as f64;
+/// The largest count a reader (and the line protocol's `id` and `seed`)
+/// accepts, 2^53 − 1: every integer up to it has its own `f64`, so a
+/// JSON number there reads back exactly.
+pub(crate) const MAX_EXACT_COUNT: f64 = ((1u64 << 53) - 1) as f64;
 
 /// How a column is typed, read and written.
 #[derive(Debug, Clone, Copy)]

@@ -26,10 +26,10 @@
 //! ```
 //! use rgf2m_serve::client::{Client, ClientJob};
 //! use rgf2m_serve::net::Endpoint;
-//! use rgf2m_serve::protocol::{FieldSpec, DEFAULT_SEED};
+//! use rgf2m_serve::protocol::FieldSpec;
 //! use rgf2m_serve::server::{self, ServerConfig};
 //! use rgf2m_core::Method;
-//! use rgf2m_fpga::Target;
+//! use rgf2m_fpga::{place::DEFAULT_SEED, Target};
 //!
 //! // An ephemeral in-process daemon (port 0 = pick a free port).
 //! let handle = server::spawn(ServerConfig::new(Endpoint::Tcp("127.0.0.1:0".into())))?;
@@ -67,6 +67,6 @@ pub mod store;
 pub use client::{Client, ClientJob, SynthOutcome};
 pub use json::{json_string, parse_json, JsonValue};
 pub use net::{AnyListener, Conn, Endpoint};
-pub use protocol::{FieldSpec, Request, SynthRequest, DEFAULT_SEED};
+pub use protocol::{FieldSpec, Request, SynthRequest};
 pub use server::{default_template, ServerConfig, ServerHandle};
 pub use store::{ArtifactStore, StoreStats, ARTIFACT_SCHEMA};

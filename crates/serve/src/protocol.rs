@@ -25,20 +25,17 @@
 //! mantissa would silently round them — and a rounded seed anneals a
 //! *different* placement. Encoders therefore write `seed` as a decimal
 //! **string** (`"seed": "11657511268527099060"`); the parser accepts
-//! either spelling and rejects numeric seeds above 2^53.
+//! either spelling and refuses a numeric seed or id above 2^53 − 1,
+//! the largest integer every smaller one of which `f64` carries
+//! exactly.
 
 use gf2m::Field;
 use gf2poly::{Gf2Poly, TypeIiPentanomial};
 use rgf2m_core::Method;
-use rgf2m_fpga::{ImplReport, Target};
+use rgf2m_fpga::{place::DEFAULT_SEED, ImplReport, Target};
 
-use crate::codec::{read_report, write_report_members};
+use crate::codec::{read_report, write_report_members, MAX_EXACT_COUNT};
 use crate::json::{json_string, parse_json, JsonValue};
-
-/// The placement seed synth requests default to — the paper's year,
-/// kept equal to `rgf2m_bench::HARNESS_SEED` (a bench-side test pins
-/// the two together).
-pub const DEFAULT_SEED: u64 = 2018;
 
 /// The largest field degree a synth request may name, as `m` or as a
 /// `poly` exponent: the NIST B-571 field, the largest Table V covers.
@@ -135,7 +132,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         .ok_or("missing \"op\"")?;
     let id = match doc.get("id") {
         None => 0,
-        Some(v) => as_u64(v).ok_or("\"id\" must be a non-negative integer")?,
+        Some(v) => as_u64(v).ok_or("\"id\" must be a non-negative integer up to 2^53 − 1")?,
     };
     match op {
         "stats" => Ok(Request::Stats { id }),
@@ -189,7 +186,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 None => DEFAULT_SEED,
                 Some(v) => seed_u64(v).ok_or(
                     "\"seed\" must be a non-negative integer (as a decimal string for \
-                     values above 2^53, which JSON numbers cannot carry exactly)",
+                     values above 2^53 − 1, which JSON numbers cannot carry exactly)",
                 )?,
             };
             Ok(Request::Synth(SynthRequest {
@@ -293,7 +290,7 @@ pub fn parse_response(line: &str) -> Result<Response, String> {
     let doc = parse_json(line)?;
     let id = doc
         .get("id")
-        .and_then(as_u64_ref)
+        .and_then(as_u64)
         .ok_or("response: missing \"id\"")?;
     let ok = doc
         .get("ok")
@@ -302,22 +299,20 @@ pub fn parse_response(line: &str) -> Result<Response, String> {
     Ok(Response { id, ok, doc })
 }
 
+/// A JSON number that names one non-negative integer: at most
+/// 2^53 − 1, past which `f64` has already rounded it in transit.
 fn as_u64(v: &JsonValue) -> Option<u64> {
     let f = v.as_f64()?;
-    (f >= 0.0 && f.fract() == 0.0 && f <= u64::MAX as f64).then_some(f as u64)
+    (f >= 0.0 && f.fract() == 0.0 && f <= MAX_EXACT_COUNT).then_some(f as u64)
 }
 
-/// A seed: a decimal string (exact at any width), or a JSON number up
-/// to 2^53 (beyond which `f64` would have rounded it in transit).
+/// A seed: a decimal string (exact up to `u64::MAX`), or a JSON number
+/// [`as_u64`] reads exactly.
 fn seed_u64(v: &JsonValue) -> Option<u64> {
     match v {
         JsonValue::Str(s) => s.parse().ok(),
-        _ => as_u64(v).filter(|&s| s <= (1 << 53)),
+        _ => as_u64(v),
     }
-}
-
-fn as_u64_ref(v: &JsonValue) -> Option<u64> {
-    as_u64(v)
 }
 
 #[cfg(test)]
@@ -375,6 +370,36 @@ mod tests {
             panic!("not synth")
         };
         assert_eq!(s.seed, 2018);
+    }
+
+    #[test]
+    fn integers_past_f64_exactness_are_refused() {
+        // Each of these reads back as a different integer once `f64`
+        // has rounded it: 2^53 + 1 as 2^53, 2^64 as `u64::MAX`.
+        let synth = |members: &str| {
+            parse_request(&format!(
+                r#"{{"op": "synth", "m": 8, "n": 2, "method": "proposed", {members}}}"#
+            ))
+        };
+        for id in ["9007199254740993", "18446744073709551616"] {
+            let err = synth(&format!(r#""id": {id}"#)).unwrap_err();
+            assert!(err.contains("\"id\""), "{id}: {err}");
+            let err = parse_request(&format!(r#"{{"op": "stats", "id": {id}}}"#)).unwrap_err();
+            assert!(err.contains("\"id\""), "{id}: {err}");
+        }
+        let err = synth(r#""seed": 9007199254740993"#).unwrap_err();
+        assert!(err.contains("above 2^53 − 1"), "{err}");
+        // 2^53 − 1 is the largest exact number; a decimal string stays
+        // exact to u64::MAX.
+        let Ok(Request::Synth(s)) = synth(r#""id": 9007199254740991, "seed": 9007199254740991"#)
+        else {
+            panic!("2^53 - 1 refused")
+        };
+        assert_eq!((s.id, s.seed), ((1 << 53) - 1, (1 << 53) - 1));
+        let Ok(Request::Synth(s)) = synth(r#""seed": "18446744073709551615""#) else {
+            panic!("u64::MAX as a string refused")
+        };
+        assert_eq!(s.seed, u64::MAX);
     }
 
     #[test]

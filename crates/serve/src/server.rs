@@ -53,7 +53,7 @@ use crate::store::ArtifactStore;
 pub const MAX_LINE_BYTES: usize = 64 * 1024;
 
 /// The pipeline every daemon job starts from: [`Pipeline::new`], whose
-/// placement seed is [`crate::DEFAULT_SEED`] — the same options
+/// placement seed is [`rgf2m_fpga::place::DEFAULT_SEED`] — the same options
 /// fingerprint as the bench harness, so one store serves both worlds.
 /// Per job, the request's target and seed are applied on top.
 pub fn default_template() -> Pipeline {

@@ -13,13 +13,11 @@ use std::sync::Arc;
 use gf2m::Field;
 use gf2poly::TypeIiPentanomial;
 use rgf2m_core::{generate, Method};
-use rgf2m_fpga::{Pipeline, Target};
+use rgf2m_fpga::{place::DEFAULT_SEED, Pipeline, Target};
 use rgf2m_serve::client::{Client, ClientJob};
 use rgf2m_serve::json::JsonValue;
 use rgf2m_serve::net::Endpoint;
-use rgf2m_serve::protocol::{
-    encode_request, parse_response, FieldSpec, Request, SynthRequest, DEFAULT_SEED,
-};
+use rgf2m_serve::protocol::{encode_request, parse_response, FieldSpec, Request, SynthRequest};
 use rgf2m_serve::server::{self, default_template, ServerConfig};
 use rgf2m_serve::store::ArtifactStore;
 
