@@ -34,6 +34,9 @@ fn main() {
     let args = cli::TABLE5.parse();
     let quick = args.has("--quick");
     let only = args.pair("--only");
+    if quick && only.is_some() {
+        args.fail("--only and --quick each choose the fields; give one");
+    }
     let threads: usize = args.parsed("--threads").unwrap_or(1);
     let targets = args.targets();
 

@@ -25,6 +25,7 @@ use std::str::FromStr;
 use gf2poly::TypeIiPentanomial;
 use rgf2m_core::Method;
 use rgf2m_fpga::Target;
+use rgf2m_serve::protocol::unknown_name;
 
 /// One binary's command-line contract.
 #[derive(Debug)]
@@ -195,10 +196,7 @@ impl Args {
         let names: Vec<&str> = all.iter().map(|&t| name_of(t)).collect();
         match names.iter().position(|&n| n == name) {
             Some(i) => all[i],
-            None => self.fail(&format!(
-                "unknown {kind} {name:?}; registered: {}",
-                names.join(", ")
-            )),
+            None => self.fail(&unknown_name(kind, name, &names)),
         }
     }
 
@@ -247,7 +245,7 @@ pub static TABLE5: Cli = Cli {
 Usage:
   table5                 # all nine fields on artix7 (minutes; use --release)
   table5 --quick         # only (8,2) and (64,23) (~seconds)
-  table5 --only M,N      # a single field, e.g. --only 8,2
+  table5 --only M,N      # a single field, e.g. --only 8,2 (not with --quick)
   table5 --target NAME   # another fabric (artix7|spartan3|virtex5|stratix_alm)
   table5 --all-targets   # every registry fabric, one grid per target
   table5 --threads N     # batch worker threads (0 = all CPUs)
@@ -273,7 +271,7 @@ pub static AUDIT: Cli = Cli {
     usage: "\
 Usage:
   audit                      # (8,2), all six methods, artix7
-  audit --only M,N           # another Table V field
+  audit --only M,N           # any type II pentanomial (M,N)
   audit --method NAME        # a single method (e.g. proposed)
   audit --target NAME        # another fabric (e.g. spartan3)
   audit --targets A,B        # an explicit fabric list
@@ -300,7 +298,7 @@ pub static STA: Cli = Cli {
     usage: "\
 Usage:
   sta                        # (8,2), all six methods, artix7
-  sta --only M,N             # another Table V field
+  sta --only M,N             # any type II pentanomial (M,N)
   sta --method NAME          # a single method (e.g. proposed)
   sta --target NAME          # another fabric (e.g. spartan3)
   sta --all-targets          # every registered fabric
@@ -413,7 +411,12 @@ mod tests {
             ("paper", &NO_FLAGS),
             ("export_blif", &EXPORT_BLIF),
         ];
-        let refused_after_parsing = ["--inject", "--only 8,4", "--target-ns nan"];
+        let refused_after_parsing = [
+            "--inject",
+            "--only 8,4",
+            "--target-ns nan",
+            "--only 8,2 --quick",
+        ];
         let mut checked = 0;
         for line in ci.lines().map(str::trim) {
             let line = line.trim_start_matches("run: ");

@@ -103,11 +103,16 @@ fn unusable_values_exit_1_with_usage_before_any_work() {
     let unknown_method = "unknown method \"bogus\"; registered: mastrovito, rashidi, \
                           reyhani_hasan, imana2012, imana2016, proposed";
     let reducible = "--only 16,2 names no type II pentanomial";
-    let cases: [(&str, &[&str], &str); 13] = [
+    let cases: [(&str, &[&str], &str); 14] = [
         (
             "table5",
             &["--only", "8,2", "--daemon", "bogus"],
             "--daemon: ",
+        ),
+        (
+            "table5",
+            &["--only", "8,2", "--quick"],
+            "--only and --quick each choose the fields",
         ),
         ("table5", &["--target", "artix8"], unknown_target),
         ("audit", &["--targets", "artix7,artix8"], unknown_target),

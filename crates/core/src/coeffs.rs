@@ -179,12 +179,6 @@ impl FlatCoefficientTable {
             .join(" + ");
         format!("c{k} = {body}")
     }
-
-    /// Total atom references across all coefficients (a proxy for the
-    /// unshared XOR-network size).
-    pub fn total_atom_refs(&self) -> usize {
-        self.rows.iter().map(Vec::len).sum()
-    }
 }
 
 impl fmt::Display for FlatCoefficientTable {
@@ -270,8 +264,6 @@ mod tests {
         for k in 0..64 {
             assert_eq!(table.row(k).s_index, k + 1);
         }
-        let flat = FlatCoefficientTable::new(&field);
-        assert!(flat.total_atom_refs() > 64);
     }
 
     #[test]

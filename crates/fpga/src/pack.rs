@@ -6,7 +6,7 @@ use std::collections::BinaryHeap;
 use crate::lut::{LutNetlist, Signal};
 
 /// A packing of LUTs into slices.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Packing {
     /// `slices[s]` = LUT ids packed into slice `s`.
     slices: Vec<Vec<u32>>,
@@ -61,53 +61,132 @@ pub fn pack_slices(lutnet: &LutNetlist, luts_per_slice: usize) -> Packing {
     compact(slices, slice_of)
 }
 
+/// Most slices the affinity phase keeps open; a fresh slice beyond it
+/// closes the oldest open one.
+const MAX_OPEN: usize = 24;
+
 /// The affinity phase: each LUT, in topological order, joins the open
-/// slice sharing the most signals with it, or opens a fresh slice.
-/// Returns the slices and each LUT's slice.
+/// slice sharing the most signals with it (the oldest of those tied),
+/// or opens a fresh slice. Returns the slices and each LUT's slice.
+///
+/// Scoring a LUT walks the set bits of its signals' [`OpenSlots`]
+/// masks: O(signals + hits + open slices) per LUT, rather than a search
+/// of every open slice's signal list for each of its signals.
 fn open_slices(lutnet: &LutNetlist, luts_per_slice: usize) -> (Vec<Vec<u32>>, Vec<u32>) {
     let n = lutnet.num_luts();
     let mut slices: Vec<Vec<u32>> = Vec::new();
     let mut slice_of = vec![u32::MAX; n];
-    // Signals used by each open slice, for affinity scoring.
-    const MAX_OPEN: usize = 24;
-    let mut open: Vec<(usize, Vec<Signal>)> = Vec::new(); // (slice idx, signals)
-
+    let mut open = OpenSlots::new(n.max(lutnet.input_names().len()));
+    let mut keys = Vec::new();
     for (l, lut) in lutnet.luts().iter().enumerate() {
-        let mut my_signals: Vec<Signal> = lut.inputs.clone();
-        my_signals.push(Signal::Lut(l as u32));
-        // Score open slices.
-        let mut best: Option<(usize, usize)> = None; // (open idx, score)
-        for (oi, (si, signals)) in open.iter().enumerate() {
-            if slices[*si].len() >= luts_per_slice {
-                continue;
-            }
-            let score = my_signals.iter().filter(|s| signals.contains(s)).count();
-            if score > 0 && best.is_none_or(|(_, bs)| score > bs) {
-                best = Some((oi, score));
-            }
-        }
-        let si = match best {
-            Some((oi, _)) => {
-                let (si, signals) = &mut open[oi];
-                signals.extend(my_signals);
-                *si
-            }
-            None => {
-                let si = slices.len();
-                slices.push(Vec::new());
-                open.push((si, my_signals));
-                if open.len() > MAX_OPEN {
-                    open.remove(0);
-                }
-                si
-            }
-        };
+        keys.clear();
+        keys.extend(lut.inputs.iter().map(|&s| OpenSlots::key(s)));
+        keys.push(OpenSlots::key(Signal::Lut(l as u32)));
+        let slot = open.best(&keys).unwrap_or_else(|| {
+            slices.push(Vec::new());
+            open.open(slices.len() - 1)
+        });
+        open.add(slot, &keys);
+        let si = open.slice[slot];
         slices[si].push(l as u32);
         slice_of[l] = si as u32;
-        // Retire full slices from the open list.
-        open.retain(|(s, _)| slices[*s].len() < luts_per_slice);
+        // Retire a full slice from the open list.
+        if slices[si].len() >= luts_per_slice {
+            open.close(slot);
+        }
     }
     (slices, slice_of)
+}
+
+/// The affinity phase's open slices, each in one of [`MAX_OPEN`]
+/// slots, with each signal's slots as a bitmask.
+struct OpenSlots {
+    /// The occupied slots, oldest slice first.
+    order: Vec<usize>,
+    /// The slice in each occupied slot.
+    slice: [usize; MAX_OPEN],
+    /// The signal keys each slot's slice uses (repeats allowed).
+    keys: Vec<Vec<usize>>,
+    /// `holders[key]`: bit `k` is set when slot `k`'s slice uses the
+    /// signal.
+    holders: Vec<u32>,
+    /// Bit `k` is set when slot `k` is free.
+    free: u32,
+}
+
+impl OpenSlots {
+    /// No slot open, with room for the keys of `signals` inputs and
+    /// as many LUTs.
+    fn new(signals: usize) -> OpenSlots {
+        OpenSlots {
+            order: Vec::with_capacity(MAX_OPEN),
+            slice: [0; MAX_OPEN],
+            keys: vec![Vec::new(); MAX_OPEN],
+            holders: vec![0; 2 + 2 * signals],
+            free: (1 << MAX_OPEN) - 1,
+        }
+    }
+
+    /// A dense key per signal: the two constants, then inputs and LUTs
+    /// interleaved.
+    fn key(s: Signal) -> usize {
+        match s {
+            Signal::Const(b) => usize::from(b),
+            Signal::Input(i) => 2 + 2 * i as usize,
+            Signal::Lut(j) => 3 + 2 * j as usize,
+        }
+    }
+
+    /// The slot whose slice uses the most of `keys` (one point per key,
+    /// repeats included), the oldest of those tied, or `None` if no
+    /// open slice uses any.
+    fn best(&self, keys: &[usize]) -> Option<usize> {
+        let mut score = [0u32; MAX_OPEN];
+        for &k in keys {
+            let mut bits = self.holders[k];
+            while bits != 0 {
+                score[bits.trailing_zeros() as usize] += 1;
+                bits &= bits - 1;
+            }
+        }
+        let mut best: Option<usize> = None;
+        for &slot in &self.order {
+            if score[slot] > 0 && best.is_none_or(|b| score[slot] > score[b]) {
+                best = Some(slot);
+            }
+        }
+        best
+    }
+
+    /// Opens slice `si` in a free slot, closing the oldest open slice
+    /// first if every slot is taken, and returns the slot.
+    fn open(&mut self, si: usize) -> usize {
+        if self.order.len() == MAX_OPEN {
+            self.close(self.order[0]);
+        }
+        let slot = self.free.trailing_zeros() as usize;
+        self.free &= !(1 << slot);
+        self.slice[slot] = si;
+        self.order.push(slot);
+        slot
+    }
+
+    /// Records that slot `slot`'s slice uses the signals of `keys`.
+    fn add(&mut self, slot: usize, keys: &[usize]) {
+        for &k in keys {
+            self.holders[k] |= 1 << slot;
+        }
+        self.keys[slot].extend_from_slice(keys);
+    }
+
+    /// Closes slot `slot`, freeing it for a later slice.
+    fn close(&mut self, slot: usize) {
+        self.order.retain(|&o| o != slot);
+        for k in self.keys[slot].drain(..) {
+            self.holders[k] &= !(1 << slot);
+        }
+        self.free |= 1 << slot;
+    }
 }
 
 /// Consolidation pass: the affinity phase leaves many underfull slices
@@ -301,6 +380,51 @@ mod tests {
         }
     }
 
+    /// The linear-scan affinity phase `open_slices` replaced, kept as its
+    /// oracle: each of the LUT's signals is searched for in the signal
+    /// list of every open slice.
+    fn open_slices_linear(lutnet: &LutNetlist, luts_per_slice: usize) -> (Vec<Vec<u32>>, Vec<u32>) {
+        let n = lutnet.num_luts();
+        let mut slices: Vec<Vec<u32>> = Vec::new();
+        let mut slice_of = vec![u32::MAX; n];
+        let mut open: Vec<(usize, Vec<Signal>)> = Vec::new(); // (slice idx, signals)
+
+        for (l, lut) in lutnet.luts().iter().enumerate() {
+            let mut my_signals: Vec<Signal> = lut.inputs.clone();
+            my_signals.push(Signal::Lut(l as u32));
+            let mut best: Option<(usize, usize)> = None; // (open idx, score)
+            for (oi, (si, signals)) in open.iter().enumerate() {
+                if slices[*si].len() >= luts_per_slice {
+                    continue;
+                }
+                let score = my_signals.iter().filter(|s| signals.contains(s)).count();
+                if score > 0 && best.is_none_or(|(_, bs)| score > bs) {
+                    best = Some((oi, score));
+                }
+            }
+            let si = match best {
+                Some((oi, _)) => {
+                    let (si, signals) = &mut open[oi];
+                    signals.extend(my_signals);
+                    *si
+                }
+                None => {
+                    let si = slices.len();
+                    slices.push(Vec::new());
+                    open.push((si, my_signals));
+                    if open.len() > MAX_OPEN {
+                        open.remove(0);
+                    }
+                    si
+                }
+            };
+            slices[si].push(l as u32);
+            slice_of[l] = si as u32;
+            open.retain(|(s, _)| slices[*s].len() < luts_per_slice);
+        }
+        (slices, slice_of)
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
 
@@ -334,6 +458,42 @@ mod tests {
             for l in 0..net.num_luts() as u32 {
                 proptest::prop_assert_eq!(got.slice_of(l), want.slice_of(l));
             }
+        }
+
+        /// The slot-mask affinity phase makes the linear scan's every
+        /// choice. Random LUT netlists read inputs, earlier LUTs and both
+        /// constants, with repeats within a LUT; a prefix of LUTs on
+        /// inputs of their own opens more than [`MAX_OPEN`] slices at
+        /// once, so the oldest are closed while others still score.
+        /// Under every capacity from 1 to 10 the whole packing is equal.
+        #[test]
+        fn slot_masks_match_linear_affinity_scan(
+            n_in in 1u32..60,
+            disjoint in (MAX_OPEN as u32 + 1)..40,
+            luts in proptest::collection::vec((0u32..10_000, 0u32..10_000, 0u32..10_000, 1usize..7), 1..300),
+            luts_per_slice in 1usize..11,
+        ) {
+            let n_in = n_in + disjoint;
+            let names = (0..n_in).map(|i| format!("x{i}")).collect();
+            let mut net = LutNetlist::new("r".into(), 6, names);
+            for i in 0..disjoint {
+                net.push_lut(Lut { inputs: vec![Signal::Input(i)], truth: crate::lut::Truth::of(0b01) });
+            }
+            for (i, &(a, b, c, arity)) in luts.iter().enumerate() {
+                let avail = n_in + disjoint + i as u32;
+                let signal = |pick: u32| match pick % (avail + 2) {
+                    k if k < n_in => Signal::Input(k),
+                    k if k < avail => Signal::Lut(k - n_in),
+                    k => Signal::Const(k == avail),
+                };
+                // Picks beyond the third repeat the first three.
+                let inputs = [a, b, c, a, b, c][..arity].iter().map(|&p| signal(p)).collect();
+                net.push_lut(Lut { inputs, truth: crate::lut::Truth::of(0b0110) });
+            }
+            let got = pack_slices(&net, luts_per_slice);
+            let (mut slices, mut slice_of) = open_slices_linear(&net, luts_per_slice);
+            consolidate(&mut slices, &mut slice_of, luts_per_slice);
+            proptest::prop_assert_eq!(got, compact(slices, slice_of));
         }
     }
 }

@@ -12,23 +12,28 @@
 //!   [`PlaceOptions::seed`]: one sequential loop draws every proposal
 //!   and acceptance from a single seeded RNG.
 //! * **Incremental cost** — each proposal pays only for what its
-//!   nets' shapes need. A two-pin net caches nothing: its change is the
-//!   length from its far pin (a slice, or a fixed pad stored after the
-//!   slices in the position array) to the mover's destination, minus
-//!   that to the mover's origin. Every other net keeps a cached box,
-//!   numbered densely over those nets alone, with how many pins sit on
-//!   each of its four edges, so moving one pin updates a box in O(1);
-//!   only a pin that was the last on an edge it leaves inward forces a
-//!   rescan. A net holding both slices of a swap is skipped, since its
-//!   pin multiset (and so its box) is unchanged. *Wide* nets (more than
-//!   32 pins, `WIDE_PINS`: the 2m operand nets of a bit-parallel
-//!   multiplier) are skipped as a class when both swap cells lie
-//!   strictly inside every wide box, where no swap can change one. That
-//!   interior follows each accepted wide box exactly; only a binding
-//!   edge moving outward makes the next proposal intersect the boxes
-//!   afresh. One-pin nets have zero wirelength wherever their slice
-//!   goes and are dropped. The boxes equal a fresh scan bit for bit,
-//!   and every net HPWL is a multiple of 2^-23 below 2^11 (0, an
+//!   nets' shapes need, in one of four ways. A two-pin net caches
+//!   nothing: its change is the length from its far pin (a slice, or a
+//!   fixed pad stored after the slices in the position array) to the
+//!   mover's destination, minus that to the mover's origin. Every other
+//!   net keeps a cached box, numbered densely over those nets alone,
+//!   with how many pins sit on each of its four edges. *Small* nets (at
+//!   most 5 slices, `SMALL_PINS`) are priced by a fresh box over their
+//!   few pins with the mover at its destination, compared with the
+//!   cached one: a branch-free scan of a handful of points costs less
+//!   than the mispredicted edge tests of an update, most of which end
+//!   in a rescan anyway. On larger nets moving one pin updates the box
+//!   in O(1); only a pin that was the last on an edge it leaves inward
+//!   forces a rescan. A net holding both slices of a swap is skipped,
+//!   since its pin multiset (and so its box) is unchanged. *Wide* nets
+//!   (more than 32 pins, `WIDE_PINS`: the 2m operand nets of a
+//!   bit-parallel multiplier) are skipped as a class when both swap
+//!   cells lie strictly inside every wide box, where no swap can change
+//!   one. That interior follows each accepted wide box exactly; only a
+//!   binding edge moving outward makes the next proposal intersect the
+//!   boxes afresh. One-pin nets have zero wirelength wherever their
+//!   slice goes and are dropped. The boxes equal a fresh scan bit for
+//!   bit, and every net HPWL is a multiple of 2^-23 below 2^11 (0, an
 //!   integer, or an `f32` of at least 1, since a net with a pad spans
 //!   x ≥ 1), so every term and partial sum of a delta is an exact `f64`
 //!   and no order of summation changes a bit: the deltas, and every
@@ -55,6 +60,20 @@ const PROBE_PROPOSALS: usize = 64;
 /// decides which nets take that test; the deltas are exact under any
 /// cut.
 const WIDE_PINS: usize = 32;
+/// Boxed nets on at most this many slices are *small*, and are priced
+/// by a fresh box over their pins ([`Topology::rescan`]) rather than by
+/// [`Span::shift`]. On the paper's m = 163 designs most boxed nets span
+/// a handful of slices (~3.6 on average), and more than half of the
+/// one-pin updates of such nets end in a rescan anyway: scanning a few
+/// points without a branch costs less than the update's unpredictable
+/// edge tests. The cut is needed because the scan's cost grows with the
+/// net while an update's does not: at m = 8 the operand nets carry up
+/// to 32 pins, and rescanning every net of at most [`WIDE_PINS`] pins
+/// made the (8, 2) placements a quarter slower. Cuts of 4 to 8 slices
+/// gave the same m = 163 saving to within 2%; 5 was fastest at m = 8.
+/// Like [`WIDE_PINS`], the cut only decides how a net is priced; the
+/// deltas are exact under any cut.
+const SMALL_PINS: usize = 5;
 
 /// A placed design: grid dimensions, one grid cell per slice, and fixed
 /// virtual pad positions for the primary inputs/outputs.
@@ -533,14 +552,23 @@ enum Cost {
     /// A two-pin net: its two pins as indices into the annealer's
     /// positions (a slice, or a fixed pad stored past the slices).
     Pair(u32, u32),
-    /// Any other net: its index into the cached boxes.
+    /// Any other net: its index into the cached boxes. Which of the
+    /// three incidence classes ([`SMALL`], [`OTHER`], [`WIDE`]) the box
+    /// belongs to decides how a move is priced against it.
     Box(u32),
 }
 
-/// Incidence class of boxed nets with at most [`WIDE_PINS`] pins.
-const OTHER: usize = 0;
-/// Incidence class of nets with more than [`WIDE_PINS`] pins.
-const WIDE: usize = 1;
+/// Incidence class of boxed nets on at most [`SMALL_PINS`] slices,
+/// priced by a fresh box.
+const SMALL: usize = 0;
+/// Incidence class of the remaining boxed nets with at most
+/// [`WIDE_PINS`] pins, priced by [`NetBox::shift`].
+const OTHER: usize = 1;
+/// Incidence class of nets with more than [`WIDE_PINS`] pins, priced
+/// like [`OTHER`] but skipped inside the wide [`Interior`].
+const WIDE: usize = 2;
+/// Number of incidence classes.
+const CLASSES: usize = 3;
 
 /// The open rectangle strictly inside every wide net's box (the
 /// intersection of the boxes, without its edges). A swap of two cells
@@ -598,8 +626,11 @@ impl Interior {
 
 /// The annealer's fixed view of the netlist, in flat offset/data
 /// arrays: how each net is priced, each boxed net's slices, and each
-/// slice's nets split by shape. Boxes are numbered densely over the
-/// nets that are not two-pin, wide ones first.
+/// slice's nets split by shape: two-pin, then the boxed nets of each
+/// incidence class. Splitting the classes here, once, lets each
+/// proposal walk a class with one pricing rule and no per-net test.
+/// Boxes are numbered densely over the nets that are not two-pin, wide
+/// ones first.
 struct Topology {
     /// How each net, in netlist order, is priced.
     cost: Vec<Cost>,
@@ -615,8 +646,9 @@ struct Topology {
     /// net on slice `s`, as an index into the annealer's positions.
     two_off: Vec<u32>,
     two: Vec<u32>,
-    /// `multi[multi_off[2s + c]..multi_off[2s + c + 1]]`: the boxes of
-    /// class `c` ([`OTHER`] or [`WIDE`]) on slice `s`.
+    /// `multi[multi_off[CLASSES·s + c]..multi_off[CLASSES·s + c + 1]]`:
+    /// the boxes of class `c` ([`SMALL`], [`OTHER`] or [`WIDE`]) on
+    /// slice `s`.
     multi_off: Vec<u32>,
     multi: Vec<u32>,
 }
@@ -670,11 +702,17 @@ impl Topology {
             }
             cost[n] = Cost::Pair(a, b);
         }
-        let mut multi: Vec<Vec<u32>> = vec![Vec::new(); 2 * num_slices];
+        let mut multi: Vec<Vec<u32>> = vec![Vec::new(); CLASSES * num_slices];
         for (b, net) in boxed.iter().enumerate() {
-            let class = if b < n_wide { WIDE } else { OTHER };
+            let class = if b < n_wide {
+                WIDE
+            } else if net.slices.len() <= SMALL_PINS {
+                SMALL
+            } else {
+                OTHER
+            };
             for &s in &net.slices {
-                multi[2 * s as usize + class].push(b as u32);
+                multi[CLASSES * s as usize + class].push(b as u32);
             }
         }
         let (pin_off, pins) = flatten(boxed.iter().map(|n| n.slices.as_slice()));
@@ -710,14 +748,19 @@ impl Topology {
 
     /// The boxes of `class` on slice `s`.
     fn multi(&self, s: u32, class: usize) -> &[u32] {
-        let i = 2 * s as usize + class;
+        let i = CLASSES * s as usize + class;
         &self.multi[self.multi_off[i] as usize..self.multi_off[i + 1] as usize]
+    }
+
+    /// The slices of box `b`'s net.
+    fn slices(&self, b: usize) -> &[u32] {
+        &self.pins[self.pin_off[b] as usize..self.pin_off[b + 1] as usize]
     }
 
     /// Box `b` with each slice `p` at `at(p)`.
     fn rescan(&self, b: usize, at: impl Fn(u32) -> (f32, f32)) -> NetBox {
         let mut nb = self.pad_boxes[b];
-        for &p in &self.pins[self.pin_off[b] as usize..self.pin_off[b + 1] as usize] {
+        for &p in self.slices(b) {
             nb.add(at(p));
         }
         nb
@@ -742,7 +785,7 @@ struct Annealer {
     /// next proposal recomputes `interior`.
     interior_stale: bool,
     /// Scratch: box → the epoch mark it last received (see
-    /// [`Annealer::shift_class`]); marks of earlier walks are stale.
+    /// [`Annealer::price_class`]); marks of earlier walks are stale.
     stamp: Vec<u64>,
     epoch: u64,
     /// The new values of the boxes whose edges or edge counts the
@@ -807,8 +850,8 @@ impl Annealer {
     /// and `cb` (either may be empty). Mutates nothing but internal
     /// scratch and the cached interior; call [`Annealer::accept`] with
     /// the same pair to apply. The delta sums the HPWL changes of the
-    /// changed nets, two-pin nets first, then the other and the wide
-    /// classes; each sum is exact, so the order changes no bit.
+    /// changed nets, two-pin nets first, then the small, the other and
+    /// the wide classes; each sum is exact, so the order changes no bit.
     fn propose(&mut self, ca: usize, cb: usize) -> f64 {
         self.updates.clear();
         let sa = self.cells[ca];
@@ -829,7 +872,8 @@ impl Annealer {
             }
         }
         let movers = [(sa, pb), (sb, pa)];
-        delta += self.shift_class(OTHER, movers);
+        delta += self.price_class::<SMALL>(movers);
+        delta += self.price_class::<OTHER>(movers);
         if self.interior_stale {
             self.interior = self.fresh_interior();
             self.interior_stale = false;
@@ -838,16 +882,18 @@ impl Annealer {
         // goes from one interior point of its wide boxes to another, so
         // none of them changes: the whole class is skipped.
         if !(self.interior.contains(pa) && self.interior.contains(pb)) {
-            delta += self.shift_class(WIDE, movers);
+            delta += self.price_class::<WIDE>(movers);
         }
         delta
     }
 
-    /// Shifts every `class` box on a mover by its one moving pin,
-    /// records the boxes whose edges or edge counts change, and returns
-    /// the sum of their HPWL changes. `movers` holds the slice leaving
-    /// `ca` with its destination, then the one leaving `cb`.
-    fn shift_class(&mut self, class: usize, movers: [(Option<u32>, (f32, f32)); 2]) -> f64 {
+    /// Prices every `CLASS` box on a mover with its one moving pin at
+    /// the mover's destination, records the boxes whose edges or edge
+    /// counts change, and returns the sum of their HPWL changes. A
+    /// [`SMALL`] box is rescanned; any other is shifted, and rescanned
+    /// only when [`NetBox::shift`] says so. `movers` holds the slice
+    /// leaving `ca` with its destination, then the one leaving `cb`.
+    fn price_class<const CLASS: usize>(&mut self, movers: [(Option<u32>, (f32, f32)); 2]) -> f64 {
         // A net holding both movers keeps its pin multiset, hence its
         // box, so it is skipped. Mark the boxes of the slice leaving
         // `cb` first; walking the other mover's boxes then relabels the
@@ -855,7 +901,7 @@ impl Annealer {
         self.epoch += 2;
         let (of_b, of_both) = (self.epoch, self.epoch + 1);
         if let Some(s) = movers[1].0 {
-            for &b in self.topo.multi(s, class) {
+            for &b in self.topo.multi(s, CLASS) {
                 self.stamp[b as usize] = of_b;
             }
         }
@@ -863,24 +909,32 @@ impl Annealer {
         for ((s, to), shared) in movers.into_iter().zip([of_b, of_both]) {
             let Some(s) = s else { continue };
             let from = self.pos[s as usize];
-            for &b in self.topo.multi(s, class) {
+            for &b in self.topo.multi(s, CLASS) {
                 let bu = b as usize;
                 if self.stamp[bu] == shared {
                     self.stamp[bu] = of_both;
                     continue;
                 }
                 let cached = self.boxes[bu];
-                let mut nb = cached;
-                match nb.shift(from, to) {
-                    Shift::Same => continue,
-                    Shift::Changed => {}
-                    Shift::Rescan => {
-                        let pos = &self.pos;
-                        nb = self
-                            .topo
-                            .rescan(bu, |p| if p == s { to } else { pos[p as usize] });
+                let pos = &self.pos;
+                let rescan = || {
+                    self.topo
+                        .rescan(bu, |p| if p == s { to } else { pos[p as usize] })
+                };
+                let nb = if CLASS == SMALL {
+                    let nb = rescan();
+                    if nb == cached {
+                        continue;
                     }
-                }
+                    nb
+                } else {
+                    let mut nb = cached;
+                    match nb.shift(from, to) {
+                        Shift::Same => continue,
+                        Shift::Changed => nb,
+                        Shift::Rescan => rescan(),
+                    }
+                };
                 delta += nb.hpwl() - cached.hpwl();
                 self.updates.push((b, nb));
             }
@@ -1169,12 +1223,35 @@ mod tests {
         assert_eq!(before_boxes, ann.boxes);
     }
 
+    /// `count` nets of `len` slices each, strided over `num_slices`
+    /// slices from `start`, every other one with a pad.
+    fn strided_nets(count: u32, len: usize, start: u32, num_slices: u32) -> Vec<Net> {
+        (0..count)
+            .map(|i| {
+                let stride = 1 + 2 * i;
+                let mut slices: Vec<u32> = (0..len as u32)
+                    .map(|j| (start + 5 * i + j * stride) % num_slices)
+                    .collect();
+                slices.sort_unstable();
+                slices.dedup();
+                let pads = if i % 2 == 0 {
+                    Vec::new()
+                } else {
+                    vec![(-1.0, 2.0)]
+                };
+                Net { slices, pads }
+            })
+            .collect()
+    }
+
     /// Every net shape the annealer tells apart, on one design: wide
     /// operand nets, two-pin nets between slices and to a pad, nets of
-    /// three or more pins, and (handed in directly, since `build_nets`
-    /// drops them) one-pin nets. Random swaps are mixed with swaps of
-    /// the two slices of a two-pin net and swaps into empty cells, and
-    /// land both inside and outside the wide nets' interior.
+    /// three or more pins on both sides of the [`SMALL_PINS`] cut, and
+    /// (handed in directly, since `build_nets` drops them) one-pin nets
+    /// and nets of exactly `SMALL_PINS` and `SMALL_PINS + 1` slices.
+    /// Random swaps are mixed with swaps of the two slices of a two-pin
+    /// net and swaps into empty cells, and land both inside and outside
+    /// the wide nets' interior.
     #[test]
     fn proposal_deltas_match_recomputed_hpwl() {
         let mut rng = StdRng::seed_from_u64(5);
@@ -1194,7 +1271,28 @@ mod tests {
             slices: vec![s],
             pads: Vec::new(),
         }));
+        let num_slices = packing.num_slices() as u32;
+        for len in [SMALL_PINS, SMALL_PINS + 1] {
+            nets.extend(strided_nets(4, len, 3, num_slices));
+        }
         let (mut ann, n_cells) = snake_annealer(&nets, packing.num_slices());
+        // Nets at the cut on both sides of it, with and without a pad.
+        let shapes = |class| -> Vec<(usize, bool)> {
+            (0..num_slices)
+                .flat_map(|s| ann.topo.multi(s, class))
+                .map(|&b| {
+                    let b = b as usize;
+                    (
+                        ann.topo.slices(b).len(),
+                        ann.topo.pad_boxes[b] != NetBox::EMPTY,
+                    )
+                })
+                .collect()
+        };
+        for pad in [false, true] {
+            assert!(shapes(SMALL).contains(&(SMALL_PINS, pad)));
+            assert!(shapes(OTHER).contains(&(SMALL_PINS + 1, pad)));
+        }
         let empty: Vec<usize> = (0..n_cells).filter(|&c| ann.cells[c].is_none()).collect();
         assert!(!empty.is_empty(), "test needs empty cells");
         let mut total = ann.total_hpwl();
@@ -1416,9 +1514,7 @@ mod tests {
             // The pins on the bound of the boxes that bind it.
             let on_edge: Vec<u32> = (0..ann.topo.n_wide)
                 .filter(|&b| binds(&ann.boxes[b]))
-                .flat_map(|b| {
-                    &ann.topo.pins[ann.topo.pin_off[b] as usize..ann.topo.pin_off[b + 1] as usize]
-                })
+                .flat_map(|b| ann.topo.slices(b))
                 .copied()
                 .filter(|&s| coord(ann.pos[s as usize]) == bound)
                 .collect();
@@ -1471,7 +1567,8 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
         /// Random netlists (pads, constants, empty cells, wide operand
-        /// nets, two-pin nets, and one-pin nets handed in directly)
+        /// nets, two-pin nets, and one-pin nets and nets of
+        /// [`SMALL_PINS`] and `SMALL_PINS + 1` slices handed in directly)
         /// under random swap sequences, with some swaps of the two
         /// slices of a two-pin net: every delta equals a rescan's bit
         /// for bit, every cached box equals a fresh scan after each
@@ -1484,7 +1581,10 @@ mod tests {
             luts in proptest::collection::vec((0u32..1000, 0u32..1000, 0u32..1000, 1usize..4), 2..60),
             outs in proptest::collection::vec(0u32..1000, 1..5),
             (lps, ops) in (1usize..5, 0u32..3),
-            one_pin in proptest::collection::vec(0u32..1000, 0..4),
+            (one_pin, at_cut) in (
+                proptest::collection::vec(0u32..1000, 0..4),
+                proptest::collection::vec((0u32..1000, 0usize..2), 0..4),
+            ),
             swaps in proptest::collection::vec((0u32..1000, 0u32..1000, 0u32..3, 0u32..4), 1..200),
         ) {
             // Enough products that every operand spans > WIDE_PINS slices.
@@ -1496,6 +1596,9 @@ mod tests {
             let wide = nets.iter().filter(|n| n.slices.len() + n.pads.len() > WIDE_PINS).count();
             proptest::prop_assert!(wide >= ops as usize);
             nets.extend(one_pin.iter().map(|&s| Net { slices: vec![s % num_slices], pads: Vec::new() }));
+            for &(start, over) in &at_cut {
+                nets.extend(strided_nets(2, SMALL_PINS + over, start, num_slices));
+            }
             let (mut ann, n_cells) = snake_annealer(&nets, num_slices as usize);
             for &(a, b, verdict, kind) in &swaps {
                 let pairs = if kind == 0 { mate_cells(&ann, &nets) } else { Vec::new() };

@@ -88,16 +88,6 @@ impl MastrovitoMatrix {
         &self.entries[k][j]
     }
 
-    /// Total number of `a`-index occurrences across all entries — a proxy
-    /// for the XOR cost of materializing the matrix without sharing.
-    pub fn total_terms(&self) -> usize {
-        self.entries
-            .iter()
-            .flat_map(|row| row.iter())
-            .map(|cell| cell.len())
-            .sum()
-    }
-
     /// Evaluates `c = M(a) · b` for concrete elements.
     ///
     /// This is the software semantics of the Mastrovito circuit and must
@@ -160,7 +150,6 @@ mod tests {
         let a = f.element_from_limbs(vec![0x0123_4567_89ab_cdef]);
         let b = f.element_from_limbs(vec![0xfedc_ba98_7654_3210]);
         assert_eq!(m.apply(&a, &b), f.mul(&a, &b));
-        assert!(m.total_terms() >= 64 * 64, "matrix should be dense-ish");
     }
 
     #[test]

@@ -23,7 +23,7 @@ use rgf2m_fpga::{place::DEFAULT_SEED, Target};
 use rgf2m_serve::client::{Client, ClientJob};
 use rgf2m_serve::json::JsonValue;
 use rgf2m_serve::net::Endpoint;
-use rgf2m_serve::protocol::FieldSpec;
+use rgf2m_serve::protocol::{unknown_name, FieldSpec};
 
 const USAGE: &str = "usage: serve_ctl ENDPOINT synth|stats|shutdown ...";
 const SYNTH_USAGE: &str = "usage: serve_ctl ENDPOINT synth M N METHOD [TARGET] [--seed S]";
@@ -49,13 +49,18 @@ fn main() {
             };
             let m: usize = m.parse().unwrap_or_else(|_| die("M wants an integer"));
             let n: usize = n.parse().unwrap_or_else(|_| die("N wants an integer"));
+            let unknown = |kind: &str, name: &str, registered: &[&str]| -> ! {
+                die(&format!(
+                    "{}\n{SYNTH_USAGE}",
+                    unknown_name(kind, name, registered)
+                ))
+            };
             let method = Method::from_name(method)
-                .unwrap_or_else(|| die(&format!("unknown method {method:?}")));
+                .unwrap_or_else(|| unknown("method", method, &Method::ALL.map(|m| m.name())));
             let target = match target {
                 None => Target::Artix7,
-                Some(t) => {
-                    Target::from_name(t).unwrap_or_else(|| die(&format!("unknown target {t:?}")))
-                }
+                Some(t) => Target::from_name(t)
+                    .unwrap_or_else(|| unknown("target", t, &Target::ALL.map(|t| t.name()))),
             };
             let job = ClientJob {
                 field: FieldSpec::Pair { m, n },

@@ -165,20 +165,14 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 .and_then(JsonValue::as_str)
                 .ok_or("missing \"method\"")?;
             let method = Method::from_name(method_name).ok_or_else(|| {
-                format!(
-                    "unknown method {method_name:?}; registered: {}",
-                    Method::ALL.map(|m| m.name()).join(", ")
-                )
+                unknown_name("method", method_name, &Method::ALL.map(|m| m.name()))
             })?;
             let target = match doc.get("target") {
                 None => Target::Artix7,
                 Some(v) => {
                     let name = v.as_str().ok_or("\"target\" must be a string")?;
                     Target::from_name(name).ok_or_else(|| {
-                        format!(
-                            "unknown target {name:?}; registered: {}",
-                            Target::ALL.map(|t| t.name()).join(", ")
-                        )
+                        unknown_name("target", name, &Target::ALL.map(|t| t.name()))
                     })?
                 }
             };
@@ -201,6 +195,15 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             "unknown op {other:?}; expected synth, stats or shutdown"
         )),
     }
+}
+
+/// The refusal of a name no registry entry carries, in the words every
+/// front end uses: `unknown KIND "NAME"; registered: A, B, …`.
+pub fn unknown_name(kind: &str, name: &str, registered: &[&str]) -> String {
+    format!(
+        "unknown {kind} {name:?}; registered: {}",
+        registered.join(", ")
+    )
 }
 
 /// Encodes a request as its wire line (no trailing newline).

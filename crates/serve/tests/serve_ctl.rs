@@ -51,6 +51,15 @@ const REFUSED: &[(&[&str], &str)] = &[
         "unknown flag",
     ),
     (&["synth", "8", "2", "proposed", "artix7", "x"], "usage"),
+    (
+        &["synth", "8", "2", "bogus"],
+        "unknown method \"bogus\"; registered: mastrovito, rashidi, reyhani_hasan, \
+         imana2012, imana2016, proposed",
+    ),
+    (
+        &["synth", "8", "2", "proposed", "artix8"],
+        "unknown target \"artix8\"; registered: artix7, spartan3, virtex5, stratix_alm",
+    ),
     (&["shutdown", "--now"], "usage"),
     (&["restart"], "unknown command"),
 ];
