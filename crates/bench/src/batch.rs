@@ -1,14 +1,15 @@
 //! The parallel batch runner: fan a list of (m, n, method, target)
 //! jobs over worker threads, each through its own fallible
-//! [`Pipeline`](rgf2m_fpga::Pipeline), with deterministic per-job seeds.
+//! [`Pipeline`](rgf2m_fpga::Pipeline).
 //!
 //! This is the scale-out entry point the ROADMAP's north star asks for:
 //! one call runs an arbitrary set of field × method × fabric scenarios
-//! and returns machine-readable results (`Vec<Result<ImplReport,
-//! FlowError>>`, serializable via [`crate::report`]). Results are
-//! **independent of the thread count and of scheduling**: job `i`
-//! always anneals with the seed derived from `(base_seed, i)`, and the
-//! output vector is in job order.
+//! and returns machine-readable rows ([`BatchRow`], serializable via
+//! [`crate::report`]). Every job is placed with
+//! [`DEFAULT_SEED`](rgf2m_fpga::place::DEFAULT_SEED), the seed `sta` and
+//! a seedless daemon request use, so a row depends on its job alone:
+//! not on the thread count, the scheduling or the other jobs in the
+//! list. The rows come back in job order.
 //!
 //! # Examples
 //!
@@ -22,10 +23,10 @@
 //!     Job::on(8, 2, Method::ProposedFlat, Target::Spartan3),
 //!     Job::new(16, 2, Method::ProposedFlat),         // invalid: reducible
 //! ];
-//! let results = BatchRunner::new().run(&jobs);
-//! assert!(results[0].is_ok());
-//! assert!(results[1].is_ok());
-//! assert!(results[2].is_err()); // reported, not panicked
+//! let rows = BatchRunner::new().run_rows(&jobs);
+//! assert!(rows[0].result.is_ok());
+//! assert!(rows[1].result.is_ok());
+//! assert!(rows[2].result.is_err()); // reported, not panicked
 //! ```
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -34,7 +35,7 @@ use std::sync::Mutex;
 use gf2m::Field;
 use gf2poly::TypeIiPentanomial;
 use rgf2m_core::{generate, Method};
-use rgf2m_fpga::{place::DEFAULT_SEED, FlowError, ImplReport, Target};
+use rgf2m_fpga::{FlowError, ImplReport, Target};
 
 use crate::paper_data::PaperRow;
 
@@ -83,13 +84,6 @@ impl Job {
     }
 }
 
-/// All six Table V methods for each listed field on the default
-/// Artix-7 fabric, in the paper's row order — the canonical job list
-/// for regenerating Table V blocks.
-pub fn table_v_jobs(fields: &[(usize, usize)]) -> Vec<Job> {
-    table_v_jobs_on(fields, Target::Artix7)
-}
-
 /// All six Table V methods for each listed field on one fabric, in the
 /// paper's row order.
 pub fn table_v_jobs_on(fields: &[(usize, usize)], target: Target) -> Vec<Job> {
@@ -103,30 +97,16 @@ pub fn table_v_jobs_on(fields: &[(usize, usize)], target: Target) -> Vec<Job> {
         .collect()
 }
 
-/// The deterministic placement seed of job `index` under `base_seed`
-/// (a splitmix64-style finalizer — decorrelated across indices,
-/// independent of thread count or scheduling). This is the seed
-/// discipline shared by every execution path: the [`BatchRunner`] and
-/// the daemon path ([`crate::daemon`]) both derive their seeds here, so
-/// served rows are byte-identical to local ones.
-pub fn job_seed_from(base_seed: u64, index: usize) -> u64 {
-    let mut z = base_seed ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Fans jobs over `std::thread::scope` workers, one
-/// [`Pipeline`](rgf2m_fpga::Pipeline) run per job, with deterministic
-/// per-job placement seeds.
+/// [`Pipeline`](rgf2m_fpga::Pipeline) run per job.
 #[derive(Debug)]
 pub struct BatchRunner {
     threads: usize,
 }
 
 impl BatchRunner {
-    /// A runner over [`crate::harness_pipeline`] options, base seed
-    /// [`DEFAULT_SEED`], one worker thread.
+    /// A runner over [`crate::harness_pipeline`] options, one worker
+    /// thread.
     pub fn new() -> Self {
         BatchRunner { threads: 1 }
     }
@@ -138,19 +118,8 @@ impl BatchRunner {
         self
     }
 
-    /// The base seed every per-job seed derives from:
-    /// [`DEFAULT_SEED`].
-    pub fn base_seed(&self) -> u64 {
-        DEFAULT_SEED
-    }
-
-    /// Runs every job, returning one `Result` per job **in job order**.
-    pub fn run(&self, jobs: &[Job]) -> Vec<Result<ImplReport, FlowError>> {
-        self.run_rows(jobs).into_iter().map(|r| r.result).collect()
-    }
-
-    /// Like [`BatchRunner::run`], additionally returning each job's
-    /// identity and seed — the input of the [`crate::report`] writers.
+    /// Runs every job, returning one row per job **in job order**: the
+    /// input of the [`crate::report`] writers.
     pub fn run_rows(&self, jobs: &[Job]) -> Vec<BatchRow> {
         let workers = if self.threads == 0 {
             std::thread::available_parallelism().map_or(1, |p| p.get())
@@ -165,7 +134,7 @@ impl BatchRunner {
                 scope.spawn(|| loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     let Some(job) = jobs.get(i) else { break };
-                    let row = self.run_job(i, *job);
+                    let row = run_job(i, *job);
                     *slots[i].lock().expect("batch slot poisoned") = Some(row);
                 });
             }
@@ -179,19 +148,17 @@ impl BatchRunner {
             })
             .collect()
     }
+}
 
-    fn run_job(&self, index: usize, job: Job) -> BatchRow {
-        let seed = job_seed_from(self.base_seed(), index);
-        let result = (|| {
-            let field = Field::from_pentanomial(&job.pentanomial(index)?);
-            let net = generate(&field, job.method);
-            crate::harness_pipeline()
-                .with_target(job.target)
-                .with_place_seed(seed)
-                .run_report(&net)
-        })();
-        BatchRow { job, seed, result }
-    }
+/// Runs job `index` through [`crate::harness_pipeline`] on its target.
+fn run_job(index: usize, job: Job) -> BatchRow {
+    let result = job.pentanomial(index).and_then(|p| {
+        let net = generate(&Field::from_pentanomial(&p), job.method);
+        crate::harness_pipeline()
+            .with_target(job.target)
+            .run_report(&net)
+    });
+    BatchRow { job, result }
 }
 
 impl Default for BatchRunner {
@@ -200,14 +167,11 @@ impl Default for BatchRunner {
     }
 }
 
-/// One finished batch job: its identity, the seed it annealed with and
-/// its outcome.
+/// One finished batch job: its identity and its outcome.
 #[derive(Debug, Clone)]
 pub struct BatchRow {
     /// The job as submitted.
     pub job: Job,
-    /// The placement seed the job ran with.
-    pub seed: u64,
     /// The flow outcome.
     pub result: Result<ImplReport, FlowError>,
 }
@@ -231,7 +195,7 @@ mod tests {
 
     #[test]
     fn gf256_block_runs_all_six_methods() {
-        let jobs = table_v_jobs(&[(8, 2)]);
+        let jobs = table_v_jobs_on(&[(8, 2)], Target::Artix7);
         assert_eq!(jobs.len(), 6);
         let rows = BatchRunner::new().run_rows(&jobs);
         for (row, method) in rows.iter().zip(Method::ALL) {
@@ -267,22 +231,70 @@ mod tests {
         for ((s, p), job) in seq.iter().zip(&par).zip(&jobs) {
             assert_eq!(s.job, *job);
             assert_eq!(p.job, *job);
-            assert_eq!(s.seed, p.seed);
             let (sr, pr) = (s.result.as_ref().unwrap(), p.result.as_ref().unwrap());
             assert_eq!(sr, pr, "{job:?}");
         }
     }
 
+    /// A cell's row is the same whatever jobs share its list and
+    /// wherever it stands in it: `table5 --only M,N` prints the numbers
+    /// of the full grid.
+    #[test]
+    fn a_cells_row_does_not_depend_on_its_job_list() {
+        let runner = BatchRunner::new().with_threads(2);
+        for target in Target::ALL {
+            let alone = table_v_jobs_on(&[(8, 2)], target);
+            let mut reversed = alone.clone();
+            reversed.reverse();
+            let prefixed = table_v_jobs_on(&[(13, 5), (8, 2)], target);
+            let rows_of = |jobs: &[Job]| -> Vec<(Job, ImplReport)> {
+                let mut rows: Vec<_> = runner
+                    .run_rows(jobs)
+                    .into_iter()
+                    .filter(|row| alone.contains(&row.job))
+                    .map(|row| (row.job, row.result.unwrap()))
+                    .collect();
+                rows.sort_by_key(|(job, _)| alone.iter().position(|j| j == job));
+                rows
+            };
+            let expected = rows_of(&alone);
+            assert_eq!(expected.len(), alone.len());
+            assert_eq!(rows_of(&reversed), expected, "{target:?} reversed");
+            assert_eq!(rows_of(&prefixed), expected, "{target:?} after (13, 5)");
+        }
+    }
+
+    /// `sta` and `table5` time a cell on the same placement, so the
+    /// critical delay `sta` prints is the row's `time_ns`.
+    #[test]
+    fn sta_critical_path_is_the_rows_time() {
+        let jobs: Vec<Job> = Target::ALL
+            .into_iter()
+            .flat_map(|t| table_v_jobs_on(&[(8, 2)], t))
+            .collect();
+        let field = crate::field_for(8, 2);
+        for row in BatchRunner::new().with_threads(2).run_rows(&jobs) {
+            let job = row.job;
+            let pipeline = crate::harness_pipeline().with_target(job.target);
+            let a = pipeline.run(&generate(&field, job.method)).unwrap();
+            let sta = rgf2m_fpga::analyze_sta(
+                &a.mapped,
+                &a.packing,
+                &a.placement,
+                pipeline.device(),
+                &rgf2m_fpga::StaOptions::default(),
+            );
+            assert_eq!(sta.critical_ns, row.result.unwrap().time_ns, "{job:?}");
+        }
+    }
+
     #[test]
     fn json_export_is_byte_identical_across_runs_and_thread_counts() {
-        let jobs = table_v_jobs(&[(8, 2)]);
+        let jobs = table_v_jobs_on(&[(8, 2)], Target::Artix7);
         let runner = BatchRunner::new();
-        let a = rows_to_json(&runner.run_rows(&jobs), runner.base_seed());
-        let b = rows_to_json(&runner.run_rows(&jobs), runner.base_seed());
-        let c = rows_to_json(
-            &BatchRunner::new().with_threads(3).run_rows(&jobs),
-            runner.base_seed(),
-        );
+        let a = rows_to_json(&runner.run_rows(&jobs));
+        let b = rows_to_json(&runner.run_rows(&jobs));
+        let c = rows_to_json(&BatchRunner::new().with_threads(3).run_rows(&jobs));
         assert_eq!(a, b);
         assert_eq!(a, c);
         // And the artifact passes its own schema validation.
@@ -299,12 +311,8 @@ mod tests {
             .into_iter()
             .flat_map(|t| table_v_jobs_on(&[(8, 2)], t))
             .collect();
-        let runner = BatchRunner::new();
-        let a = rows_to_json(&runner.run_rows(&jobs), runner.base_seed());
-        let b = rows_to_json(
-            &BatchRunner::new().with_threads(4).run_rows(&jobs),
-            runner.base_seed(),
-        );
+        let a = rows_to_json(&BatchRunner::new().run_rows(&jobs));
+        let b = rows_to_json(&BatchRunner::new().with_threads(4).run_rows(&jobs));
         assert_eq!(a, b);
         let summary = validate_table5_json(&a).unwrap();
         assert!(summary.contains("4 target(s)"), "{summary}");
@@ -319,16 +327,16 @@ mod tests {
             Job::new(16, 2, Method::ProposedFlat),
             Job::new(8, 2, Method::ProposedFlat),
         ];
-        let results = BatchRunner::new().run(&jobs);
-        for (i, r) in results[..2].iter().enumerate() {
-            match r {
+        let rows = BatchRunner::new().run_rows(&jobs);
+        for (i, row) in rows[..2].iter().enumerate() {
+            match &row.result {
                 Err(FlowError::InvalidOptions(msg)) => {
                     assert!(msg.contains("pentanomial"), "job {i}: {msg}")
                 }
                 other => panic!("job {i}: expected InvalidOptions, got {other:?}"),
             }
         }
-        assert!(results[2].is_ok(), "valid job must still succeed");
+        assert!(rows[2].result.is_ok(), "valid job must still succeed");
     }
 
     #[test]
@@ -338,7 +346,7 @@ mod tests {
             Job::new(16, 2, Method::ProposedFlat), // reducible pentanomial
         ];
         let rows = BatchRunner::new().run_rows(&jobs);
-        let json = rows_to_json(&rows, 2018);
+        let json = rows_to_json(&rows);
         assert!(json.contains("\"ok\": true"));
         assert!(json.contains("\"ok\": false"));
         assert!(json.contains("pentanomial"));
@@ -347,19 +355,5 @@ mod tests {
         let csv = rows_to_csv(&rows);
         assert_eq!(csv.lines().count(), 3); // header + 2 rows
         assert!(csv.lines().nth(2).unwrap().contains("false"));
-    }
-
-    #[test]
-    fn per_job_seeds_are_decorrelated_and_deterministic() {
-        let runner = BatchRunner::new();
-        let seed = |i| job_seed_from(runner.base_seed(), i);
-        let seeds: Vec<u64> = (0..32).map(seed).collect();
-        let mut unique = seeds.clone();
-        unique.sort_unstable();
-        unique.dedup();
-        assert_eq!(unique.len(), seeds.len());
-        assert_eq!(seeds, (0..32).map(seed).collect::<Vec<_>>());
-        // A different base seed produces a different schedule.
-        assert_ne!(seeds[0], job_seed_from(1, 0));
     }
 }

@@ -14,27 +14,17 @@
 //! that the netlist implements *some* GF(2^m) multiplier — and names
 //! which one.
 
-use gf2poly::catalogue::TABLE_V_FIELDS;
 use rgf2m_bench::{cli, field_for};
 use rgf2m_core::{anonymize, gen::generate, reverse_engineer, Method};
 
 fn main() {
     let args = cli::REVENG.parse();
-    let only = args.pair("--only");
+    let fields = args.table_v_fields();
     let methods: Vec<Method> = if args.has("--all-methods") {
         Method::ALL.to_vec()
     } else {
         vec![Method::ProposedFlat]
     };
-
-    let fields: Vec<(usize, usize)> = TABLE_V_FIELDS
-        .iter()
-        .copied()
-        .filter(|&pair| only.is_none_or(|o| o == pair))
-        .collect();
-    if let Some((m, n)) = only.filter(|_| fields.is_empty()) {
-        args.fail(&format!("--only {m},{n} names no Table V field"));
-    }
 
     let mut failures = 0usize;
     for &(m, n) in &fields {

@@ -9,12 +9,13 @@
 //! any work.
 //!
 //! The run fans (field × method × target) jobs over the parallel
-//! `BatchRunner` with deterministic per-job seeds: the printed numbers
-//! — and the exported JSON bytes — are identical run over run for a
-//! fixed base seed, whatever `--threads` says. `--daemon` preserves
-//! that byte-for-byte (same per-job seeds, same pipeline defaults)
-//! while letting the daemon's memory and artifact store absorb repeat
-//! work. For every field the
+//! `BatchRunner`, which places every cell with the one default seed
+//! that `sta` uses too: a cell's printed numbers — and its exported
+//! JSON row — are the same run over run, whatever `--threads` says and
+//! whichever fields `--only` or `--quick` chose. `--daemon` preserves
+//! that byte-for-byte (same seed, same pipeline defaults) while letting
+//! the daemon's memory and artifact store absorb repeat work. For every
+//! field the
 //! measured block is printed next to the paper's published numbers
 //! (artix7 only — the paper measured on that fabric), and each target
 //! ends with a shape summary: how often 'This work' wins A×T and beats
@@ -32,32 +33,32 @@ use rgf2m_serve::net::Endpoint;
 
 fn main() {
     let args = cli::TABLE5.parse();
-    let quick = args.has("--quick");
-    let only = args.pair("--only");
-    if quick && only.is_some() {
-        args.fail("--only and --quick each choose the fields; give one");
-    }
+    let fields = if args.has("--quick") {
+        if args.value("--only").is_some() {
+            args.fail("--only and --quick each choose the fields; give one");
+        }
+        vec![(8, 2), (64, 23)]
+    } else {
+        args.table_v_fields()
+    };
     let threads: usize = args.parsed("--threads").unwrap_or(1);
     let targets = args.targets();
 
-    let blocks: Vec<&PaperBlock> = PAPER_TABLE_V
+    let blocks: Vec<&PaperBlock> = fields
         .iter()
-        .filter(|b| match only {
-            Some(pair) => (b.m, b.n) == pair,
-            None => !quick || matches!((b.m, b.n), (8, 2) | (64, 23)),
+        .map(|&field| {
+            PAPER_TABLE_V
+                .iter()
+                .find(|b| (b.m, b.n) == field)
+                .expect("PAPER_TABLE_V has a block for every Table V field")
         })
         .collect();
-    if let Some((m, n)) = only.filter(|_| blocks.is_empty()) {
-        args.fail(&format!("--only {m},{n} names no Table V field"));
-    }
     let daemon = args
         .value("--daemon")
         .map(|ep| Endpoint::parse(ep).unwrap_or_else(|e| args.fail(&format!("--daemon: {e}"))));
     let json = args.report("--json");
     let csv = args.report("--csv");
 
-    let fields: Vec<(usize, usize)> = blocks.iter().map(|b| (b.m, b.n)).collect();
-    let runner = BatchRunner::new().with_threads(threads);
     let jobs: Vec<_> = targets
         .iter()
         .flat_map(|&t| table_v_jobs_on(&fields, t))
@@ -69,16 +70,14 @@ fn main() {
         targets.len()
     );
     let rows = match daemon {
-        None => runner.run_rows(&jobs),
-        Some(endpoint) => {
-            run_rows_via_daemon(&endpoint, &jobs, runner.base_seed()).unwrap_or_else(|e| {
-                // No report comes of this run: drop the files opened for it.
-                for report in json.iter().chain(&csv) {
-                    let _ = std::fs::remove_file(report.path);
-                }
-                cli::die(&format!("daemon run via {endpoint} failed: {e}"))
-            })
-        }
+        None => BatchRunner::new().with_threads(threads).run_rows(&jobs),
+        Some(endpoint) => run_rows_via_daemon(&endpoint, &jobs).unwrap_or_else(|e| {
+            // No report comes of this run: drop the files opened for it.
+            for report in json.iter().chain(&csv) {
+                let _ = std::fs::remove_file(report.path);
+            }
+            cli::die(&format!("daemon run via {endpoint} failed: {e}"))
+        }),
     };
 
     println!("TABLE V — COMPARISON OF GF(2^m) MULTIPLIERS");
@@ -144,7 +143,7 @@ fn main() {
 
     if let Some(report) = json {
         let path = report.path;
-        report.write(&rows_to_json(&rows, runner.base_seed()));
+        report.write(&rows_to_json(&rows));
         println!("wrote JSON report to {path}");
     }
     if let Some(report) = csv {

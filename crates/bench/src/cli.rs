@@ -12,17 +12,19 @@
 //!   and the usage on stderr and exits 1.
 //!
 //! A value that does not parse ([`Args::parsed`], [`Args::pair`],
-//! [`Args::field`]) or names nothing ([`Args::fail`], [`Args::methods`],
-//! [`Args::targets`]) exits the same way. A failure after the command
+//! [`Args::field`]) or names nothing ([`Args::fail`],
+//! [`Args::table_v_fields`], [`Args::methods`], [`Args::targets`]) exits
+//! the same way. A failure after the command
 //! line was accepted — an unreachable daemon, a report path that cannot
 //! be written ([`Args::report`]) — prints one `error:` line and exits 1
-//! ([`die`]).
+//! ([`die`]). A reader that closes stdout early ends the run with
+//! [`CLOSED_STDOUT_STATUS`] and no panic.
 
 use std::fs::File;
 use std::io::Write as _;
 use std::str::FromStr;
 
-use gf2poly::TypeIiPentanomial;
+use gf2poly::{catalogue::TABLE_V_FIELDS, TypeIiPentanomial};
 use rgf2m_core::Method;
 use rgf2m_fpga::Target;
 use rgf2m_serve::protocol::unknown_name;
@@ -90,8 +92,10 @@ impl Cli {
     }
 
     /// Checks the process's arguments, exiting as the module describes
-    /// unless they pass.
+    /// unless they pass. Also makes the binary stop quietly, with
+    /// [`CLOSED_STDOUT_STATUS`], when its reader closes stdout early.
     pub fn parse(&'static self) -> Args {
+        exit_quietly_on_closed_stdout();
         let args: Vec<String> = std::env::args().skip(1).collect();
         match self.try_parse(&args) {
             Ok(args) => args,
@@ -184,6 +188,16 @@ impl Args {
         (m, n)
     }
 
+    /// The Table V field `--only M,N` names, or all nine in the paper's
+    /// order; exits 1 unless `M,N` is one of them.
+    pub fn table_v_fields(&self) -> Vec<(usize, usize)> {
+        match self.pair("--only") {
+            None => TABLE_V_FIELDS.to_vec(),
+            Some(pair) if TABLE_V_FIELDS.contains(&pair) => vec![pair],
+            Some((m, n)) => self.fail(&format!("--only {m},{n} names no Table V field")),
+        }
+    }
+
     /// The registry entry called `name`; exits 1 listing the registry,
     /// in the daemon's words, if there is none.
     fn lookup<T: Copy>(
@@ -230,6 +244,28 @@ impl Args {
         let file = File::create(path).unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
         Some(Report { path, file })
     }
+}
+
+/// The exit status of a binary whose reader closed stdout early: 128 +
+/// SIGPIPE, the status a shell reports for a C tool killed by the
+/// signal.
+pub const CLOSED_STDOUT_STATUS: i32 = 141;
+
+/// Installs a panic hook that exits with [`CLOSED_STDOUT_STATUS`],
+/// printing nothing, when a `print!` finds stdout closed (`sta | head
+/// -1`); Rust ignores SIGPIPE, so std panics there instead. Every other
+/// panic goes to the hook that was installed before.
+fn exit_quietly_on_closed_stdout() {
+    let earlier = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let closed = info.payload_as_str().is_some_and(|msg| {
+            msg.starts_with("failed printing to stdout") && msg.contains("Broken pipe")
+        });
+        if closed {
+            std::process::exit(CLOSED_STDOUT_STATUS);
+        }
+        earlier(info)
+    }));
 }
 
 /// Prints `error: {msg}` on stderr and exits 1, without the usage: for
@@ -422,7 +458,9 @@ mod tests {
             let line = line.trim_start_matches("run: ");
             let expect_failure = line.starts_with("if ");
             let line = line.trim_start_matches("if ");
-            let line = line.split(['>', ';']).next().unwrap().trim();
+            let line = line.split([';', '|']).next().unwrap();
+            let line = line.split(" 2>").next().unwrap();
+            let line = line.split('>').next().unwrap().trim();
             for (name, cli) in bins {
                 let rest = line
                     .strip_prefix(&format!(

@@ -3,24 +3,25 @@
 //!
 //! The contract is **byte-equivalence** with
 //! [`BatchRunner::run_rows`](crate::BatchRunner::run_rows):
-//! the same jobs under the same base seed yield the same
-//! [`BatchRow`]s — the same splitmix64 per-job seeds (via
-//! [`job_seed_from`]), the same deterministic reports (the daemon's
-//! default template mirrors [`crate::harness_pipeline`]), and the same
-//! error strings for invalid pentanomials (validated client-side, so a
-//! bad `(m, n)` never even reaches the wire). `table5 --daemon
-//! ENDPOINT` rides on this to produce byte-identical JSON/CSV exports,
-//! with the daemon's memory + artifact store turning warm reruns into
-//! pure cache reads.
+//! the same jobs yield the same [`BatchRow`]s — every job sent with
+//! [`DEFAULT_SEED`], the seed the runner places with, the same
+//! deterministic reports (the daemon's default template mirrors
+//! [`crate::harness_pipeline`]), and the same error strings for invalid
+//! pentanomials (validated client-side, so a bad `(m, n)` never even
+//! reaches the wire). `table5 --daemon ENDPOINT` rides on this to
+//! produce byte-identical JSON/CSV exports, with the daemon's memory +
+//! artifact store turning warm reruns into pure cache reads. A cell has
+//! one store key, whether `table5`, `serve_ctl` or a seedless request
+//! computed it.
 
 use std::io;
 
-use rgf2m_fpga::FlowError;
+use rgf2m_fpga::{place::DEFAULT_SEED, FlowError};
 use rgf2m_serve::client::{Client, ClientJob};
 use rgf2m_serve::net::Endpoint;
 use rgf2m_serve::protocol::FieldSpec;
 
-use crate::batch::{job_seed_from, BatchRow, Job};
+use crate::batch::{BatchRow, Job};
 
 /// Runs every job against the daemon at `endpoint`, returning one
 /// [`BatchRow`] per job **in job order**, exactly as
@@ -30,32 +31,27 @@ use crate::batch::{job_seed_from, BatchRow, Job};
 /// land in that row's `result`; only transport-level failures (cannot
 /// connect, daemon died mid-batch, malformed response) surface as
 /// `Err`.
-pub fn run_rows_via_daemon(
-    endpoint: &Endpoint,
-    jobs: &[Job],
-    base_seed: u64,
-) -> io::Result<Vec<BatchRow>> {
+pub fn run_rows_via_daemon(endpoint: &Endpoint, jobs: &[Job]) -> io::Result<Vec<BatchRow>> {
     // Validate pentanomials locally: the rows for invalid pairs must
     // carry the exact BatchRunner error bytes, and skipping them keeps
     // the daemon's registry validation out of the equivalence surface.
     let mut rows: Vec<BatchRow> = Vec::with_capacity(jobs.len());
     let (mut wire, mut batch) = (Vec::new(), Vec::new());
     for (index, &job) in jobs.iter().enumerate() {
-        let seed = job_seed_from(base_seed, index);
         let result = job.pentanomial(index).and_then(|_| {
             wire.push(index);
             batch.push(ClientJob {
                 field: FieldSpec::Pair { m: job.m, n: job.n },
                 method: job.method,
                 target: job.target,
-                seed,
+                seed: DEFAULT_SEED,
             });
             // Placeholder; overwritten from the daemon's answer.
             Err(FlowError::Remote {
                 message: "daemon response missing".into(),
             })
         });
-        rows.push(BatchRow { job, seed, result });
+        rows.push(BatchRow { job, result });
     }
     if !batch.is_empty() {
         let outcomes = Client::connect(endpoint)?.synth_batch(&batch)?;
@@ -102,12 +98,10 @@ mod tests {
             Job::new(16, 2, Method::ProposedFlat), // reducible: fails
             Job::new(8, 2, Method::Imana2016),
         ];
-        let runner = BatchRunner::new();
-        let local = rows_to_json(&runner.run_rows(&jobs), runner.base_seed());
+        let local = rows_to_json(&BatchRunner::new().run_rows(&jobs));
 
         let handle = server::spawn(ServerConfig::new(Endpoint::Tcp("127.0.0.1:0".into()))).unwrap();
-        let rows = run_rows_via_daemon(handle.endpoint(), &jobs, runner.base_seed()).unwrap();
-        let served = rows_to_json(&rows, runner.base_seed());
+        let served = rows_to_json(&run_rows_via_daemon(handle.endpoint(), &jobs).unwrap());
         assert_eq!(served, local);
 
         let mut client = Client::connect(handle.endpoint()).unwrap();
@@ -119,6 +113,6 @@ mod tests {
     fn transport_failures_are_errors_not_rows() {
         let gone = Endpoint::Tcp("127.0.0.1:1".into());
         let jobs = vec![Job::new(8, 2, Method::ProposedFlat)];
-        assert!(run_rows_via_daemon(&gone, &jobs, 2018).is_err());
+        assert!(run_rows_via_daemon(&gone, &jobs).is_err());
     }
 }

@@ -30,7 +30,7 @@ pub use audit::{
     audit_to_json, run_audit, validate_audit_json, AuditCell, AuditCheck, AuditOptions,
     AuditReport, Fault, AUDIT_SCHEMA,
 };
-pub use batch::{job_seed_from, table_v_jobs, table_v_jobs_on, BatchRow, BatchRunner, Job};
+pub use batch::{table_v_jobs_on, BatchRow, BatchRunner, Job};
 pub use daemon::run_rows_via_daemon;
 pub use report::{rows_to_csv, rows_to_json, validate_table5_json, TABLE5_SCHEMA};
 
@@ -76,9 +76,9 @@ pub fn format_field_block(m: usize, n: usize, rows: &[PaperRow]) -> String {
 /// The pipeline every harness run starts from: [`Pipeline::new`], on
 /// the paper's Artix-7 fabric with the default placement seed
 /// ([`rgf2m_fpga::place::DEFAULT_SEED`]) and its exact, bounded
-/// annealing budget. Retarget
-/// with `Pipeline::with_target` (the [`BatchRunner`] does this per
-/// job).
+/// annealing budget. Retarget with `Pipeline::with_target`; the
+/// [`BatchRunner`] and `sta` change nothing else, so both place a cell
+/// alike.
 pub fn harness_pipeline() -> Pipeline {
     Pipeline::new()
 }
@@ -90,7 +90,7 @@ mod tests {
     #[test]
     fn run_table_v_smallest_field() {
         let rows: Vec<PaperRow> = BatchRunner::new()
-            .run_rows(&table_v_jobs(&[(8, 2)]))
+            .run_rows(&table_v_jobs_on(&[(8, 2)], rgf2m_fpga::Target::Artix7))
             .iter()
             .filter_map(BatchRow::table_v_row)
             .collect();

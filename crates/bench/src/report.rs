@@ -6,10 +6,12 @@
 //! they produce the same bytes, run over run and machine over machine
 //! (fixed field order, fixed float precision, no timestamps). Both, and
 //! the validator, walk the report columns of
-//! [`rgf2m_serve::codec::REPORT_FIELDS`].
+//! [`rgf2m_serve::codec::REPORT_FIELDS`]. The `base_seed` and per-row
+//! `seed` columns carry [`DEFAULT_SEED`], the one seed every batch job
+//! is placed with.
 
 use rgf2m_core::Method;
-use rgf2m_fpga::Target;
+use rgf2m_fpga::{place::DEFAULT_SEED, Target};
 use rgf2m_serve::codec::{write_json_fields, Floats, REPORT_FIELDS};
 use rgf2m_serve::json::{json_string, parse_json, JsonValue};
 
@@ -34,22 +36,21 @@ pub const TABLE5_SCHEMA: &str = "rgf2m-table5/5";
 /// `dedup_saved` dividend) and the STA's worst slack; failed rows
 /// carry `"ok": false` and the error message. Every row names its
 /// target fabric. Byte-identical for identical inputs.
-pub fn rows_to_json(rows: &[BatchRow], base_seed: u64) -> String {
+pub fn rows_to_json(rows: &[BatchRow]) -> String {
     let mut s = String::new();
     s.push_str("{\n");
     s.push_str(&format!("  \"schema\": \"{TABLE5_SCHEMA}\",\n"));
-    s.push_str(&format!("  \"base_seed\": {base_seed},\n"));
+    s.push_str(&format!("  \"base_seed\": {DEFAULT_SEED},\n"));
     s.push_str("  \"rows\": [\n");
     for (i, row) in rows.iter().enumerate() {
         s.push_str("    {");
         s.push_str(&format!(
-            "\"m\": {}, \"n\": {}, \"method\": {}, \"citation\": {}, \"target\": {}, \"seed\": {}",
+            "\"m\": {}, \"n\": {}, \"method\": {}, \"citation\": {}, \"target\": {}, \"seed\": {DEFAULT_SEED}",
             row.job.m,
             row.job.n,
             json_string(row.job.method.name()),
             json_string(row.job.method.citation()),
             json_string(row.job.target.name()),
-            row.seed
         ));
         match &row.result {
             Ok(r) => {
@@ -82,13 +83,12 @@ pub fn rows_to_csv(rows: &[BatchRow]) -> String {
     s.push_str(",error\n");
     for row in rows {
         s.push_str(&format!(
-            "{},{},{},{},{},{},{}",
+            "{},{},{},{},{},{DEFAULT_SEED},{}",
             row.job.m,
             row.job.n,
             row.job.method.name(),
             csv_field(row.job.method.citation()),
             row.job.target.name(),
-            row.seed,
             row.result.is_ok()
         ));
         for f in &REPORT_FIELDS {
@@ -242,7 +242,6 @@ mod tests {
         vec![
             BatchRow {
                 job: crate::batch::Job::on(8, 2, Method::ProposedFlat, Target::Virtex5),
-                seed: 11_657_511_268_527_099_060,
                 result: Ok(rgf2m_fpga::ImplReport {
                     name: "gf256_proposed".into(),
                     luts: 33,
@@ -261,7 +260,6 @@ mod tests {
             },
             BatchRow {
                 job: crate::batch::Job::new(16, 2, Method::MastrovitoPaar),
-                seed: 2018,
                 result: Err(rgf2m_fpga::FlowError::InvalidOptions(
                     "bad \"field\", see\nline two".into(),
                 )),
@@ -277,7 +275,7 @@ mod tests {
             "  \"base_seed\": 2018,\n",
             "  \"rows\": [\n",
             "    {\"m\": 8, \"n\": 2, \"method\": \"proposed\", \"citation\": \"This work\", ",
-            "\"target\": \"virtex5\", \"seed\": 11657511268527099060, \"ok\": true, ",
+            "\"target\": \"virtex5\", \"seed\": 2018, \"ok\": true, ",
             "\"luts\": 33, \"slices\": 11, \"depth\": 3, \"time_ns\": 9.8765, ",
             "\"area_time\": 325.9259, \"dup_gates\": 2, \"dead_nodes\": 1, ",
             "\"and_depth\": 1, \"xor_depth\": 5, \"and_gates\": 64, \"xor_gates\": 84, ",
@@ -288,7 +286,7 @@ mod tests {
             "  ]\n",
             "}\n",
         );
-        assert_eq!(rows_to_json(&golden_rows(), 2018), expected);
+        assert_eq!(rows_to_json(&golden_rows()), expected);
     }
 
     #[test]
@@ -297,7 +295,7 @@ mod tests {
             "m,n,method,citation,target,seed,ok,luts,slices,depth,time_ns,area_time,",
             "dup_gates,dead_nodes,and_depth,xor_depth,and_gates,xor_gates,dedup_saved,",
             "worst_slack_ns,error\n",
-            "8,2,proposed,This work,virtex5,11657511268527099060,true,33,11,3,9.8765,",
+            "8,2,proposed,This work,virtex5,2018,true,33,11,3,9.8765,",
             "325.9259,2,1,1,5,64,84,7,-0.0000,\n",
             "16,2,mastrovito,[2],artix7,2018,false,,,,,,,,,,,,,,",
             "\"invalid flow options: bad \"\"field\"\", see\nline two\"\n",

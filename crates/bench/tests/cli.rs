@@ -294,6 +294,44 @@ fn report_flags_never_swallow_another_flag() {
     std::fs::remove_dir_all(dir).unwrap();
 }
 
+/// A reader that stops early (`sta | head -1`) ends the run quietly:
+/// no panic on the closed stdout, and the status a shell gives a tool
+/// killed by SIGPIPE.
+#[test]
+fn closed_stdout_ends_the_run_without_a_panic() {
+    use std::io::{BufRead, BufReader, Read};
+    use std::process::Stdio;
+    let dir = fresh_dir();
+    let mut child = Command::new(BINS[2].1)
+        .args(["--only", "64,23", "--all-targets"])
+        .current_dir(&dir)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut line = String::new();
+    BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut line)
+        .unwrap();
+    assert!(line.starts_with("STA over GF(2^64)"), "{line}");
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .unwrap()
+        .read_to_string(&mut stderr)
+        .unwrap();
+    let status = child.wait().unwrap();
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_ne!(status.code(), Some(101), "{stderr}");
+    assert_eq!(
+        status.code(),
+        Some(rgf2m_bench::cli::CLOSED_STDOUT_STATUS),
+        "{stderr}"
+    );
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
 #[test]
 fn paper_exits_nonzero_naming_each_table_it_could_not_run() {
     // A copy of `paper` without its sibling table binaries: every table

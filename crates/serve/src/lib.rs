@@ -14,8 +14,9 @@
 //! * [`server`] / [`client`] — the `rgf2m-served` daemon: newline-
 //!   delimited JSON over a Unix socket or localhost TCP, `Method` /
 //!   `Target` registry validation, singleflight dedup of identical
-//!   in-flight jobs, a bounded worker pool with deterministic per-job
-//!   seeds, a `stats` op, and graceful drain on `shutdown`.
+//!   in-flight jobs, a bounded worker pool in which each job anneals
+//!   with its request's seed, a `stats` op, and graceful drain on
+//!   `shutdown`.
 //!
 //! The serialization substrate is the workspace's hand-rolled,
 //! byte-deterministic JSON ([`json`]) — no serde, no new

@@ -20,10 +20,9 @@
 //! round-trip `Display`, so a reconstructed [`ImplReport`] is
 //! bit-identical to the daemon's.
 //!
-//! Seeds are full-width `u64` (the bench runner's splitmix64 per-job
-//! seeds use all 64 bits) but JSON numbers are `f64`, whose 53-bit
-//! mantissa would silently round them — and a rounded seed anneals a
-//! *different* placement. Encoders therefore write `seed` as a decimal
+//! Seeds are any `u64` a client picks, all 64 bits of it, but JSON
+//! numbers are `f64`, whose 53-bit mantissa would silently round a wide
+//! one — and a rounded seed anneals a *different* placement. Encoders therefore write `seed` as a decimal
 //! **string** (`"seed": "11657511268527099060"`); the parser accepts
 //! either spelling and refuses a numeric seed or id above 2^53 − 1,
 //! the largest integer every smaller one of which `f64` carries
@@ -350,7 +349,7 @@ mod tests {
 
     #[test]
     fn full_width_seeds_survive_the_wire_exactly() {
-        // A splitmix64 per-job seed uses all 64 bits — far above f64's
+        // A client's seed may use all 64 bits — far above f64's
         // 53-bit mantissa. It must round-trip bit-exactly (it travels
         // as a decimal string), and a bare JSON number that wide must
         // be rejected rather than silently rounded.

@@ -68,9 +68,10 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
-//! To fan many (field × method) scenarios over worker threads with
-//! deterministic per-job seeds — and export the results as JSON/CSV —
-//! use `rgf2m_bench::BatchRunner`, or from the shell:
+//! To fan many (field × method) scenarios over worker threads — each
+//! placed with the default seed, so a cell's numbers do not depend on
+//! the batch — and export the results as JSON/CSV, use
+//! `rgf2m_bench::BatchRunner`, or from the shell:
 //!
 //! ```sh
 //! cargo run --release -p rgf2m_bench --bin table5 -- --json table5.json
